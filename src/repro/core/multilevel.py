@@ -14,7 +14,11 @@ Pipeline of :class:`MultilevelMapper`:
 1. **Coarsen** — seeded heavy-edge matching on ``CG + CG^T``
    (vectorized mutual-best rounds, deterministic tie-breaking by a
    seeded priority permutation), then contract matched pairs into
-   super-vertices with summed traffic and merged edges.  Self-loops
+   super-vertices with summed traffic and merged edges.  Each round's
+   proposals cost O(E) with no sort: the edge list is grouped by
+   source vertex, so a vertex's heaviest edge is a segmented max
+   (``np.maximum.reduceat``) and its tie-break a second segmented max
+   over the priorities of the edges that reach that weight.  Self-loops
    created by contraction are dropped from the matrices but accounted
    (``internal_volume``/``internal_count``) so conservation is testable.
    A pinned vertex only ever matches a vertex pinned to the *same*
@@ -108,7 +112,12 @@ def _symmetric_affinity(problem: MappingProblem):
 
 
 def _affinity_edges(sym) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(u, v, w) arrays of all directed affinity edges, zero-free."""
+    """(u, v, w) arrays of all directed affinity edges, zero-free, grouped by u.
+
+    Both branches read row-major (a canonical CSR or ``np.nonzero``), so
+    ``u`` comes out ascending; the segmented max in
+    :func:`heavy_edge_matching` relies on that order.
+    """
     if sp.issparse(sym):
         coo = sym.tocoo()
         return (
@@ -149,19 +158,22 @@ def heavy_edge_matching(
     allowed = pins[u] == pins[v]
     u, v, w = u[allowed], v[allowed], w[allowed]
     prio = rng.permutation(n)
+    by_prio = np.argsort(prio)  # inverse permutation: priority -> vertex
 
     for _ in range(check_positive_int(rounds, "rounds")):
         live = (mate[u] == -1) & (mate[v] == -1)
         if not np.any(live):
             break
         lu, lv, lw = u[live], v[live], w[live]
-        # Ascending (u, w, prio[v]) sort: the last edge of each u-run is
-        # u's heaviest edge, heaviest-priority partner on ties.
-        order = np.lexsort((prio[lv], lw, lu))
-        lu, lv = lu[order], lv[order]
-        last = np.flatnonzero(np.diff(lu, append=-1) != 0)
+        # Edges arrive grouped by ascending u, so u's heaviest edge
+        # (highest-priority partner on ties) is a segmented max.
+        head = np.diff(lu, prepend=-1) != 0
+        starts = np.flatnonzero(head)
+        seg = np.cumsum(head) - 1
+        top = np.maximum.reduceat(lw, starts)
+        best = np.maximum.reduceat(np.where(lw == top[seg], prio[lv], -1), starts)
         pref = np.full(n, -1, dtype=np.int64)
-        pref[lu[last]] = lv[last]
+        pref[lu[starts]] = by_prio[best]
         cand = np.flatnonzero(pref >= 0)
         mutual = cand[(pref[pref[cand]] == cand) & (pref[cand] != cand)]
         pair = mutual[mutual < pref[mutual]]

@@ -77,16 +77,26 @@ class RepairResult:
 
 
 def _rows(problem: MappingProblem, i: int) -> tuple[np.ndarray, ...]:
-    """(cg_out, cg_in, ag_out, ag_in) dense owned rows for process i."""
-    cg, ag = problem.CG, problem.AG
-    if sp.issparse(cg):
-        return (
-            cg.getrow(i).toarray().ravel(),
-            cg.getcol(i).toarray().ravel(),
-            ag.getrow(i).toarray().ravel(),
-            ag.getcol(i).toarray().ravel(),
-        )
-    return cg[i, :].copy(), cg[:, i].copy(), ag[i, :].copy(), ag[:, i].copy()
+    """(cg_out, cg_in, ag_out, ag_in) dense owned rows for process i.
+
+    Sparse problems read the cached CSR views: the out-row is an
+    ``indptr`` slice, the in-column the stored entries whose column is
+    ``i`` (O(nnz), no scipy submatrix machinery).
+    """
+    if not problem.is_sparse:
+        cg, ag = problem.CG, problem.AG
+        return cg[i, :].copy(), cg[:, i].copy(), ag[i, :].copy(), ag[:, i].copy()
+    n = problem.num_processes
+    out = []
+    for csr in (problem.cg_csr(), problem.ag_csr()):
+        row = np.zeros(n)
+        cols, vals = csr.row_slice(i)
+        row[cols] = vals
+        col = np.zeros(n)
+        hit = csr.indices == i
+        col[csr.rows[hit]] = csr.data[hit]
+        out += [row, col]
+    return tuple(out)
 
 
 def _site_cost_vector(

@@ -17,14 +17,13 @@ the aggregated message stream into a ``profile.messages`` span (one
 ``profile.pair`` event per communicating rank pair), and
 :meth:`TraceRecorder.write_trace` writes a schema-valid trace file that
 ``repro trace-report`` / ``repro metrics`` consume directly.  The raw
-``events`` attribute of the legacy format is deprecated in favor of
-:meth:`event_streams` / :meth:`rank_events`.
+per-rank streams are read through :meth:`event_streams` /
+:meth:`rank_events`.
 """
 
 from __future__ import annotations
 
 import contextvars
-import warnings
 from collections import defaultdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -79,24 +78,6 @@ class TraceRecorder:
             self._events[src].append((dst, nbytes, tag))
 
     # --------------------------------------------------------- event access
-
-    @property
-    def events(self) -> list[list[tuple[int, int, int]]]:
-        """Deprecated alias for :meth:`event_streams`.
-
-        The bare attribute was the legacy trace output; the span schema
-        (see :meth:`to_span`) is the one trace format now, and code that
-        still needs the raw per-rank streams should call
-        :meth:`event_streams` / :meth:`rank_events`.
-        """
-        warnings.warn(
-            "TraceRecorder.events is deprecated; use event_streams() or "
-            "rank_events(rank) instead (the span schema via to_span() is "
-            "the supported trace format)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._events
 
     def event_streams(self) -> list[list[tuple[int, int, int]]]:
         """Per-source-rank message streams (``(dst, nbytes, tag)`` tuples).

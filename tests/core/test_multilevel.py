@@ -5,9 +5,13 @@ Covers the coarsening invariants the mapper's correctness rests on
 bijection, pin survival) plus end-to-end determinism and quality.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     GeoDistributedMapper,
@@ -19,6 +23,7 @@ from repro.core import (
     total_cost,
     validate_assignment,
 )
+from repro.core.multilevel import _affinity_edges, _symmetric_affinity
 from repro.obs import recording
 
 
@@ -76,6 +81,85 @@ def test_matching_deterministic_for_same_generator_seed():
     a = heavy_edge_matching(problem, np.random.default_rng(11))
     b = heavy_edge_matching(problem, np.random.default_rng(11))
     np.testing.assert_array_equal(a, b)
+
+
+def _lexsort_matching(problem, rng, rounds):
+    """Reference matching: each u's proposal picked by a full edge sort.
+
+    Ascending ``(u, w, prio[v])`` lexsort; the last edge of each u-run
+    is u's heaviest edge, highest-priority partner on ties.  The mapper
+    replaced this O(E log E) sort with a segmented max and must pick
+    exactly the same partners.
+    """
+    n = problem.num_processes
+    mate = np.full(n, -1, dtype=np.int64)
+    u, v, w = _affinity_edges(_symmetric_affinity(problem))
+    if u.size == 0:
+        return mate
+    pins = problem.constraints
+    allowed = pins[u] == pins[v]
+    u, v, w = u[allowed], v[allowed], w[allowed]
+    prio = rng.permutation(n)
+    for _ in range(rounds):
+        live = (mate[u] == -1) & (mate[v] == -1)
+        if not np.any(live):
+            break
+        lu, lv, lw = u[live], v[live], w[live]
+        order = np.lexsort((prio[lv], lw, lu))
+        lu, lv = lu[order], lv[order]
+        last = np.flatnonzero(np.diff(lu, append=-1) != 0)
+        pref = np.full(n, -1, dtype=np.int64)
+        pref[lu[last]] = lv[last]
+        cand = np.flatnonzero(pref >= 0)
+        mutual = cand[(pref[pref[cand]] == cand) & (pref[cand] != cand)]
+        pair = mutual[mutual < pref[mutual]]
+        mate[pair] = pref[pair]
+        mate[pref[pair]] = pair
+    return mate
+
+
+@st.composite
+def matching_problems(draw):
+    """Small graphs: sparse or dense storage, tied or distinct weights,
+    isolated vertices, and mixes of pinned and unpinned vertices."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.0]))
+    if draw(st.booleans()):  # heavy ties: a handful of integer weights
+        w = rng.integers(1, 4, size=(n, n)).astype(np.float64)
+    else:
+        w = rng.random((n, n)) * 1e6
+    cg = np.where(rng.random((n, n)) < density, w, 0.0)
+    np.fill_diagonal(cg, 0.0)
+    isolated = rng.random(n) < draw(st.sampled_from([0.0, 0.2]))
+    cg[isolated, :] = 0.0
+    cg[:, isolated] = 0.0
+    pins = np.full(n, UNCONSTRAINED, dtype=np.int64)
+    pinned = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    pins[pinned] = rng.integers(0, m, size=int(pinned.sum()))
+    if draw(st.booleans()):
+        cg = sp.csr_matrix(cg)
+    return MappingProblem(
+        CG=cg,
+        AG=cg.copy(),
+        LT=np.full((m, m), 0.01),
+        BT=np.full((m, m), 1e8),
+        capacities=np.full(m, n),
+        constraints=pins,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    matching_problems(),
+    st.sampled_from([1, 3, 5]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_matching_equals_lexsort_reference(problem, rounds, seed):
+    got = heavy_edge_matching(problem, np.random.default_rng(seed), rounds=rounds)
+    want = _lexsort_matching(problem, np.random.default_rng(seed), rounds)
+    np.testing.assert_array_equal(got, want)
 
 
 # ----------------------------------------------------------- contraction
@@ -148,6 +232,23 @@ def test_multilevel_same_seed_is_bit_identical():
     b = mapper.map(problem, seed=42)
     np.testing.assert_array_equal(a.assignment, b.assignment)
     assert a.cost == b.cost
+
+
+def test_multilevel_mapping_matches_stored_digest():
+    # Pins the whole pipeline (matching, contraction, inner solve,
+    # refinement) to the mapping it produced before the matching lost
+    # its sort: assignment bytes and the cost's exact bits.
+    problem = _sparse_problem(2048, m=8, seed=12, pin_ratio=0.1)
+    result = MultilevelMapper(kappa=2, coarsest_size=128).map(problem, seed=5)
+    assert [lv["n"] for lv in result.meta["levels"]] == [
+        2048, 1290, 880, 673, 563, 506
+    ]
+    digest = hashlib.sha256(
+        result.assignment.astype("<i8").tobytes() + result.cost.hex().encode()
+    ).hexdigest()
+    assert digest == (
+        "4d04442d3b4d96b12a9c4e2f851dcd956b0dcc0d2a67f95713107c322ef05f83"
+    )
 
 
 def test_multilevel_valid_and_within_quality_bound():

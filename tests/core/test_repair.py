@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     GeoDistributedMapper,
@@ -15,6 +18,7 @@ from repro.core import (
     repair_mapping,
     total_cost,
 )
+from repro.core.repair import _rows, _site_cost_vector
 
 
 def make_problem(n=12, m=3, cap=6, seed=0, constraints=None):
@@ -144,3 +148,50 @@ class TestIncrementalRepair:
         prob = make_problem()
         with pytest.raises(ValueError, match="outside"):
             repair_mapping(prob, np.full(12, 7, dtype=np.int64))
+
+
+def _sparse_and_dense(n, m, seed):
+    """One sparse problem and its dense copy; process 0 receives nothing
+    and process 1 sends nothing, so both edge cases are always present."""
+    rng = np.random.default_rng(seed)
+    cg = np.where(rng.random((n, n)) < 0.3, rng.random((n, n)) * 1e6, 0.0)
+    np.fill_diagonal(cg, 0.0)
+    cg[:, 0] = 0.0
+    cg[1, :] = 0.0
+    ag = np.ceil(cg / 1e5)
+    lt = rng.uniform(0.01, 0.1, (m, m))
+    bt = rng.uniform(1e7, 1e9, (m, m))
+    caps = np.full(m, n, dtype=np.int64)
+    common = dict(LT=lt, BT=bt, capacities=caps)
+    sparse = MappingProblem(CG=sp.csr_matrix(cg), AG=sp.csr_matrix(ag), **common)
+    dense = MappingProblem(CG=cg, AG=ag, **common)
+    return sparse, dense
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_row_kernel_sparse_equals_dense(n, m, seed):
+    sparse, dense = _sparse_and_dense(n, m, seed)
+    rng = np.random.default_rng(seed)
+    P = rng.integers(0, m, size=n)
+    placed = rng.random(n) < 0.7
+    inv_bt = 1.0 / sparse.BT
+    for i in range(n):
+        got, want = _rows(sparse, i), _rows(dense, i)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        # Owned, writable copies: scribbling on them leaves the problem intact.
+        for a in got:
+            assert a.flags.writeable and a.base is None
+            a[:] = -1.0
+        np.testing.assert_array_equal(sparse.CG.toarray(), dense.CG)
+        np.testing.assert_array_equal(sparse.AG.toarray(), dense.AG)
+        cost_s = _site_cost_vector(sparse, inv_bt, P, placed, i)
+        cost_d = _site_cost_vector(dense, inv_bt, P, placed, i)
+        assert cost_s.tobytes() == cost_d.tobytes()
+    # The no-in-edge and no-out-edge processes really are edge cases.
+    assert not _rows(sparse, 0)[1].any() and not _rows(sparse, 1)[0].any()

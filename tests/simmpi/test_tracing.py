@@ -55,13 +55,11 @@ def test_event_streams_optional():
     assert off.event_streams()[0] == []
 
 
-def test_events_attribute_deprecated():
+def test_events_attribute_removed():
+    # The legacy ``events`` alias is gone; event_streams() is the one accessor.
     tr = TraceRecorder(2, keep_events=True)
     tr.record(0, 1, 5, 9)
-    with pytest.warns(DeprecationWarning, match="event_streams"):
-        legacy = tr.events
-    # The shim still serves the same data while callers migrate.
-    assert legacy[0] == [(1, 5, 9)]
+    assert not hasattr(tr, "events")
 
 
 def test_invalid_rank_count():
