@@ -24,9 +24,9 @@ algorithm closes.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..core.constraints import constrained_sites_available, ensure_feasible
+from ..core.geodist import _affinity_row, _symmetric_traffic
 from ..core.mapping import Mapper, register_mapper
 from ..core.problem import UNCONSTRAINED, MappingProblem
 
@@ -41,20 +41,6 @@ def site_total_bandwidth(problem: MappingProblem) -> np.ndarray:
     """
     bt = problem.BT
     return bt.sum(axis=1) + bt.sum(axis=0)
-
-
-def _symmetric_traffic(problem: MappingProblem):
-    """CG + CG^T precomputed once; rows are the per-process affinities."""
-    cg = problem.CG
-    if sp.issparse(cg):
-        return (cg + cg.T).tocsr()
-    return cg + cg.T
-
-
-def _affinity_row(sym, proc: int) -> np.ndarray:
-    if sp.issparse(sym):
-        return sym.getrow(proc).toarray().ravel()
-    return sym[proc, :]
 
 
 class GreedyMapper(Mapper):

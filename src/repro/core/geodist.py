@@ -68,20 +68,6 @@ def _affinity_row(sym, proc: int) -> np.ndarray:
     return sym[proc, :]
 
 
-def _add_affinity_row(acc: np.ndarray, sym, proc: int) -> None:
-    """In-place ``acc += row proc of sym`` touching only stored entries.
-
-    CSR rows are canonical (sorted, duplicate-free), so the fancy add is
-    exact; the sparse path scatters O(row nnz) values instead of
-    materializing a dense row per greedy placement.
-    """
-    if sp.issparse(sym):
-        start, end = sym.indptr[proc], sym.indptr[proc + 1]
-        acc[sym.indices[start:end]] += sym.data[start:end]
-    else:
-        acc += sym[proc, :]
-
-
 def _affinity_rows_sum(sym, procs: np.ndarray) -> np.ndarray:
     """Summed affinity rows of ``procs`` in one gather + bincount.
 
@@ -106,6 +92,26 @@ def _affinity_rows_sum(sym, procs: np.ndarray) -> np.ndarray:
     return sym[procs].sum(axis=0)
 
 
+def _row_views(sym) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Per-process ``(indices, data)`` views of a CSR ``sym``, else None.
+
+    Built once per flat solve so a greedy placement adds its affinity row
+    with one fancy ``+=`` and no per-pick ``indptr`` lookups.  CSR rows
+    are canonical (sorted, duplicate-free), so that add is exact.  The
+    indices are widened to ``intp`` once here: fancy indexing with
+    scipy's int32 indices would convert them again on every pick.  Dense
+    problems return None and add the row ``sym[t]`` directly.
+    """
+    if not sp.issparse(sym):
+        return None
+    indices, data = sym.indices.astype(np.intp), sym.data
+    bounds = sym.indptr.tolist()
+    return [
+        (indices[start:end], data[start:end])
+        for start, end in zip(bounds[:-1], bounds[1:])
+    ]
+
+
 class _FillState:
     """Mutable snapshot of a partially built greedy placement.
 
@@ -115,12 +121,16 @@ class _FillState:
     permutation resumes from the deepest cached prefix instead of
     replaying the whole greedy walk.
 
-    ``masked_q`` is the communication-quantity vector with already-placed
-    processes forced to -inf, so the "heaviest unselected process" seed
-    pick is a plain ``argmax`` with no per-step ``np.where`` rebuild.
+    ``cursor`` indexes the processes sorted by descending communication
+    quantity (stable, so ties keep index order); every process before it
+    is already placed.  The "heaviest unselected process" pick is the
+    first unselected entry from the cursor on, which is exactly the first
+    maximum ``argmax`` would find over the quantities of the unselected
+    processes.  Placements only add to ``selected``, so the cursor never
+    moves back.
     """
 
-    __slots__ = ("P", "selected", "avail", "site_done", "num_placed", "masked_q")
+    __slots__ = ("P", "selected", "avail", "site_done", "num_placed", "cursor")
 
     def __init__(
         self,
@@ -129,14 +139,14 @@ class _FillState:
         avail: np.ndarray,
         site_done: np.ndarray,
         num_placed: int,
-        masked_q: np.ndarray,
+        cursor: int,
     ) -> None:
         self.P = P
         self.selected = selected
         self.avail = avail
         self.site_done = site_done
         self.num_placed = num_placed
-        self.masked_q = masked_q
+        self.cursor = cursor
 
     def clone(self) -> "_FillState":
         return _FillState(
@@ -145,30 +155,36 @@ class _FillState:
             self.avail.copy(),
             self.site_done.copy(),
             self.num_placed,
-            self.masked_q.copy(),
+            self.cursor,
         )
 
 
-def _initial_state(problem: MappingProblem, quantity: np.ndarray) -> _FillState:
+def _initial_state(problem: MappingProblem) -> _FillState:
     """Lines 3-6 of Algorithm 1: pin constraints and debit capacities."""
     P = problem.constraints.copy()
     selected = P != UNCONSTRAINED
     avail = constrained_sites_available(problem.constraints, problem.capacities).copy()
     site_done = avail == 0
     num_placed = int(selected.sum())
-    masked_q = np.where(selected, -np.inf, quantity)
-    return _FillState(P, selected, avail, site_done, num_placed, masked_q)
+    return _FillState(P, selected, avail, site_done, num_placed, 0)
 
 
 def _fill_group(
-    state: _FillState, group: SiteGroup, sym, n: int
+    state: _FillState,
+    group: SiteGroup,
+    sym,
+    rows: list[tuple[np.ndarray, np.ndarray]] | None,
+    by_quantity: list[int],
+    n: int,
 ) -> tuple[int, int, int]:
     """Lines 7-15 of Algorithm 1 for one group, mutating ``state`` in place.
 
-    The masked affinity vector ``masked_w`` is maintained incrementally:
-    selecting a process sets its entry to -inf (which further row
-    additions cannot revive), so each placement is one ``argmax`` plus one
-    in-place row addition instead of a fresh ``np.where`` allocation.
+    ``rows`` are the CSR row views of ``sym`` (None when dense) and
+    ``by_quantity`` the processes in descending communication quantity
+    (see :class:`_FillState`).  The masked affinity vector ``masked_w`` is
+    maintained incrementally: selecting a process sets its entry to -inf
+    (which further row additions cannot revive), so each placement is one
+    ``argmax`` plus one in-place row addition.
 
     Returns the greedy-fill pick counts of this group walk —
     ``(seed_picks, affinity_picks, fallback_picks)`` — where a fallback
@@ -180,29 +196,31 @@ def _fill_group(
     selected = state.selected
     avail = state.avail
     site_done = state.site_done
-    masked_q = state.masked_q
+    num_placed = state.num_placed
+    cursor = state.cursor
     neg_inf = -np.inf
 
     group_sites_arr = np.asarray(group.sites, dtype=np.int64)
     for _ in range(group_sites_arr.shape[0]):
-        if state.num_placed == n:
+        if num_placed == n:
             break
         # Unselected site in this group with the most available nodes.
         open_mask = ~site_done[group_sites_arr]
-        if not np.any(open_mask):
+        if not open_mask.any():
             break
         open_sites = group_sites_arr[open_mask]
-        site = int(open_sites[np.argmax(avail[open_sites])])
+        site = int(open_sites[avail[open_sites].argmax()])
 
         slots = int(avail[site])
         if slots > 0:
             # Seed: globally heaviest unselected process.
-            t0 = int(np.argmax(masked_q))
-            P[t0] = site
-            selected[t0] = True
-            masked_q[t0] = neg_inf
-            avail[site] -= 1
-            state.num_placed += 1
+            while selected[by_quantity[cursor]]:
+                cursor += 1
+            t = by_quantity[cursor]
+            P[t] = site
+            selected[t] = True
+            num_placed += 1
+            placed = 1
             seed_picks += 1
 
             # Affinity to everything already on this site, including
@@ -212,25 +230,33 @@ def _fill_group(
             masked_w = np.where(selected, neg_inf, w)
 
             for _ in range(slots - 1):
-                if state.num_placed == n:
+                if num_placed == n:
                     break
-                t = int(np.argmax(masked_w))
+                t = int(masked_w.argmax())
                 # Tie-break pure zeros by communication quantity so
                 # isolated processes still place deterministically.
                 if masked_w[t] <= 0.0:
-                    t = int(np.argmax(masked_q))
+                    while selected[by_quantity[cursor]]:
+                        cursor += 1
+                    t = by_quantity[cursor]
                     fallback_picks += 1
                 else:
                     affinity_picks += 1
                 P[t] = site
                 selected[t] = True
-                masked_q[t] = neg_inf
                 masked_w[t] = neg_inf
-                avail[site] -= 1
-                state.num_placed += 1
-                _add_affinity_row(masked_w, sym, t)
+                num_placed += 1
+                placed += 1
+                if rows is None:
+                    masked_w += sym[t]
+                else:
+                    idx, dat = rows[t]
+                    masked_w[idx] += dat
+            avail[site] -= placed
 
         site_done[site] = True
+    state.num_placed = num_placed
+    state.cursor = cursor
     return seed_picks, affinity_picks, fallback_picks
 
 
@@ -327,8 +353,15 @@ class GeoDistributedMapper(Mapper):
     def _solve_flat(
         self, problem: MappingProblem, groups: Sequence[SiteGroup]
     ) -> tuple[np.ndarray, dict]:
-        quantity = problem.communication_quantity()
         sym = _symmetric_traffic(problem)
+        rows = _row_views(sym)
+        # Stable descending order: ties keep index order, as argmax does.
+        # Quantities are sums of non-negative traffic that MappingProblem
+        # checked for NaN and inf, so none is NaN and negating them keeps
+        # their order, ties included.
+        by_quantity = np.argsort(
+            -problem.communication_quantity(), kind="stable"
+        ).tolist()
 
         orders = permutations(range(len(groups)))
         if self.max_orders is not None:
@@ -352,8 +385,9 @@ class GeoDistributedMapper(Mapper):
                         problem,
                         groups,
                         chunk,
-                        quantity,
                         sym,
+                        rows,
+                        by_quantity,
                     )
                     for chunk in chunks
                 ]
@@ -369,7 +403,7 @@ class GeoDistributedMapper(Mapper):
                         stats[key] += val
         else:
             best_cost, best_idx, best_P, best_order, stats = self._evaluate_orders(
-                problem, groups, indexed, quantity, sym
+                problem, groups, indexed, sym, rows, by_quantity
             )
         if best_P is None:  # unreachable: at least one order always runs
             raise RuntimeError(
@@ -399,8 +433,9 @@ class GeoDistributedMapper(Mapper):
         problem: MappingProblem,
         groups: Sequence[SiteGroup],
         indexed_orders: Sequence[tuple[int, tuple[int, ...]]],
-        quantity: np.ndarray,
         sym,
+        rows: list[tuple[np.ndarray, np.ndarray]] | None,
+        by_quantity: list[int],
     ) -> tuple[float, int, np.ndarray | None, tuple[int, ...], dict]:
         """Greedy-fill and cost every (index, order); return the best.
 
@@ -418,7 +453,7 @@ class GeoDistributedMapper(Mapper):
         """
         obs = get_recorder()
         n = problem.num_processes
-        states: list[_FillState] = [_initial_state(problem, quantity)]
+        states: list[_FillState] = [_initial_state(problem)]
         prev: tuple[int, ...] = ()
         best_cost = np.inf
         best_idx = -1
@@ -444,7 +479,9 @@ class GeoDistributedMapper(Mapper):
                 del states[d + 1 :]
                 for g in order[d:]:
                     st = states[-1].clone()
-                    seeds, affs, falls = _fill_group(st, groups[g], sym, n)
+                    seeds, affs, falls = _fill_group(
+                        st, groups[g], sym, rows, by_quantity, n
+                    )
                     stats["seed_picks"] += seeds
                     stats["affinity_picks"] += affs
                     stats["fallback_picks"] += falls

@@ -132,6 +132,8 @@ def _check_comm_matrix(mat, name: str, size: int | None):
             raise ValueError(f"{name} must be square, got shape {m.shape}")
         if size is not None and m.shape[0] != size:
             raise ValueError(f"{name} must be {size}x{size}, got {m.shape}")
+        if not np.all(np.isfinite(m.data)):
+            raise ValueError(f"{name} contains non-finite entries")
         if m.nnz and m.data.min() < 0:
             raise ValueError(f"{name} contains negative entries")
         if np.any(m.diagonal() != 0):

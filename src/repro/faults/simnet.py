@@ -62,7 +62,7 @@ class FaultyNetwork(SimNetwork):
         self.schedule = schedule
 
     def transfer(self, src: int, dst: int, nbytes: int, ready: float) -> float:
-        a, b = int(self.assignment[src]), int(self.assignment[dst])
+        a, b = self._site[src], self._site[dst]
 
         # Wait out site outages on either endpoint (fixed point over both
         # sites: coming back up at one site may land inside an outage of
@@ -82,8 +82,8 @@ class FaultyNetwork(SimNetwork):
             t = up
 
         lat_mult, lat_add, bw_mult = self.schedule.link_factors(a, b, t)
-        alpha = self.latency[a, b] * lat_mult + lat_add
-        busy = nbytes / (self.bandwidth[a, b] * bw_mult)
+        alpha = self._lt[a][b] * lat_mult + lat_add
+        busy = nbytes / (self._bt[a][b] * bw_mult)
         if a == b or not self.contention:
             return t + alpha + busy
         key = (a, b)

@@ -13,6 +13,14 @@ ideal barriers.  Execution is fully deterministic for a fixed program —
 ranks are advanced in a fixed worklist order, channel queues are FIFO,
 and ties in the transfer heap break on a monotonically increasing
 sequence number — so simulated results are exactly reproducible.
+
+The event loop runs once per operation, so it is kept lean: hot names
+are bound to locals, a channel queue is allocated only when its key is
+new, and a completed transfer wakes its receiver directly.  The network
+models answer ``transfer`` from Python-list snapshots of the mapping and
+the LT/BT tables (see :mod:`repro.simmpi.network`), so every rank clock
+stays a Python float and the loop never falls into numpy-scalar
+arithmetic; the values are the same IEEE doubles either way.
 """
 
 from __future__ import annotations
@@ -255,6 +263,11 @@ class Simulator:
 
     def _run(self) -> SimResult:
         n = self.num_ranks
+        max_ops = self.max_ops
+        compute_scale = self.compute_scale
+        tracer = self.tracer
+        transfer = self.network.transfer
+        heappush, heappop = heapq.heappush, heapq.heappop
         self.network.reset()
         states = [
             _RankState(self.program(RankContext(rank=r, size=n))) for r in range(n)
@@ -271,88 +284,102 @@ class Simulator:
         total_messages = 0
         total_bytes = 0
         barriers = 0
-        ops_budget = self.max_ops
+        ops_budget = max_ops
 
         def advance(rank: int) -> None:
-            """Run one rank until it blocks or finishes."""
+            """Run one rank until it blocks or finishes.
+
+            The rank's clock and its last operation live in locals while
+            it runs and are written back once when it stops; an exception
+            aborts the whole run, so nothing is written back then.  Sends
+            and receives dominate the stream, so they are tested first.
+            """
             nonlocal seq, total_messages, total_bytes, ops_budget
             st = states[rank]
+            gen = st.gen
+            now = st.time
+            op = st.last_op
             while True:
                 ops_budget -= 1
                 if ops_budget < 0:
                     raise RuntimeError(
-                        f"operation budget ({self.max_ops}) exhausted; "
+                        f"operation budget ({max_ops}) exhausted; "
                         "the simulated program is likely non-terminating"
                     )
                 try:
-                    op = next(st.gen)
+                    op = next(gen)
                 except StopIteration:
                     st.finished = True
-                    return
-                st.last_op = op
-
-                if isinstance(op, Compute):
-                    st.time += op.seconds * self.compute_scale
-                    continue
+                    break
 
                 if isinstance(op, Send):
-                    if op.dst == rank:
+                    dst = op.dst
+                    nbytes = op.nbytes
+                    if dst == rank:
                         raise ValueError(f"rank {rank} attempted to send to itself")
-                    if not 0 <= op.dst < n:
+                    if not 0 <= dst < n:
                         raise ValueError(
-                            f"rank {rank} sends to invalid rank {op.dst} (size {n})"
+                            f"rank {rank} sends to invalid rank {dst} (size {n})"
                         )
-                    if self.tracer is not None:
-                        self.tracer.record(rank, op.dst, op.nbytes, op.tag)
+                    if tracer is not None:
+                        tracer.record(rank, dst, nbytes, op.tag)
                     total_messages += 1
-                    total_bytes += op.nbytes
-                    key = (rank, op.dst, op.tag)
-                    dst_state = states[op.dst]
+                    total_bytes += nbytes
+                    key = (rank, dst, op.tag)
+                    dst_state = states[dst]
                     if dst_state.waiting_channel == key:
                         # Receiver already blocked on this channel: match now.
-                        ready = max(st.time, dst_state.time)
-                        heapq.heappush(
-                            transfers,
-                            (ready, seq, rank, op.dst, op.nbytes, dst_state.time),
+                        recv_post = dst_state.time
+                        ready = max(now, recv_post)
+                        heappush(
+                            transfers, (ready, seq, rank, dst, nbytes, recv_post)
                         )
                         seq += 1
                         dst_state.waiting_channel = None  # matched, still blocked
                     else:
-                        channels.setdefault(key, deque()).append((st.time, op.nbytes))
+                        queue = channels.get(key)
+                        if queue is None:
+                            queue = channels[key] = deque()
+                        queue.append((now, nbytes))
                     continue
 
                 if isinstance(op, Recv):
-                    if op.src == rank:
+                    src = op.src
+                    if src == rank:
                         raise ValueError(f"rank {rank} attempted to receive from itself")
-                    if not 0 <= op.src < n:
+                    if not 0 <= src < n:
                         raise ValueError(
-                            f"rank {rank} receives from invalid rank {op.src} (size {n})"
+                            f"rank {rank} receives from invalid rank {src} (size {n})"
                         )
-                    key = (op.src, rank, op.tag)
+                    key = (src, rank, op.tag)
                     queue = channels.get(key)
                     if queue:
                         post_time, nbytes = queue.popleft()
                         if not queue:
                             del channels[key]
-                        ready = max(post_time, st.time)
-                        heapq.heappush(
-                            transfers, (ready, seq, op.src, rank, nbytes, st.time)
-                        )
+                        ready = max(post_time, now)
+                        heappush(transfers, (ready, seq, src, rank, nbytes, now))
                         seq += 1
                         # Blocked until the transfer executes (no channel
                         # marker: the transfer will wake us).
                     else:
                         st.waiting_channel = key
-                    return
+                    break
+
+                if isinstance(op, Compute):
+                    now += op.seconds * compute_scale
+                    continue
 
                 if isinstance(op, Barrier):
                     st.in_barrier = True
                     barrier_waiting.append(rank)
-                    return
+                    break
 
                 raise TypeError(
                     f"rank {rank} yielded {op!r}, which is not a simulator operation"
                 )
+            st.time = now
+            st.last_op = op
 
         while True:
             # Phase 1: drain the worklist — advance every runnable rank.
@@ -380,14 +407,15 @@ class Simulator:
             # Phase 3: execute the earliest-ready matched transfer.  New
             # matches created by the woken receiver always have ready >=
             # this completion, so link occupancy is claimed in
-            # non-decreasing time order.
+            # non-decreasing time order.  The worklist is empty here, so
+            # waking the receiver directly keeps the event order.
             if transfers:
-                ready, _, src, dst, nbytes, recv_post = heapq.heappop(transfers)
-                completion = self.network.transfer(src, dst, nbytes, ready)
+                ready, _, src, dst, nbytes, recv_post = heappop(transfers)
+                completion = transfer(src, dst, nbytes, ready)
                 st = states[dst]
                 st.comm_wait += completion - recv_post
                 st.time = completion
-                runnable.append(dst)
+                advance(dst)
                 continue
 
             break  # nothing runnable, no barrier release, no transfers

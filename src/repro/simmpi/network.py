@@ -8,6 +8,14 @@ site pair serialize their bandwidth terms, which is how scarce WAN
 bandwidth actually behaves and what makes bad mappings hurt more than the
 additive cost model alone predicts.  Intra-site transfers do not contend
 (each node drives its own NIC through a non-blocking switch).
+
+The network owns a snapshot of the mapping: it copies the assignment at
+construction, so later changes to the caller's array do not reach it.
+``transfer`` runs once per message, so it reads that snapshot and the
+LT/BT tables as Python lists.  Indexing a numpy array would hand back
+``np.float64`` scalars, and every rank clock the engine derives from them
+would then run numpy-scalar arithmetic; Python floats are the same IEEE
+doubles, so the timings are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ class SimNetwork:
         Supplies LT/BT and capacities (only LT/BT are used here).
     assignment:
         (N,) process -> site mapping; transfers are timed by the sites the
-        endpoints live on.
+        endpoints live on.  The network keeps its own read-only copy
+        (``self.assignment``), so mutating the caller's array afterwards
+        does not change later transfers.
     contention:
         If True (default), serialize cross-site transfers per directed
         site pair; if False, links have infinite parallelism and the model
@@ -50,9 +60,14 @@ class SimNetwork:
         contention: bool = True,
         collect_stats: bool | None = None,
     ) -> None:
-        self.assignment = validate_assignment(problem, assignment)
+        self.assignment = validate_assignment(problem, assignment).copy()
+        self.assignment.flags.writeable = False
         self.latency = problem.LT
         self.bandwidth = problem.BT
+        # List snapshots for the per-message lookups in ``transfer``.
+        self._site: list[int] = self.assignment.tolist()
+        self._lt: list[list[float]] = problem.LT.tolist()
+        self._bt: list[list[float]] = problem.BT.tolist()
         self.contention = bool(contention)
         self.collect_stats = collect_stats
         self._link_free: dict[tuple[int, int], float] = {}
@@ -104,9 +119,9 @@ class SimNetwork:
         Returns the absolute simulated time at which the receiver holds
         the data.  Updates the link occupancy as a side effect.
         """
-        a, b = int(self.assignment[src]), int(self.assignment[dst])
-        alpha = self.latency[a, b]
-        busy = nbytes / self.bandwidth[a, b]
+        a, b = self._site[src], self._site[dst]
+        alpha = self._lt[a][b]
+        busy = nbytes / self._bt[a][b]
         if a == b or not self.contention:
             if self._stats_on:
                 self._record((a, b), nbytes, 0.0)

@@ -60,6 +60,19 @@ def test_negative_entries_rejected():
         MappingProblem(CG=bad, AG=ag, LT=lt, BT=bt, capacities=caps)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["CG", "AG"])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_non_finite_entries_rejected(value, which, sparse):
+    cg, ag, lt, bt, caps = _matrices()
+    mats = {"CG": cg.copy(), "AG": ag.copy()}
+    mats[which][0, 1] = value
+    if sparse:
+        mats = {k: sp.csr_matrix(v) for k, v in mats.items()}
+    with pytest.raises(ValueError, match=f"{which} contains non-finite entries"):
+        MappingProblem(**mats, LT=lt, BT=bt, capacities=caps)
+
+
 def test_shape_mismatch_rejected():
     cg, ag, lt, bt, caps = _matrices()
     with pytest.raises(ValueError):

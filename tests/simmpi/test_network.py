@@ -71,3 +71,30 @@ def test_uniform_network_constant_time():
     assert net.transfer(3, 4, 10**9, 2.0) == pytest.approx(2.5)
     with pytest.raises(ValueError):
         UniformNetwork(transfer_time=0.0)
+
+
+@pytest.mark.parametrize("cls", ["SimNetwork", "FaultyNetwork"])
+def test_network_owns_its_assignment(cls):
+    """Mutating the caller's array after construction changes nothing."""
+    from repro.faults import FaultSchedule, FaultyNetwork
+
+    p = problem()
+    P = np.array([0, 0, 1, 1], dtype=np.int64)
+    make = {
+        "SimNetwork": lambda a: SimNetwork(p, a),
+        "FaultyNetwork": lambda a: FaultyNetwork(p, a, FaultSchedule()),
+    }[cls]
+    net = make(P)
+    P[2] = 0  # would turn 0 -> 2 into an intra-site transfer
+    assert net.transfer(0, 2, 1_000_000, 0.0) == 0.1 + 1.0
+    assert net.assignment.tolist() == [0, 0, 1, 1]
+    assert not net.assignment.flags.writeable
+    with pytest.raises(ValueError):
+        net.assignment[0] = 1
+
+
+def test_transfer_returns_python_floats():
+    """Clocks stay Python floats, never numpy scalars."""
+    net = SimNetwork(problem(), np.array([0, 0, 1, 1]))
+    assert type(net.transfer(0, 2, 1_000_000, 0.0)) is float
+    assert type(net.transfer(0, 1, 1_000, 0.0)) is float
