@@ -23,6 +23,7 @@ __all__ = [
     "check_vector",
     "check_probability_vector",
     "as_rng",
+    "freeze_matrix",
 ]
 
 
@@ -174,3 +175,14 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def freeze_matrix(mat: Any) -> None:
+    """Make a dense matrix read-only, or a sparse one's component arrays.
+
+    A scipy sparse matrix has no writeable flag itself, but its
+    ``data``, ``indices`` and ``indptr`` do.
+    """
+    arrays = (mat,) if isinstance(mat, np.ndarray) else (mat.data, mat.indices, mat.indptr)
+    for arr in arrays:
+        arr.setflags(write=False)

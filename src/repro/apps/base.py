@@ -15,7 +15,7 @@ from typing import Generator
 import numpy as np
 import scipy.sparse as sp
 
-from .._validation import check_positive_int
+from .._validation import check_positive_int, freeze_matrix
 from ..simmpi.engine import RankContext, Simulator
 from ..simmpi.network import UniformNetwork
 from ..simmpi.ops import Operation
@@ -77,11 +77,23 @@ class Application(abc.ABC):
     def communication_matrices(
         self,
     ) -> tuple["np.ndarray | sp.csr_matrix", "np.ndarray | sp.csr_matrix"]:
-        """(CG, AG) for this application, profiled once and cached."""
+        """(CG, AG) for this application, profiled once and cached.
+
+        The cached matrices are read-only (for CSR, their ``data``,
+        ``indices`` and ``indptr``): every later caller gets the same
+        arrays, so a write by one would change the profile for all.
+        """
         if self._profile_cache is None:
             cg, ag, _ = self.profile()
+            freeze_matrix(cg)
+            freeze_matrix(ag)
             self._profile_cache = (cg, ag)
         return self._profile_cache
+
+    @property
+    def profiled(self) -> bool:
+        """Whether :meth:`communication_matrices` has a cached profile."""
+        return self._profile_cache is not None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, num_ranks={self.num_ranks})"

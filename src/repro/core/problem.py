@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from .._validation import check_square_matrix, check_vector
+from .._validation import check_square_matrix, check_vector, freeze_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..cloud.topology import CloudTopology
@@ -234,16 +234,10 @@ class MappingProblem:
                 f"(deficit: {excess} nodes)"
             )
 
-        # Freeze what can be frozen (a sparse matrix has no writeable flag
-        # itself, but its component arrays do).
         for name in ("LT", "BT", "capacities", "constraints"):
             getattr(self, name).setflags(write=False)
-        for mat in (self.CG, self.AG):
-            if isinstance(mat, np.ndarray):
-                mat.setflags(write=False)
-            else:
-                for arr in (mat.data, mat.indices, mat.indptr):
-                    arr.setflags(write=False)
+        freeze_matrix(self.CG)
+        freeze_matrix(self.AG)
 
         # Lazily filled by cg_csr()/ag_csr(); not a dataclass field, so
         # equality/repr stay defined by the problem data alone.

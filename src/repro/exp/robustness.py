@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from .._validation import as_rng
-from ..apps import make_paper_app
+from ..apps.base import Application
 from ..cloud.regions import PAPER_EC2_REGIONS
 from ..cloud.topology import CloudTopology
 from ..core.mapping import Mapper
@@ -35,7 +35,7 @@ from ..faults.schedule import FaultSchedule
 from ..faults.suite import standard_fault_suite
 from .report import format_table
 from .runner import build_problem
-from .scenarios import PAPER_CONSTRAINT_RATIO, Scenario
+from .scenarios import PAPER_CONSTRAINT_RATIO, Scenario, resolve_app
 
 __all__ = [
     "RobustnessCell",
@@ -77,7 +77,7 @@ class RobustnessCell:
 
 
 def robustness_scenario(
-    app_name: str,
+    app: str | Application,
     num_processes: int,
     *,
     num_sites: int = 4,
@@ -93,6 +93,9 @@ def robustness_scenario(
     studies need headroom: this builds the same regions/instance setup
     but with ``slack * N / M`` nodes per site (default 2x), so losing a
     site leaves enough capacity to repair into.
+
+    ``app`` is a paper app's name or an application to reuse; see
+    :func:`~repro.exp.scenarios.resolve_app`.
     """
     if slack < 1.0:
         raise ValueError(f"slack must be >= 1, got {slack}")
@@ -101,7 +104,7 @@ def robustness_scenario(
             f"num_sites must be in 1..{len(PAPER_EC2_REGIONS)}, got {num_sites}"
         )
     nodes_per_site = max(1, math.ceil(slack * num_processes / num_sites))
-    app = make_paper_app(app_name, num_processes, **app_kwargs)
+    app = resolve_app(app, num_processes, app_kwargs)
     topology = CloudTopology.from_regions(
         PAPER_EC2_REGIONS[:num_sites],
         nodes_per_site,

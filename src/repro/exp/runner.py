@@ -93,6 +93,9 @@ def build_problem(
 ) -> MappingProblem:
     """Profile ``app`` and pose its mapping problem on ``topology``.
 
+    The profile is the app's cached one when it has been profiled
+    before; the span's ``profile_cached`` attribute says which.
+
     The constraint vector is drawn randomly at ``constraint_ratio``
     exactly as in the paper's setup (Section 5.1).
     """
@@ -109,6 +112,7 @@ def build_problem(
         app=app.name,
         num_processes=app.num_ranks,
         constraint_ratio=constraint_ratio,
+        profile_cached=app.profiled,
     ):
         cg, ag = app.communication_matrices()
         constraints = (

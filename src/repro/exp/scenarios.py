@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..apps import make_paper_app
 from ..apps.base import Application
@@ -27,6 +28,8 @@ __all__ = [
     "SIMULATION_SCALES",
     "Scenario",
     "paper_ec2_scenario",
+    "resolve_app",
+    "scale_app",
     "scale_scenario",
     "default_mappers",
 ]
@@ -80,8 +83,41 @@ def paper_ec2_scenario(
     return Scenario(app=app, topology=topology, problem=problem)
 
 
+def scale_app(app_name: str, machines: int, **app_kwargs) -> Application:
+    """A paper app as the Fig. 7 scales run it (fewer NPB iterations)."""
+    kwargs = dict(app_kwargs)
+    if app_name in _SCALE_ITERATIONS and "iterations" not in kwargs:
+        kwargs["iterations"] = _SCALE_ITERATIONS[app_name]
+    return make_paper_app(app_name, machines, **kwargs)
+
+
+def resolve_app(
+    app: str | Application,
+    num_ranks: int,
+    app_kwargs: dict,
+    make: Callable[..., Application] = make_paper_app,
+) -> Application:
+    """``make(app, num_ranks, **app_kwargs)`` for a name; ``app`` itself
+    for an :class:`Application` with ``num_ranks`` ranks.
+
+    A fresh app is profiled by whoever poses its problem; a passed-in
+    app brings its cached profile along, so callers that pose many
+    problems for one app profile it once.
+    """
+    if isinstance(app, str):
+        return make(app, num_ranks, **app_kwargs)
+    if app_kwargs:
+        raise TypeError(
+            f"app keyword arguments {sorted(app_kwargs)} need an app name, "
+            f"not an instance of {type(app).__name__}"
+        )
+    if app.num_ranks != num_ranks:
+        raise ValueError(f"app has {app.num_ranks} ranks, scenario needs {num_ranks}")
+    return app
+
+
 def scale_scenario(
-    app_name: str,
+    app: str | Application,
     machines: int,
     *,
     num_sites: int = 4,
@@ -89,7 +125,11 @@ def scale_scenario(
     seed: int = 0,
     **app_kwargs,
 ) -> Scenario:
-    """A Fig. 7-style simulation scale: machines split over 4 regions."""
+    """A Fig. 7-style simulation scale: machines split over 4 regions.
+
+    ``app`` is a paper app's name (built by :func:`scale_app`) or an
+    application to reuse; see :func:`resolve_app`.
+    """
     if machines % num_sites != 0:
         raise ValueError(
             f"machines ({machines}) must divide evenly over {num_sites} sites"
@@ -99,10 +139,7 @@ def scale_scenario(
             f"at most {len(PAPER_EC2_REGIONS)} paper regions available, "
             f"got num_sites={num_sites}"
         )
-    kwargs = dict(app_kwargs)
-    if app_name in _SCALE_ITERATIONS and "iterations" not in kwargs:
-        kwargs["iterations"] = _SCALE_ITERATIONS[app_name]
-    app = make_paper_app(app_name, machines, **kwargs)
+    app = resolve_app(app, machines, app_kwargs, scale_app)
     topology = CloudTopology.from_regions(
         PAPER_EC2_REGIONS[:num_sites],
         machines // num_sites,

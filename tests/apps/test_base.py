@@ -49,3 +49,26 @@ def test_large_rank_profile_is_sparse():
     cg, ag = app.communication_matrices()
     assert sp.issparse(cg) and sp.issparse(ag)
     assert cg.nnz == 600
+
+
+@pytest.mark.parametrize("ranks", [8, 300], ids=["dense", "csr"])
+def test_cached_profile_is_read_only(ranks):
+    from repro.cloud import CloudTopology
+    from repro.exp import build_problem
+
+    app = RingApp(ranks, iterations=1)
+    cg, ag = app.communication_matrices()
+    assert sp.issparse(cg) == (ranks >= 256)
+    for mat in (cg, ag):
+        arrays = (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+    topology = CloudTopology.from_regions(
+        ["us-east-1", "ap-southeast-1"], ranks, instance_type="m4.xlarge", seed=0
+    )
+    a = build_problem(app, topology, seed=3)
+    b = build_problem(app, topology, seed=3)
+    assert a.fingerprint() == b.fingerprint()
+    for x, y in ((a.CG, b.CG), (a.AG, b.AG), (a.CG, cg), (a.AG, ag)):
+        assert abs(x - y).max() == 0

@@ -61,3 +61,13 @@ def test_run_comparison_without_simulation(topo4):
     assert math.isnan(r.total_time_s) and math.isnan(r.comm_time_s)
     assert r.mapping.cost > 0
     assert r.mapper == "baseline"
+
+
+def test_build_problem_span_says_whether_profile_was_cached(topo4):
+    from repro.obs import recording
+
+    app = RingApp(16, iterations=1)
+    with recording() as rec:
+        build_problem(app, topo4)
+        build_problem(app, topo4)
+    assert [s.attrs["profile_cached"] for s in rec.roots] == [False, True]

@@ -57,3 +57,18 @@ def test_default_mappers_keys():
     assert list(m) == ["Baseline", "Greedy", "MPIPP", "Geo-distributed"]
     m2 = default_mappers(include_mpipp=False)
     assert "MPIPP" not in m2
+
+
+def test_scale_scenario_reuses_a_passed_app():
+    from repro.exp.scenarios import scale_app
+
+    app = scale_app("LU", 64)
+    a = scale_scenario(app, 64, seed=0)
+    b = scale_scenario(app, 64, seed=1)
+    assert a.app is app and b.app is app
+    assert a.problem.CG is b.problem.CG  # one profile, frozen, shared
+    assert a.problem.fingerprint() == scale_scenario("LU", 64, seed=0).problem.fingerprint()
+    with pytest.raises(ValueError, match="64 ranks, scenario needs 128"):
+        scale_scenario(app, 128)
+    with pytest.raises(TypeError, match="need an app name"):
+        scale_scenario(app, 64, iterations=3)
