@@ -1,18 +1,13 @@
-"""Perf bench: the process-isolated sweep fabric vs the in-process runner.
+"""Perf bench: one 32-task demo grid through the process-isolated sweep fabric.
 
-Runs the same 32-task demo grid two ways and records both wall-clocks in
-``BENCH_perf.json``:
-
-* ``fabric_sweep``   — :class:`repro.exp.fabric.SweepFabric`, 4 worker
-  processes, spec/shard files, full supervision machinery;
-* ``resilient_sweep`` — :class:`repro.exp.ResilientRunner`, sequential
-  in-process thunks (the pre-fabric baseline).
-
-The point is honesty about the fabric's overhead budget: process
-spawning, JSON control messages, and atomic shard writes cost real
-milliseconds, bought back with crash isolation and (for non-trivial
-tasks) 4-way parallelism.  Payloads are cross-checked for equality
-before any timing is recorded.
+Records ``fabric_sweep`` in ``BENCH_perf.json``: the wall-clock of a
+:class:`repro.exp.fabric.SweepFabric` sweep with 4 worker processes,
+spec/shard files and full supervision, from writing the specs to the
+merged table.  Process spawning, JSON control messages, and atomic
+shard writes cost real milliseconds, bought back with crash isolation
+and (for non-trivial tasks) 4-way parallelism.  Every digest is
+cross-checked against a direct in-process call of the ``demo`` task
+before the timing is recorded.
 
 Run directly::
 
@@ -32,7 +27,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _common import emit, update_bench_json  # noqa: E402
 
-from repro.exp import ResilientRunner  # noqa: E402
 from repro.exp.fabric import (  # noqa: E402
     FabricConfig,
     SweepFabric,
@@ -63,24 +57,6 @@ def bench_fabric(work: int) -> tuple[float, dict[str, str]]:
     return elapsed, digests
 
 
-def bench_resilient(work: int) -> tuple[float, dict[str, str]]:
-    """The same grid through the in-process runner, sequentially."""
-    specs = demo_specs(NUM_TASKS, work=work)
-    demo = get_task("demo")
-    thunks = {
-        s.key: (lambda params=s.params: demo(dict(params))) for s in specs
-    }
-    t0 = time.perf_counter()
-    runner = ResilientRunner(timeout_s=120.0, max_retries=0)
-    outcomes = runner.run(thunks)
-    elapsed = time.perf_counter() - t0
-    bad = [k for k, o in outcomes.items() if not o.ok]
-    if bad:
-        raise RuntimeError(f"resilient bench failed: {bad}")
-    digests = {k: o.result["digest"] for k, o in outcomes.items()}
-    return elapsed, digests
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -90,11 +66,14 @@ def main(argv: list[str] | None = None) -> int:
 
     work = 64 if args.quick else 4096
     t_fabric, d_fabric = bench_fabric(work)
-    t_resilient, d_resilient = bench_resilient(work)
-    if d_fabric != d_resilient:
+    demo = get_task("demo")
+    direct = {
+        s.key: demo(dict(s.params))["digest"]
+        for s in demo_specs(NUM_TASKS, work=work)
+    }
+    if d_fabric != direct:
         raise RuntimeError(
-            "fabric and resilient payloads diverged — the two paths no "
-            "longer run the same tasks"
+            "fabric digests differ from direct in-process demo calls"
         )
 
     records = [
@@ -105,13 +84,6 @@ def main(argv: list[str] | None = None) -> int:
             "seconds": t_fabric,
             "cost": float(len(d_fabric)),
         },
-        {
-            "bench": "resilient_sweep",
-            "n": NUM_TASKS,
-            "m": 1,
-            "seconds": t_resilient,
-            "cost": float(len(d_resilient)),
-        },
     ]
     lines = [
         "bench                 n      m    seconds",
@@ -119,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
             f"{r['bench']:<20} {r['n']:>5} {r['m']:>6} {r['seconds']:>10.6f}"
             for r in records
         ),
-        f"fabric/resilient ratio: {t_fabric / t_resilient:.2f}x "
-        f"({NUM_TASKS} tasks, {WORKERS} workers vs sequential in-process)",
     ]
     path = update_bench_json(records)
     emit("bench_fabric", "\n".join(lines))

@@ -139,16 +139,14 @@ def bench_geodist(n: int, quick: bool) -> tuple[list[dict], float]:
     seed_mapper = SeedGeoDistributedMapper(**kwargs)
     memo_mapper = GeoDistributedMapper(memoize=True, **kwargs)
     flat_mapper = GeoDistributedMapper(memoize=False, **kwargs)
-    par_mapper = GeoDistributedMapper(memoize=True, workers=4, **kwargs)
 
     repeats = 1 if quick else 3
     t_seed, m_seed = median_time(lambda: seed_mapper.map(problem, seed=0), warmup=0, repeats=repeats)
     t_memo, m_memo = median_time(lambda: memo_mapper.map(problem, seed=0), warmup=1, repeats=repeats)
     t_flat, m_flat = median_time(lambda: flat_mapper.map(problem, seed=0), warmup=0, repeats=repeats)
-    t_par, m_par = median_time(lambda: par_mapper.map(problem, seed=0), warmup=0, repeats=repeats)
 
     # Equivalence: every variant must reproduce the seed mapping exactly.
-    for other in (m_memo, m_flat, m_par):
+    for other in (m_memo, m_flat):
         np.testing.assert_array_equal(m_seed.assignment, other.assignment)
         np.testing.assert_allclose(m_seed.cost, other.cost, rtol=1e-9)
 
@@ -158,7 +156,6 @@ def bench_geodist(n: int, quick: bool) -> tuple[list[dict], float]:
         {"bench": "geodist_seed", "n": n, "m": m, "seconds": t_seed, "cost": m_seed.cost},
         {"bench": "geodist_memoized", "n": n, "m": m, "seconds": t_memo, "cost": m_memo.cost},
         {"bench": "geodist_unmemoized", "n": n, "m": m, "seconds": t_flat, "cost": m_flat.cost},
-        {"bench": "geodist_parallel4", "n": n, "m": m, "seconds": t_par, "cost": m_par.cost},
     ]
     return records, speedup
 

@@ -24,8 +24,9 @@ RPR009 *shared-mutable-capture*
     thread boundary: a closure that mutates a captured variable, a
     closure reading a variable the enclosing function keeps rebinding,
     or a method/function worker that writes ``self`` attributes or
-    module globals.  This is the race class the geodist ``workers=``
-    fan-out and the ResilientRunner must stay clear of.
+    module globals.  This is the race class any thread fan-out (the
+    fabric's stdout readers and heartbeat thread included) must stay
+    clear of.
 
 RPR010 *hot-path-dense-reachability*
     ``dense_CG()``/``dense_AG()`` must not be *reachable* from

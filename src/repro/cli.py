@@ -15,9 +15,9 @@ Commands
     and print the improvement table.
 ``robustness``
     Evaluate every mapper against the standard fault suite (outage,
-    brownout, latency spike, flapping link, capacity loss) with the
-    resilient runner: per-cell timeouts, bounded retries, and
-    checkpoint/resume.
+    brownout, latency spike, flapping link, capacity loss).  Each
+    (fault, mapper) cell runs on the sweep fabric, so it gets a real
+    per-cell deadline, bounded retries, and resume from its shard.
 ``trace-report``
     Render a JSON trace captured with ``--trace`` as a span tree.
 ``metrics``
@@ -59,7 +59,7 @@ Examples
     python -m repro map --app LU --mapper geo-distributed
     python -m repro compare --app K-means --constraint-ratio 0.4
     python -m repro robustness --app LU --processes 32 --sites 4 \
-        --checkpoint sweep.json --resume
+        --sweep-dir robustness/ --resume
     python -m repro map --app LU --trace trace.json
     python -m repro trace-report trace.json --max-depth 3
     python -m repro metrics trace.json --format prom
@@ -211,14 +211,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mpipp", action="store_true", help="also evaluate the MPIPP baseline"
     )
     p_rob.add_argument(
-        "--checkpoint",
+        "--sweep-dir",
         default=None,
-        help="JSON checkpoint file (written atomically after every cell)",
+        help="keep the cells' specs and shards here (default: a temp dir)",
     )
     p_rob.add_argument(
         "--resume",
         action="store_true",
-        help="skip cells already completed in --checkpoint",
+        help="adopt cells already finished in --sweep-dir",
     )
     p_rob.add_argument(
         "--limit",
@@ -719,61 +719,64 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
-    from .exp.robustness import (
-        RobustnessCell,
-        robustness_scenario,
-        robustness_scenarios,
-        robustness_table,
-    )
-    from .exp.runner import ResilientRunner
+    import tempfile
+
+    from .exp.fabric import FabricConfig, FabricError, robustness_specs
+    from .exp.robustness import RobustnessCell, robustness_table
     from .faults import standard_fault_suite
 
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
+    if args.resume and not args.sweep_dir:
+        print("error: --resume requires --sweep-dir", file=sys.stderr)
         return 2
-    scenario = robustness_scenario(
-        args.app,
-        args.processes,
-        num_sites=args.sites,
+    try:
+        suite = standard_fault_suite(args.sites)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    faults = args.faults or list(suite)
+    unknown = sorted(set(faults) - set(suite))
+    if unknown:
+        print(
+            f"error: unknown faults {unknown}; available: {sorted(suite)}",
+            file=sys.stderr,
+        )
+        return 2
+    mappers = ["baseline", "greedy"]
+    if args.mpipp:
+        mappers.append("mpipp")
+    mappers.append("geo-distributed")
+    specs = robustness_specs(
+        app=args.app,
+        processes=args.processes,
+        sites=args.sites,
         slack=args.slack,
         constraint_ratio=args.constraint_ratio,
+        faults=faults,
+        mappers=mappers,
         seed=args.seed,
     )
-    suite = standard_fault_suite(scenario.problem.num_sites)
-    if args.faults:
-        unknown = sorted(set(args.faults) - set(suite))
-        if unknown:
-            print(
-                f"error: unknown faults {unknown}; available: {sorted(suite)}",
-                file=sys.stderr,
+    config = FabricConfig(timeout_s=args.timeout_s, max_retries=args.retries)
+    with tempfile.TemporaryDirectory(prefix="repro-robustness-") as tmp:
+        try:
+            report, merged = _run_sweep(
+                args.sweep_dir or tmp,
+                specs,
+                config,
+                resume=args.resume,
+                limit=args.limit,
             )
+        except (FabricError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
-        suite = {name: suite[name] for name in args.faults}
-    mappers = default_mappers(include_mpipp=args.mpipp)
-    thunks = robustness_scenarios(
-        scenario.problem, mappers, suite=suite, seed=args.seed
-    )
-    if args.limit is not None:
-        thunks = dict(list(thunks.items())[: args.limit])
-    runner = ResilientRunner(
-        timeout_s=args.timeout_s,
-        max_retries=args.retries,
-        checkpoint=args.checkpoint,
-    )
-    outcomes = runner.run(thunks, resume=args.resume)
-    cells = [
-        RobustnessCell(**o.result)
-        for o in outcomes.values()
-        if o.ok and o.result is not None
-    ]
+    rows = [row for row in merged.rows if row["key"] in report.statuses]
+    cells = [RobustnessCell(**row["result"]) for row in rows if row["status"] == "ok"]
     if cells:
         print(robustness_table(cells))
-    failures = [o for o in outcomes.values() if not o.ok]
-    for o in failures:
-        print(f"FAILED {o.key}: {o.error}")
-    replayed = sum(o.from_checkpoint for o in outcomes.values())
+    failures = [row for row in rows if row["status"] != "ok"]
+    for row in failures:
+        print(f"FAILED {row['key']}: {row['error']}")
     print(
-        f"robustness: {len(outcomes)} cells, {replayed} from checkpoint, "
+        f"robustness: {report.total} cells, {report.adopted} adopted, "
         f"{len(failures)} failed"
     )
     return 1 if failures else 0
@@ -1043,79 +1046,114 @@ def _cmd_obs(args) -> int:
     return handler(args)
 
 
+def _run_sweep(sweep_dir, specs, config, *, resume, limit, merge_only=False):
+    """Create or load a sweep dir's manifest, run it, and merge its shards.
+
+    A sweep dir without a manifest is initialized from ``specs``.  One
+    that has a manifest must hold exactly ``specs`` when they are given:
+    a dir built from other arguments would otherwise be resumed as if it
+    were this sweep.  The first differing key is named in a
+    :class:`~repro.exp.fabric.FabricError`.  Returns ``(report,
+    merged)``; ``report`` is ``None`` with ``merge_only``.
+    """
+    from itertools import zip_longest
+
+    from .exp.fabric import (
+        FabricError,
+        SweepFabric,
+        load_manifest,
+        load_spec,
+        merge_shards,
+        write_sweep,
+    )
+
+    try:
+        keys = load_manifest(sweep_dir)
+    except FabricError:
+        if specs is None:
+            raise FabricError(
+                "sweep dir has no manifest; pass --grid to initialize it "
+                "(demo | fig7 | robustness)"
+            ) from None
+        write_sweep(sweep_dir, specs)
+        keys = [s.key for s in specs]
+        print(f"initialized sweep: {len(keys)} specs")
+    else:
+        for key, spec in zip_longest(keys, specs) if specs is not None else ():
+            if spec is None or key != spec.key or load_spec(sweep_dir, key) != spec:
+                differing = spec.key if key is None else key
+                raise FabricError(
+                    f"{sweep_dir} holds a sweep built from other arguments: "
+                    f"spec {differing!r} differs; use a fresh sweep dir"
+                )
+    report = None
+    if not merge_only:
+        selected = keys[:limit] if limit is not None else None
+        report = SweepFabric(sweep_dir, config=config).run(
+            resume=resume, keys=selected
+        )
+        print(report.summary())
+    merged = merge_shards(
+        sweep_dir, strict=limit is None and not merge_only, write=limit is None
+    )
+    return report, merged
+
+
 def _cmd_sweep(args) -> int:
     from .exp.fabric import (
         ChaosConfig,
         FabricConfig,
         FabricError,
-        SweepFabric,
         demo_specs,
+        diff_results,
         fig7_specs,
-        load_manifest,
         merge_shards,
         results_equivalent,
         robustness_specs,
         stitch_worker_traces,
-        write_sweep,
     )
 
     try:
-        try:
-            keys = load_manifest(args.sweep_dir)
-        except FabricError:
-            if args.grid is None:
-                print(
-                    "error: sweep dir has no manifest; pass --grid to "
-                    "initialize it (demo | fig7 | robustness)",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.grid == "demo":
-                specs = demo_specs(args.tasks, seed=args.seed)
-            elif args.grid == "fig7":
-                specs = fig7_specs(
-                    app=args.app,
-                    scales=args.scales,
-                    mappers=args.mappers,
-                    seeds=(args.seed,),
-                    sites=args.sites,
-                )
-            else:
-                specs = robustness_specs(
-                    app=args.app,
-                    processes=args.processes,
-                    sites=args.sites,
-                    slack=args.slack,
-                    mappers=args.mappers,
-                    seed=args.seed,
-                )
-            write_sweep(args.sweep_dir, specs)
-            keys = [s.key for s in specs]
-            print(f"initialized sweep: {len(keys)} specs ({args.grid} grid)")
-
-        report = None
-        if not args.merge_only:
-            chaos = ChaosConfig.parse(args.chaos) if args.chaos else None
-            config = FabricConfig(
-                workers=args.workers,
-                timeout_s=args.timeout_s,
-                max_retries=args.retries,
-                quarantine_after=args.quarantine_after,
-                heartbeat_timeout_s=args.heartbeat_timeout_s,
-                degrade_after_timeouts=args.degrade_after_timeouts,
-                chaos=chaos,
+        specs = None
+        if args.grid == "demo":
+            specs = demo_specs(args.tasks, seed=args.seed)
+        elif args.grid == "fig7":
+            specs = fig7_specs(
+                app=args.app,
+                scales=args.scales,
+                mappers=args.mappers,
+                seeds=(args.seed,),
+                sites=args.sites,
             )
-            selected = keys[: args.limit] if args.limit is not None else None
-            fabric = SweepFabric(args.sweep_dir, config=config)
-            report = fabric.run(resume=args.resume, keys=selected)
-            print(report.summary())
-            print(f"ok={report.count('ok')}")
-
-        merged = merge_shards(
-            args.sweep_dir,
-            strict=args.limit is None and not args.merge_only,
-            write=args.limit is None,
+        elif args.grid == "robustness":
+            specs = robustness_specs(
+                app=args.app,
+                processes=args.processes,
+                sites=args.sites,
+                slack=args.slack,
+                mappers=args.mappers,
+                seed=args.seed,
+            )
+        chaos = ChaosConfig.parse(args.chaos) if args.chaos else None
+        config = FabricConfig(
+            workers=args.workers,
+            timeout_s=args.timeout_s,
+            max_retries=args.retries,
+            quarantine_after=args.quarantine_after,
+            heartbeat_timeout_s=args.heartbeat_timeout_s,
+            degrade_after_timeouts=args.degrade_after_timeouts,
+            chaos=chaos,
         )
+        report, merged = _run_sweep(
+            args.sweep_dir,
+            specs,
+            config,
+            resume=args.resume,
+            limit=args.limit,
+            merge_only=args.merge_only,
+        )
+        if report is not None:
+            print(f"ok={report.count('ok')}")
         print(merged.summary())
     except (FabricError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1146,8 +1184,6 @@ def _cmd_sweep(args) -> int:
         if results_equivalent(merged.rows, other.rows):
             print("verified: payload-identical")
         else:
-            from .exp.fabric import diff_results
-
             print("verify FAILED: payloads differ", file=sys.stderr)
             for line in diff_results(merged.rows, other.rows)[:10]:
                 print(f"  {line}", file=sys.stderr)

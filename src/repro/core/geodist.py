@@ -27,10 +27,8 @@ sub-problem independently (Section 4.2, "Grouping Optimization").
 
 from __future__ import annotations
 
-import contextvars
-from concurrent.futures import ThreadPoolExecutor
 from itertools import islice, permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -293,12 +291,6 @@ class GeoDistributedMapper(Mapper):
         greedy work from O(kappa! * N^2) toward O(kappa! * N^2 / kappa).
         The result is bit-identical to the unmemoized walk; the flag
         exists for A/B equivalence testing and benchmarking.
-    workers:
-        Evaluate independent group orders in ``workers`` threads (each
-        worker memoizes within its contiguous chunk of the enumeration).
-        ``None`` or 1 stays sequential.  Results are tie-broken by
-        enumeration index, so the chosen mapping is identical to the
-        sequential one.  Useful when kappa! is large (kappa >= 5).
     """
 
     name = "geo-distributed"
@@ -312,7 +304,6 @@ class GeoDistributedMapper(Mapper):
         recursive: bool = True,
         recursion_limit: int = 8,
         memoize: bool = True,
-        workers: int | None = None,
     ) -> None:
         self.kappa = check_positive_int(kappa, "kappa")
         self.grouping_seed = grouping_seed
@@ -322,9 +313,6 @@ class GeoDistributedMapper(Mapper):
         self.recursive = bool(recursive)
         self.recursion_limit = check_positive_int(recursion_limit, "recursion_limit")
         self.memoize = bool(memoize)
-        if workers is not None:
-            check_positive_int(workers, "workers")
-        self.workers = workers
 
     # ----------------------------------------------------------------- solve
 
@@ -366,45 +354,9 @@ class GeoDistributedMapper(Mapper):
         orders = permutations(range(len(groups)))
         if self.max_orders is not None:
             orders = islice(orders, self.max_orders)
-        indexed = list(enumerate(orders))
-
-        workers = self.workers or 1
-        if workers > 1 and len(indexed) > 1:
-            k = min(workers, len(indexed))
-            size = -(-len(indexed) // k)  # ceil division, contiguous chunks
-            chunks = [indexed[i * size : (i + 1) * size] for i in range(k)]
-            chunks = [c for c in chunks if c]
-            with ThreadPoolExecutor(max_workers=len(chunks)) as ex:
-                # Each chunk runs under a copy of the caller's context so
-                # worker-thread spans parent under the ambient "solve"
-                # span instead of starting a fresh trace root.
-                futures = [
-                    ex.submit(
-                        contextvars.copy_context().run,
-                        self._evaluate_orders,
-                        problem,
-                        groups,
-                        chunk,
-                        sym,
-                        rows,
-                        by_quantity,
-                    )
-                    for chunk in chunks
-                ]
-                results = [f.result() for f in futures]
-            # Tie-break equal costs by enumeration index: identical to the
-            # sequential first-best-wins scan.
-            best_cost, best_idx, best_P, best_order, stats = min(
-                results, key=lambda r: (r[0], r[1])
-            )
-            for other in results:
-                if other[4] is not stats:
-                    for key, val in other[4].items():
-                        stats[key] += val
-        else:
-            best_cost, best_idx, best_P, best_order, stats = self._evaluate_orders(
-                problem, groups, indexed, sym, rows, by_quantity
-            )
+        best_cost, best_idx, best_P, best_order, stats = self._evaluate_orders(
+            problem, groups, enumerate(orders), sym, rows, by_quantity
+        )
         if best_P is None:  # unreachable: at least one order always runs
             raise RuntimeError(
                 "greedy fill evaluated no group orders; at least one "
@@ -432,7 +384,7 @@ class GeoDistributedMapper(Mapper):
         self,
         problem: MappingProblem,
         groups: Sequence[SiteGroup],
-        indexed_orders: Sequence[tuple[int, tuple[int, ...]]],
+        indexed_orders: Iterable[tuple[int, tuple[int, ...]]],
         sym,
         rows: list[tuple[np.ndarray, np.ndarray]] | None,
         by_quantity: list[int],

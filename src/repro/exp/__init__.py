@@ -3,27 +3,17 @@ runner, improvement statistics, report formatting, and the
 process-isolated sweep fabric (:mod:`repro.exp.fabric`).
 """
 
-from .checkpoint import (
-    CheckpointLockError,
-    CheckpointStore,
-    PathLock,
-    fsync_dir,
-)
 from .heatmap import ascii_heatmap
 from .improvement import Summary, baseline_reference, improvement_pct, summarize
 from .report import format_matrix_summary, format_series, format_table
 from .robustness import (
     RobustnessCell,
     evaluate_robustness,
-    robustness_scenarios,
     robustness_table,
 )
 from .sweeps import METRICS, SweepResult, sweep_improvements
 from .runner import (
-    AbandonedThreadLimitError,
-    ResilientRunner,
     RunResult,
-    ScenarioOutcome,
     build_problem,
     run_comparison,
     simulate_mapping,
@@ -38,8 +28,8 @@ from .scenarios import (
     scale_scenario,
 )
 
-# The fabric imports exp siblings (checkpoint, runner, scenarios,
-# robustness), so it must come after them to avoid import cycles.
+# The fabric imports exp siblings (runner, scenarios, robustness), so it
+# must come after them to avoid import cycles.
 from . import fabric
 from .fabric import (
     ChaosConfig,
@@ -54,11 +44,6 @@ from .fabric import (
 )
 
 __all__ = [
-    "CheckpointStore",
-    "CheckpointLockError",
-    "PathLock",
-    "fsync_dir",
-    "AbandonedThreadLimitError",
     "fabric",
     "ChaosConfig",
     "ChaosInjector",
@@ -69,11 +54,8 @@ __all__ = [
     "TaskSpec",
     "merge_shards",
     "write_sweep",
-    "ResilientRunner",
-    "ScenarioOutcome",
     "RobustnessCell",
     "evaluate_robustness",
-    "robustness_scenarios",
     "robustness_table",
     "ascii_heatmap",
     "METRICS",

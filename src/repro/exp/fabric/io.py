@@ -12,6 +12,11 @@ The ``before_replace`` hook exists for the chaos harness: it runs after
 the temp file is durable but before the rename, which is exactly where a
 worker must die to prove the "SIGKILL mid-write never corrupts a shard"
 contract (``tests/exp/fabric/test_durability.py``).
+
+:class:`PathLock` — an ``O_EXCL`` pid lockfile with stale-holder
+stealing — guards a sweep directory, so two concurrent supervisors
+pointed at the same sweep fail fast with :class:`CheckpointLockError`
+instead of interleaving shards.
 """
 
 from __future__ import annotations
@@ -22,12 +27,138 @@ import tempfile
 from pathlib import Path
 from typing import Any, Callable
 
-from ..checkpoint import fsync_dir
-
-__all__ = ["atomic_write_json", "read_json", "sweep_stale_tmp"]
+__all__ = [
+    "CheckpointLockError",
+    "PathLock",
+    "atomic_write_json",
+    "fsync_dir",
+    "read_json",
+    "sweep_stale_tmp",
+]
 
 #: Suffix shared by every in-flight temp file the fabric creates.
 TMP_SUFFIX = ".tmp"
+
+
+def fsync_dir(path: str | Path) -> None:
+    """fsync a directory so a just-renamed entry survives a crash.
+
+    ``os.replace`` makes the *content* swap atomic, but the new directory
+    entry only becomes durable once the directory itself is synced.
+    Best-effort: filesystems that cannot fsync directories are ignored.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def _pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a live process (signal-0 probe)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        # EPERM and friends: the process exists but is not ours.
+        return True
+    return True
+
+
+class CheckpointLockError(RuntimeError):
+    """Another live process holds the lock for this path."""
+
+
+class PathLock:
+    """An exclusive advisory pid lockfile around a shared file or directory.
+
+    Acquisition creates ``path`` with ``O_CREAT | O_EXCL`` and writes the
+    holder's pid.  A lockfile whose recorded pid is dead (the holder
+    crashed without releasing) is *stolen*; a lockfile held by the
+    current process is treated as already acquired (re-entrant within a
+    process, so two fabric objects on one sweep dir can coexist);
+    a lockfile held by a different live process raises
+    :class:`CheckpointLockError` immediately — fail fast beats silently
+    interleaved writes.
+
+    The lock is advisory: nothing stops a writer that never acquires it.
+    The sweep supervisor always does.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._owned = False
+
+    @property
+    def held(self) -> bool:
+        """True when *this object* created the lockfile."""
+        return self._owned
+
+    def _holder_pid(self) -> int | None:
+        try:
+            return int(self.path.read_text().strip() or "0")
+        except (OSError, ValueError):
+            return None
+
+    def acquire(self) -> "PathLock":
+        if self._owned:
+            return self
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        for _ in range(3):  # retries cover one stale-steal race
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                holder = self._holder_pid()
+                if holder is not None and holder == os.getpid():
+                    # Same process already holds it (another fabric
+                    # object); do not claim ownership, so releasing one
+                    # does not yank the lock out from under the other.
+                    return self
+                if holder is None or not _pid_alive(holder):
+                    try:
+                        self.path.unlink()
+                    except FileNotFoundError:
+                        pass
+                    continue
+                raise CheckpointLockError(
+                    f"{self.path} is locked by live process {holder}; "
+                    "two concurrent sweeps may not share a sweep "
+                    "directory — pick a distinct path or wait for "
+                    "the other run to finish"
+                )
+            with os.fdopen(fd, "w") as fh:
+                fh.write(str(os.getpid()))
+                fh.flush()
+                os.fsync(fh.fileno())
+            fsync_dir(self.path.parent)
+            self._owned = True
+            return self
+        raise CheckpointLockError(
+            f"could not acquire {self.path}: lockfile kept reappearing"
+        )
+
+    def release(self) -> None:
+        if not self._owned:
+            return
+        self._owned = False
+        try:
+            self.path.unlink()
+        except FileNotFoundError:
+            pass
+
+    def __enter__(self) -> "PathLock":
+        return self.acquire()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.release()
 
 
 def atomic_write_json(
@@ -70,9 +201,8 @@ def atomic_write_json(
 def read_json(path: str | Path) -> Any | None:
     """Parse ``path`` as JSON; ``None`` for missing/unreadable/corrupt.
 
-    The fabric's read-side tolerance mirrors
-    :class:`~repro.exp.checkpoint.CheckpointStore`: a shard that cannot
-    be parsed is treated as never written, so the task simply re-runs.
+    A shard that cannot be parsed is treated as never written, so the
+    task simply re-runs.
     """
     try:
         raw = Path(path).read_text()

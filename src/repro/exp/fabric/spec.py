@@ -106,14 +106,35 @@ class TaskSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TaskSpec":
+    def from_dict(cls, data: Any, *, source: str | Path = "spec") -> "TaskSpec":
+        """Parse a spec document; ``source`` names it in errors.
+
+        A malformed body raises :class:`FabricError` naming the field.
+        """
+        if not isinstance(data, Mapping):
+            raise FabricError(
+                f"{source}: a spec must be a JSON object, "
+                f"got {type(data).__name__}"
+            )
         if data.get("format") != SPEC_FORMAT:
             raise ValueError(
                 f"not a {SPEC_FORMAT} document (format={data.get('format')!r})"
             )
+        for name in ("key", "kind"):
+            if not isinstance(data.get(name), str):
+                raise FabricError(
+                    f"{source}: field {name!r} must be a string, "
+                    f"got {data.get(name)!r}"
+                )
+        for name in ("params", "degraded_params"):
+            if not isinstance(data.get(name), (Mapping, type(None))):
+                raise FabricError(
+                    f"{source}: field {name!r} must be an object or null, "
+                    f"got {data.get(name)!r}"
+                )
         return cls(
-            key=str(data["key"]),
-            kind=str(data["kind"]),
+            key=data["key"],
+            kind=data["kind"],
             params=dict(data.get("params") or {}),
             degraded_params=(
                 dict(data["degraded_params"])
@@ -237,7 +258,7 @@ def load_spec(root: str | Path, key: str) -> TaskSpec:
     data = read_json(layout.spec_path(key))
     if data is None:
         raise FabricError(f"spec file for task {key!r} is missing or corrupt")
-    spec = TaskSpec.from_dict(data)
+    spec = TaskSpec.from_dict(data, source=layout.spec_path(key))
     if spec.key != key:
         raise FabricError(
             f"spec file {layout.spec_path(key)} claims key {spec.key!r}"

@@ -1,8 +1,6 @@
 """The sweep fabric supervisor: shared-nothing fan-out with teeth.
 
-Where :class:`~repro.exp.runner.ResilientRunner` can only *abandon* a
-hung thread (the thread keeps its CPU and its memory forever), the
-fabric owns real OS processes and therefore a real robustness loop:
+The fabric owns real OS processes and therefore a real robustness loop:
 
 * **deadlines that kill** — a task past its wall-clock budget gets its
   worker SIGKILLed and the CPU actually comes back;
@@ -45,9 +43,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-from ..checkpoint import PathLock
 from .chaos import ChaosConfig, ChaosInjector
-from .io import atomic_write_json, sweep_stale_tmp
+from .io import PathLock, atomic_write_json, sweep_stale_tmp
 from .spec import (
     FabricError,
     SweepLayout,
@@ -176,30 +173,6 @@ class FabricReport:
             f"worker_restarts={self.worker_restarts}, "
             f"degraded={self.degraded}, elapsed={self.elapsed_s:.2f}s"
         )
-
-    def to_outcomes(self, root: str | Path) -> dict[str, Any]:
-        """ResilientRunner interop: shards as ScenarioOutcome objects.
-
-        Lets fabric results flow into every consumer written against
-        :class:`~repro.exp.runner.ScenarioOutcome` (tables, reports).
-        """
-        from ..runner import ScenarioOutcome
-
-        out: dict[str, Any] = {}
-        for key, status in self.statuses.items():
-            row = load_shard(root, key) or {}
-            out[key] = ScenarioOutcome(
-                key=key,
-                status="ok" if status == "ok" else (
-                    "timeout" if status == "timeout" else "failed"
-                ),
-                attempts=int(row.get("attempts", 0)),
-                elapsed_s=float(row.get("elapsed_s", 0.0)),
-                result=row.get("result"),
-                error=row.get("error"),
-                from_checkpoint=False,
-            )
-        return out
 
 
 def _describe_exit(rc: int | None) -> str:

@@ -17,8 +17,8 @@ Built-in kinds:
     Map one Fig. 7-style scale scenario with one mapper; optionally
     simulate.  Degrades to the Greedy mapper.
 ``robustness-cell``
-    One (fault x mapper) cell of the robustness harness — the fabric
-    version of ``python -m repro robustness``.  Degrades to Greedy.
+    One (fault x mapper) cell of the robustness harness; every cell of
+    ``python -m repro robustness`` runs as one.  Degrades to Greedy.
 
 Both cell kinds profile an application once per worker process, not
 once per cell, as the paper profiles once and maps many times: a worker
@@ -284,6 +284,7 @@ def robustness_specs(
     processes: int = 32,
     sites: int = 4,
     slack: float = 2.0,
+    constraint_ratio: float = 0.2,
     faults: Sequence[str] = (
         "outage",
         "brownout",
@@ -304,6 +305,7 @@ def robustness_specs(
                 "processes": processes,
                 "sites": sites,
                 "slack": slack,
+                "constraint_ratio": constraint_ratio,
                 "fault": fault,
                 "mapper": mapper,
                 "seed": seed,

@@ -13,16 +13,16 @@ reports the two numbers the robustness story turns on:
 
 Faults that make the problem infeasible (an outage on a topology with
 no capacity slack) are *expected* outcomes, reported as infeasible cells
-rather than errors; a crashing mapper, by contrast, raises — so wrapped
-in a :class:`~repro.exp.runner.ResilientRunner` it becomes a failure
-row without taking the sweep down.
+rather than errors; a crashing mapper, by contrast, raises — so run as
+a ``robustness-cell`` task on the sweep fabric (:mod:`repro.exp.fabric`)
+it becomes a failed shard without taking the sweep down.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from .._validation import as_rng
 from ..apps.base import Application
@@ -40,7 +40,6 @@ from .scenarios import PAPER_CONSTRAINT_RATIO, Scenario, resolve_app
 __all__ = [
     "RobustnessCell",
     "robustness_scenario",
-    "robustness_scenarios",
     "evaluate_robustness",
     "robustness_table",
 ]
@@ -202,50 +201,6 @@ def _evaluate_cell(
             num_displaced=int(outcome.result.displaced.shape[0]),
             num_migrated=outcome.num_migrated,
         )
-
-
-def robustness_scenarios(
-    problem: MappingProblem,
-    mappers: dict[str, Mapper],
-    *,
-    suite: dict[str, FaultSchedule] | None = None,
-    at_time: float = 1.0,
-    seed: int = 0,
-    extra_moves: int | None = None,
-    refine_rounds: int = 2,
-) -> dict[str, Callable[[], dict[str, Any]]]:
-    """The (fault x mapper) sweep as thunks for a ResilientRunner.
-
-    Keys are ``"<fault>/<mapper>"``; each thunk returns the cell's
-    JSON dict.  Infeasible faults return (they are data); crashing
-    mappers raise (the runner turns them into failure rows).
-    """
-    if suite is None:
-        suite = standard_fault_suite(problem.num_sites, at_time=at_time)
-
-    def make_thunk(
-        fname: str, sched: FaultSchedule, mname: str, mapper: Mapper
-    ) -> Callable[[], dict[str, Any]]:
-        def thunk() -> dict[str, Any]:
-            return _evaluate_cell(
-                problem,
-                fname,
-                sched,
-                mname,
-                mapper,
-                at_time=at_time,
-                seed=seed,
-                extra_moves=extra_moves,
-                refine_rounds=refine_rounds,
-            ).to_dict()
-
-        return thunk
-
-    return {
-        f"{fname}/{mname}": make_thunk(fname, sched, mname, mapper)
-        for fname, sched in suite.items()
-        for mname, mapper in mappers.items()
-    }
 
 
 def evaluate_robustness(

@@ -18,12 +18,7 @@ This glues the substrates into the paper's pipeline:
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping as TypingMapping
 
 import numpy as np
 
@@ -35,27 +30,13 @@ from ..core.mapping import Mapper, Mapping
 from ..core.problem import MappingProblem
 from ..simmpi.engine import SimResult, Simulator
 from ..simmpi.network import SimNetwork
-from .checkpoint import CheckpointStore
 
 __all__ = [
     "RunResult",
-    "ScenarioOutcome",
-    "ResilientRunner",
-    "AbandonedThreadLimitError",
     "build_problem",
     "simulate_mapping",
     "run_comparison",
 ]
-
-
-class AbandonedThreadLimitError(RuntimeError):
-    """A runner abandoned more hung executors than ``max_abandoned``.
-
-    Each abandoned thread leaks CPU and memory for the life of the
-    process; hitting the cap means the workload hangs systematically
-    and should run under process isolation
-    (:class:`repro.exp.fabric.SweepFabric`) instead.
-    """
 
 
 @dataclass(frozen=True)
@@ -203,306 +184,3 @@ def run_comparison(
                 sim=empty,
             )
     return out
-
-
-# --------------------------------------------------------------------------
-# Resilient sweeps: timeouts, bounded retries, checkpoint/resume.
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioOutcome:
-    """The fate of one scenario in a resilient sweep.
-
-    Attributes
-    ----------
-    key:
-        The scenario's identifier in the sweep.
-    status:
-        ``"ok"`` (the thunk returned), ``"failed"`` (it raised on every
-        attempt) or ``"timeout"`` (it overran the per-scenario budget on
-        every attempt).
-    attempts:
-        How many times the scenario actually ran (0 when served from a
-        checkpoint).
-    elapsed_s:
-        Wall time of the *final* attempt.
-    result:
-        The thunk's return value (a JSON-serializable dict by
-        convention) when ``status == "ok"``, else ``None``.
-    error:
-        ``"ExcType: message"`` of the last failure, else ``None``.
-    from_checkpoint:
-        True when the outcome was replayed from the checkpoint store
-        instead of executing.
-    """
-
-    key: str
-    status: str
-    attempts: int
-    elapsed_s: float
-    result: dict[str, Any] | None
-    error: str | None
-    from_checkpoint: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    def to_row(self) -> dict[str, Any]:
-        """The JSON row persisted to the checkpoint store."""
-        return {
-            "status": self.status,
-            "attempts": self.attempts,
-            "elapsed_s": self.elapsed_s,
-            "result": self.result,
-            "error": self.error,
-        }
-
-
-class ResilientRunner:
-    """Run a sweep of scenario thunks, surviving crashes and hangs.
-
-    Each scenario is a zero-argument callable returning a JSON-friendly
-    dict.  The runner guards every call with a per-scenario timeout
-    (executed on a worker thread; a timed-out thread is abandoned and a
-    fresh executor started, so one hung simulation cannot wedge the
-    sweep), retries failures a bounded number of times with
-    deterministic exponential backoff, converts scenarios that never
-    succeed into failure rows instead of aborting the sweep, and
-    checkpoints every outcome so a killed sweep resumes without
-    re-executing finished work.
-
-    Parameters
-    ----------
-    timeout_s:
-        Per-attempt budget in seconds; ``None`` disables the timeout
-        (scenarios run inline, no worker thread).
-    max_retries:
-        Extra attempts after the first failure/timeout (so a scenario
-        runs at most ``1 + max_retries`` times).
-    backoff_base_s / backoff_factor:
-        Attempt ``k`` (0-based) that fails sleeps
-        ``backoff_base_s * backoff_factor**k`` before the retry — a
-        deterministic schedule, no jitter, so sweeps are reproducible.
-    checkpoint:
-        A :class:`~repro.exp.checkpoint.CheckpointStore`, a path to
-        create one at, or ``None`` to disable persistence.
-    sleep:
-        Injectable sleep function (tests pass a recorder; default
-        :func:`time.sleep`).
-    max_abandoned:
-        Hard cap on abandoned hung executors per runner.  An abandoned
-        thread never dies — it keeps its CPU, its memory, and anything
-        it locked — so a sweep that hits this cap is leaking resources
-        at a rate that will eventually take the host down.  Exceeding
-        it raises :class:`AbandonedThreadLimitError` instead of limping
-        on.  The real fix for hang-prone workloads is process
-        isolation: :class:`repro.exp.fabric.SweepFabric` SIGKILLs a
-        hung worker and actually reclaims the CPU.
-    """
-
-    def __init__(
-        self,
-        *,
-        timeout_s: float | None = None,
-        max_retries: int = 1,
-        backoff_base_s: float = 0.05,
-        backoff_factor: float = 2.0,
-        checkpoint: CheckpointStore | str | Path | None = None,
-        sleep: Callable[[float], None] | None = None,
-        max_abandoned: int = 32,
-    ) -> None:
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff_base_s < 0 or backoff_factor < 0:
-            raise ValueError("backoff parameters must be non-negative")
-        if max_abandoned < 1:
-            raise ValueError(f"max_abandoned must be >= 1, got {max_abandoned}")
-        self.timeout_s = timeout_s
-        self.max_retries = int(max_retries)
-        self.backoff_base_s = float(backoff_base_s)
-        self.backoff_factor = float(backoff_factor)
-        self.max_abandoned = int(max_abandoned)
-        self.abandoned_threads = 0
-        if isinstance(checkpoint, (str, Path)):
-            checkpoint = CheckpointStore(checkpoint)
-        self.checkpoint = checkpoint
-        self._sleep = sleep if sleep is not None else time.sleep
-
-    # ------------------------------------------------------------ internals
-
-    def _attempt(
-        self, thunk: Callable[[], dict[str, Any]]
-    ) -> tuple[str, dict[str, Any] | None, str | None]:
-        """One guarded attempt: (status, result, error)."""
-        if self.timeout_s is None:
-            result = thunk()
-            return "ok", result, None
-        executor = ThreadPoolExecutor(max_workers=1)
-        try:
-            future = executor.submit(thunk)
-            try:
-                result = future.result(timeout=self.timeout_s)
-            except FutureTimeoutError:
-                # Abandon the hung thread; a fresh executor serves the
-                # next attempt so the sweep never blocks on it.  The
-                # thread itself cannot be reclaimed — count the leak
-                # and refuse to accumulate them without bound.
-                future.cancel()
-                executor.shutdown(wait=False, cancel_futures=True)
-                self.abandoned_threads += 1
-                from ..obs import get_metrics
-
-                metrics = get_metrics()
-                if metrics.enabled:
-                    metrics.set_gauge(
-                        "runner_abandoned_threads", self.abandoned_threads
-                    )
-                if self.abandoned_threads > self.max_abandoned:
-                    raise AbandonedThreadLimitError(
-                        f"abandoned {self.abandoned_threads} hung worker "
-                        f"threads (cap {self.max_abandoned}); each leaks "
-                        "CPU and memory for the life of this process — "
-                        "run this sweep under repro.exp.fabric."
-                        "SweepFabric, which kills hung workers for real"
-                    )
-                return (
-                    "timeout",
-                    None,
-                    f"TimeoutError: exceeded {self.timeout_s}s budget",
-                )
-            return "ok", result, None
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def _run_one(
-        self, key: str, thunk: Callable[[], dict[str, Any]]
-    ) -> ScenarioOutcome:
-        from ..obs import get_metrics, get_recorder
-
-        obs = get_recorder()
-        metrics = get_metrics()
-        max_attempts = 1 + self.max_retries
-        status: str = "failed"
-        result: dict[str, Any] | None = None
-        error: str | None = "never attempted"
-        attempts = 0
-        elapsed = 0.0
-        with obs.span(
-            "runner.scenario",
-            key=key,
-            timeout_s=self.timeout_s,
-            max_retries=self.max_retries,
-        ) as span:
-            for attempt in range(max_attempts):
-                start = time.perf_counter()
-                try:
-                    status, result, error = self._attempt(thunk)
-                except AbandonedThreadLimitError:
-                    # Resource-exhaustion guard, not a scenario failure:
-                    # converting it to a failure row would hide a leak
-                    # that only gets worse with every further timeout.
-                    raise
-                except Exception as exc:  # graceful degradation: failure row
-                    status, result = "failed", None
-                    error = f"{type(exc).__name__}: {exc}"
-                elapsed = time.perf_counter() - start
-                attempts = attempt + 1
-                if status == "ok":
-                    break
-                obs.event(
-                    "runner.attempt_failed",
-                    attempt=attempt,
-                    status=status,
-                    error=error,
-                )
-                if attempt + 1 < max_attempts:
-                    backoff = self.backoff_base_s * self.backoff_factor**attempt
-                    obs.event("runner.retry", attempt=attempt, backoff_s=backoff)
-                    metrics.inc("runner_retries_total")
-                    self._sleep(backoff)
-            span.set(status=status, attempts=attempts, elapsed_s=elapsed)
-            if metrics.enabled:
-                metrics.inc("runner_scenarios_total", status=status)
-                metrics.observe("runner_scenario_seconds", elapsed, status=status)
-        return ScenarioOutcome(
-            key=key,
-            status=status,
-            attempts=attempts,
-            elapsed_s=elapsed,
-            result=result,
-            error=error,
-        )
-
-    # --------------------------------------------------------------- public
-
-    def run(
-        self,
-        scenarios: (
-            TypingMapping[str, Callable[[], dict[str, Any]]]
-            | Iterable[tuple[str, Callable[[], dict[str, Any]]]]
-        ),
-        *,
-        resume: bool = False,
-    ) -> dict[str, ScenarioOutcome]:
-        """Execute every scenario, returning outcomes in input order.
-
-        With ``resume=True`` (requires a checkpoint store) scenarios
-        whose stored row has ``status == "ok"`` are replayed from the
-        checkpoint instead of re-executing; failed/timed-out rows are
-        retried — resuming is how a sweep heals.
-        """
-        if resume and self.checkpoint is None:
-            raise ValueError("resume=True requires a checkpoint store")
-        from ..obs import get_metrics, get_recorder
-
-        obs = get_recorder()
-        metrics = get_metrics()
-        items = (
-            list(scenarios.items())
-            if isinstance(scenarios, TypingMapping)
-            else list(scenarios)
-        )
-        done = (
-            self.checkpoint.completed_keys()
-            if (resume and self.checkpoint is not None)
-            else set()
-        )
-        outcomes: dict[str, ScenarioOutcome] = {}
-        with obs.span(
-            "runner.sweep", num_scenarios=len(items), resume=resume
-        ) as sweep:
-            for key, thunk in items:
-                if key in done and self.checkpoint is not None:
-                    row = self.checkpoint.get(key) or {}
-                    obs.event(
-                        "runner.checkpoint_replay",
-                        key=key,
-                        status=str(row.get("status", "ok")),
-                    )
-                    metrics.inc("runner_replays_total")
-                    outcomes[key] = ScenarioOutcome(
-                        key=key,
-                        status=str(row.get("status", "ok")),
-                        attempts=0,
-                        elapsed_s=float(row.get("elapsed_s", 0.0)),
-                        result=row.get("result"),
-                        error=row.get("error"),
-                        from_checkpoint=True,
-                    )
-                    continue
-                outcome = self._run_one(key, thunk)
-                if self.checkpoint is not None:
-                    self.checkpoint.record(key, outcome.to_row())
-                outcomes[key] = outcome
-            statuses = [o.status for o in outcomes.values()]
-            sweep.set(
-                ok=statuses.count("ok"),
-                failed=statuses.count("failed"),
-                timeout=statuses.count("timeout"),
-                replayed=sum(1 for o in outcomes.values() if o.from_checkpoint),
-            )
-        return outcomes

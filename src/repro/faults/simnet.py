@@ -8,8 +8,7 @@ transfer's ready time:
 * **site outages** stall transfers touching the dark site until the
   outage clears (transfers into a *permanently* dark site raise
   :class:`SiteDownError` — the simulated run is lost, which is exactly
-  the failure mode the resilient experiment runner turns into a failure
-  row);
+  the failure mode the sweep fabric records as a ``failed`` shard);
 * **link events** (degradation, latency spike, flapping window) scale
   the alpha-beta terms of the affected transfer.
 

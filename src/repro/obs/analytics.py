@@ -75,8 +75,7 @@ def aggregate_trace(
     histogram.  Span counters land in ``span_counter_total{span,counter}``;
     events in ``trace_events_total{event}``.  Domain rollups:
     ``link_{bytes,transfers,stall_seconds}_total{src_site,dst_site}``
-    from ``network.link`` events, ``runner_{retries,attempt_failures,
-    replays}_total`` from runner events, and memo hit accounting
+    from ``network.link`` events, and memo hit accounting
     (``memo_{hits,misses}_total``, ``memo_hit_ratio``) from
     ``geodist.order`` spans.
 
@@ -110,13 +109,6 @@ def aggregate_trace(
     )
     link_stall = reg.counter(
         "link_stall_seconds_total", "Simulated stall time per inter-site link"
-    )
-    retries = reg.counter("runner_retries_total", "Runner retry events")
-    attempt_failures = reg.counter(
-        "runner_attempt_failures_total", "Runner attempt_failed events"
-    )
-    replays = reg.counter(
-        "runner_replays_total", "Runner checkpoint_replay events"
     )
     memo_hits = reg.counter(
         "memo_hits_total", "Geodist group fills resumed from the shared-prefix memo"
@@ -165,12 +157,6 @@ def aggregate_trace(
                         link_transfers.inc(transfers, src_site=src, dst_site=dst)
                     if stall is not None:
                         link_stall.inc(stall, src_site=src, dst_site=dst)
-                elif event.name == "runner.retry":
-                    retries.inc()
-                elif event.name == "runner.attempt_failed":
-                    attempt_failures.inc()
-                elif event.name == "runner.checkpoint_replay":
-                    replays.inc()
 
     hits = memo_hits.total()
     misses = memo_misses.total()

@@ -11,7 +11,7 @@ mapper pipeline produces ``mapper.map`` with ``feasibility`` / ``solve``
 * **counters** — numeric accumulators (``memo.groups_resumed``,
   ``net.bytes``) that tolerate being bumped many times;
 * **events** — point-in-time occurrences with their own timestamp and
-  attributes (a retry, a checkpoint replay).
+  attributes (a per-link traffic summary, a failed fabric attempt).
 
 Timestamps come from whatever monotonic clock the recorder was built
 with (:func:`time.perf_counter` by default, injectable for tests), so
@@ -40,7 +40,7 @@ class SpanEvent:
     Attributes
     ----------
     name:
-        Event label (e.g. ``"runner.retry"``).
+        Event label (e.g. ``"network.link"``).
     t:
         Timestamp on the recorder's clock.
     attrs:

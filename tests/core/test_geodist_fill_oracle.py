@@ -230,12 +230,11 @@ def _assert_same(problem, **kwargs):
     kappa=st.integers(1, 4),
     max_orders=st.sampled_from([None, 1, 2, 5]),
     memoize=st.booleans(),
-    workers=st.sampled_from([1, 3]),
 )
-def test_fill_matches_masked_quantity_walk(problem, kappa, max_orders, memoize, workers):
+def test_fill_matches_masked_quantity_walk(problem, kappa, max_orders, memoize):
     _assert_same(
         problem, kappa=kappa, max_orders=max_orders, memoize=memoize,
-        workers=workers, recursive=False,
+        recursive=False,
     )
 
 

@@ -1,8 +1,8 @@
-"""Equivalence tests for the Geo mapper's memoized / parallel fast paths.
+"""Equivalence tests for the Geo mapper's memoized fast path.
 
-The shared-prefix memoization and the thread-parallel order evaluation
-are pure optimizations: for every kappa and constraint mix they must
-return the exact assignment (and cost) of the plain sequential walk.
+The shared-prefix memoization is a pure optimization: for every kappa
+and constraint mix it must return the exact assignment (and cost) of
+the plain walk.
 """
 
 import numpy as np
@@ -22,16 +22,6 @@ def test_memoized_matches_unmemoized(topo4, kappa, constraint_ratio):
     np.testing.assert_array_equal(memo.assignment, flat.assignment)
     assert memo.cost == flat.cost
     validate_assignment(p, memo.assignment)
-
-
-@pytest.mark.parametrize("kappa", [3, 4])
-@pytest.mark.parametrize("workers", [2, 5])
-def test_parallel_matches_sequential(topo4, kappa, workers):
-    p = make_problem(40, topo4, seed=32, constraint_ratio=0.2, locality=0.3)
-    seq = GeoDistributedMapper(kappa=kappa).map(p, seed=0)
-    par = GeoDistributedMapper(kappa=kappa, workers=workers).map(p, seed=0)
-    np.testing.assert_array_equal(seq.assignment, par.assignment)
-    assert seq.cost == par.cost
 
 
 def test_memoized_matches_unmemoized_sparse(topo4):
@@ -60,21 +50,6 @@ def test_memoized_respects_max_orders(topo4):
             p, seed=0
         )
         np.testing.assert_array_equal(memo.assignment, flat.assignment)
-
-
-def test_workers_more_than_orders(topo4):
-    """More threads than permutations must not change or break anything."""
-    p = make_problem(24, topo4, seed=35)
-    seq = GeoDistributedMapper(kappa=2).map(p, seed=0)
-    par = GeoDistributedMapper(kappa=2, workers=16).map(p, seed=0)
-    np.testing.assert_array_equal(seq.assignment, par.assignment)
-
-
-def test_workers_validation():
-    with pytest.raises(ValueError):
-        GeoDistributedMapper(workers=0)
-    with pytest.raises(ValueError):
-        GeoDistributedMapper(workers=-2)
 
 
 def test_recursive_path_uses_fast_flat_solver():

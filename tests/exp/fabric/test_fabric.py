@@ -278,16 +278,6 @@ class TestChaosEndToEnd:
 
 
 class TestReport:
-    def test_to_outcomes_interop(self, tmp_path):
-        write_sweep(tmp_path, demo_specs(2, work=2))
-        report = _fabric(tmp_path, workers=1).run()
-        outcomes = report.to_outcomes(tmp_path)
-        assert set(outcomes) == {"demo/0000", "demo/0001"}
-        for o in outcomes.values():
-            assert o.ok
-            assert o.result["work"] == 2
-            assert o.attempts >= 1
-
     def test_summary_mentions_counts(self, tmp_path):
         write_sweep(tmp_path, demo_specs(2, work=2))
         report = _fabric(tmp_path, workers=1).run()

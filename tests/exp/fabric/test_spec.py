@@ -18,6 +18,7 @@ from repro.exp.fabric import (
     write_sweep,
 )
 from repro.exp.fabric.io import atomic_write_json, read_json, sweep_stale_tmp
+from repro.exp.fabric.spec import SPEC_FORMAT
 
 
 class TestTaskSpec:
@@ -95,6 +96,25 @@ class TestWriteSweep:
     def test_missing_manifest_raises(self, tmp_path):
         with pytest.raises(FabricError, match="initialize"):
             load_manifest(tmp_path)
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            ({"kind": "demo"}, "'key'"),
+            ({"key": "good", "kind": "demo", "params": [1, 2]}, "'params'"),
+            ([1, 2, 3], "JSON object"),
+        ],
+        ids=["missing-key", "list-params", "non-dict"],
+    )
+    def test_malformed_spec_body_is_a_fabric_error(self, tmp_path, body, field):
+        write_sweep(tmp_path, [TaskSpec(key="good", kind="demo")])
+        path = SweepLayout(tmp_path).spec_path("good")
+        if isinstance(body, dict):
+            body = {"format": SPEC_FORMAT, **body}
+        path.write_text(json.dumps(body))
+        with pytest.raises(FabricError, match=field) as info:
+            load_spec(tmp_path, "good")
+        assert str(path) in str(info.value)
 
     def test_spec_key_mismatch_detected(self, tmp_path):
         write_sweep(tmp_path, [TaskSpec(key="good", kind="demo")])

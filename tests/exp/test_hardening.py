@@ -1,22 +1,15 @@
-"""Checkpoint durability/exclusivity hardening and the runner leak cap."""
+"""The sweep directory's exclusive pid lock."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from repro.exp import (
-    AbandonedThreadLimitError,
-    CheckpointLockError,
-    CheckpointStore,
-    PathLock,
-    ResilientRunner,
-)
+from repro.exp.fabric.io import CheckpointLockError, PathLock
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -58,7 +51,7 @@ class TestPathLock:
             [
                 sys.executable,
                 "-c",
-                "import sys; from repro.exp import PathLock; "
+                "import sys; from repro.exp.fabric.io import PathLock; "
                 f"PathLock({str(path)!r}).acquire()",
             ],
             env=env,
@@ -86,7 +79,7 @@ class TestPathLock:
             [
                 sys.executable,
                 "-c",
-                "import sys, time; from repro.exp import PathLock; "
+                "import sys, time; from repro.exp.fabric.io import PathLock; "
                 f"PathLock({str(path)!r}).acquire(); "
                 "print('held', flush=True); time.sleep(60)",
             ],
@@ -101,114 +94,3 @@ class TestPathLock:
         finally:
             holder.kill()
             holder.wait()
-
-
-class TestCheckpointStoreLocking:
-    def test_lock_acquired_on_first_write_released_on_close(self, tmp_path):
-        path = tmp_path / "ck.json"
-        lock_path = tmp_path / "ck.json.lock"
-        store = CheckpointStore(path)
-        assert not lock_path.exists()  # reads/creation never lock
-        store.record("a", {"status": "ok"})
-        assert lock_path.exists()
-        store.close()
-        assert not lock_path.exists()
-
-    def test_context_manager_releases(self, tmp_path):
-        path = tmp_path / "ck.json"
-        with CheckpointStore(path) as store:
-            store.record("a", {"status": "ok"})
-            assert (tmp_path / "ck.json.lock").exists()
-        assert not (tmp_path / "ck.json.lock").exists()
-
-    def test_second_process_fails_fast(self, tmp_path):
-        path = tmp_path / "ck.json"
-        store = CheckpointStore(path)
-        store.record("a", {"status": "ok"})
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-        probe = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.exp import CheckpointStore, CheckpointLockError\n"
-                f"store = CheckpointStore({str(path)!r})\n"
-                "try:\n"
-                "    store.record('b', {'status': 'ok'})\n"
-                "except CheckpointLockError:\n"
-                "    print('refused')\n",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        store.close()
-        assert probe.stdout.strip() == "refused", probe.stderr
-
-    def test_same_process_stores_still_coexist(self, tmp_path):
-        # The historical contract: a sweep and a resumed sweep in one
-        # process may both touch the file (test_resilient relies on it).
-        path = tmp_path / "ck.json"
-        a = CheckpointStore(path)
-        a.record("x", {"status": "ok"})
-        b = CheckpointStore(path)
-        b.record("y", {"status": "ok"})
-        assert set(CheckpointStore(path, lock=False).rows()) == {"x", "y"}
-
-    def test_lock_false_opts_out(self, tmp_path):
-        path = tmp_path / "ck.json"
-        store = CheckpointStore(path, lock=False)
-        store.record("a", {"status": "ok"})
-        assert not (tmp_path / "ck.json.lock").exists()
-
-    def test_durable_write_survives_reload(self, tmp_path):
-        path = tmp_path / "ck.json"
-        with CheckpointStore(path) as store:
-            store.record("a", {"status": "ok", "result": {"v": 1}})
-        assert CheckpointStore(path, lock=False).get("a") == {
-            "status": "ok",
-            "result": {"v": 1},
-        }
-
-
-class TestAbandonedThreadCap:
-    def _hang_runner(self, max_abandoned):
-        return ResilientRunner(
-            timeout_s=0.05,
-            max_retries=0,
-            backoff_base_s=0.0,
-            max_abandoned=max_abandoned,
-        )
-
-    def test_counts_abandoned_threads(self):
-        runner = self._hang_runner(max_abandoned=32)
-
-        def hang():
-            time.sleep(0.4)
-            return {}
-
-        outcomes = runner.run({"a": hang, "b": hang})
-        assert runner.abandoned_threads == 2
-        assert all(o.status == "timeout" for o in outcomes.values())
-
-    def test_cap_raises_instead_of_leaking_forever(self):
-        runner = self._hang_runner(max_abandoned=2)
-
-        def hang():
-            time.sleep(0.4)
-            return {}
-
-        scenarios = {f"s{i}": hang for i in range(5)}
-        with pytest.raises(AbandonedThreadLimitError, match="SweepFabric"):
-            runner.run(scenarios)
-
-    def test_cap_validated(self):
-        with pytest.raises(ValueError, match="max_abandoned"):
-            ResilientRunner(max_abandoned=0)
-
-    def test_fast_scenarios_never_trip_the_cap(self):
-        runner = ResilientRunner(timeout_s=5.0, max_abandoned=1)
-        outcomes = runner.run({"a": lambda: {"v": 1}, "b": lambda: {"v": 2}})
-        assert runner.abandoned_threads == 0
-        assert all(o.ok for o in outcomes.values())

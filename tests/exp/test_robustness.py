@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.baselines import GreedyMapper
-from repro.core import GeoDistributedMapper
-from repro.exp import evaluate_robustness, robustness_scenarios, robustness_table
+from repro.cli import main
+from repro.core import GeoDistributedMapper, get_mapper
+from repro.exp import evaluate_robustness, robustness_table
+from repro.exp.fabric import merge_shards
 from repro.exp.robustness import robustness_scenario
 
 
@@ -48,16 +52,6 @@ class TestRobustnessHarness:
         assert outage and all(not c.feasible for c in outage)
         assert all("deficit" in c.error for c in outage)
 
-    def test_thunks_match_inline(self, scenario, mappers):
-        cells = evaluate_robustness(scenario.problem, mappers, seed=0)
-        thunks = robustness_scenarios(scenario.problem, mappers, seed=0)
-        assert set(thunks) == {f"{c.fault}/{c.mapper}" for c in cells}
-        # A thunk reproduces the inline cell exactly (order independence).
-        probe = cells[3]
-        row = thunks[f"{probe.fault}/{probe.mapper}"]()
-        assert row["repaired_cost"] == probe.repaired_cost
-        assert row["num_migrated"] == probe.num_migrated
-
     def test_table_renders(self, scenario, mappers):
         cells = evaluate_robustness(scenario.problem, mappers, seed=0)
         text = robustness_table(cells)
@@ -71,34 +65,71 @@ class TestRobustnessHarness:
             robustness_scenario("LU", 16, num_sites=99)
 
 
-class TestRobustnessCli:
-    def test_cli_limit_then_resume(self, tmp_path, capsys):
-        from repro.cli import main
+def _same(a, b):
+    """Field-for-field equality that treats NaN as equal to NaN."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    return a == b
 
-        ck = str(tmp_path / "sweep.json")
+
+class TestRobustnessCli:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_cli_cells_match_inline(self, tmp_path, capsys, seed):
+        mappers = ["baseline", "greedy", "geo-distributed"]
+        sweep = tmp_path / "sweep"
+        assert main(
+            ["robustness", "--app", "LU", "--processes", "16", "--sites", "4",
+             "--seed", str(seed), "--sweep-dir", str(sweep)]
+        ) == 0
+        assert "15 cells, 0 adopted, 0 failed" in capsys.readouterr().out
+        rows = [row["result"] for row in merge_shards(sweep, write=False).rows]
+
+        problem = robustness_scenario("LU", 16, num_sites=4, seed=seed).problem
+        inline = evaluate_robustness(
+            problem, {name: get_mapper(name) for name in mappers}, seed=seed
+        )
+        assert len(rows) == len(inline) == 15
+        for row, cell in zip(rows, inline):
+            expected = cell.to_dict()
+            assert row.keys() == expected.keys()
+            for field, value in expected.items():
+                assert _same(row[field], value), (cell.fault, cell.mapper, field)
+
+    def test_cli_limit_then_resume(self, tmp_path, capsys):
         base = [
             "robustness", "--app", "LU", "--processes", "16",
             "--sites", "4", "--faults", "outage", "brownout",
-            "--checkpoint", ck,
+            "--sweep-dir", str(tmp_path / "sweep"),
         ]
         assert main(base + ["--limit", "2"]) == 0
         first = capsys.readouterr().out
-        assert "2 cells, 0 from checkpoint" in first
+        assert "2 cells, 0 adopted, 0 failed" in first
 
         assert main(base + ["--resume"]) == 0
         second = capsys.readouterr().out
-        assert "2 from checkpoint" in second
-        assert "0 failed" in second
+        assert "6 cells, 2 adopted, 0 failed" in second
+
+    def test_cli_resume_rejects_sweep_dir_of_other_arguments(
+        self, tmp_path, capsys
+    ):
+        sweep = str(tmp_path / "sweep")
+        base = ["robustness", "--sites", "2", "--faults", "outage",
+                "--sweep-dir", sweep]
+        assert main(base + ["--processes", "8", "--limit", "1"]) == 0
+        capsys.readouterr()
+        # Same keys, other process count: resuming would replay the
+        # 8-process cell as if it were a 16-process one.
+        assert main(base + ["--processes", "16", "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert "robustness/outage/baseline" in captured.err
+        assert "Robustness" not in captured.out
 
     def test_cli_rejects_unknown_fault(self, capsys):
-        from repro.cli import main
-
         assert main(
             ["robustness", "--processes", "16", "--faults", "earthquake"]
         ) == 2
         assert "unknown faults" in capsys.readouterr().err
 
-    def test_cli_resume_requires_checkpoint(self, capsys):
-        from repro.cli import main
-
+    def test_cli_resume_requires_sweep_dir(self, capsys):
         assert main(["robustness", "--resume"]) == 2
+        assert "--sweep-dir" in capsys.readouterr().err

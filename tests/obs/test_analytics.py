@@ -110,26 +110,12 @@ def test_aggregate_links_events_and_counters():
     ) == 3.0
 
 
-def test_aggregate_open_spans_errors_and_runner_events():
+def test_aggregate_open_spans_and_errors():
     open_span = Span("hung", t_start=0.0)  # never closed
     bad = Span("cell", t_start=0.0, t_end=1.0, attrs={"error": "TimeoutError"})
-    runner = Span(
-        "runner.scenario",
-        t_start=0.0,
-        t_end=2.0,
-        events=[
-            SpanEvent("runner.retry", t=0.5),
-            SpanEvent("runner.retry", t=1.0),
-            SpanEvent("runner.attempt_failed", t=0.4),
-            SpanEvent("runner.checkpoint_replay", t=1.5),
-        ],
-    )
-    snap = aggregate_trace([open_span, bad, runner])
+    snap = aggregate_trace([open_span, bad])
     assert snap.counter_value("trace_open_spans_total", span="hung") == 1.0
     assert snap.counter_value("trace_errors_total", span="cell") == 1.0
-    assert snap.counter_total("runner_retries_total") == 2.0
-    assert snap.counter_total("runner_attempt_failures_total") == 1.0
-    assert snap.counter_total("runner_replays_total") == 1.0
     # Open spans contribute no time.
     assert snap.counter_value("span_seconds_total", span="hung") == 0.0
 

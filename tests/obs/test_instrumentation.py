@@ -4,8 +4,8 @@ These exercise the acceptance path of the observability refactor: a
 mapping run under a recorder yields the four pipeline stages, the Geo
 mapper hangs one ``geodist.order`` child per evaluated permutation and
 surfaces its chosen order + memo statistics in ``Mapping.meta``, the
-simulator emits per-site-pair link events, and the resilient runner
-records retries.
+simulator emits per-site-pair link events, and robustness cells emit
+metrics.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import pytest
 
 from repro.baselines import MonteCarloMapper, SimulatedAnnealingMapper
 from repro.core import GeoDistributedMapper, get_mapper
-from repro.exp.runner import ResilientRunner, run_comparison, simulate_mapping
+from repro.exp.runner import run_comparison, simulate_mapping
 from repro.obs import recording
 from tests.conftest import make_problem
 
@@ -58,25 +58,6 @@ def test_geodist_records_per_order_spans_and_meta(problem16):
     assert mapping.meta["orders_evaluated"] == len(orders)
     fill = mapping.meta["fill"]
     assert fill["seed_picks"] + fill["affinity_picks"] + fill["fallback_picks"] > 0
-
-
-def test_geodist_meta_identical_with_worker_threads(problem16):
-    serial = GeoDistributedMapper(workers=1).map(problem16, seed=0)
-    threaded = GeoDistributedMapper(workers=4).map(problem16, seed=0)
-    np.testing.assert_array_equal(serial.assignment, threaded.assignment)
-    assert serial.meta["chosen_order"] == threaded.meta["chosen_order"]
-    assert serial.meta["memo"] == threaded.meta["memo"]
-    assert serial.meta["fill"] == threaded.meta["fill"]
-
-
-def test_geodist_threaded_orders_parent_under_solve(problem16):
-    with recording() as rec:
-        GeoDistributedMapper(workers=4).map(problem16, seed=0)
-    assert len(rec.roots) == 1  # nothing escaped to a new root
-    solve = rec.roots[0].find("solve")
-    assert len(solve.find_all("geodist.order")) == math.factorial(
-        problem16.num_sites
-    )
 
 
 def test_annealing_and_montecarlo_meta(problem16):
@@ -141,45 +122,6 @@ def test_run_comparison_trace_groups_by_mapper(problem16):
         assert "cost" in root.attrs and "map_elapsed_s" in root.attrs
 
 
-def test_resilient_runner_records_retries_and_outcome():
-    calls = {"n": 0}
-
-    def flaky():
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise RuntimeError("transient")
-        return {"ok": True}
-
-    runner = ResilientRunner(max_retries=2, backoff_base_s=0.0, sleep=lambda s: None)
-    with recording() as rec:
-        outcomes = runner.run({"cell": flaky})
-    assert outcomes["cell"].ok and outcomes["cell"].attempts == 3
-    sweep = rec.roots[0]
-    assert sweep.name == "runner.sweep"
-    assert sweep.attrs["ok"] == 1 and sweep.attrs["failed"] == 0
-    scenario = sweep.find("runner.scenario")
-    assert scenario.attrs["status"] == "ok"
-    assert scenario.attrs["attempts"] == 3
-    failures = [e for e in scenario.events if e.name == "runner.attempt_failed"]
-    retries = [e for e in scenario.events if e.name == "runner.retry"]
-    assert len(failures) == 2 and len(retries) == 2
-    assert failures[0].attrs["error"].startswith("RuntimeError")
-
-
-def test_resilient_runner_records_checkpoint_replay(tmp_path):
-    store = tmp_path / "ckpt.json"
-    runner = ResilientRunner(checkpoint=store)
-    runner.run({"cell": lambda: {"v": 1}})
-    with recording() as rec:
-        outcomes = runner.run({"cell": lambda: {"v": 2}}, resume=True)
-    assert outcomes["cell"].from_checkpoint
-    assert outcomes["cell"].result == {"v": 1}
-    sweep = rec.roots[0]
-    assert sweep.attrs["replayed"] == 1
-    replays = [e for e in sweep.events if e.name == "runner.checkpoint_replay"]
-    assert len(replays) == 1 and replays[0].attrs["key"] == "cell"
-
-
 def test_repair_trace_stages(topo2):
     from repro.core.repair import UNPLACED, IncrementalRepairMapper
 
@@ -235,32 +177,6 @@ def test_simulator_emits_metrics_without_a_recorder(topo2):
     # stats collection turns on for metrics alone (no recorder).
     assert snap.counter_total("sim_link_bytes_total") == result.total_bytes
     assert snap.histogram_value("sim_makespan_seconds").count == 1
-
-
-def test_runner_retry_and_replay_metrics(tmp_path):
-    from repro.obs import collecting_metrics
-
-    calls = {"n": 0}
-
-    def flaky():
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise RuntimeError("transient")
-        return {"ok": True}
-
-    store = tmp_path / "ckpt.json"
-    runner = ResilientRunner(
-        max_retries=2, backoff_base_s=0.0, sleep=lambda s: None, checkpoint=store
-    )
-    with collecting_metrics() as metrics:
-        runner.run({"cell": flaky})
-    snap = metrics.snapshot()
-    assert snap.counter_total("runner_retries_total") == 2.0
-    assert snap.counter_value("runner_scenarios_total", status="ok") == 1.0
-    assert snap.histogram_value("runner_scenario_seconds", status="ok").count == 1
-    with collecting_metrics() as metrics:
-        runner.run({"cell": flaky}, resume=True)
-    assert metrics.snapshot().counter_total("runner_replays_total") == 1.0
 
 
 def test_robustness_cells_emit_metrics(topo2):

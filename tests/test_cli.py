@@ -89,10 +89,10 @@ def test_robustness_command(capsys):
     assert "0 failed" in out
 
 
-def test_robustness_resume_requires_checkpoint(capsys):
+def test_robustness_resume_requires_sweep_dir(capsys):
     rc = main(["robustness", "--resume", "--processes", "4", "--sites", "2"])
     assert rc == 2
-    assert "--resume requires --checkpoint" in capsys.readouterr().err
+    assert "--resume requires --sweep-dir" in capsys.readouterr().err
 
 
 def test_robustness_rejects_unknown_fault(capsys):
@@ -104,20 +104,19 @@ def test_robustness_rejects_unknown_fault(capsys):
     assert "unknown faults" in capsys.readouterr().err
 
 
-def test_robustness_checkpoint_resume_replays(tmp_path, capsys):
-    ckpt = str(tmp_path / "sweep.json")
+def test_robustness_sweep_dir_resume_adopts(tmp_path, capsys):
     args = [
         "robustness",
         "--app", "LU",
         "--processes", "8",
         "--sites", "2",
         "--limit", "2",
-        "--checkpoint", ckpt,
+        "--sweep-dir", str(tmp_path / "sweep"),
     ]
     assert main(args) == 0
     capsys.readouterr()
     assert main(args + ["--resume"]) == 0
-    assert "2 from checkpoint" in capsys.readouterr().out
+    assert "2 cells, 2 adopted, 0 failed" in capsys.readouterr().out
 
 
 def test_map_trace_round_trips(tmp_path, capsys):
@@ -357,6 +356,20 @@ def test_sweep_chaos_verify_against_clean(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ok=6" in out
     assert "verified: payload-identical" in out
+
+
+def test_sweep_rejects_dir_built_from_other_grid(tmp_path, capsys):
+    from repro.exp.fabric import demo_specs, write_sweep
+
+    d = str(tmp_path / "sweep")
+    write_sweep(d, demo_specs(4))
+    rc = main(["sweep", "--sweep-dir", d, "--grid", "demo", "--tasks", "6"])
+    assert rc == 2
+    assert "'demo/0004'" in capsys.readouterr().err
+    rc = main(["sweep", "--sweep-dir", d, "--grid", "demo", "--tasks", "4",
+               "--seed", "1", "--resume"])
+    assert rc == 2
+    assert "'demo/0000'" in capsys.readouterr().err
 
 
 def test_sweep_resume_and_merge_only(tmp_path, capsys):
