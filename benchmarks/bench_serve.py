@@ -57,7 +57,7 @@ class DaemonHarness:
         async def amain() -> None:
             daemon = PlacementDaemon(
                 self.socket_path,
-                config=EngineConfig(pool_workers=2, queue_limit=256, batch_max=4),
+                config=EngineConfig(pool_workers=2, queue_limit=256),
             )
             await daemon.start()
             self._box["daemon"] = daemon

@@ -476,9 +476,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=64,
         help="pending-request bound before 429 backpressure",
     )
-    p_serve.add_argument(
-        "--batch-max", type=int, default=4, help="max solves per pool dispatch"
-    )
+    # Accepted and ignored: perfbench's serve-mix workload still passes
+    # --batch-max 4 to the daemon it launches.
+    p_serve.add_argument("--batch-max", type=int, help=argparse.SUPPRESS)
     p_serve.add_argument(
         "--cache-size", type=int, default=256, help="result cache entries (0 disables)"
     )
@@ -1251,15 +1251,18 @@ def _cmd_serve(args) -> int:
     from .serve.engine import EngineConfig
 
     store_dir = resolve_store_dir(args.store)
-    config = EngineConfig(
-        pool_workers=args.pool_workers,
-        queue_limit=args.queue_limit,
-        batch_max=args.batch_max,
-        cache_size=args.cache_size,
-        degrade_at=args.degrade_at,
-        degrade_hard_at=args.degrade_hard_at,
-        store_dir=str(store_dir) if store_dir is not None else None,
-    )
+    try:
+        config = EngineConfig(
+            pool_workers=args.pool_workers,
+            queue_limit=args.queue_limit,
+            cache_size=args.cache_size,
+            degrade_at=args.degrade_at,
+            degrade_hard_at=args.degrade_hard_at,
+            store_dir=str(store_dir) if store_dir is not None else None,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     where = f"unix://{args.socket}"
     if args.http_port is not None:
         where += f" and http://127.0.0.1:{args.http_port}"

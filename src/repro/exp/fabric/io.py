@@ -29,6 +29,7 @@ from typing import Any, Callable
 
 __all__ = [
     "CheckpointLockError",
+    "FabricError",
     "PathLock",
     "atomic_write_json",
     "fsync_dir",
@@ -73,7 +74,11 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-class CheckpointLockError(RuntimeError):
+class FabricError(RuntimeError):
+    """A sweep-level configuration or state error (not a task failure)."""
+
+
+class CheckpointLockError(FabricError):
     """Another live process holds the lock for this path."""
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 from urllib.parse import quote
 
-from .io import atomic_write_json, read_json
+from .io import FabricError, atomic_write_json, read_json
 
 __all__ = [
     "SPEC_FORMAT",
@@ -53,10 +53,6 @@ RESULT_FORMAT = "repro-fabric-result-v1"
 #: Terminal states a shard may record.  ``ok`` is the only one a resumed
 #: sweep will not retry.
 SHARD_STATUSES = ("ok", "failed", "timeout", "quarantined")
-
-
-class FabricError(RuntimeError):
-    """A sweep-level configuration or state error (not a task failure)."""
 
 
 @dataclass(frozen=True)

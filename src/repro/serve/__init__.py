@@ -8,7 +8,7 @@ calls against warm state.  Layers, inside out:
   ``serve-map`` / ``serve-repair`` / ``serve-compare``) built on
   :func:`repro.core.warm_mapper` and problem fingerprints;
 * :mod:`.engine` — the transport-independent broker: LRU result cache,
-  request coalescing, micro-batching onto a ``ProcessPoolExecutor``,
+  request coalescing, one ``ProcessPoolExecutor`` task per solve,
   bounded-queue backpressure, and the geodist→multilevel→Greedy
   degradation ladder;
 * :mod:`.daemon` — unix-socket line-JSON and optional localhost HTTP

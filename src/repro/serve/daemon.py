@@ -17,7 +17,7 @@ Two front ends over one :class:`~repro.serve.engine.PlacementEngine`:
 
 Shutdown is graceful by contract: the ``shutdown`` op (or SIGTERM/
 SIGINT under :func:`run`) stops accepting connections, fails queued
-work with 503, and joins the process pool with ``wait=True`` — the CI
+and running work with 503, and joins the process pool with ``wait=True`` — the CI
 smoke test asserts no orphaned workers survive.
 """
 
@@ -87,7 +87,7 @@ class PlacementDaemon:
             )
 
     async def stop(self) -> None:
-        """Stop accepting, fail queued work, join the pool."""
+        """Stop accepting, fail queued and running work, join the pool."""
         for server in (self._unix_server, self._http_server):
             if server is not None:
                 server.close()

@@ -1,4 +1,4 @@
-"""The placement engine: caching, coalescing, batching, degradation.
+"""The placement engine: caching, coalescing, backpressure, degradation.
 
 :class:`PlacementEngine` is the transport-independent middle of the
 daemon — both the unix-socket and HTTP front ends feed decoded request
@@ -10,13 +10,14 @@ it returns.  The engine owns every serving policy:
 * **Coalescing** — identical in-flight requests (same operation,
   problem fingerprint, effective mapper, seed) share one solve via a
   single future; only the first occupies a queue slot.
-* **Micro-batching** — work items drain onto a warm
-  ``ProcessPoolExecutor`` in batches of up to ``batch_max``, amortizing
-  executor dispatch; one dispatcher task per pool worker keeps the pool
-  saturated without oversubscribing it.
+* **One pool task per solve** — a leader request submits its payload
+  straight to a warm ``ProcessPoolExecutor``; a done-callback caches
+  the row and resolves the shared future.  The executor's own queue
+  orders solves, so no dispatcher or batch sits in between.
 * **Backpressure** — at most ``queue_limit`` requests may be in flight;
   the next one is rejected with a 429-style response carrying a
-  ``retry_after_s`` estimate from an EWMA of recent batch times.
+  ``retry_after_s`` estimate from an EWMA of recent per-solve pool
+  times.
 * **Degradation** — as the queue deepens past ``degrade_at`` the
   requested geo-distributed mapper is swapped for multilevel, and past
   ``degrade_hard_at`` any non-Greedy request is served by Greedy.
@@ -35,14 +36,16 @@ otherwise observe the NULL defaults (see the concurrency notes in
 from __future__ import annotations
 
 import asyncio
+import math
 import platform
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable
 
 from .. import __version__
+from ..core import MappingProblem
 from ..obs import (
     MetricsRegistry,
     SpanRecorder,
@@ -63,13 +66,24 @@ from .protocol import (
     encode_problem,
     error_response,
 )
-from .solver import solve_batch
+from .solver import solve_one
 
 __all__ = ["EngineConfig", "PlacementEngine", "OverloadedError"]
 
 #: The degradation ladder, cheapest last.  A request's mapper is moved
 #: *down* this list (never up) as queue depth crosses the thresholds.
 DEGRADATION_LADDER = ("geo-distributed", "multilevel", "greedy")
+
+#: The row every unsettled request gets when the engine stops.
+_SHUTDOWN_ROW: dict[str, Any] = {
+    "ok": False, "code": 503, "error": "daemon shutting down"
+}
+
+
+
+def _pool_failure(exc: BaseException | None) -> dict[str, Any]:
+    """The row for a solve the pool itself failed (not the solver)."""
+    return {"ok": False, "code": 500, "error": f"pool failure: {exc}"}
 
 
 class OverloadedError(RuntimeError):
@@ -86,7 +100,6 @@ class EngineConfig:
 
     pool_workers: int = 2
     queue_limit: int = 64
-    batch_max: int = 4
     cache_size: int = 256
     #: Queue depth at which geo-distributed requests degrade to multilevel.
     degrade_at: int | None = None
@@ -104,20 +117,6 @@ class EngineConfig:
             raise ValueError(f"pool_workers must be >= 1, got {self.pool_workers}")
         if self.queue_limit < 1:
             raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
-        if self.batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
-
-
-@dataclass
-class _WorkItem:
-    key: Hashable
-    kind: str
-    params: dict[str, Any]
-    future: "asyncio.Future[dict[str, Any]]"
-    #: Wire-form trace context naming the leader's request span, so the
-    #: pool worker's solve spans parent under it.
-    traceparent: str | None = None
-    enqueued_at: float = field(default_factory=time.monotonic)
 
 
 class PlacementEngine:
@@ -129,11 +128,9 @@ class PlacementEngine:
         self.metrics = MetricsRegistry()
         self.recorder = SpanRecorder()
         self._pool: ProcessPoolExecutor | None = None
-        self._queue: "asyncio.Queue[_WorkItem]" = asyncio.Queue()
-        self._dispatchers: list[asyncio.Task[None]] = []
         self._in_flight: dict[Hashable, asyncio.Future[dict[str, Any]]] = {}
         self._pending = 0
-        self._ewma_batch_s = 0.05
+        self._ewma_solve_s = 0.05
         self._started_at = time.monotonic()
         #: Closed request trace documents by trace id (bounded LRU-ish).
         self._traces: "OrderedDict[str, dict[str, Any]]" = OrderedDict()
@@ -153,48 +150,38 @@ class PlacementEngine:
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
-        """Spin up the pool and one dispatcher task per worker."""
+        """Spin up the warm solver pool, every worker forked up front."""
         if self._pool is not None:
             return
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.config.pool_workers, initializer=_pool_init
+        workers = self.config.pool_workers
+        self._pool = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init)
+        # The pool forks lazily inside submit.  Forked there, a worker
+        # would inherit the submitting request's open span (misparenting
+        # its solve spans) and the client sockets open at that moment
+        # (holding those connections open until the pool shuts down).
+        # One concurrent no-op per worker forks them all here instead.
+        loop = asyncio.get_running_loop()
+        await asyncio.gather(
+            *(loop.run_in_executor(self._pool, _pool_init) for _ in range(workers))
         )
         self._started_at = time.monotonic()
-        loop = asyncio.get_running_loop()
-        self._dispatchers = [
-            loop.create_task(self._dispatch_loop(), name=f"serve-dispatch-{i}")
-            for i in range(self.config.pool_workers)
-        ]
 
     async def stop(self) -> None:
-        """Drain nothing, fail everything pending, shut the pool down."""
-        for task in self._dispatchers:
-            task.cancel()
-        for task in self._dispatchers:
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        self._dispatchers = []
-        while not self._queue.empty():
-            item = self._queue.get_nowait()
-            self._pending -= 1
-            self._in_flight.pop(item.key, None)
-            if not item.future.done():
-                item.future.set_result(
-                    {"ok": False, "code": 503, "error": "daemon shutting down"}
-                )
+        """Drain nothing: fail queued and running work with 503, join the pool."""
+        for key, future in list(self._in_flight.items()):
+            self._settle(key, future, _SHUTDOWN_ROW)
         pool, self._pool = self._pool, None
         if pool is not None:
-            # Blocks until workers exit; run off-loop so the event loop
-            # (which may still be answering health checks) stays live.
+            # Blocks until running solves finish and workers exit; run
+            # off-loop so the event loop (which may still be answering
+            # health checks) stays live.
             await asyncio.get_running_loop().run_in_executor(
-                None, lambda: pool.shutdown(wait=True)
+                None, lambda: pool.shutdown(wait=True, cancel_futures=True)
             )
 
     @property
     def pending(self) -> int:
-        """In-flight work items (queued or executing)."""
+        """In-flight solves (queued in the pool or executing)."""
         return self._pending
 
     # ------------------------------------------------------------- metrics
@@ -210,10 +197,8 @@ class PlacementEngine:
             "Requests served by a cheaper mapper than requested.",
         )
         m.histogram("serve_request_seconds", "End-to-end request latency.")
-        m.histogram("serve_batch_size", "Work items per pool round trip.",
-                    buckets=tuple(float(b) for b in range(1, 17)))
-        m.histogram("serve_batch_seconds", "Pool round-trip time per batch.")
-        m.gauge("serve_queue_depth", "In-flight work items (queued or executing).")
+        m.histogram("serve_solve_seconds", "Pool round-trip time per solve.")
+        m.gauge("serve_queue_depth", "In-flight solves (queued or executing).")
         m.gauge(
             "serve_build_info",
             "Constant 1; labels carry the repro version and Python version.",
@@ -228,53 +213,41 @@ class PlacementEngine:
 
     # ------------------------------------------------------------ dispatch
 
-    async def _dispatch_loop(self) -> None:
-        if self._pool is None:
-            raise RuntimeError("dispatcher started without a pool")
-        loop = asyncio.get_running_loop()
-        while True:
-            item = await self._queue.get()
-            batch = [item]
-            while len(batch) < self.config.batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            payloads: list[dict[str, Any]] = []
-            for it in batch:
-                payload: dict[str, Any] = {"kind": it.kind, "params": it.params}
-                if it.traceparent is not None:
-                    payload["traceparent"] = it.traceparent
-                payloads.append(payload)
-            start = time.monotonic()
-            try:
-                rows = await loop.run_in_executor(self._pool, solve_batch, payloads)
-            except asyncio.CancelledError:
-                self._fail_batch(batch, 503, "daemon shutting down")
-                raise
-            except Exception as exc:  # noqa: BLE001 - broken pool etc.
-                self._fail_batch(batch, 500, f"pool failure: {exc}")
-                continue
-            elapsed = time.monotonic() - start
-            per_item = elapsed / len(batch)
-            self._ewma_batch_s = 0.8 * self._ewma_batch_s + 0.2 * per_item
-            self.metrics.observe("serve_batch_size", float(len(batch)))
-            self.metrics.observe("serve_batch_seconds", elapsed)
-            for it, row in zip(batch, rows):
-                self._settle(it, row)
+    def _on_solved(
+        self,
+        key: Hashable,
+        future: "asyncio.Future[dict[str, Any]]",
+        started: float,
+        solve: "asyncio.Future[dict[str, Any]]",
+    ) -> None:
+        """Done-callback of one pool task: turn its outcome into a row."""
+        if solve.cancelled():
+            row = _SHUTDOWN_ROW
+        elif solve.exception() is not None:  # broken pool etc.
+            row = _pool_failure(solve.exception())
+        else:
+            elapsed = time.monotonic() - started
+            self._ewma_solve_s = 0.8 * self._ewma_solve_s + 0.2 * elapsed
+            self.metrics.observe("serve_solve_seconds", elapsed)
+            row = solve.result()
+        self._settle(key, future, row)
 
-    def _settle(self, item: _WorkItem, row: dict[str, Any]) -> None:
+    def _settle(
+        self,
+        key: Hashable,
+        future: "asyncio.Future[dict[str, Any]]",
+        row: dict[str, Any],
+    ) -> None:
+        # stop() settles early; the pool task's callback then finds the
+        # future done and must not release the slot a second time.
+        if future.done():
+            return
         self._pending -= 1
         self.metrics.set_gauge("serve_queue_depth", float(self._pending))
-        self._in_flight.pop(item.key, None)
+        self._in_flight.pop(key, None)
         if row.get("ok"):
-            self.cache.put(item.key, row["result"])
-        if not item.future.done():
-            item.future.set_result(row)
-
-    def _fail_batch(self, batch: list[_WorkItem], code: int, message: str) -> None:
-        for it in batch:
-            self._settle(it, {"ok": False, "code": code, "error": message})
+            self.cache.put(key, row["result"])
+        future.set_result(row)
 
     # ----------------------------------------------------------- policies
 
@@ -291,16 +264,14 @@ class PlacementEngine:
         return DEGRADATION_LADDER[level]
 
     def _retry_after(self) -> float:
-        """Rough time until a queue slot frees, from the batch EWMA."""
-        waves = self._pending / max(
-            1, self.config.pool_workers * self.config.batch_max
-        )
-        return max(0.05, waves * self._ewma_batch_s)
+        """Rough time until a queue slot frees, from the per-solve EWMA."""
+        waves = self._pending / self.config.pool_workers
+        return max(0.05, waves * self._ewma_solve_s)
 
     async def _submit(
         self, key: Hashable, kind: str, params: dict[str, Any]
     ) -> tuple[dict[str, Any], bool]:
-        """Coalesce onto an in-flight solve or enqueue a new one.
+        """Coalesce onto an in-flight solve or submit a new pool task.
 
         Returns ``(row, coalesced)``; raises :class:`OverloadedError`
         when a fresh slot would exceed ``queue_limit``.
@@ -308,6 +279,8 @@ class PlacementEngine:
         existing = self._in_flight.get(key)
         if existing is not None:
             return await asyncio.shield(existing), True
+        if self._pool is None:
+            return _SHUTDOWN_ROW, False
         if self._pending >= self.config.queue_limit:
             raise OverloadedError(self._retry_after())
         loop = asyncio.get_running_loop()
@@ -315,15 +288,21 @@ class PlacementEngine:
         self._in_flight[key] = future
         self._pending += 1
         self.metrics.set_gauge("serve_queue_depth", float(self._pending))
-        self._queue.put_nowait(
-            _WorkItem(
-                key=key,
-                kind=kind,
-                params=params,
-                future=future,
-                traceparent=self._request_traceparent(),
+        payload: dict[str, Any] = {"kind": kind, "params": params}
+        # Wire-form trace context naming the leader's request span, so
+        # the pool worker's solve spans parent under it.
+        traceparent = self._request_traceparent()
+        if traceparent is not None:
+            payload["traceparent"] = traceparent
+        started = time.monotonic()
+        try:
+            solve = loop.run_in_executor(self._pool, solve_one, payload)
+        except Exception as exc:  # noqa: BLE001 - broken pool
+            self._settle(key, future, _pool_failure(exc))
+        else:
+            solve.add_done_callback(
+                lambda done: self._on_solved(key, future, started, done)
             )
-        )
         # shield(): a disconnecting client cancels its handler task, which
         # must not cancel the shared future other waiters may join.
         return await asyncio.shield(future), False
@@ -512,19 +491,41 @@ class PlacementEngine:
             response["mapper"] = mapper
         return response
 
-    def _row_to_response(
-        self, request_id: Any, row: dict[str, Any], **decor: Any
+    async def _serve(
+        self,
+        op: str,
+        request_id: Any,
+        problem: MappingProblem,
+        key: Hashable,
+        params: dict[str, Any],
+        *,
+        fingerprint: str,
+        mapper: str | None = None,
+        degraded: bool = False,
     ) -> dict[str, Any]:
-        # Only the leader grafts — coalesced followers share the same
-        # row and their request spans did not cause the solve.
-        trace_doc = row.get("trace")
-        if trace_doc is not None and not decor.get("coalesced", False):
-            self._graft_worker_trace(trace_doc)
+        """The shared solve path: cache, then coalesce-or-submit, then reply."""
+        decor: dict[str, Any] = {
+            "fingerprint": fingerprint, "mapper": mapper, "degraded": degraded
+        }
+        cached = self.cache.get(key)
+        if cached is not None:
+            self.metrics.inc("serve_cache_hits_total", op=op)
+            return self._decorate(request_id, cached, cache_hit=True, **decor)
+        params = {"problem": encode_problem(problem, arrays=True), **params}
+        row, coalesced = await self._submit(key, f"serve-{op}", params)
+        if coalesced:
+            self.metrics.inc("serve_coalesced_total", op=op)
+        elif row.get("trace") is not None:
+            # Only the leader grafts — coalesced followers share the same
+            # row and their request spans did not cause the solve.
+            self._graft_worker_trace(row["trace"])
         if not row.get("ok"):
             return error_response(
                 request_id, int(row.get("code", 500)), str(row.get("error"))
             )
-        return self._decorate(request_id, row["result"], **decor)
+        return self._decorate(
+            request_id, row["result"], coalesced=coalesced, **decor
+        )
 
     async def _handle_map(self, request: dict[str, Any]) -> dict[str, Any]:
         request_id = request.get("id")
@@ -534,83 +535,63 @@ class PlacementEngine:
         mapper_kwargs = dict(request.get("mapper_kwargs") or {})
         seed = int(request.get("seed", 0))
         sleep_s = float(request.get("sleep_s", 0.0))
+        # inf would overflow the worker's sleep; NaN would enter the
+        # cache key and never match again.
+        if not math.isfinite(sleep_s) or sleep_s < 0:
+            raise ProtocolError(f"sleep_s must be finite and >= 0, got {sleep_s}")
         kwargs_key = tuple(sorted((str(k), repr(v)) for k, v in mapper_kwargs.items()))
 
         def key_for(mapper: str) -> Hashable:
             return ("map", fingerprint, mapper, kwargs_key, seed, sleep_s)
 
-        # A full-quality cached answer beats running anything, degraded
-        # or not — check the *requested* mapper's key first.
-        cached = self.cache.get(key_for(requested))
-        if cached is not None:
-            self.metrics.inc("serve_cache_hits_total", op="map")
-            return self._decorate(
-                request_id, cached, fingerprint=fingerprint,
-                mapper=requested, cache_hit=True,
-            )
         effective = self._effective_mapper(requested)
         degraded = effective != requested
         if degraded:
-            self.metrics.inc(
-                "serve_degraded_total", requested=requested, effective=effective
-            )
-            cached = self.cache.get(key_for(effective))
+            # A full-quality cached answer beats running anything
+            # degraded — check the *requested* mapper's key first.
+            cached = self.cache.get(key_for(requested))
             if cached is not None:
                 self.metrics.inc("serve_cache_hits_total", op="map")
                 return self._decorate(
                     request_id, cached, fingerprint=fingerprint,
-                    mapper=effective, cache_hit=True, degraded=True,
+                    mapper=requested, cache_hit=True,
                 )
+            self.metrics.inc(
+                "serve_degraded_total", requested=requested, effective=effective
+            )
         params: dict[str, Any] = {
-            "problem": encode_problem(problem, arrays=True),
             "mapper": effective,
             "mapper_kwargs": mapper_kwargs,
             "seed": seed,
         }
         if sleep_s > 0:
             params["sleep_s"] = sleep_s
-        row, coalesced = await self._submit(key_for(effective), "serve-map", params)
-        if coalesced:
-            self.metrics.inc("serve_coalesced_total", op="map")
-        return self._row_to_response(
-            request_id, row, fingerprint=fingerprint, mapper=effective,
-            coalesced=coalesced, degraded=degraded,
+        return await self._serve(
+            "map", request_id, problem, key_for(effective), params,
+            fingerprint=fingerprint, mapper=effective, degraded=degraded,
         )
 
     async def _handle_repair(self, request: dict[str, Any]) -> dict[str, Any]:
-        request_id = request.get("id")
         problem = decode_problem(request.get("problem"))
         fingerprint = problem.fingerprint()
         partial = request.get("partial")
         if not isinstance(partial, (list, tuple)):
             raise ProtocolError("repair needs a 'partial' assignment list")
+        partial = [int(p) for p in partial]
         refine_rounds = int(request.get("refine_rounds", 2))
         extra_moves = int(request.get("extra_moves", 0))
-        key = (
-            "repair", fingerprint, tuple(int(p) for p in partial),
-            refine_rounds, extra_moves,
-        )
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.metrics.inc("serve_cache_hits_total", op="repair")
-            return self._decorate(
-                request_id, cached, fingerprint=fingerprint, cache_hit=True
-            )
+        key = ("repair", fingerprint, tuple(partial), refine_rounds, extra_moves)
         params = {
-            "problem": encode_problem(problem, arrays=True),
-            "partial": [int(p) for p in partial],
+            "partial": partial,
             "refine_rounds": refine_rounds,
             "extra_moves": extra_moves,
         }
-        row, coalesced = await self._submit(key, "serve-repair", params)
-        if coalesced:
-            self.metrics.inc("serve_coalesced_total", op="repair")
-        return self._row_to_response(
-            request_id, row, fingerprint=fingerprint, coalesced=coalesced
+        return await self._serve(
+            "repair", request.get("id"), problem, key, params,
+            fingerprint=fingerprint,
         )
 
     async def _handle_compare(self, request: dict[str, Any]) -> dict[str, Any]:
-        request_id = request.get("id")
         problem = decode_problem(request.get("problem"))
         fingerprint = problem.fingerprint()
         mappers = request.get("mappers")
@@ -619,22 +600,10 @@ class PlacementEngine:
         names = tuple(str(m) for m in mappers)
         seed = int(request.get("seed", 0))
         key = ("compare", fingerprint, names, seed)
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.metrics.inc("serve_cache_hits_total", op="compare")
-            return self._decorate(
-                request_id, cached, fingerprint=fingerprint, cache_hit=True
-            )
-        params = {
-            "problem": encode_problem(problem, arrays=True),
-            "mappers": list(names),
-            "seed": seed,
-        }
-        row, coalesced = await self._submit(key, "serve-compare", params)
-        if coalesced:
-            self.metrics.inc("serve_coalesced_total", op="compare")
-        return self._row_to_response(
-            request_id, row, fingerprint=fingerprint, coalesced=coalesced
+        params = {"mappers": list(names), "seed": seed}
+        return await self._serve(
+            "compare", request.get("id"), problem, key, params,
+            fingerprint=fingerprint,
         )
 
     def health(self) -> dict[str, Any]:
@@ -646,7 +615,6 @@ class PlacementEngine:
             "pending": self._pending,
             "queue_limit": self.config.queue_limit,
             "pool_workers": self.config.pool_workers,
-            "batch_max": self.config.batch_max,
             "degrade_at": self.config.degrade_at,
             "degrade_hard_at": self.config.degrade_hard_at,
             "cache": self.cache.stats(),
@@ -659,5 +627,7 @@ def _pool_init() -> None:
     Under the ``spawn`` start method workers begin with a blank module
     table; importing :mod:`repro.serve.solver` re-registers the serve
     kinds (fork inherits them for free, and the import is a no-op).
+    :meth:`PlacementEngine.start` also submits it once per worker as the
+    no-op task that forks the pool up front.
     """
     from . import solver  # noqa: F401

@@ -1,8 +1,8 @@
 """Pool-worker side of the placement daemon: the actual solves.
 
-The daemon's event loop never touches a solver — it ships batches of
-payloads to a warm ``ProcessPoolExecutor`` whose workers run
-:func:`solve_batch`.  Each payload is a fabric-style ``{"kind", "params"}``
+The daemon's event loop never touches a solver — it ships each payload
+as one task to a warm ``ProcessPoolExecutor`` whose workers run
+:func:`solve_one`.  Each payload is a fabric-style ``{"kind", "params"}``
 pair resolved through :mod:`repro.exp.fabric.tasks`'s registry, so the
 serve stack reuses the fabric worker entrypoint contract instead of
 inventing a second task dispatch: importing this module (which the pool
@@ -34,7 +34,7 @@ from ..core import repair_mapping, warm_mapper
 from ..exp.fabric.tasks import register_task
 from .protocol import decode_problem, encode_mapping
 
-__all__ = ["solve_batch", "serve_map_task", "serve_repair_task", "serve_compare_task"]
+__all__ = ["solve_one", "serve_map_task", "serve_repair_task", "serve_compare_task"]
 
 
 def _mapper_args(params: dict[str, Any]) -> tuple[str, dict[str, Any]]:
@@ -88,13 +88,12 @@ def serve_compare_task(params: dict[str, Any]) -> dict[str, Any]:
     return {"mappings": results}
 
 
-def solve_batch(payloads: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Run a micro-batch of ``{"kind", "params"}`` payloads in-process.
+def solve_one(payload: dict[str, Any]) -> dict[str, Any]:
+    """Run one ``{"kind", "params"}`` payload in-process; one pool task.
 
-    One pool round trip amortizes executor dispatch over the whole
-    batch.  Failures are captured per-payload — one bad request must not
-    poison its batchmates — and reported as ``{"ok": False, ...}`` rows
-    the engine turns into 400/500 responses.
+    Failures are captured, not raised — a worker must answer, not die —
+    and reported as an ``{"ok": False, ...}`` row the engine turns into
+    a 400/500 response.
 
     A payload carrying a ``"traceparent"`` runs under a fresh
     :class:`~repro.obs.SpanRecorder` bound to that context, and its row
@@ -104,40 +103,32 @@ def solve_batch(payloads: list[dict[str, Any]]) -> list[dict[str, Any]]:
     from ..exp.fabric.tasks import get_task
     from ..obs import SpanRecorder, TraceContext, trace_to_dict, using_recorder
 
-    rows: list[dict[str, Any]] = []
-    for payload in payloads:
-        context: TraceContext | None = None
-        raw_tp = payload.get("traceparent")
-        if isinstance(raw_tp, str):
-            try:
-                context = TraceContext.from_traceparent(raw_tp)
-            except ValueError:
-                context = None  # a bad header must not fail the solve
+    context: TraceContext | None = None
+    raw_tp = payload.get("traceparent")
+    if isinstance(raw_tp, str):
         try:
-            fn = get_task(str(payload["kind"]))
-            params = dict(payload["params"])
-            if context is None:
-                rows.append({"ok": True, "result": fn(params)})
-                continue
-            recorder = SpanRecorder(context=context)
-            with using_recorder(recorder):
-                with recorder.span("serve.solve", kind=str(payload["kind"])):
-                    result = fn(params)
-            rows.append(
-                {
-                    "ok": True,
-                    "result": result,
-                    "trace": trace_to_dict(
-                        recorder.roots,
-                        trace_id=recorder.trace_id,
-                        anchor=recorder.anchor,
-                    ),
-                }
-            )
-        except (ValueError, KeyError, TypeError) as exc:
-            rows.append({"ok": False, "code": 400, "error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 - worker must answer, not die
-            rows.append(
-                {"ok": False, "code": 500, "error": f"{type(exc).__name__}: {exc}"}
-            )
-    return rows
+            context = TraceContext.from_traceparent(raw_tp)
+        except ValueError:
+            context = None  # a bad header must not fail the solve
+    try:
+        fn = get_task(str(payload["kind"]))
+        params = dict(payload["params"])
+        if context is None:
+            return {"ok": True, "result": fn(params)}
+        recorder = SpanRecorder(context=context)
+        with using_recorder(recorder):
+            with recorder.span("serve.solve", kind=str(payload["kind"])):
+                result = fn(params)
+        return {
+            "ok": True,
+            "result": result,
+            "trace": trace_to_dict(
+                recorder.roots,
+                trace_id=recorder.trace_id,
+                anchor=recorder.anchor,
+            ),
+        }
+    except (ValueError, KeyError, TypeError) as exc:
+        return {"ok": False, "code": 400, "error": str(exc)}
+    except Exception as exc:  # noqa: BLE001 - worker must answer, not die
+        return {"ok": False, "code": 500, "error": f"{type(exc).__name__}: {exc}"}

@@ -87,7 +87,7 @@ def test_acceptance_coalesce_cache_identity_backpressure(
     """The full acceptance flow over one daemon on the unix socket."""
 
     config = EngineConfig(
-        pool_workers=1, queue_limit=2, batch_max=1,
+        pool_workers=1, queue_limit=2,
         degrade_at=1, degrade_hard_at=1,
     )
 

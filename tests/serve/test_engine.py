@@ -20,6 +20,7 @@ from repro.core import UNPLACED, get_mapper, repair_mapping
 from repro.serve.engine import EngineConfig, PlacementEngine
 from repro.serve.protocol import encode_problem
 from tests.conftest import make_problem
+from tests.serve.test_daemon import _assert_all_dead
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +181,7 @@ def test_degradation_ladder_under_load(problem, problem_b, problem_c):
 
     r1, r2, r3, calm = run_with_engine(
         EngineConfig(
-            pool_workers=1, queue_limit=16, batch_max=1,
+            pool_workers=1, queue_limit=16,
             degrade_at=1, degrade_hard_at=2,
         ),
         scenario,
@@ -273,6 +274,49 @@ def test_malformed_problem_is_400():
 
     response = run_with_engine(EngineConfig(pool_workers=1), scenario)
     assert not response["ok"] and response["code"] == 400
+
+
+@pytest.mark.parametrize("sleep_s", [float("inf"), float("nan"), -1.0])
+def test_bad_sleep_s_is_400(problem, sleep_s):
+    async def scenario(engine):
+        request = map_request(problem)
+        request["sleep_s"] = sleep_s
+        # Through the wire's JSON decoder, which accepts Infinity/NaN.
+        return await engine.handle(json.loads(json.dumps(request)))
+
+    response = run_with_engine(EngineConfig(pool_workers=1), scenario)
+    assert not response["ok"] and response["code"] == 400
+    assert "sleep_s" in response["error"]
+
+
+def test_stop_fails_running_and_queued_requests_with_503(problem, problem_b):
+    async def main():
+        engine = PlacementEngine(EngineConfig(pool_workers=1))
+        await engine.start()
+        pids = list(engine._pool._processes)
+        running = asyncio.create_task(
+            engine.handle(map_request(problem, rid=1, sleep_s=0.5))
+        )
+        await asyncio.sleep(0.1)  # the one worker is now inside the solve
+        queued = asyncio.create_task(
+            engine.handle(map_request(problem_b, rid=2, sleep_s=0.5))
+        )
+        follower = asyncio.create_task(
+            engine.handle(map_request(problem, rid=3, sleep_s=0.5))
+        )
+        await asyncio.sleep(0.05)
+        await engine.stop()
+        responses = await asyncio.gather(running, queued, follower)
+        coalesced = engine.metrics.counter("serve_coalesced_total").value(op="map")
+        return responses, coalesced, engine.pending, pids
+
+    responses, coalesced, pending, pids = asyncio.run(main())
+    assert [r["code"] for r in responses] == [503, 503, 503]
+    assert all(not r["ok"] for r in responses)
+    assert coalesced == 1  # the follower joined the running leader
+    assert pending == 0
+    assert pids
+    _assert_all_dead(pids)
 
 
 def test_unknown_mapper_is_400(problem):

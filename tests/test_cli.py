@@ -387,6 +387,33 @@ def test_sweep_resume_and_merge_only(tmp_path, capsys):
     assert "merge: 4 rows" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["sweep", "--grid", "demo", "--tasks", "2"],
+        ["robustness", "--processes", "4", "--sites", "2", "--limit", "1"],
+    ],
+    ids=["sweep", "robustness"],
+)
+def test_sweep_dir_locked_by_live_process_exits_2(tmp_path, capsys, command):
+    import os
+
+    from repro.exp.fabric import SweepLayout
+
+    d = tmp_path / "sweep"
+    lock = SweepLayout(d).lock_path
+    lock.parent.mkdir(parents=True, exist_ok=True)
+    # The parent of this test process is alive and is not this process,
+    # so the lockfile reads as held by a live concurrent supervisor.
+    lock.write_text(str(os.getppid()))
+    rc = main([*command, "--sweep-dir", str(d)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"locked by live process {os.getppid()}" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_rejects_bad_chaos_spec(tmp_path, capsys):
     rc = main(
         ["sweep", "--sweep-dir", str(tmp_path / "s"), "--grid", "demo",
@@ -500,6 +527,17 @@ def test_map_remote_without_daemon_fails_cleanly(tmp_path, capsys):
 def test_serve_cli_flags_validate():
     with pytest.raises(SystemExit):
         main(["serve", "--pool-workers"])  # missing value
+
+
+@pytest.mark.parametrize("flag", ["--pool-workers", "--queue-limit"])
+def test_serve_rejects_non_positive_sizes_before_binding(tmp_path, capsys, flag):
+    socket_path = tmp_path / "placement.sock"
+    rc = main(["serve", "--socket", str(socket_path), flag, "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "must be >= 1" in err
+    assert not socket_path.exists()
 
 
 # ---------------------------------------------------------------------- obs
