@@ -27,8 +27,9 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: suite.  Schema v2: a JSON list of {"schema", "bench", "n", "m",
 #: "seconds", "cost"} — keyed only by (bench, n, m) so records compare
 #: across machines (`repro bench-check` consumes this file; see
-#: repro.obs.benchgate).  Set $REPRO_BENCH_JSON to redirect writes, e.g.
-#: so a gating run never touches the checked-in baseline.
+#: repro.obs.benchgate).  Set $REPRO_BENCH_JSON to redirect writes (the
+#: records and, via `emit`, the result tables), e.g. so a gating run never
+#: touches the checked-in files.
 BENCH_PERF_JSON = Path(__file__).parent.parent / "BENCH_perf.json"
 
 #: Keep in sync with repro.obs.benchgate.BENCH_SCHEMA_VERSION (a unit
@@ -127,32 +128,17 @@ def update_bench_json(records: list[dict], path: Path | None = None) -> Path:
     return path
 
 
-def store_records(records: list[dict], kind: str = "bench") -> None:
-    """Best-effort mirror of bench records into the telemetry store.
-
-    When ``$REPRO_STORE`` names a store directory (see
-    ``repro.obs.store``), each record is appended as a ``kind`` run
-    record, giving ``repro obs query`` / ``repro obs regressions``
-    cross-run history to grade against.  No store configured — or
-    ``repro`` not importable — is a silent no-op: the benches must keep
-    working from a bare checkout, and telemetry must never fail a run.
-    """
-    if not os.environ.get("REPRO_STORE", "").strip():
-        return
-    try:
-        from repro.obs import TelemetryStore, resolve_store_dir
-
-        store = TelemetryStore(resolve_store_dir())
-        for record in records:
-            store.append({"kind": kind, **record})
-    except Exception:
-        return
-
-
 def emit(name: str, text: str) -> str:
-    """Persist one regenerated table/figure and echo it."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+    """Persist one regenerated table/figure and echo it.
+
+    Tables land in :data:`RESULTS_DIR`, or beside ``$REPRO_BENCH_JSON``
+    when that is set, so a redirected run (``repro bench-check``) leaves
+    the checked-in tables alone as well as the baseline.
+    """
+    override = os.environ.get("REPRO_BENCH_JSON", "")
+    out_dir = Path(override).parent if override else RESULTS_DIR
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n[written to {path}]")
     return text

@@ -14,11 +14,11 @@ from all N^2 flat positions and effectively hangs at N = 65536.
 
 Run directly::
 
-    PYTHONPATH=src python benchmarks/bench_multilevel.py [--quick | --smoke]
+    PYTHONPATH=src python benchmarks/bench_multilevel.py [--smoke]
 
-``--quick`` runs only N=4096 (CI bench-gate footprint); ``--smoke`` runs
-the CI correctness smoke (N=2048: quality ratio + trace structure) and
-writes no bench rows.
+``--smoke`` runs the CI correctness smoke (N=2048: quality ratio +
+trace structure) and writes no bench rows.  Multilevel timing is graded
+by perfbench's ``multilevel-sparse`` workload, not by ``bench-check``.
 """
 
 from __future__ import annotations
@@ -76,10 +76,10 @@ def make_sparse_problem(
     return MappingProblem(CG=cg, AG=ag, LT=lt, BT=bt, capacities=caps, coordinates=coords)
 
 
-def bench_multilevel(n: int, *, kappa: int = 4, quick: bool = False) -> dict:
+def bench_multilevel(n: int, *, kappa: int = 4) -> dict:
     problem = make_sparse_problem(n, kappa=kappa)
     mapper = MultilevelMapper(kappa=kappa)
-    repeats = 3 if n <= DIRECT_FEASIBLE_N and not quick else 1
+    repeats = 3 if n <= DIRECT_FEASIBLE_N else 1
     seconds, result = median_time(
         lambda: mapper.map(problem, seed=0), warmup=0, repeats=repeats
     )
@@ -137,11 +137,7 @@ def run_smoke(n: int = 2048, kappa: int = 4) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--quick", action="store_true", help="CI bench gate: N=4096 only"
-    )
-    group.add_argument(
+    parser.add_argument(
         "--smoke", action="store_true", help="CI correctness smoke (no bench rows)"
     )
     args = parser.parse_args(argv)
@@ -149,8 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         return run_smoke()
 
-    sizes = (4096,) if args.quick else (4096, 16384, 65536)
-    records = [bench_multilevel(n, quick=args.quick) for n in sizes]
+    records = [bench_multilevel(n) for n in (4096, 16384, 65536)]
 
     path = update_bench_json(records)
     lines = ["bench                          n      m    seconds    quality"]

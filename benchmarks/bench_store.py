@@ -12,9 +12,7 @@ records.  This bench measures the three operations that matter:
   the histogram quantile estimator.
 
 Timings land in ``BENCH_perf.json`` (schema v2; redirect with
-``REPRO_BENCH_JSON``) and — when ``$REPRO_STORE`` is set — are also
-appended to the telemetry store itself, so the store's own history is
-queryable with the tool it benchmarks.  Run directly::
+``REPRO_BENCH_JSON``).  Run directly::
 
     PYTHONPATH=src python benchmarks/bench_store.py [--quick]
 """
@@ -29,7 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _common import emit, median_time, store_records, update_bench_json  # noqa: E402
+from _common import emit, median_time, update_bench_json  # noqa: E402
 
 from repro.obs import TelemetryStore, percentiles_of  # noqa: E402
 
@@ -100,7 +98,6 @@ def main(argv: list[str] | None = None) -> int:
     emit("bench_store", "\n".join(lines))
 
     update_bench_json(rows)
-    store_records(rows)
     return 0
 
 

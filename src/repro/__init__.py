@@ -26,6 +26,18 @@ Quickstart::
         print(name, r.total_time_s)
 """
 
+import os
+
+# One OpenBLAS thread unless the caller set a value.  The cost kernels
+# issue small GEMM/GEMV calls (one-hot site aggregation, batch cost)
+# where OpenBLAS's thread pool is a cliff, not a speed-up: on a 2-vCPU
+# VM the dense site aggregation at n=256 took 16 ms with the default
+# threads and 0.15 ms with one, and the 1000-mapping dense batch cost at
+# n=64 took 124 ms against 45 ms.  OpenBLAS reads the variable once,
+# when numpy loads, so this runs before any import below; fabric
+# workers, pool solvers and bench scripts inherit it through os.environ.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import apps, baselines, cloud, core, exp, simmpi
 from .apps import PAPER_APPS, make_paper_app
 from .baselines import GreedyMapper, MonteCarloMapper, MPIPPMapper, RandomMapper

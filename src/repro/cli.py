@@ -26,13 +26,14 @@ Commands
     format or JSON.
 ``trace-diff``
     Compare two traces per span name (count, total/self time, stable
-    attrs) and optionally fail on relative time regressions.
+    attrs) and report whether their structure is identical.
 ``trace-export``
     Convert a trace to the Chrome trace-event format, loadable in
     ``chrome://tracing`` or Perfetto.
 ``bench-check``
-    Re-run the quick benches and grade them against the checked-in
-    ``BENCH_perf.json`` baseline (warn past +25%, fail past 2x).
+    Re-run the quick kernel benches and grade them against the
+    checked-in ``BENCH_perf.json`` baseline (warn past +25%, fail past
+    2x).  End-to-end timing is graded by ``perfbench``.
 ``sweep``
     Run a scenario grid through the process-isolated sweep fabric:
     supervised worker processes, per-task deadlines, crash isolation,
@@ -40,9 +41,8 @@ Commands
     chaos injection (see :mod:`repro.exp.fabric`).
 ``obs``
     Query the persistent telemetry store: ``obs query`` filters run
-    records and prints exact latency percentiles, ``obs regressions``
-    grades the latest bench records against the store's history, and
-    ``obs show TRACE_ID`` renders a stored trace document.
+    records and prints exact latency percentiles, and ``obs show
+    TRACE_ID`` renders a stored trace document.
 
 ``map``, ``compare``, and ``robustness`` accept ``--trace out.json``:
 the whole command runs under a span recorder and the trace forest is
@@ -63,13 +63,12 @@ Examples
     python -m repro map --app LU --trace trace.json
     python -m repro trace-report trace.json --max-depth 3
     python -m repro metrics trace.json --format prom
-    python -m repro trace-diff before.json after.json --fail-on-regression 25
+    python -m repro trace-diff before.json after.json
     python -m repro trace-export trace.json --chrome -o trace.chrome.json
     python -m repro bench-check --quick
     python -m repro sweep --sweep-dir sweep/ --grid demo --tasks 64 \
         --workers 4 --chaos "seed=7,kill=0.15,hang=0.05" --resume
-    python -m repro obs query --store ~/.repro --bench serve_cold
-    python -m repro obs regressions --store ~/.repro
+    python -m repro obs query --store ~/.repro --kind serve --op map
     python -m repro obs show 4bf92f3577b34da6a3ce929d0e0e4736
 """
 
@@ -270,19 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_diff.add_argument("trace_a", help="baseline trace JSON")
     p_diff.add_argument("trace_b", help="candidate trace JSON")
-    p_diff.add_argument(
-        "--fail-on-regression",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="exit 1 if any span name's total time grew by more than PCT%%",
-    )
-    p_diff.add_argument(
-        "--min-seconds",
-        type=float,
-        default=0.0,
-        help="ignore regressions smaller than this absolute growth (default: 0)",
-    )
 
     p_export = sub.add_parser(
         "trace-export", help="convert a trace to another format"
@@ -546,24 +532,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="also print each matching record as a JSON line",
-    )
-    p_or = obs_sub.add_parser(
-        "regressions",
-        parents=[obs_common],
-        help="grade the latest bench records against the store's history",
-    )
-    p_or.add_argument("--bench", default=None, help="restrict to one bench name")
-    p_or.add_argument(
-        "--warn-pct",
-        type=float,
-        default=25.0,
-        help="warn (non-blocking) past this relative slowdown (default: 25)",
-    )
-    p_or.add_argument(
-        "--fail-factor",
-        type=float,
-        default=2.0,
-        help="hard-fail past this current/baseline ratio (default: 2.0)",
     )
     p_os = obs_sub.add_parser(
         "show",
@@ -864,25 +832,6 @@ def _cmd_trace_diff(args) -> int:
         if diff.same_structure
         else "structure: differs (span names/nesting/order)"
     )
-    if args.fail_on_regression is not None:
-        worse = diff.regressions(
-            rel_threshold=args.fail_on_regression / 100.0,
-            min_seconds=args.min_seconds,
-        )
-        if worse:
-            for d in worse:
-                pct = (
-                    f"{(d.total_b / d.total_a - 1) * 100:+.1f}%"
-                    if d.total_a > 0
-                    else "new"
-                )
-                print(
-                    f"REGRESSION {d.name}: {d.total_a:.6f}s -> "
-                    f"{d.total_b:.6f}s ({pct})",
-                    file=sys.stderr,
-                )
-            return 1
-        print(f"no regressions past {args.fail_on_regression:g}%")
     return 0
 
 
@@ -1000,21 +949,6 @@ def _cmd_obs_query(args) -> int:
     return 0 if result.rows else 1
 
 
-def _cmd_obs_regressions(args) -> int:
-    store = _obs_store(args)
-    report = store.detect_regressions(
-        bench=args.bench,
-        warn_ratio=1.0 + args.warn_pct / 100.0,
-        fail_ratio=args.fail_factor,
-    )
-    print(report.render())
-    for d in report.warnings:
-        print(f"WARN {d.bench} (n={d.n}): {d.ratio:.2f}x history", file=sys.stderr)
-    for d in report.failures:
-        print(f"FAIL {d.bench} (n={d.n}): {d.ratio:.2f}x history", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def _cmd_obs_show(args) -> int:
     from .obs import (
         StoreError,
@@ -1040,7 +974,6 @@ def _cmd_obs_show(args) -> int:
 def _cmd_obs(args) -> int:
     handler = {
         "query": _cmd_obs_query,
-        "regressions": _cmd_obs_regressions,
         "show": _cmd_obs_show,
     }[args.obs_command]
     return handler(args)

@@ -12,9 +12,11 @@ PR 4 produced raw hierarchical traces; this module *consumes* them:
   ``network.link`` usage attributed to each step — "which inter-site
   link is simulated runtime actually waiting on".
 * :func:`diff_traces` compares two traces per span name (count, total
-  and self time, stable attributes) and flags relative regressions; the
-  structural signature check is what the CI ``trace-diff`` smoke uses to
-  assert two seeded runs produce bit-identical span trees.
+  and self time, stable attributes); the structural signature check is
+  what the CI ``trace-diff`` smoke uses to assert two seeded runs
+  produce bit-identical span trees.  It reports deltas and grades
+  nothing: timing regressions are ``perfbench``'s job, which has a
+  noise model that two single traces lack.
 * :func:`trace_to_chrome` / :func:`write_chrome_trace` export the Chrome
   trace-event format, loadable in ``chrome://tracing`` or Perfetto.
 
@@ -304,29 +306,6 @@ class TraceDiff:
         """True when both traces have identical span-name trees."""
         return self.signature_a == self.signature_b
 
-    def regressions(
-        self, rel_threshold: float = 0.25, min_seconds: float = 0.0
-    ) -> list[SpanDelta]:
-        """Span names whose total time grew by more than ``rel_threshold``
-        (relative to A) *and* by at least ``min_seconds`` absolute.
-
-        Span names that exist only in B count as regressions when they
-        cost at least ``min_seconds``.
-        """
-        if rel_threshold < 0:
-            raise ValueError(f"rel_threshold must be >= 0, got {rel_threshold}")
-        out: list[SpanDelta] = []
-        for delta in self.deltas.values():
-            grew = delta.total_delta
-            if grew < min_seconds or grew <= 0.0:
-                continue
-            if delta.count_a == 0:
-                out.append(delta)  # new span name carrying real time
-            elif delta.total_a > 0.0 and grew > rel_threshold * delta.total_a:
-                out.append(delta)
-        out.sort(key=lambda d: d.total_delta, reverse=True)
-        return out
-
 
 @dataclass
 class _NameStats:
@@ -385,8 +364,8 @@ def diff_traces(a: Sequence[Span], b: Sequence[Span]) -> TraceDiff:
     counts, total and self wall time, and changes among *stable*
     attributes (those with one consistent value across all same-named
     spans within a trace — e.g. ``mapper`` or ``n``, but not per-order
-    costs).  Use :meth:`TraceDiff.regressions` to apply thresholds and
-    :attr:`TraceDiff.same_structure` for bit-identical structure checks.
+    costs).  Use :attr:`TraceDiff.same_structure` for bit-identical
+    structure checks.
     """
     stats_a = _collect_stats(a)
     stats_b = _collect_stats(b)

@@ -1,17 +1,20 @@
-"""Perf-regression gate: compare bench runs against BENCH_perf.json.
+"""Kernel perf gate: compare quick bench runs against BENCH_perf.json.
 
 ``BENCH_perf.json`` accumulates ``{bench, n, m, seconds, cost}`` records
-from the ``benchmarks/bench_*`` suite, but until now nothing *checked*
-the trajectory — a 2x slowdown would merge silently.  This module is the
-comparison engine behind ``repro bench-check``:
+from the ``benchmarks/bench_*`` suite.  This module is the comparison
+engine behind ``repro bench-check``.  ``perfbench`` grades what its
+end-to-end workloads reach (paper apps, multilevel, serve, fabric) with
+a median/IQR noise model; this gate keeps only the kernel micro-bench
+rows perfbench does not time (cost aggregation, batch cost, sampling,
+geodist, obs overhead, lint and store):
 
-* :func:`load_bench_records` reads and sanity-checks a records file
-  (schema version 2 stamps ``schema`` on every record; version-less
-  records from older files are accepted and treated as comparable);
+* :func:`load_bench_records` reads and sanity-checks a records file;
+  every record must carry ``schema`` equal to
+  :data:`BENCH_SCHEMA_VERSION`;
 * :func:`run_quick_benches` re-runs the quick benches into a *separate*
   results file (via the ``REPRO_BENCH_JSON`` override honored by
-  ``benchmarks/_common.update_bench_json``) so the checked-in baseline
-  is never clobbered by the gate itself;
+  ``benchmarks/_common.py``) so neither the checked-in baseline nor the
+  checked-in result tables are clobbered by the gate itself;
 * :func:`compare_bench_records` joins baseline and current on the
   hostname-independent ``(bench, n, m)`` key and grades each pair:
   ``ok``, ``warn`` (non-blocking, default > +25%) or ``fail`` (default
@@ -56,10 +59,7 @@ QUICK_BENCH_SCRIPTS: tuple[str, ...] = (
     "bench_perf_core.py",
     "bench_perf_geodist.py",
     "bench_obs.py",
-    "bench_multilevel.py",
     "bench_lint.py",
-    "bench_fabric.py",
-    "bench_serve.py",
     "bench_store.py",
 )
 
@@ -75,10 +75,10 @@ def bench_key(record: Mapping[str, Any]) -> BenchKey:
 def load_bench_records(path: str | Path) -> list[dict[str, Any]]:
     """Read a bench-records file, validating the fields the gate needs.
 
-    Accepts both schema-v2 records and version-less records from files
-    written before the ``schema`` field existed; anything that is not a
-    list of records with ``bench``/``n``/``m``/``seconds`` raises
-    ``ValueError`` naming the problem.
+    Every record must be an object carrying ``schema`` (equal to
+    :data:`BENCH_SCHEMA_VERSION`), ``bench``, ``n``, ``m`` and a numeric
+    ``seconds``; anything else raises ``ValueError`` naming the file and
+    the record index.
     """
     path = Path(path)
     try:
@@ -91,14 +91,14 @@ def load_bench_records(path: str | Path) -> list[dict[str, Any]]:
     for i, rec in enumerate(loaded):
         if not isinstance(rec, dict):
             raise ValueError(f"{path}: record [{i}] is not an object")
-        for fieldname in ("bench", "n", "m", "seconds"):
+        for fieldname in ("schema", "bench", "n", "m", "seconds"):
             if fieldname not in rec:
                 raise ValueError(f"{path}: record [{i}] missing {fieldname!r}")
         seconds = rec["seconds"]
         if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
             raise ValueError(f"{path}: record [{i}] seconds must be numeric")
-        schema = rec.get("schema")
-        if schema is not None and schema != BENCH_SCHEMA_VERSION:
+        schema = rec["schema"]
+        if schema != BENCH_SCHEMA_VERSION:
             raise ValueError(
                 f"{path}: record [{i}] has schema {schema!r}, "
                 f"expected {BENCH_SCHEMA_VERSION}"

@@ -25,10 +25,9 @@ Every record carries ``schema`` (:data:`STORE_SCHEMA`), a wall-clock
 ``"run"``); everything else is record-kind-specific.  The query layer
 (:meth:`TelemetryStore.query`) filters on the shared keys and
 aggregates latency percentiles with the exact
-:meth:`~repro.obs.metrics.HistogramValue.quantile` estimator;
-:meth:`TelemetryStore.detect_regressions` generalizes the
-``bench-check`` gate across the store's history by reusing
-:func:`~repro.obs.benchgate.compare_bench_records`.
+:meth:`~repro.obs.metrics.HistogramValue.quantile` estimator.  The
+store records and answers queries; it does not grade timings (that is
+``perfbench`` end to end, and ``repro bench-check`` for kernel rows).
 
 Stdlib-only and ``mypy --strict`` clean like the rest of ``repro.obs``.
 """
@@ -43,7 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .benchgate import BenchCheckReport, bench_key, compare_bench_records
 from .metrics import Histogram
 
 __all__ = [
@@ -325,78 +323,6 @@ class TelemetryStore:
         return QueryResult(
             rows=tuple(rows), corrupt_lines=corrupt, scanned=scanned
         )
-
-    # ----------------------------------------------------------- regressions
-
-    def detect_regressions(
-        self,
-        *,
-        bench: str | None = None,
-        warn_ratio: float = 1.25,
-        fail_ratio: float = 2.0,
-        noise_floor_s: float = 0.005,
-    ) -> BenchCheckReport:
-        """Grade the latest bench run against the store's history.
-
-        Generalizes the ``bench-check`` gate across runs: bench-kind
-        records are grouped by ``(bench, n, m)``; for each group the
-        *latest* record (by ``ts``) is the current run and the
-        **median** of the earlier records is the baseline — the median
-        absorbs one-off machine hiccups that a single-baseline
-        comparison would misread.  Groups with fewer than two records
-        are reported as new (``missing_in_baseline``).
-        """
-        result = self.query(kind="bench", bench=bench)
-        groups: dict[tuple[str, int, int], list[dict[str, Any]]] = {}
-        for rec in result.rows:
-            if not all(k in rec for k in ("bench", "n", "m", "seconds")):
-                continue
-            secs = rec["seconds"]
-            if isinstance(secs, bool) or not isinstance(secs, (int, float)):
-                continue
-            try:
-                key = bench_key(rec)
-            except (TypeError, ValueError):
-                continue
-            groups.setdefault(key, []).append(rec)
-        baseline: list[dict[str, Any]] = []
-        current: list[dict[str, Any]] = []
-        for key, recs in groups.items():
-            recs.sort(key=lambda r: float(r.get("ts", 0.0)))
-            latest = recs[-1]
-            current.append(
-                {
-                    "bench": key[0],
-                    "n": key[1],
-                    "m": key[2],
-                    "seconds": float(latest["seconds"]),
-                }
-            )
-            history = [float(r["seconds"]) for r in recs[:-1]]
-            if history:
-                baseline.append(
-                    {
-                        "bench": key[0],
-                        "n": key[1],
-                        "m": key[2],
-                        "seconds": _median(history),
-                    }
-                )
-        return compare_bench_records(
-            baseline,
-            current,
-            warn_ratio=warn_ratio,
-            fail_ratio=fail_ratio,
-            noise_floor_s=noise_floor_s,
-        )
-
-
-def _median(values: Sequence[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def _is_hex(value: str, length: int) -> bool:

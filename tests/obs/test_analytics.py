@@ -199,7 +199,6 @@ def test_diff_identical_traces():
     diff = diff_traces(a, b)
     assert diff.same_structure
     assert diff.only_in_a == () and diff.only_in_b == ()
-    assert diff.regressions() == []
     delta = diff.deltas["solve"]
     assert delta.count_a == delta.count_b == 1
     assert delta.total_delta == pytest.approx(0.0)
@@ -217,31 +216,6 @@ def test_diff_missing_span_name_on_either_side():
     new = diff.deltas["other.stage"]
     assert new.count_a == 0
     assert new.total_ratio() is None  # no time in A to divide by
-
-
-def test_diff_regression_thresholds():
-    a = [Span("solve", t_start=0.0, t_end=1.0)]
-    b = [Span("solve", t_start=0.0, t_end=1.2)]
-    diff = diff_traces(a, b)
-    assert diff.regressions(rel_threshold=0.25) == []  # +20% < 25%
-    hits = diff.regressions(rel_threshold=0.10)
-    assert [d.name for d in hits] == ["solve"]
-    assert hits[0].total_ratio() == pytest.approx(1.2)
-    # min_seconds gates small absolute growth even past the ratio.
-    assert diff.regressions(rel_threshold=0.10, min_seconds=0.5) == []
-    with pytest.raises(ValueError):
-        diff.regressions(rel_threshold=-1.0)
-
-
-def test_diff_new_span_name_counts_as_regression_with_min_seconds():
-    a = [Span("solve", t_start=0.0, t_end=1.0)]
-    b = [
-        Span("solve", t_start=0.0, t_end=1.0),
-        Span("extra", t_start=0.0, t_end=0.3),
-    ]
-    diff = diff_traces(a, b)
-    assert [d.name for d in diff.regressions(min_seconds=0.1)] == ["extra"]
-    assert diff.regressions(min_seconds=0.5) == []
 
 
 def test_diff_stable_attr_changes():

@@ -22,6 +22,16 @@ def rec(bench, seconds, n=64, m=4, **extra):
             "seconds": seconds, **extra}
 
 
+def _bench_common():
+    """benchmarks/_common.py, deliberately importable without repro."""
+    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+    try:
+        import _common
+    finally:
+        sys.path.pop(0)
+    return _common
+
+
 # ------------------------------------------------------------------ loading
 
 
@@ -32,45 +42,34 @@ def test_load_bench_records_round_trip(tmp_path):
     assert [bench_key(r) for r in records] == [("core", 64, 4), ("geo", 128, 4)]
 
 
-def test_load_bench_records_accepts_versionless(tmp_path):
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps([{"bench": "old", "n": 8, "m": 2, "seconds": 0.1}]))
-    assert len(load_bench_records(path)) == 1
-
-
 def test_load_bench_records_rejects_garbage(tmp_path):
     cases = {
         "not_json.json": "{nope",
         "not_list.json": '{"bench": "x"}',
         "not_object.json": "[1, 2]",
-        "missing_field.json": '[{"bench": "x", "n": 1, "m": 1}]',
-        "bad_seconds.json": '[{"bench": "x", "n": 1, "m": 1, "seconds": true}]',
+        "missing_field.json": '[{"schema": 2, "bench": "x", "n": 1, "m": 1}]',
+        "bad_seconds.json": '[{"schema": 2, "bench": "x", "n": 1, "m": 1, "seconds": true}]',
         "bad_schema.json": '[{"schema": 99, "bench": "x", "n": 1, "m": 1, "seconds": 1}]',
+        "versionless.json": '[{"schema": 2, "bench": "x", "n": 1, "m": 1, "seconds": 1},'
+                            ' {"bench": "old", "n": 8, "m": 2, "seconds": 0.1}]',
     }
     for name, text in cases.items():
         path = tmp_path / name
         path.write_text(text)
         with pytest.raises(ValueError):
             load_bench_records(path)
+    # A record without a schema version is named by its index.
+    with pytest.raises(ValueError, match=r"record \[1\] missing 'schema'"):
+        load_bench_records(tmp_path / "versionless.json")
 
 
 def test_schema_version_matches_benchmarks_common():
-    # benchmarks/_common.py must stamp the same version the gate expects;
-    # it is deliberately importable without repro, so import it by path.
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    try:
-        import _common
-    finally:
-        sys.path.pop(0)
-    assert _common.BENCH_SCHEMA_VERSION == BENCH_SCHEMA_VERSION
+    # benchmarks/_common.py must stamp the same version the gate expects.
+    assert _bench_common().BENCH_SCHEMA_VERSION == BENCH_SCHEMA_VERSION
 
 
 def test_update_bench_json_stamps_schema_and_strips_host_fields(tmp_path):
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
-    try:
-        import _common
-    finally:
-        sys.path.pop(0)
+    _common = _bench_common()
     out = tmp_path / "out.json"
     _common.update_bench_json(
         [{"bench": "x", "n": 1, "m": 1, "seconds": 0.5,
@@ -80,6 +79,16 @@ def test_update_bench_json_stamps_schema_and_strips_host_fields(tmp_path):
     (written,) = load_bench_records(out)
     assert written["schema"] == BENCH_SCHEMA_VERSION
     assert "hostname" not in written and "platform" not in written
+
+
+def test_emit_follows_bench_json_redirect(tmp_path, monkeypatch):
+    _common = _bench_common()
+    results_dir = tmp_path / "results"
+    monkeypatch.setattr(_common, "RESULTS_DIR", results_dir)
+    monkeypatch.setenv("REPRO_BENCH_JSON", str(tmp_path / "gate" / "current.json"))
+    _common.emit("bench_x", "row")
+    assert (tmp_path / "gate" / "bench_x.txt").read_text() == "row\n"
+    assert not results_dir.exists()
 
 
 def test_checked_in_baseline_is_schema_v2():

@@ -161,48 +161,3 @@ def test_trace_errors(store):
     store.trace_path(tid).write_text("{nope")
     with pytest.raises(StoreError, match="corrupt"):
         store.load_trace_doc(tid)
-
-
-# ------------------------------------------------------------ regressions
-
-
-def _bench(store, bench, seconds, ts):
-    store.append(
-        {
-            "kind": "bench",
-            "bench": bench,
-            "n": 64,
-            "m": 4,
-            "seconds": seconds,
-            "ts": ts,
-        }
-    )
-
-
-def test_detect_regressions_latest_vs_median(store):
-    # History medians to 1.0s; the latest run is 3x slower -> FAIL.
-    for i, secs in enumerate((0.9, 1.0, 1.1)):
-        _bench(store, "slow", secs, float(i))
-    _bench(store, "slow", 3.0, 99.0)
-    # A stable bench stays quiet.
-    for i, secs in enumerate((0.5, 0.5, 0.51)):
-        _bench(store, "fine", secs, float(i))
-    report = store.detect_regressions(fail_ratio=2.0)
-    assert not report.ok
-    assert any(d.bench == "slow" and d.ratio > 2.0 for d in report.failures)
-    assert not any(d.bench == "fine" for d in report.failures)
-
-
-def test_detect_regressions_single_run_is_new_not_regressed(store):
-    _bench(store, "solo", 1.0, 1.0)
-    report = store.detect_regressions()
-    assert report.ok
-    assert any(key[0] == "solo" for key in report.missing_in_baseline)
-
-
-def test_detect_regressions_bench_filter(store):
-    for i in range(3):
-        _bench(store, "a", 1.0, float(i))
-    _bench(store, "a", 9.0, 99.0)
-    report = store.detect_regressions(bench="other")
-    assert report.ok and not report.deltas

@@ -181,7 +181,7 @@ def test_trace_report_rejects_bad_input(tmp_path, capsys):
 # ----------------------------------------------------- metrics & analytics
 
 
-def _write_fixture_trace(path, *, solve_s=1.0, extra_attrs=None):
+def _write_fixture_trace(path, *, extra_attrs=None):
     """A deterministic two-level trace written through the obs schema."""
     from repro.obs import Span, write_trace
 
@@ -189,9 +189,9 @@ def _write_fixture_trace(path, *, solve_s=1.0, extra_attrs=None):
     root = Span(
         "mapper.map",
         t_start=0.0,
-        t_end=solve_s + 0.5,
+        t_end=1.5,
         attrs=attrs,
-        children=[Span("solve", t_start=0.0, t_end=solve_s)],
+        children=[Span("solve", t_start=0.0, t_end=1.0)],
     )
     write_trace(path, [root])
     return path
@@ -223,21 +223,6 @@ def test_trace_diff_identical(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "structure: identical" in out
     assert "mapper.map" in out and "solve" in out
-
-
-def test_trace_diff_fail_on_regression(tmp_path, capsys):
-    a = _write_fixture_trace(tmp_path / "a.json", solve_s=1.0)
-    b = _write_fixture_trace(tmp_path / "b.json", solve_s=2.0)
-    # Without the gate the diff reports but exits 0.
-    assert main(["trace-diff", str(a), str(b)]) == 0
-    capsys.readouterr()
-    rc = main(["trace-diff", str(a), str(b), "--fail-on-regression", "25"])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert "REGRESSION" in captured.err and "solve" in captured.err
-    # A generous threshold passes.
-    assert main(["trace-diff", str(a), str(b), "--fail-on-regression", "200"]) == 0
-    assert "no regressions past 200" in capsys.readouterr().out
 
 
 def test_trace_diff_reports_structure_and_attr_changes(tmp_path, capsys):
@@ -588,8 +573,6 @@ def test_obs_query_empty_store_and_bad_show(tmp_path, capsys):
     assert "0 records matched" in capsys.readouterr().out
     assert main(["obs", "show", "--store", store, "f" * 32]) == 2
     assert "error" in capsys.readouterr().err
-    # Regressions over an empty store: nothing to grade, exit 0.
-    assert main(["obs", "regressions", "--store", store]) == 0
 
 
 def test_obs_query_percentiles_over_samples(tmp_path, capsys):
