@@ -70,8 +70,12 @@ class DNNApp(Application):
     def program(self, ctx: RankContext) -> Generator[Operation, None, None]:
         # Initial model distribution from the coordinator.
         yield from bcast(ctx, nbytes=self.param_bytes, root=0, tag=30)
+        # One round, built once and replayed: compute, then parameter
+        # averaging (gradients up the tree, model back down).
+        body = (
+            Compute(self.compute_per_round),
+            *reduce(ctx, nbytes=self.param_bytes, root=0, tag=31),
+            *bcast(ctx, nbytes=self.param_bytes, root=0, tag=32),
+        )
         for _ in range(self.rounds):
-            yield Compute(self.compute_per_round)
-            # Parameter averaging: gradients up the tree, model back down.
-            yield from reduce(ctx, nbytes=self.param_bytes, root=0, tag=31)
-            yield from bcast(ctx, nbytes=self.param_bytes, root=0, tag=32)
+            yield from body

@@ -107,6 +107,11 @@ class KMeansApp(Application):
         self.shuffle_sizes = [
             max(1, int(total_shuffle * w)) for w in weights
         ]
+        # Every rank shares one offset list per shuffle round.
+        self.shuffle_offsets = [
+            self._shuffle_offsets(r)
+            for r in range(self.iterations // self.shuffle_every)
+        ]
 
     # ---------------------------------------------------------------- sizing
 
@@ -135,7 +140,7 @@ class KMeansApp(Application):
         also knows exactly whom it receives from (``(r - off) % N``)
         without global coordination; the offsets change per round, which
         scatters the aggregate pattern across the whole matrix.  O(peers)
-        per rank, so the pattern scales to the 8192-rank simulations.
+        per round, so the pattern scales to the 8192-rank simulations.
         """
         if self.num_ranks == 1:
             return []
@@ -156,14 +161,16 @@ class KMeansApp(Application):
         # Initial centroids reach everyone from rank 0.
         yield from bcast(ctx, nbytes=self.clusters * self.dims * 8, root=0, tag=20)
 
-        shuffle_round = 0
+        # One Lloyd iteration, built once and replayed.
+        step = (
+            Compute(compute_iter),
+            *allreduce_recursive_doubling(ctx, nbytes=self.reduce_bytes, tag=22),
+        )
+        rounds = iter(self.shuffle_offsets)
         for it in range(self.iterations):
-            yield Compute(compute_iter)
-            yield from allreduce_recursive_doubling(
-                ctx, nbytes=self.reduce_bytes, tag=22
-            )
+            yield from step
             if (it + 1) % self.shuffle_every == 0:
-                offsets = self._shuffle_offsets(shuffle_round)
+                offsets = next(rounds)
                 for off, nbytes in zip(offsets, self.shuffle_sizes):
                     yield Send(
                         dst=(ctx.rank + off) % ctx.size,
@@ -172,4 +179,3 @@ class KMeansApp(Application):
                     )
                 for off in offsets:
                     yield Recv(src=(ctx.rank - off) % ctx.size, tag=_TAG_SHUFFLE)
-                shuffle_round += 1

@@ -20,6 +20,11 @@ rather than their Fortran numerics:
 Message sizes scale with ``class_scale`` (1.0 = CLASS C-like) and
 compute phases use per-iteration compute times representative of the
 paper's m4.xlarge runs.
+
+Every iteration of a rank yields the same operations, so each
+``program`` builds its iteration body once as a tuple (collective
+included) and replays it; operations are frozen, so sharing them
+across iterations is safe.
 """
 
 from __future__ import annotations
@@ -109,31 +114,36 @@ class LUApp(_GridApp):
         west = self._rank(i, j - 1) if j > 0 else None
         east = self._rank(i, j + 1) if j < self.cols - 1 else None
 
+        compute = Compute(self.compute_per_sweep)
+        body: list[Operation] = []
+        # Lower-triangular sweep: the wavefront flows south-east.
+        if north is not None:
+            body.append(Recv(src=north, tag=_TAG_SWEEP_DOWN))
+        if west is not None:
+            body.append(Recv(src=west, tag=_TAG_SWEEP_DOWN))
+        body.append(compute)
+        if south is not None:
+            body.append(Send(dst=south, nbytes=self.ns_bytes, tag=_TAG_SWEEP_DOWN))
+        if east is not None:
+            body.append(Send(dst=east, nbytes=self.ew_bytes, tag=_TAG_SWEEP_DOWN))
+
+        # Upper-triangular sweep: the wavefront flows north-west.
+        if south is not None:
+            body.append(Recv(src=south, tag=_TAG_SWEEP_UP))
+        if east is not None:
+            body.append(Recv(src=east, tag=_TAG_SWEEP_UP))
+        body.append(compute)
+        if north is not None:
+            body.append(Send(dst=north, nbytes=self.ns_bytes, tag=_TAG_SWEEP_UP))
+        if west is not None:
+            body.append(Send(dst=west, nbytes=self.ew_bytes, tag=_TAG_SWEEP_UP))
+
+        sweeps = tuple(body)
+        residual = tuple(allreduce_recursive_doubling(ctx, nbytes=40, tag=900))
         for it in range(self.iterations):
-            # Lower-triangular sweep: the wavefront flows south-east.
-            if north is not None:
-                yield Recv(src=north, tag=_TAG_SWEEP_DOWN)
-            if west is not None:
-                yield Recv(src=west, tag=_TAG_SWEEP_DOWN)
-            yield Compute(self.compute_per_sweep)
-            if south is not None:
-                yield Send(dst=south, nbytes=self.ns_bytes, tag=_TAG_SWEEP_DOWN)
-            if east is not None:
-                yield Send(dst=east, nbytes=self.ew_bytes, tag=_TAG_SWEEP_DOWN)
-
-            # Upper-triangular sweep: the wavefront flows north-west.
-            if south is not None:
-                yield Recv(src=south, tag=_TAG_SWEEP_UP)
-            if east is not None:
-                yield Recv(src=east, tag=_TAG_SWEEP_UP)
-            yield Compute(self.compute_per_sweep)
-            if north is not None:
-                yield Send(dst=north, nbytes=self.ns_bytes, tag=_TAG_SWEEP_UP)
-            if west is not None:
-                yield Send(dst=west, nbytes=self.ew_bytes, tag=_TAG_SWEEP_UP)
-
+            yield from sweeps
             if (it + 1) % self.residual_every == 0:
-                yield from allreduce_recursive_doubling(ctx, nbytes=40, tag=900)
+                yield from residual
 
 
 class _ADIApp(_GridApp):
@@ -165,25 +175,32 @@ class _ADIApp(_GridApp):
         south = self._rank((i + 1) % self.rows, j)
         north = self._rank((i - 1) % self.rows, j)
 
+        compute = Compute(self.compute_per_sweep)
+        # x-dimension: forward sweep east, backward sweep west.
+        # Multipartition lets every rank start on its own diagonal
+        # block, hence compute + eager send before the receive.
+        sweep: list[Operation] = [compute]
+        if self.cols > 1:
+            sweep += [
+                Send(dst=east, nbytes=self.face_bytes, tag=_TAG_SWEEP_X),
+                Recv(src=west, tag=_TAG_SWEEP_X),
+                Send(dst=west, nbytes=self.face_bytes, tag=_TAG_SWEEP_X + 10),
+                Recv(src=east, tag=_TAG_SWEEP_X + 10),
+            ]
+        # y-dimension.
+        sweep.append(compute)
+        if self.rows > 1:
+            sweep += [
+                Send(dst=south, nbytes=self.face_bytes, tag=_TAG_SWEEP_Y),
+                Recv(src=north, tag=_TAG_SWEEP_Y),
+                Send(dst=north, nbytes=self.face_bytes, tag=_TAG_SWEEP_Y + 10),
+                Recv(src=south, tag=_TAG_SWEEP_Y + 10),
+            ]
+        body = tuple(sweep) * self.sweeps_per_dim + tuple(
+            allreduce_recursive_doubling(ctx, nbytes=40, tag=901)
+        )
         for _ in range(self.iterations):
-            for _ in range(self.sweeps_per_dim):
-                # x-dimension: forward sweep east, backward sweep west.
-                # Multipartition lets every rank start on its own diagonal
-                # block, hence compute + eager send before the receive.
-                yield Compute(self.compute_per_sweep)
-                if self.cols > 1:
-                    yield Send(dst=east, nbytes=self.face_bytes, tag=_TAG_SWEEP_X)
-                    yield Recv(src=west, tag=_TAG_SWEEP_X)
-                    yield Send(dst=west, nbytes=self.face_bytes, tag=_TAG_SWEEP_X + 10)
-                    yield Recv(src=east, tag=_TAG_SWEEP_X + 10)
-                # y-dimension.
-                yield Compute(self.compute_per_sweep)
-                if self.rows > 1:
-                    yield Send(dst=south, nbytes=self.face_bytes, tag=_TAG_SWEEP_Y)
-                    yield Recv(src=north, tag=_TAG_SWEEP_Y)
-                    yield Send(dst=north, nbytes=self.face_bytes, tag=_TAG_SWEEP_Y + 10)
-                    yield Recv(src=south, tag=_TAG_SWEEP_Y + 10)
-            yield from allreduce_recursive_doubling(ctx, nbytes=40, tag=901)
+            yield from body
 
 
 class BTApp(_ADIApp):

@@ -2,7 +2,7 @@
 
 This glues the substrates into the paper's pipeline:
 
-1. **profile** the application on the uniform network -> CG/AG;
+1. **profile** the application (drain its rank programs) -> CG/AG;
 2. build the :class:`~repro.core.problem.MappingProblem` against a
    realized cloud topology, with a random constraint vector at the
    requested ratio (paper default 0.2);

@@ -1,9 +1,11 @@
 """Application profiling: recording message streams into CG/AG.
 
-This is the reproduction's stand-in for CYPRESS [Zhai et al., SC'14]: the
-application runs once on a uniform profiling network, every message is
-recorded, and the communication pattern matrix ``CG`` (bytes) and count
-matrix ``AG`` (messages) fall out.  Per-rank event streams are optionally
+This is the reproduction's stand-in for CYPRESS [Zhai et al., SC'14]:
+:func:`~repro.simmpi.engine.drain` runs every rank's program to the end
+without simulating it, every message is recorded, and the communication
+pattern matrix ``CG`` (bytes) and count matrix ``AG`` (messages) fall
+out.  A :class:`~repro.simmpi.engine.Simulator` given a recorder as its
+``tracer`` records the same stream.  Per-rank event streams are optionally
 kept so :mod:`repro.simmpi.compression` can demonstrate CYPRESS-style
 loop-folding trace compression on the same data.
 
@@ -43,7 +45,7 @@ DENSE_LIMIT = 256
 
 
 class TraceRecorder:
-    """Accumulates the message stream of one simulated run.
+    """Accumulates the message stream of one drained or simulated run.
 
     Parameters
     ----------
@@ -68,7 +70,7 @@ class TraceRecorder:
         self.total_bytes = 0
 
     def record(self, src: int, dst: int, nbytes: int, tag: int) -> None:
-        """Observe one message (called by the simulator per send)."""
+        """Observe one message (called by the drain or simulator per send)."""
         key = (src, dst)
         self._volume[key] += nbytes
         self._count[key] += 1
@@ -160,10 +162,11 @@ class TraceRecorder:
                 return np.zeros((n, n)), np.zeros((n, n))
             empty = sp.csr_matrix((n, n))
             return empty, empty.copy()
-        keys = np.array(list(self._count.keys()), dtype=np.int64)
+        pairs = list(self._count)
+        keys = np.array(pairs, dtype=np.int64)
         rows, cols = keys[:, 0], keys[:, 1]
-        vols = np.array([self._volume[tuple(k)] for k in keys])
-        cnts = np.array([self._count[tuple(k)] for k in keys], dtype=np.float64)
+        vols = np.array([self._volume[k] for k in pairs])
+        cnts = np.array(list(self._count.values()), dtype=np.float64)
         if n < dense_limit:
             cg = np.zeros((n, n))
             ag = np.zeros((n, n))

@@ -51,6 +51,18 @@ def test_shuffle_offsets_deterministic_and_valid():
     assert app._shuffle_offsets(4) != a  # rounds differ
 
 
+def test_shuffle_offsets_drawn_once_per_app(monkeypatch):
+    """All ranks share the per-round offsets; profiling draws none."""
+    app = KMeansApp(32, iterations=8, shuffle_every=2, shuffle_peers=5)
+    assert app.shuffle_offsets == [app._shuffle_offsets(r) for r in range(4)]
+    calls = []
+    monkeypatch.setattr(
+        KMeansApp, "_shuffle_offsets", lambda self, r: calls.append(r) or []
+    )
+    app.profile()
+    assert calls == []
+
+
 def test_every_send_has_matching_receive():
     """The shuffle relation must be closed — simulation completes."""
     app = KMeansApp(24, iterations=6, shuffle_every=2)
