@@ -59,7 +59,7 @@ class Application(abc.ABC):
     # ------------------------------------------------------------- profiling
 
     def profile(
-        self, *, keep_events: bool = False, dense_limit: int | None = None
+        self, *, keep_events: bool = False
     ) -> tuple["np.ndarray | sp.csr_matrix", "np.ndarray | sp.csr_matrix", TraceRecorder]:
         """Record (CG, AG, recorder) by draining every rank's program.
 
@@ -77,8 +77,7 @@ class Application(abc.ABC):
         """
         recorder = TraceRecorder(self.num_ranks, keep_events=keep_events)
         drain(self.num_ranks, self.program, recorder)
-        kwargs = {} if dense_limit is None else {"dense_limit": dense_limit}
-        cg, ag = recorder.communication_matrices(**kwargs)
+        cg, ag = recorder.communication_matrices()
         return cg, ag, recorder
 
     def communication_matrices(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.constraints import constrained_sites_available, ensure_feasible
+from ..core.constraints import constrained_sites_available
 from ..core.geodist import _affinity_row, _symmetric_traffic
 from ..core.mapping import Mapper, register_mapper
 from ..core.problem import UNCONSTRAINED, MappingProblem
@@ -68,7 +68,6 @@ class GreedyMapper(Mapper):
     def _solve(
         self, problem: MappingProblem, rng: np.random.Generator
     ) -> tuple[np.ndarray, dict]:
-        ensure_feasible(problem, context=self.name)
         n = problem.num_processes
         P = problem.constraints.copy()
         selected = P != UNCONSTRAINED

@@ -32,11 +32,9 @@ from .mapping import (
     Mapper,
     Mapping,
     available_mappers,
-    clear_warm_mappers,
     get_mapper,
     register_mapper,
     validate_assignment,
-    warm_mapper,
 )
 from .multilevel import MultilevelMapper, contract, heavy_edge_matching
 from .problem import (
@@ -70,8 +68,6 @@ __all__ = [
     "get_mapper",
     "register_mapper",
     "validate_assignment",
-    "warm_mapper",
-    "clear_warm_mappers",
     "UNCONSTRAINED",
     "UNPLACED",
     "CSRArrays",

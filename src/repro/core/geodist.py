@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .._validation import check_positive_int
 from ..obs import get_recorder
-from .constraints import constrained_sites_available, ensure_feasible
+from .constraints import constrained_sites_available
 from .cost import total_cost
 from .grouping import SiteGroup, group_sites
 from .mapping import Mapper, register_mapper
@@ -319,7 +319,6 @@ class GeoDistributedMapper(Mapper):
     def _solve(
         self, problem: MappingProblem, rng: np.random.Generator
     ) -> tuple[np.ndarray, dict]:
-        ensure_feasible(problem, context=self.name)
         if problem.coordinates is None:
             # Without coordinates, fall back to a single all-sites group:
             # the algorithm still enumerates nothing but greedily fills

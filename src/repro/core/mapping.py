@@ -18,7 +18,6 @@ metadata alongside the assignment; it lands in :attr:`Mapping.meta`.
 from __future__ import annotations
 
 import abc
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -36,8 +35,6 @@ __all__ = [
     "register_mapper",
     "get_mapper",
     "available_mappers",
-    "warm_mapper",
-    "clear_warm_mappers",
 ]
 
 #: What :meth:`Mapper._solve` may return: a bare (N,) assignment, or the
@@ -176,12 +173,11 @@ class Mapper(abc.ABC):
     ) -> Mapping:
         """Solve ``problem`` and return a validated, costed :class:`Mapping`."""
         from .._validation import as_rng
-        from ..obs import get_metrics, get_recorder
+        from ..obs import get_recorder
         from .constraints import ensure_feasible
         from .cost import total_cost
 
         obs = get_recorder()
-        metrics = get_metrics()
         with obs.span(
             "mapper.map",
             mapper=self.name,
@@ -204,15 +200,6 @@ class Mapper(abc.ABC):
             with obs.span("cost"):
                 cost = total_cost(problem, P)
             root.set(cost=cost, elapsed_s=elapsed)
-            if metrics.enabled:
-                metrics.inc(
-                    "mapper_runs_total",
-                    mapper=self.name,
-                    n=problem.num_processes,
-                    m=problem.num_sites,
-                )
-                metrics.observe("mapper_map_seconds", elapsed, mapper=self.name)
-                metrics.set_gauge("mapper_last_cost", cost, mapper=self.name)
             return Mapping(
                 assignment=P,
                 cost=cost,
@@ -251,38 +238,3 @@ def available_mappers() -> list[str]:
     """Names of all registered mappers."""
     return sorted(_REGISTRY)
 
-
-_WARM_MAPPERS: dict[tuple, Mapper] = {}
-_WARM_LOCK = threading.Lock()
-
-
-def warm_mapper(name: str, **kwargs) -> Mapper:
-    """A process-wide memoized mapper instance for ``(name, kwargs)``.
-
-    Mapper construction and solving are separable: instances hold only
-    configuration (``kappa``, refinement rounds, ...) and :meth:`Mapper.map`
-    is reentrant, so one instance can serve any number of problems.  Long-
-    lived callers — the placement daemon's pool workers above all — use
-    this to keep solver state warm across requests instead of paying
-    registry lookup + construction per request.
-
-    ``kwargs`` must be hashable (the registry kwargs all are: ints,
-    floats, strings); unhashable values fall back to an uncached
-    :func:`get_mapper` construction.
-    """
-    try:
-        key = (name, tuple(sorted(kwargs.items())))
-        hash(key)
-    except TypeError:
-        return get_mapper(name, **kwargs)
-    with _WARM_LOCK:
-        mapper = _WARM_MAPPERS.get(key)
-        if mapper is None:
-            mapper = _WARM_MAPPERS[key] = get_mapper(name, **kwargs)
-        return mapper
-
-
-def clear_warm_mappers() -> None:
-    """Drop every memoized :func:`warm_mapper` instance (tests, reloads)."""
-    with _WARM_LOCK:
-        _WARM_MAPPERS.clear()

@@ -55,8 +55,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .._validation import check_nonnegative_int, check_positive_int, check_vector
-from ..obs import get_metrics, get_recorder
-from .constraints import ensure_feasible
+from ..obs import get_recorder
 from .cost import CostEvaluator
 from .mapping import Mapper, register_mapper
 from .problem import UNCONSTRAINED, MappingProblem
@@ -315,9 +314,7 @@ class MultilevelMapper(Mapper):
     def _solve(
         self, problem: MappingProblem, rng: np.random.Generator
     ) -> tuple[np.ndarray, dict]:
-        ensure_feasible(problem, context=self.name)
         obs = get_recorder()
-        metrics = get_metrics()
 
         # ---- 1. coarsen.
         with obs.span("multilevel.coarsen") as span:
@@ -326,8 +323,6 @@ class MultilevelMapper(Mapper):
                 num_levels=len(levels),
                 level_sizes=[lv.problem.num_processes for lv in levels],
             )
-        if metrics.enabled:
-            metrics.observe("multilevel_levels", len(levels), mapper=self.name)
 
         # ---- 2. coarse solve + node-unit legalization.
         coarsest = levels[-1]

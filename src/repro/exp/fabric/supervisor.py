@@ -221,7 +221,7 @@ class SweepFabric:
         timed out, quarantined, corrupt, half-written) is re-run —
         resuming is how a sweep heals.
         """
-        from ...obs import SpanRecorder, TraceContext, get_metrics, get_recorder
+        from ...obs import SpanRecorder, TraceContext, get_recorder
 
         manifest = load_manifest(self.layout.root)
         if keys is None:
@@ -243,7 +243,6 @@ class SweepFabric:
         recorder = obs if isinstance(obs, SpanRecorder) else SpanRecorder()
         self._recorder = recorder
         self._sweep_traceparent: str | None = None
-        self._metrics = get_metrics()
         start = time.monotonic()
         with PathLock(self.layout.lock_path):
             sweep_stale_tmp(self.layout.shards_dir)
@@ -308,8 +307,6 @@ class SweepFabric:
             degraded=self._degraded_done,
             elapsed_s=time.monotonic() - start,
         )
-        if self._metrics.enabled:
-            self._metrics.set_gauge("fabric_queue_depth", 0)
         return report
 
     def _write_sweep_trace(self, span: Any) -> None:
@@ -370,10 +367,6 @@ class SweepFabric:
                 self._check_heartbeats(now)
                 self._check_exits()
                 self._ensure_capacity()
-                if self._metrics.enabled:
-                    self._metrics.set_gauge(
-                        "fabric_queue_depth", len(self._pending)
-                    )
         finally:
             self._shutdown_workers()
 
@@ -740,8 +733,6 @@ class SweepFabric:
                 pass
         if worker.state != "booting":
             self._restarts += 1
-            if self._metrics.enabled:
-                self._metrics.inc("fabric_worker_restarts_total")
 
     # ------------------------------------------------------- task terminals
 
@@ -767,8 +758,6 @@ class SweepFabric:
         )
         task.not_before = time.monotonic() + backoff
         self._retries += 1
-        if self._metrics.enabled:
-            self._metrics.inc("fabric_task_retries_total")
         self._pending.append(task)
 
     def _maybe_degrade(self, task: _Task) -> None:
@@ -797,8 +786,6 @@ class SweepFabric:
             f"poison task: killed {task.worker_deaths} workers in a row; "
             f"last: {error}",
         )
-        if self._metrics.enabled:
-            self._metrics.inc("fabric_tasks_quarantined_total")
 
     def _write_terminal_shard(
         self, task: _Task, status: str, error: str
@@ -829,14 +816,6 @@ class SweepFabric:
         task = self._tasks.get(key)
         if task is not None and task in self._pending:
             self._pending.remove(task)
-        if self._metrics.enabled:
-            self._metrics.inc("fabric_tasks_total", status=status)
-            if task is not None and task.last_started > 0:
-                self._metrics.observe(
-                    "fabric_task_seconds",
-                    max(0.0, time.monotonic() - task.last_started),
-                    status=status,
-                )
 
     # -------------------------------------------------------------- shutdown
 

@@ -134,10 +134,9 @@ def _evaluate_cell(
     independent of evaluation order — a resumed sweep reproduces the
     exact numbers an uninterrupted one gets.
     """
-    from ..obs import get_metrics, get_recorder
+    from ..obs import get_recorder
 
     obs = get_recorder()
-    metrics = get_metrics()
     with obs.span(
         "robustness.cell", fault=fault_name, mapper=mapper_name
     ) as span:
@@ -155,12 +154,6 @@ def _evaluate_cell(
             )
         except InfeasibleProblemError as exc:
             span.set(feasible=False)
-            metrics.inc(
-                "robustness_cells_total",
-                fault=fault_name,
-                mapper=mapper_name,
-                feasible=False,
-            )
             return RobustnessCell(
                 fault=fault_name,
                 mapper=mapper_name,
@@ -182,14 +175,6 @@ def _evaluate_cell(
             cost_ratio=float(ratio),
             num_migrated=outcome.num_migrated,
         )
-        if metrics.enabled:
-            metrics.inc(
-                "robustness_cells_total",
-                fault=fault_name,
-                mapper=mapper_name,
-                feasible=True,
-            )
-            metrics.inc("robustness_migrations_total", outcome.num_migrated)
         return RobustnessCell(
             fault=fault_name,
             mapper=mapper_name,

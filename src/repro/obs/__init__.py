@@ -5,6 +5,12 @@ One instrumentation spine for the whole reproduction: hierarchical
 recorded through a context-local ambient recorder, exported as JSON (the
 ``--trace`` file format) or rendered as text (``trace-report``).
 
+Spans are the only instrumentation the library emits; there is no
+ambient metrics registry.  Typed metrics (:class:`MetricsRegistry`) come
+from :func:`aggregate_trace`, which rolls a trace up into a fresh
+registry (``repro metrics``), and from the placement daemon, which owns
+one registry explicitly (``/metrics``).
+
 Zero dependencies (stdlib only) and a no-op default: until a
 :class:`SpanRecorder` is installed, every instrumented call site hits
 :data:`NULL_RECORDER` and does essentially nothing, which is what keeps
@@ -88,7 +94,6 @@ from .tracectx import (
 )
 from .metrics import (
     DEFAULT_BUCKETS,
-    NULL_METRICS,
     Counter,
     Gauge,
     Histogram,
@@ -96,12 +101,7 @@ from .metrics import (
     Labels,
     MetricsRegistry,
     MetricsSnapshot,
-    NullMetrics,
-    collecting_metrics,
-    get_metrics,
     labelset,
-    set_metrics,
-    using_metrics,
 )
 from .spans import JSONValue, Span, SpanEvent
 
@@ -159,12 +159,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "MetricsSnapshot",
     "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "get_metrics",
-    "set_metrics",
-    "using_metrics",
-    "collecting_metrics",
     # analytics
     "aggregate_trace",
     "CriticalPathStep",

@@ -66,9 +66,7 @@ def _label(attrs: Mapping[str, JSONValue], key: str) -> str:
 # -------------------------------------------------------------- aggregation
 
 
-def aggregate_trace(
-    trace: Sequence[Span], registry: MetricsRegistry | None = None
-) -> MetricsSnapshot:
+def aggregate_trace(trace: Sequence[Span]) -> MetricsSnapshot:
     """Roll a trace's spans and events up into a metrics snapshot.
 
     Emits, per span name: ``trace_spans_total``, ``span_seconds_total``,
@@ -85,12 +83,8 @@ def aggregate_trace(
     ``span_self_seconds_total`` over its subtree equals the root's
     duration (self times are *not* clamped at zero, so overlapping or
     clock-skewed children cannot break reconciliation).
-
-    Pass ``registry`` to fold the rollup into a live registry instead of
-    a fresh one; the snapshot returned reflects the registry *after*
-    aggregation either way.
     """
-    reg = MetricsRegistry() if registry is None else registry
+    reg = MetricsRegistry()
     spans_total = reg.counter("trace_spans_total", "Spans per name")
     seconds_total = reg.counter("span_seconds_total", "Total wall time per span name")
     self_total = reg.counter(

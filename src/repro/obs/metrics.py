@@ -5,23 +5,24 @@ inside *this* run", metrics answer "how much, in total, across runs" —
 the numbers a mapping service actually alerts on.  Three metric kinds,
 mirroring the Prometheus data model:
 
-* :class:`Counter` — monotone accumulator (``mapper_runs_total``);
-* :class:`Gauge` — last-write-wins level (``mapper_last_cost``);
+* :class:`Counter` — monotone accumulator (``serve_requests_total``);
+* :class:`Gauge` — last-write-wins level (``serve_queue_depth``);
 * :class:`Histogram` — bucketed distribution with sum and count
-  (``mapper_map_seconds``).
+  (``serve_request_seconds``).
 
 Every sample is keyed by a **label set** (sorted ``(key, value)`` string
 pairs), so one metric family tracks e.g. per-mapper or per-link series
 without pre-declaring them.
 
-A :class:`MetricsRegistry` owns the families.  Like the span recorder,
-the *ambient* registry lives in a context variable and defaults to
-:data:`NULL_METRICS`, whose methods do nothing — instrumented hot paths
-pay one context-variable read and an ``enabled`` check when metrics are
-off.  :func:`collecting_metrics` scopes a fresh registry for a block;
+A :class:`MetricsRegistry` owns the families, and there is no ambient
+one: spans (:mod:`repro.obs.spans`) are the only instrumentation the
+library emits.  Metrics come from two owners.  The placement daemon
+holds one registry explicitly (it backs ``/metrics`` and the
+``metrics`` op), and :func:`repro.obs.analytics.aggregate_trace` builds
+a fresh registry per call to roll a trace up (``repro metrics``).
 :meth:`MetricsRegistry.snapshot` freezes the current samples into a
-:class:`MetricsSnapshot` that can be merged, diffed, serialized to JSON,
-or rendered in the Prometheus text exposition format.
+:class:`MetricsSnapshot` that can be queried, serialized to JSON, or
+rendered in the Prometheus text exposition format.
 
 Zero dependencies (stdlib only) and ``mypy --strict`` clean, like the
 rest of :mod:`repro.obs`.
@@ -31,17 +32,8 @@ Concurrency contract
 A :class:`MetricsRegistry` and every family it creates share one lock,
 so **mutation and reads are thread-safe** — asyncio handler tasks,
 worker threads, and executor *callbacks* may hit the same registry
-freely.  What is **not** shared automatically is the *ambient* registry:
-``_METRICS`` is a :class:`~contextvars.ContextVar`.  Asyncio tasks copy
-the creating context, so a registry installed before tasks spawn is
-visible inside them — but threads started by hand and
-``ThreadPoolExecutor``/``ProcessPoolExecutor`` workers begin with a
-*fresh* context (and pool *processes* with a fresh interpreter), so
-:func:`get_metrics` there returns :data:`NULL_METRICS` and samples are
-silently dropped.  Code fanning out to a pool must either capture the
-registry object and pass it explicitly (what the placement daemon's
-engine does) or wrap each task in :func:`contextvars.copy_context`.
-``tests/obs/test_concurrency.py`` pins both behaviors.
+freely, as long as they hold a reference to it.
+``tests/obs/test_concurrency.py`` pins this.
 """
 
 from __future__ import annotations
@@ -51,10 +43,8 @@ import math
 import re
 import threading
 from bisect import bisect_left
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence, Union
+from typing import Any, Mapping, Sequence, Union
 
 __all__ = [
     "Labels",
@@ -66,13 +56,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "MetricsSnapshot",
     "MetricsRegistry",
-    "NullMetrics",
-    "NULL_METRICS",
-    "AnyMetrics",
-    "get_metrics",
-    "set_metrics",
-    "using_metrics",
-    "collecting_metrics",
 ]
 
 #: A frozen label set: sorted ``(name, value)`` string pairs.
@@ -198,20 +181,6 @@ class HistogramValue:
             running += c
             out.append(running)
         return tuple(out)
-
-    def merge(self, other: "HistogramValue") -> "HistogramValue":
-        """Sum two series (bucket bounds must match)."""
-        if self.bounds != other.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different bounds: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        return HistogramValue(
-            bounds=self.bounds,
-            counts=tuple(a + b for a, b in zip(self.counts, other.counts)),
-            sum=self.sum + other.sum,
-            count=self.count + other.count,
-        )
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile by ``le``-bound interpolation.
@@ -347,9 +316,8 @@ def _fmt_labels(key: Labels, extra: tuple[tuple[str, str], ...] = ()) -> str:
 class MetricsSnapshot:
     """A frozen, serializable view of a registry's samples.
 
-    Snapshots are plain data: merge them across runs or processes,
-    round-trip them through JSON (:meth:`to_dict` / :meth:`from_dict`),
-    or render them for scraping (:meth:`render_prom`).
+    Snapshots are plain data: query them, serialize them to JSON
+    (:meth:`to_dict`), or render them for scraping (:meth:`render_prom`).
     """
 
     counters: dict[str, dict[Labels, float]] = field(default_factory=dict)
@@ -379,32 +347,6 @@ class MetricsSnapshot:
     def empty(self) -> bool:
         """True when the snapshot holds no series at all."""
         return not (self.counters or self.gauges or self.histograms)
-
-    # -------------------------------------------------------------- merge
-
-    def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """A new snapshot combining both: counters and histograms add,
-        gauges take ``other``'s value when both define a series."""
-        out = MetricsSnapshot(
-            counters={k: dict(v) for k, v in self.counters.items()},
-            gauges={k: dict(v) for k, v in self.gauges.items()},
-            histograms={k: dict(v) for k, v in self.histograms.items()},
-            help=dict(self.help),
-        )
-        for name, series in other.counters.items():
-            dst = out.counters.setdefault(name, {})
-            for key, val in series.items():
-                dst[key] = dst.get(key, 0.0) + val
-        for name, series in other.gauges.items():
-            out.gauges.setdefault(name, {}).update(series)
-        for name, series in other.histograms.items():
-            dst_h = out.histograms.setdefault(name, {})
-            for key, hv in series.items():
-                existing = dst_h.get(key)
-                dst_h[key] = hv if existing is None else existing.merge(hv)
-        for name, text in other.help.items():
-            out.help.setdefault(name, text)
-        return out
 
     # ----------------------------------------------------------------- JSON
 
@@ -436,32 +378,6 @@ class MetricsSnapshot:
             },
             "help": dict(sorted(self.help.items())),
         }
-
-    @classmethod
-    def from_dict(cls, obj: Mapping[str, Any]) -> "MetricsSnapshot":
-        """Parse a :meth:`to_dict` document back into a snapshot."""
-        if obj.get("version") != 1:
-            raise ValueError(f"unsupported metrics version {obj.get('version')!r}")
-        snap = cls(help=dict(obj.get("help", {})))
-        for name, rows in dict(obj.get("counters", {})).items():
-            snap.counters[name] = {
-                labelset(row["labels"]): float(row["value"]) for row in rows
-            }
-        for name, rows in dict(obj.get("gauges", {})).items():
-            snap.gauges[name] = {
-                labelset(row["labels"]): float(row["value"]) for row in rows
-            }
-        for name, rows in dict(obj.get("histograms", {})).items():
-            snap.histograms[name] = {
-                labelset(row["labels"]): HistogramValue(
-                    bounds=tuple(float(b) for b in row["bounds"]),
-                    counts=tuple(int(c) for c in row["counts"]),
-                    sum=float(row["sum"]),
-                    count=int(row["count"]),
-                )
-                for row in rows
-            }
-        return snap
 
     def to_json(self) -> str:
         """:meth:`to_dict` as an indented JSON string."""
@@ -510,19 +426,13 @@ class MetricsRegistry:
     Families are created lazily and idempotently by
     :meth:`counter` / :meth:`gauge` / :meth:`histogram`; re-requesting a
     name with a different kind raises.  The convenience methods
-    (:meth:`inc`, :meth:`set_gauge`, :meth:`observe`) are what
-    instrumented code calls — they mirror :class:`NullMetrics`'s no-op
-    surface exactly, so call sites never branch on the registry kind
-    beyond the ``enabled`` fast-path check.
+    (:meth:`inc`, :meth:`set_gauge`, :meth:`observe`) create a family
+    on first use.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[str, Metric] = {}
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     # ------------------------------------------------------------ families
 
@@ -619,129 +529,7 @@ class MetricsRegistry:
                     }
         return snap
 
-    def merge(self, other: "MetricsSnapshot | MetricsRegistry") -> None:
-        """Fold another registry's (or snapshot's) samples into this one.
-
-        Counters and histograms add; gauges take the incoming value.
-        """
-        snap = other.snapshot() if isinstance(other, MetricsRegistry) else other
-        for name, series in snap.counters.items():
-            counter = self.counter(name, snap.help.get(name, ""))
-            for key, val in series.items():
-                counter.inc(val, **dict(key))
-        for name, gseries in snap.gauges.items():
-            gauge = self.gauge(name, snap.help.get(name, ""))
-            for key, val in gseries.items():
-                gauge.set(val, **dict(key))
-        for name, hseries in snap.histograms.items():
-            for key, hv in hseries.items():
-                hist = self.histogram(
-                    name, snap.help.get(name, ""), buckets=hv.bounds
-                )
-                if hist.bounds != hv.bounds:
-                    raise ValueError(
-                        f"histogram {name!r} bucket bounds differ: "
-                        f"{hist.bounds} vs {hv.bounds}"
-                    )
-                with self._lock:
-                    counts = hist._counts.get(key)
-                    if counts is None:
-                        counts = hist._counts[key] = [0] * (len(hv.bounds) + 1)
-                        hist._sums[key] = 0.0
-                        hist._totals[key] = 0
-                    for i, c in enumerate(hv.counts):
-                        counts[i] += c
-                    hist._sums[key] += hv.sum
-                    hist._totals[key] += hv.count
-
-    def reset(self) -> None:
-        """Clear every sample; registered families (and bounds) survive."""
-        with self._lock:
-            for metric in self._metrics.values():
-                if isinstance(metric, (Counter, Gauge)):
-                    metric._values.clear()
-                else:
-                    metric._counts.clear()
-                    metric._sums.clear()
-                    metric._totals.clear()
-
     def render_prom(self) -> str:
         """Prometheus text exposition of the current samples."""
         return self.snapshot().render_prom()
 
-
-class NullMetrics:
-    """The default ambient metrics sink: records nothing, costs ~nothing.
-
-    Mirrors :class:`MetricsRegistry`'s convenience surface so call sites
-    are branch-free; the family accessors return ``None``-like no-op
-    stubs only implicitly — instrumented code must gate family access on
-    :attr:`enabled`.
-    """
-
-    __slots__ = ()
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def inc(self, name: str, value: float = 1.0, **labels: object) -> None:
-        return None
-
-    def set_gauge(self, name: str, value: float, **labels: object) -> None:
-        return None
-
-    def observe(self, name: str, value: float, **labels: object) -> None:
-        return None
-
-    def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot()
-
-
-NULL_METRICS = NullMetrics()
-
-#: What instrumented code receives from :func:`get_metrics`.
-AnyMetrics = Union[MetricsRegistry, NullMetrics]
-
-_METRICS: ContextVar[AnyMetrics] = ContextVar(
-    "repro_obs_metrics", default=NULL_METRICS
-)
-
-
-def get_metrics() -> AnyMetrics:
-    """The ambient metrics sink (the no-op one unless installed)."""
-    return _METRICS.get()
-
-
-def set_metrics(metrics: AnyMetrics) -> None:
-    """Install ``metrics`` as the ambient sink for this context.
-
-    Prefer the scoped :func:`using_metrics` unless the surrounding
-    lifetime genuinely is the whole program (e.g. the CLI).
-    """
-    _METRICS.set(metrics)
-
-
-@contextmanager
-def using_metrics(metrics: AnyMetrics) -> Iterator[AnyMetrics]:
-    """Scope ``metrics`` as the ambient sink for a ``with`` block."""
-    token = _METRICS.set(metrics)
-    try:
-        yield metrics
-    finally:
-        _METRICS.reset(token)
-
-
-@contextmanager
-def collecting_metrics() -> Iterator[MetricsRegistry]:
-    """Install a fresh :class:`MetricsRegistry` for a ``with`` block.
-
-    .. code-block:: python
-
-        with collecting_metrics() as metrics:
-            mapper.map(problem)
-        print(metrics.render_prom())
-    """
-    registry = MetricsRegistry()
-    with using_metrics(registry):
-        yield registry

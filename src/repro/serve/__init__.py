@@ -6,7 +6,7 @@ calls against warm state.  Layers, inside out:
 
 * :mod:`.solver` — pool-worker entrypoints (fabric task kinds
   ``serve-map`` / ``serve-repair`` / ``serve-compare``) built on
-  :func:`repro.core.warm_mapper` and problem fingerprints;
+  :func:`repro.core.get_mapper` and problem fingerprints;
 * :mod:`.engine` — the transport-independent broker: LRU result cache,
   request coalescing, one ``ProcessPoolExecutor`` task per solve,
   bounded-queue backpressure, and the geodist→multilevel→Greedy

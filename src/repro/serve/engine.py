@@ -26,11 +26,11 @@ it returns.  The engine owns every serving policy:
 
 Concurrency model: everything above executes on the event loop (single-
 threaded), so the cache, in-flight table, and pending counter need no
-locks.  The engine deliberately holds its :class:`MetricsRegistry` and
-:class:`SpanRecorder` as attributes rather than reading the ambient
-contextvars — executor callbacks and freshly spawned tasks would
-otherwise observe the NULL defaults (see the concurrency notes in
-:mod:`repro.obs.metrics`).
+locks.  The engine owns its :class:`MetricsRegistry` (there is no
+ambient one; see :mod:`repro.obs.metrics`) and holds its
+:class:`SpanRecorder` as an attribute rather than reading the ambient
+recorder contextvar — executor callbacks and freshly spawned tasks
+would otherwise observe the NULL default.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ initializer and any fabric worker does) registers the three serve kinds.
 
 ``serve-map``
     One placement solve: params carry a wire-encoded problem, a mapper
-    registry name (+ kwargs), and a seed.  Mapper instances come from
-    :func:`repro.core.warm_mapper`, so a long-lived worker constructs
-    each configuration once and reuses it across requests.
+    registry name (+ kwargs), and a seed.  Each request builds its
+    mapper with :func:`repro.core.get_mapper`; construction holds only
+    configuration and costs about a microsecond, far below any solve.
 ``serve-repair``
     Incremental repair of a partial assignment
     (:func:`repro.core.repair_mapping`).
@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from typing import Any
 
-from ..core import repair_mapping, warm_mapper
+from ..core import get_mapper, repair_mapping
 from ..exp.fabric.tasks import register_task
 from .protocol import decode_problem, encode_mapping
 
@@ -51,7 +51,7 @@ def serve_map_task(params: dict[str, Any]) -> dict[str, Any]:
         time.sleep(sleep_s)
     problem = decode_problem(params["problem"])
     name, kwargs = _mapper_args(params)
-    mapper = warm_mapper(name, **kwargs)
+    mapper = get_mapper(name, **kwargs)
     mapping = mapper.map(problem, seed=int(params.get("seed", 0)))
     return encode_mapping(mapping)
 
@@ -83,7 +83,7 @@ def serve_compare_task(params: dict[str, Any]) -> dict[str, Any]:
     seed = int(params.get("seed", 0))
     results: dict[str, Any] = {}
     for name in params.get("mappers", ()):
-        mapper = warm_mapper(str(name))
+        mapper = get_mapper(str(name))
         results[str(name)] = encode_mapping(mapper.map(problem, seed=seed))
     return {"mappings": results}
 

@@ -324,10 +324,9 @@ class Simulator:
         the span as a ``network.link`` event with its transfer count,
         bytes, and contention stall time.
         """
-        from ..obs import get_metrics, get_recorder
+        from ..obs import get_recorder
 
         obs = get_recorder()
-        metrics = get_metrics()
         with obs.span(
             "simulate.run",
             num_ranks=self.num_ranks,
@@ -341,29 +340,10 @@ class Simulator:
                 comm_wait_s=result.comm_wait_s,
                 barriers=result.barriers,
             )
-            if obs.enabled or metrics.enabled:
+            if obs.enabled:
                 link_stats = getattr(self.network, "link_stats", None)
-                entries = list(link_stats()) if link_stats is not None else []
-                if obs.enabled:
-                    for entry in entries:
-                        obs.event("network.link", **entry)
-                if metrics.enabled:
-                    metrics.inc("sim_runs_total", num_ranks=self.num_ranks)
-                    metrics.observe("sim_makespan_seconds", result.makespan_s)
-                    metrics.inc("sim_messages_total", result.total_messages)
-                    metrics.inc("sim_bytes_total", result.total_bytes)
-                    for entry in entries:
-                        labels = {
-                            "src_site": entry["src_site"],
-                            "dst_site": entry["dst_site"],
-                        }
-                        metrics.inc("sim_link_bytes_total", entry["bytes"], **labels)
-                        metrics.inc(
-                            "sim_link_transfers_total", entry["transfers"], **labels
-                        )
-                        metrics.inc(
-                            "sim_link_stall_seconds_total", entry["stall_s"], **labels
-                        )
+                for entry in link_stats() if link_stats is not None else ():
+                    obs.event("network.link", **entry)
             return result
 
     def _run(self) -> SimResult:

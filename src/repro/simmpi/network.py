@@ -48,8 +48,8 @@ class SimNetwork:
         Accumulate per-directed-site-pair transfer counts, bytes, and
         contention stall time (readable via :meth:`link_stats`).  The
         default ``None`` defers the decision to :meth:`reset`: stats are
-        collected exactly when the ambient observability recorder or
-        metrics registry is enabled, so plain simulations pay nothing.
+        collected exactly when the ambient observability recorder is
+        enabled, so plain simulations pay nothing.
     """
 
     def __init__(
@@ -80,9 +80,9 @@ class SimNetwork:
         self._link_free.clear()
         self._pair_stats.clear()
         if self.collect_stats is None:
-            from ..obs import get_metrics, get_recorder
+            from ..obs import get_recorder
 
-            self._stats_on = get_recorder().enabled or get_metrics().enabled
+            self._stats_on = get_recorder().enabled
         else:
             self._stats_on = bool(self.collect_stats)
 

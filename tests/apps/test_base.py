@@ -23,12 +23,6 @@ def test_profile_cache_is_reused():
     assert a[0] is b[0]  # cached object identity
 
 
-def test_profile_dense_limit_override():
-    app = RingApp(8, iterations=1)
-    cg, ag, _ = app.profile(dense_limit=2)
-    assert sp.issparse(cg)
-
-
 def test_profile_keep_events():
     app = RingApp(4, iterations=2)
     _, _, rec = app.profile(keep_events=True)

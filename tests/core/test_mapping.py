@@ -1,8 +1,11 @@
 """Unit tests for mappings, feasibility and the mapper registry."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core import constraints
 from repro.core import (
     FeasibilityError,
     Mapper,
@@ -142,3 +145,25 @@ def test_register_rejects_duplicates_and_anonymous():
 
     with pytest.raises(ValueError, match="non-default"):
         register_mapper(Anon)
+
+
+@pytest.mark.parametrize("name", available_mappers())
+def test_map_checks_feasibility_once(name, problem64, monkeypatch):
+    """``Mapper.map`` runs the one feasibility check; ``_solve`` does not
+    repeat it.  Calls on other problems (a multilevel mapper's inner
+    solve on the coarse graph) are not counted."""
+    original = constraints.ensure_feasible
+    checked = []
+
+    def counting(problem, *, context=""):
+        checked.append(problem)
+        original(problem, context=context)
+
+    # Patch every binding of the function, including names imported by
+    # value into mapper modules.
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("repro"):
+            if getattr(module, "ensure_feasible", None) is original:
+                monkeypatch.setattr(module, "ensure_feasible", counting)
+    get_mapper(name).map(problem64, seed=0)
+    assert sum(p is problem64 for p in checked) == 1

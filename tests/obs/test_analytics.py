@@ -21,7 +21,6 @@ from repro.obs import (
     trace_to_chrome,
     write_chrome_trace,
 )
-from repro.obs.metrics import MetricsRegistry
 
 
 class FakeClock:
@@ -141,14 +140,6 @@ def test_aggregate_memo_hit_ratio():
     assert snap.gauge_value("memo_hit_ratio") == pytest.approx(0.5)
     # No geodist spans -> no ratio gauge at all.
     assert aggregate_trace([Span("x", t_start=0, t_end=1)]).gauges.get("memo_hit_ratio") is None
-
-
-def test_aggregate_into_live_registry():
-    reg = MetricsRegistry()
-    reg.inc("trace_spans_total", span="solo")
-    snap = aggregate_trace([Span("solo", t_start=0.0, t_end=1.0)], registry=reg)
-    # Folding into a live registry accumulates on top of its samples.
-    assert snap.counter_value("trace_spans_total", span="solo") == 2.0
 
 
 # ------------------------------------------------------------ critical path

@@ -7,10 +7,11 @@ and executor callback.  These tests pin the contract documented in
 
 * counter/gauge/histogram mutation AND reads are exact under thread
   contention (no lost updates, no torn reads);
-* the ambient ContextVar does **not** propagate to hand-started threads
-  or executor workers — they silently get the null implementations;
-* the supported patterns (capturing the registry object, or
-  ``contextvars.copy_context``) do work from foreign threads;
+* there is no ambient registry: a registry works from any thread that
+  holds a reference to it;
+* the ambient recorder ContextVar does **not** propagate to executor
+  workers — they silently get the null recorder — unless the callback
+  runs inside ``contextvars.copy_context``;
 * asyncio tasks get disjoint span trees on one shared recorder;
 * :meth:`SpanRecorder.trim` bounds the root forest for long-lived use.
 """
@@ -25,13 +26,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.obs import (
-    NULL_METRICS,
     MetricsRegistry,
     NullRecorder,
     SpanRecorder,
-    get_metrics,
     get_recorder,
-    using_metrics,
     using_recorder,
 )
 
@@ -105,16 +103,6 @@ class TestMetricsThreadSafety:
 
 
 class TestAmbientContextIsolation:
-    def test_plain_thread_sees_null_metrics(self):
-        """The documented trap: ContextVars don't cross thread starts."""
-        registry = MetricsRegistry()
-        inside = []
-        with using_metrics(registry):
-            t = threading.Thread(target=lambda: inside.append(get_metrics()))
-            t.start()
-            t.join()
-        assert inside[0] is NULL_METRICS
-
     def test_executor_callback_sees_null_recorder(self):
         recorder = SpanRecorder()
         with using_recorder(recorder):
@@ -123,7 +111,7 @@ class TestAmbientContextIsolation:
         assert isinstance(ambient, NullRecorder)
 
     def test_captured_registry_object_works_from_any_thread(self):
-        """Workaround 1 (the daemon engine's pattern): pass the object."""
+        """The daemon engine's pattern: hold the registry object."""
         registry = MetricsRegistry()
         counter = registry.counter("captured_total")
         with ThreadPoolExecutor(max_workers=2) as pool:
@@ -132,21 +120,15 @@ class TestAmbientContextIsolation:
         assert counter.total() == 10
 
     def test_copy_context_carries_ambient_across_threads(self):
-        """Workaround 2: run the callback inside a copied context."""
-        registry = MetricsRegistry()
-        with using_metrics(registry):
+        """The workaround for the ambient recorder: a copied context."""
+        recorder = SpanRecorder()
+        with using_recorder(recorder):
             ctx = contextvars.copy_context()
         result = []
-        t = threading.Thread(target=lambda: result.append(ctx.run(get_metrics)))
+        t = threading.Thread(target=lambda: result.append(ctx.run(get_recorder)))
         t.start()
         t.join()
-        assert result[0] is registry
-
-    def test_using_metrics_is_scoped_per_context(self):
-        registry = MetricsRegistry()
-        with using_metrics(registry):
-            assert get_metrics() is registry
-        assert get_metrics() is NULL_METRICS
+        assert result[0] is recorder
 
 
 class TestSpanRecorderAsyncio:

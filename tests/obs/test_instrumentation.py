@@ -4,8 +4,8 @@ These exercise the acceptance path of the observability refactor: a
 mapping run under a recorder yields the four pipeline stages, the Geo
 mapper hangs one ``geodist.order`` child per evaluated permutation and
 surfaces its chosen order + memo statistics in ``Mapping.meta``, the
-simulator emits per-site-pair link events, and robustness cells emit
-metrics.
+simulator emits per-site-pair link events that roll up into per-link
+metrics, and robustness cells emit one span each.
 """
 
 import itertools
@@ -142,74 +142,49 @@ def test_repair_trace_stages(topo2):
     assert result.mapping.meta["evicted"] == 0
 
 
-# ---------------------------------------------------------------- metrics
+# ------------------------------------------------------- span rollups
 
 
-def test_mapper_emits_metrics_without_a_recorder(problem16):
-    from repro.obs import collecting_metrics
-
-    with collecting_metrics() as metrics:
-        mapping = get_mapper("greedy").map(problem16, seed=0)
-    snap = metrics.snapshot()
-    n, m = problem16.num_processes, problem16.num_sites
-    assert snap.counter_value("mapper_runs_total", mapper="greedy", n=n, m=m) == 1.0
-    hist = snap.histogram_value("mapper_map_seconds", mapper="greedy")
-    assert hist is not None and hist.count == 1
-    assert snap.gauge_value("mapper_last_cost", mapper="greedy") == pytest.approx(
-        mapping.cost
-    )
-
-
-def test_simulator_emits_metrics_without_a_recorder(topo2):
-    from repro.obs import collecting_metrics
+def test_link_bytes_rollup_matches_total_bytes(topo2):
+    """Per-link bytes come out of the trace: ``aggregate_trace`` over the
+    ``network.link`` events reconciles with the simulator's total."""
+    from repro.apps import make_paper_app
+    from repro.obs import aggregate_trace
 
     problem = make_problem(8, topo2, seed=3)
-    from repro.apps import make_paper_app
-
     app = make_paper_app("LU", 8)
     assignment = get_mapper("baseline").map(problem, seed=0).assignment
-    with collecting_metrics() as metrics:
+    with recording() as rec:
         result = simulate_mapping(app, problem, assignment, mode="comm")
-    snap = metrics.snapshot()
-    assert snap.counter_total("sim_runs_total") == 1.0
-    assert snap.counter_total("sim_bytes_total") == result.total_bytes
-    # Per-link counters reconcile with the aggregate byte count: link
-    # stats collection turns on for metrics alone (no recorder).
-    assert snap.counter_total("sim_link_bytes_total") == result.total_bytes
-    assert snap.histogram_value("sim_makespan_seconds").count == 1
+    snap = aggregate_trace(rec.roots)
+    per_link = snap.counters["link_bytes_total"]
+    assert {dict(key)["src_site"] for key in per_link} == {"0", "1"}
+    assert sum(per_link.values()) == result.total_bytes
 
 
-def test_robustness_cells_emit_metrics(topo2):
+def test_robustness_cells_emit_spans(topo2, topo4):
     from repro.exp import evaluate_robustness
-    from repro.obs import collecting_metrics
 
-    problem = make_problem(8, topo2, seed=5)
+    # The 2-site problem has infeasible cells; the 4-site one migrates.
+    problems = [
+        make_problem(8, topo2, seed=5),
+        make_problem(16, topo4, seed=1, constraint_ratio=0.2),
+    ]
     mappers = {"Greedy": get_mapper("greedy")}
-    with collecting_metrics() as metrics:
-        cells = evaluate_robustness(problem, mappers, seed=0)
-    snap = metrics.snapshot()
-    feasible = sum(1 for c in cells if c.feasible)
-    infeasible = len(cells) - feasible
-    total = snap.counter_total("robustness_cells_total")
-    assert total == len(cells)
-    by_feasible = sum(
-        v
-        for key, v in snap.counters["robustness_cells_total"].items()
-        if ("feasible", "True") in key
+    with recording() as rec:
+        cells = [
+            cell
+            for problem in problems
+            for cell in evaluate_robustness(problem, mappers, seed=0)
+        ]
+    assert not all(c.feasible for c in cells)
+    assert sum(c.num_migrated for c in cells) > 0
+    spans = [s for root in rec.roots for s in root.find_all("robustness.cell")]
+    assert len(spans) == len(cells)
+    assert [(s.attrs["fault"], s.attrs["mapper"]) for s in spans] == [
+        (c.fault, c.mapper) for c in cells
+    ]
+    assert [s.attrs["feasible"] for s in spans] == [c.feasible for c in cells]
+    assert sum(s.attrs.get("num_migrated", 0) for s in spans) == sum(
+        c.num_migrated for c in cells
     )
-    assert by_feasible == feasible
-    if feasible:
-        assert snap.counter_total("robustness_migrations_total") == sum(
-            c.num_migrated for c in cells if c.feasible
-        )
-    assert infeasible == total - by_feasible
-
-
-def test_metrics_off_by_default_costs_nothing(problem16):
-    from repro.obs import NULL_METRICS, get_metrics
-
-    assert get_metrics() is NULL_METRICS
-    mapping = get_mapper("greedy").map(problem16, seed=0)
-    # Nothing installed, nothing recorded, answer unaffected.
-    assert get_metrics().snapshot().empty
-    assert mapping.cost >= 0.0

@@ -14,11 +14,7 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     MetricsSnapshot,
-    NULL_METRICS,
-    collecting_metrics,
-    get_metrics,
     labelset,
-    using_metrics,
 )
 
 # ----------------------------------------------------------------- families
@@ -87,20 +83,6 @@ def test_histogram_default_buckets_and_validation():
         Histogram("h4", buckets=[1.0, float("inf")])
 
 
-def test_histogram_value_merge_requires_matching_bounds():
-    a = Histogram("h", buckets=[1.0, 2.0])
-    b = Histogram("h", buckets=[1.0, 2.0])
-    a.observe(0.5)
-    b.observe(1.5)
-    b.observe(9.0)
-    merged = a.value().merge(b.value())
-    assert merged.counts == (1, 1, 1)
-    assert merged.count == 3
-    other = Histogram("h", buckets=[5.0]).value()
-    with pytest.raises(ValueError):
-        a.value().merge(other)
-
-
 # ----------------------------------------------------------------- registry
 
 
@@ -115,7 +97,6 @@ def test_registry_families_are_idempotent_and_kind_checked():
 
 def test_registry_convenience_surface_and_snapshot():
     reg = MetricsRegistry()
-    assert reg.enabled
     reg.inc("runs_total", mapper="geo")
     reg.inc("runs_total", 2.0, mapper="greedy")
     reg.set_gauge("last_cost", 12.5)
@@ -130,50 +111,6 @@ def test_registry_convenience_surface_and_snapshot():
     # Snapshots are frozen: later bumps don't bleed back.
     reg.inc("runs_total", mapper="geo")
     assert snap.counter_value("runs_total", mapper="geo") == 1.0
-
-
-def test_registry_reset_keeps_families():
-    reg = MetricsRegistry()
-    reg.inc("c_total")
-    reg.set_gauge("g", 1.0)
-    reg.observe("h", 0.5)
-    reg.reset()
-    snap = reg.snapshot()
-    assert snap.counter_total("c_total") == 0.0
-    assert snap.gauge_value("g") == 0.0
-    assert snap.histogram_value("h") is None
-    # The counter family still exists (no kind clash on re-request).
-    reg.inc("c_total", 5.0)
-    assert reg.snapshot().counter_total("c_total") == 5.0
-
-
-def test_registry_merge_snapshot_and_registry():
-    a = MetricsRegistry()
-    a.inc("c_total", 1.0, k="x")
-    a.set_gauge("g", 1.0)
-    a.observe("h", 0.5)
-    b = MetricsRegistry()
-    b.inc("c_total", 2.0, k="x")
-    b.set_gauge("g", 9.0)
-    b.observe("h", 0.5)
-    a.merge(b)
-    snap = a.snapshot()
-    assert snap.counter_value("c_total", k="x") == 3.0
-    assert snap.gauge_value("g") == 9.0  # gauges: incoming wins
-    assert snap.histogram_value("h").count == 2
-    a.merge(b.snapshot())  # snapshot path is equivalent
-    assert a.snapshot().counter_value("c_total", k="x") == 5.0
-
-
-def test_snapshot_merge_is_pure():
-    a = MetricsRegistry()
-    a.inc("c_total", 1.0)
-    b = MetricsRegistry()
-    b.inc("c_total", 2.0)
-    sa, sb = a.snapshot(), b.snapshot()
-    merged = sa.merge(sb)
-    assert merged.counter_total("c_total") == 3.0
-    assert sa.counter_total("c_total") == 1.0  # inputs untouched
 
 
 def test_registry_is_thread_safe():
@@ -197,21 +134,38 @@ def test_registry_is_thread_safe():
 # ------------------------------------------------------------ serialization
 
 
-def test_snapshot_json_round_trip():
+def test_snapshot_to_dict_document():
+    """The document ``repro metrics --format json`` and the serve
+    ``metrics`` op emit: sorted families, label dicts, raw bucket counts."""
     reg = MetricsRegistry()
     reg.counter("c_total", "help text").inc(2.0, k="v")
+    reg.inc("c_total", 1.0, k="a")
     reg.set_gauge("g", -1.5)
-    reg.observe("h", 0.25)
+    reg.histogram("h", buckets=[0.1, 1.0]).observe(0.25)
     snap = reg.snapshot()
-    doc = json.loads(snap.to_json())
-    assert doc["version"] == 1
-    back = MetricsSnapshot.from_dict(doc)
-    assert back.counter_value("c_total", k="v") == 2.0
-    assert back.gauge_value("g") == -1.5
-    assert back.histogram_value("h") == snap.histogram_value("h")
-    assert back.help["c_total"] == "help text"
-    with pytest.raises(ValueError):
-        MetricsSnapshot.from_dict({"version": 99})
+    assert snap.to_dict() == {
+        "version": 1,
+        "counters": {
+            "c_total": [
+                {"labels": {"k": "a"}, "value": 1.0},
+                {"labels": {"k": "v"}, "value": 2.0},
+            ]
+        },
+        "gauges": {"g": [{"labels": {}, "value": -1.5}]},
+        "histograms": {
+            "h": [
+                {
+                    "labels": {},
+                    "bounds": [0.1, 1.0],
+                    "counts": [0, 1, 0],
+                    "sum": 0.25,
+                    "count": 1,
+                }
+            ]
+        },
+        "help": {"c_total": "help text"},
+    }
+    assert json.loads(snap.to_json()) == snap.to_dict()
 
 
 def test_render_prom_format():
@@ -237,35 +191,6 @@ def test_render_prom_escapes_label_values():
     reg.inc("c_total", 1.0, site='us"east\\1')
     text = reg.render_prom()
     assert 'site="us\\"east\\\\1"' in text
-
-
-# ----------------------------------------------------------------- ambient
-
-
-def test_ambient_default_is_null_and_free():
-    metrics = get_metrics()
-    assert metrics is NULL_METRICS
-    assert not metrics.enabled
-    # The null sink swallows everything without state.
-    metrics.inc("c_total")
-    metrics.set_gauge("g", 1.0)
-    metrics.observe("h", 0.5)
-    assert metrics.snapshot().empty
-
-
-def test_using_metrics_scopes_and_restores():
-    reg = MetricsRegistry()
-    with using_metrics(reg) as installed:
-        assert installed is reg
-        assert get_metrics() is reg
-    assert get_metrics() is NULL_METRICS
-
-
-def test_collecting_metrics_captures_instrumented_code():
-    with collecting_metrics() as metrics:
-        get_metrics().inc("seen_total")
-    assert metrics.snapshot().counter_total("seen_total") == 1.0
-    assert get_metrics() is NULL_METRICS
 
 
 # ----------------------------------------------------------------- quantile
