@@ -1,17 +1,10 @@
-"""Perf bench: repro-lint whole-project pass, cold vs warm cache.
+"""Perf bench: the repro-lint whole-project pass.
 
-Measures the full two-stage lint (per-file rules + call-graph rules
-RPR008-RPR010) over ``src/`` + ``benchmarks/`` two ways:
-
-* ``lint_full_cold`` — no cache: parse, visit, and summarize every file,
-  then build the call graph and run the project rules;
-* ``lint_warm_cache`` — every file replayed from the content-hash cache
-  (``.repro-lint-cache.json`` schema); only the graph stage recomputes.
-
-The acceptance bar is warm >= 5x faster than cold with a bit-identical
-finding set — both asserted here, so a cache regression fails the bench
-before it fails CI.  ``n`` records the number of files linted and ``m``
-the call-graph node count, keeping the ``(bench, n, m)`` key meaningful.
+``lint_full_cold`` times the full two-stage lint over ``src/`` +
+``benchmarks/``: parse, visit, and summarize every file, then build the
+call graph and run the project rules RPR008-RPR010.  ``n`` records the
+number of files linted and ``m`` the call-graph node count, keeping the
+``(bench, n, m)`` key meaningful.
 
 Timings land in ``BENCH_perf.json`` (schema v2: ``{schema, bench, n, m,
 seconds, cost}``, host-independent keys; redirect with
@@ -24,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -32,11 +24,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _common import emit, median_time, update_bench_json  # noqa: E402
 
-from repro.analysis import ALL_PROJECT_RULES, ALL_RULES, LintCache, lint_paths  # noqa: E402
+from repro.analysis import lint_paths  # noqa: E402
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LINT_PATHS = [REPO_ROOT / "src", REPO_ROOT / "benchmarks"]
-RULE_IDS = [cls.id for cls in ALL_RULES] + [cls.id for cls in ALL_PROJECT_RULES]
 
 
 def bench_lint(quick: bool) -> list[dict]:
@@ -47,30 +38,6 @@ def bench_lint(quick: bool) -> list[dict]:
 
     t_cold, cold = median_time(run_cold, warmup=1, repeats=repeats)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cache_path = Path(tmp) / "lint-cache.json"
-        # Populate once, then measure fully-warm runs.
-        lint_paths(
-            LINT_PATHS, root=REPO_ROOT, cache=LintCache(cache_path, RULE_IDS)
-        )
-
-        def run_warm():
-            return lint_paths(
-                LINT_PATHS, root=REPO_ROOT, cache=LintCache(cache_path, RULE_IDS)
-            )
-
-        t_warm, warm = median_time(run_warm, warmup=1, repeats=repeats)
-
-    if warm.cache_misses:
-        raise RuntimeError(
-            f"warm run missed cache on {warm.cache_misses} file(s); "
-            "the bench is not measuring a warm cache"
-        )
-    cold_payload = [f.to_json() for f in cold.findings]
-    warm_payload = [f.to_json() for f in warm.findings]
-    if cold_payload != warm_payload:
-        raise RuntimeError("warm-cache findings differ from cold run")
-
     n_files = cold.files_scanned
     n_nodes = cold.graph_stats.get("nodes", 0)
     return [
@@ -80,13 +47,6 @@ def bench_lint(quick: bool) -> list[dict]:
             "m": n_nodes,
             "seconds": t_cold,
             "cost": float(len(cold.findings)),
-        },
-        {
-            "bench": "lint_warm_cache",
-            "n": n_files,
-            "m": n_nodes,
-            "seconds": t_warm,
-            "cost": float(len(warm.findings)),
         },
     ]
 
@@ -99,19 +59,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     records = bench_lint(args.quick)
-    t_cold = records[0]["seconds"]
-    t_warm = records[1]["seconds"]
-    speedup = t_cold / t_warm if t_warm > 0 else float("inf")
-    if speedup < 5.0:
-        print(f"WARNING: warm cache only {speedup:.1f}x faster than cold (< 5x bar)")
-
     lines = [
         "bench                 n      m    seconds",
         *(
             f"{r['bench']:<20} {r['n']:>5} {r['m']:>6} {r['seconds']:>10.6f}"
             for r in records
         ),
-        f"warm-cache speedup: {speedup:.1f}x (bit-identical findings)",
     ]
     path = update_bench_json(records)
     emit("bench_lint", "\n".join(lines))

@@ -23,22 +23,18 @@ RPR009   shared-mutable-capture      no shared mutable state across
                                      ``executor.submit``/``map`` (graph)
 RPR010   hot-path-dense-reachability ``dense_CG``/``dense_AG`` unreachable from
                                      ``Mapper.map``/``Simulator.run`` (graph)
+RPR011   no-blocking-call-in-async   ``async def`` bodies in ``repro.serve``
+                                     never block the event loop
 =======  ==========================  ============================================
 
-Findings can be silenced inline (``# repro-lint: disable=RPR003``) or
-grandfathered in the checked-in ``.repro-lint-baseline.json``; anything
-else fails the run (and CI).  Graph findings fingerprint on qualified
-symbol names, so baselines survive file moves.  ``--cache`` enables the
-content-hash incremental cache; ``--changed-only`` is the fast
-pre-commit mode; ``--format sarif`` feeds GitHub code scanning.
+Findings can be silenced inline (``# repro-lint: disable=RPR003``,
+optionally followed by a reason); anything else fails the run (and CI).
 """
 
 from __future__ import annotations
 
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
-from .cache import DEFAULT_CACHE_NAME, LintCache
 from .callgraph import CallGraph, ProjectIndex, build_call_graph
-from .engine import LintResult, lint_file, lint_paths, lint_source, lint_sources
+from .engine import LintResult, lint_paths, lint_source, lint_sources
 from .findings import Finding
 from .graph_rules import (
     ALL_PROJECT_RULES,
@@ -53,12 +49,8 @@ from .rules import ALL_RULES, Rule, default_rules
 __all__ = [
     "ALL_PROJECT_RULES",
     "ALL_RULES",
-    "Baseline",
     "CallGraph",
-    "DEFAULT_BASELINE_NAME",
-    "DEFAULT_CACHE_NAME",
     "Finding",
-    "LintCache",
     "LintResult",
     "ModuleSummary",
     "ProjectGraph",
@@ -69,7 +61,6 @@ __all__ = [
     "build_project_graph",
     "default_project_rules",
     "default_rules",
-    "lint_file",
     "lint_paths",
     "lint_source",
     "lint_sources",

@@ -1,36 +1,20 @@
 """Command-line front end: ``repro-lint`` / ``python -m repro.analysis``.
 
-Exit codes: 0 clean (or everything baselined/suppressed), 1 new findings
-or unparsable files, 2 usage errors.
-
-Two speed knobs for day-to-day use:
-
-* ``--cache [FILE]`` — per-file content-hash incremental cache
-  (default file: ``.repro-lint-cache.json``).  Unchanged files replay
-  their cached findings and module summary; the project pass is always
-  recomputed from the summaries, so warm findings are bit-identical to
-  a cold run.
-* ``--changed-only`` — lint only files ``git diff`` (against ``HEAD``)
-  plus untracked files report, and **skip the project pass** (a call
-  graph over a partial file set would under-approximate reachability
-  and silently miss findings).  This is the pre-commit mode; CI runs
-  the full graph.
+Exit codes: 0 clean (every finding suppressed inline), 1 findings or
+unparsable files, 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import IO
 
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
-from .cache import DEFAULT_CACHE_NAME, LintCache
-from .engine import lint_paths
+from .engine import LintResult, lint_paths
 from .graph_rules import ALL_PROJECT_RULES, ProjectRule, default_project_rules
 from .rules import ALL_RULES, Rule, default_rules
-from .reporters import render_json, render_sarif, render_text
 
 __all__ = ["main", "build_parser"]
 
@@ -40,7 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Domain-aware static analysis for the repro mapping stack "
-            "(per-file rules RPR001-RPR007, call-graph rules RPR008-RPR010)."
+            "(per-file rules RPR001-RPR007 and RPR011, call-graph rules "
+            "RPR008-RPR010)."
         ),
     )
     parser.add_argument(
@@ -48,28 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         default=["src", "benchmarks"],
         help="files or directories to lint (default: src benchmarks)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE_NAME} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="grandfather all current findings into the baseline file and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -83,33 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule catalog and exit",
     )
     parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=DEFAULT_CACHE_NAME,
-        default=None,
-        metavar="FILE",
-        help=(
-            "enable the per-file incremental cache "
-            f"(default file: {DEFAULT_CACHE_NAME})"
-        ),
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "lint only files changed per git (diff vs HEAD + untracked) "
-            "and skip the call-graph pass; the fast pre-commit mode"
-        ),
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the call-graph pass (rules RPR008-RPR010)",
-    )
-    parser.add_argument(
         "--stats",
         action="store_true",
-        help="print call-graph and cache statistics to stderr",
+        help="print call-graph statistics to stderr",
     )
     return parser
 
@@ -122,7 +61,10 @@ def _list_rules(stream: IO[str]) -> None:
 def _select_rules(
     select: str | None,
 ) -> tuple[list[Rule], list[ProjectRule]]:
-    """Split a ``--select`` list between per-file and project rules."""
+    """Split a ``--select`` list between per-file and project rules.
+
+    Selecting only per-file ids skips the call-graph pass entirely.
+    """
     if select is None:
         return default_rules(), default_project_rules()
     wanted = {s.strip().upper() for s in select.split(",") if s.strip()}
@@ -136,46 +78,29 @@ def _select_rules(
     return rules, default_project_rules(sorted(wanted & project_ids))
 
 
-def _changed_files(paths: list[Path]) -> list[Path]:
-    """Git-changed ``.py`` files (diff vs HEAD + untracked) under ``paths``.
-
-    Raises ``RuntimeError`` when git is unavailable or this is not a
-    work tree — ``--changed-only`` only makes sense inside one.
-    """
-    cmds = (
-        ["git", "diff", "--name-only", "HEAD", "--"],
-        ["git", "ls-files", "--others", "--exclude-standard", "--"],
+def _report(result: LintResult, stream: IO[str]) -> None:
+    """One line per finding and per unparsable file, then a summary."""
+    for finding in result.findings:
+        stream.write(finding.render() + "\n")
+    for relpath, message in sorted(result.errors.items()):
+        stream.write(f"{relpath}:1:0: ERROR {message}\n")
+    by_rule = Counter(f.rule_id for f in result.findings)
+    summary = ", ".join(f"{rule}={count}" for rule, count in sorted(by_rule.items()))
+    stream.write(
+        f"repro-lint: {result.files_scanned} files, {len(result.findings)} finding(s)"
+        + (f" [{summary}]" if summary else "")
+        + f", {result.suppressed} suppressed"
+        + (f", {len(result.errors)} error(s)" if result.errors else "")
+        + "\n"
     )
-    names: list[str] = []
-    for cmd in cmds:
-        try:
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, check=True
-            )
-        except (OSError, subprocess.CalledProcessError) as exc:
-            raise RuntimeError(
-                f"--changed-only needs git ({' '.join(cmd)} failed: {exc})"
-            ) from exc
-        names.extend(line for line in proc.stdout.splitlines() if line)
-    roots = [p.resolve() for p in paths]
-    changed: list[Path] = []
-    for name in sorted(set(names)):
-        candidate = Path(name)
-        if candidate.suffix != ".py" or not candidate.is_file():
-            continue
-        resolved = candidate.resolve()
-        if any(root == resolved or root in resolved.parents for root in roots):
-            changed.append(candidate)
-    return changed
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out: IO[str] = sys.stdout
 
     if args.list_rules:
-        _list_rules(out)
+        _list_rules(sys.stdout)
         return 0
 
     try:
@@ -188,65 +113,14 @@ def main(argv: list[str] | None = None) -> int:
     if missing:
         parser.error(f"path(s) do not exist: {', '.join(map(str, missing))}")
 
-    run_project = not (args.no_project or args.changed_only)
-    if args.changed_only:
-        try:
-            paths = _changed_files(paths)
-        except RuntimeError as exc:
-            out.write(f"repro-lint: {exc}\n")
-            return 2
-        if not paths:
-            out.write("repro-lint: no changed .py files under the given paths\n")
-            return 0
-
-    cache: LintCache | None = None
-    if args.cache is not None:
-        rule_ids = [r.id for r in rules] + [r.id for r in project_rules]
-        cache = LintCache(Path(args.cache), rule_ids)
-
-    result = lint_paths(
-        paths,
-        rules=rules,
-        project_rules=project_rules,
-        project=run_project,
-        cache=cache,
-    )
-
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE_NAME)
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).save(baseline_path)
-        out.write(
-            f"repro-lint: wrote baseline with {len(result.findings)} finding(s) "
-            f"to {baseline_path}\n"
-        )
-        return 0
-
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except ValueError as exc:
-            out.write(f"repro-lint: {exc}\n")
-            return 2
-
-    new, baselined = baseline.partition(result.findings)
+    result = lint_paths(paths, rules=rules, project_rules=project_rules)
     if args.stats:
         stats = ", ".join(
             f"{key}={value}" for key, value in sorted(result.graph_stats.items())
         )
-        sys.stderr.write(
-            "repro-lint stats: "
-            + (f"graph[{stats}] " if stats else "graph[skipped] ")
-            + f"cache[hits={result.cache_hits}, misses={result.cache_misses}]\n"
-        )
-    if args.format == "json":
-        render_json(result, new, baselined, out)
-    elif args.format == "sarif":
-        render_sarif(result, new, baselined, out)
-    else:
-        render_text(result, new, baselined, out)
-    return 1 if new or result.errors else 0
+        sys.stderr.write(f"repro-lint stats: graph[{stats or 'skipped'}]\n")
+    _report(result, sys.stdout)
+    return 1 if result.findings or result.errors else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

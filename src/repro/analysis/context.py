@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 #: Matches ``# repro-lint: disable=RPR001,RPR002`` (or ``disable=all``).
-_SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
+#: Only the leading comma-separated ids count, so a reason may follow
+#: them: ``# repro-lint: disable=RPR004 invariant checked by caller``.
+_SUPPRESS_RE = re.compile(
+    r"#\s*repro-lint:\s*disable=((?:RPR\d+|all)\b(?:\s*,\s*(?:RPR\d+|all)\b)*)",
+    re.IGNORECASE,
+)
 
 
 def parse_suppressions(lines: list[str]) -> dict[int, frozenset[str]]:
@@ -38,9 +43,7 @@ def parse_suppressions(lines: list[str]) -> dict[int, frozenset[str]]:
 class FileContext:
     """Everything the rules need to know about one source file."""
 
-    path: Path
     relpath: str
-    source: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
     #: 1-based line -> rule ids suppressed on that line (may contain "ALL").

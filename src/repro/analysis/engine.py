@@ -1,19 +1,17 @@
-"""The lint engine: per-file pass, project pass, incremental cache.
+"""The lint engine: per-file pass, then project pass.
 
-Stage 1 (per file) — discovery, parsing, and one recursive AST visit
-per file; per-file rules are dispatched by node type from a table built
-once per file (so a rule that does not apply costs nothing there).  The
-same parse also produces the file's :class:`~.project.ModuleSummary`
-for stage 2.  With a :class:`~.cache.LintCache`, files whose content
-hash is unchanged skip parsing entirely and replay their cached
-findings and summary.
+Stage 1 (per file) — parsing and one recursive AST visit per file;
+per-file rules are dispatched by node type from a table built once per
+file (so a rule that does not apply costs nothing there).  The same
+parse also produces the file's :class:`~.project.ModuleSummary` for
+stage 2.
 
 Stage 2 (project) — the module summaries are indexed into a
 call graph (:mod:`.callgraph`) and the project rules
-(:mod:`.graph_rules`: RPR008/009/010) run over it.  This stage is
-recomputed every run even on a fully warm cache: it is parse-free and
-cheap, and recomputing it from cached per-file facts is what guarantees
-a warm run's findings are bit-identical to a cold run's.
+(:mod:`.graph_rules`: RPR008/009/010) run over it.
+
+:func:`lint_sources` is the one engine path; :func:`lint_paths` reads
+files from disk into it and :func:`lint_source` lints a single blob.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cache import CachedFile, LintCache, file_digest
 from .callgraph import CallGraph
 from .context import FileContext, parse_suppressions
 from .findings import Finding
@@ -34,7 +31,6 @@ from .rules import Rule, default_rules
 __all__ = [
     "LintResult",
     "lint_paths",
-    "lint_file",
     "lint_source",
     "lint_sources",
 ]
@@ -50,11 +46,8 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
     files_scanned: int = 0
-    #: path -> error message for files that failed to parse.
+    #: path -> error message for files that could not be read or parsed.
     errors: dict[str, str] = field(default_factory=dict)
-    #: Files replayed from / recomputed into the incremental cache.
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Call-graph statistics from the project pass (empty when skipped):
     #: ``modules`` / ``nodes`` / ``edges`` / ``unknown`` / ``external``.
     graph_stats: dict[str, int] = field(default_factory=dict)
@@ -65,8 +58,6 @@ class LintResult:
         self.suppressed += other.suppressed
         self.files_scanned += other.files_scanned
         self.errors.update(other.errors)
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
 
 
 class _Visitor:
@@ -132,14 +123,9 @@ def _relpath(path: Path, root: Path) -> str:
 
 
 def _scan_source(
-    source: str,
-    *,
-    relpath: str,
-    path: Path | None,
-    rules: Sequence[Rule],
-    summarize: bool,
+    source: str, *, relpath: str, rules: Sequence[Rule]
 ) -> tuple[LintResult, ModuleSummary | None]:
-    """Parse once; run the per-file pass and (optionally) summarize."""
+    """Parse once; run the per-file pass and summarize the module."""
     try:
         tree = ast.parse(source, filename=relpath)
     except SyntaxError as exc:
@@ -149,47 +135,13 @@ def _scan_source(
     lines = source.splitlines()
     suppressions = parse_suppressions(lines)
     ctx = FileContext(
-        path=path if path is not None else Path(relpath),
-        relpath=relpath,
-        source=source,
-        tree=tree,
-        lines=lines,
-        suppressions=suppressions,
+        relpath=relpath, tree=tree, lines=lines, suppressions=suppressions
     )
-    result = _Visitor(ctx, list(rules)).run()
-    summary: ModuleSummary | None = None
-    if summarize:
-        summary = summarize_module(
-            tree, relpath=relpath, lines=lines, suppressions=suppressions
-        )
+    result = _Visitor(ctx, rules).run()
+    summary = summarize_module(
+        tree, relpath=relpath, lines=lines, suppressions=suppressions
+    )
     return result, summary
-
-
-def lint_source(
-    source: str,
-    *,
-    relpath: str,
-    path: Path | None = None,
-    rules: Sequence[Rule] | None = None,
-) -> LintResult:
-    """Lint one in-memory source blob (the unit the tests drive)."""
-    active = list(default_rules()) if rules is None else list(rules)
-    result, _ = _scan_source(
-        source, relpath=relpath, path=path, rules=active, summarize=False
-    )
-    return result
-
-
-def lint_file(path: Path, root: Path, rules: Sequence[Rule] | None = None) -> LintResult:
-    """Lint one file on disk (per-file rules only)."""
-    relpath = _relpath(path, root)
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        result = LintResult(files_scanned=1)
-        result.errors[relpath] = str(exc)
-        return result
-    return lint_source(source, relpath=relpath, path=path, rules=rules)
 
 
 def discover(paths: Iterable[Path]) -> list[Path]:
@@ -243,95 +195,13 @@ def _run_project_pass(
     return findings, suppressed, stats
 
 
-def lint_paths(
-    paths: Sequence[Path],
-    *,
-    root: Path | None = None,
-    rules: Sequence[Rule] | None = None,
-    project_rules: Sequence[ProjectRule] | None = None,
-    project: bool = True,
-    cache: LintCache | None = None,
-) -> LintResult:
-    """Lint every ``.py`` file under ``paths``; the public library entry.
-
-    ``project=False`` skips the call-graph stage (the ``--changed-only``
-    pre-commit mode); ``cache`` replays per-file results for files whose
-    content hash is unchanged and is saved back afterwards.
-    """
-    base = Path.cwd() if root is None else root
-    active = list(default_rules()) if rules is None else list(rules)
-    graph_rules = (
-        default_project_rules() if project_rules is None else list(project_rules)
-    )
-    total = LintResult()
-    summaries: list[ModuleSummary] = []
-    relpaths: list[str] = []
-    for path in discover(paths):
-        relpath = _relpath(path, base)
-        relpaths.append(relpath)
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            total.files_scanned += 1
-            total.errors[relpath] = str(exc)
-            continue
-        digest = file_digest(raw)
-        cached = cache.get(relpath, digest) if cache is not None else None
-        if cached is not None:
-            total.files_scanned += 1
-            total.cache_hits += 1
-            total.findings.extend(cached.findings)
-            total.suppressed += cached.suppressed
-            if cached.error:
-                total.errors[relpath] = cached.error
-            if cached.summary is not None:
-                summaries.append(cached.summary)
-            continue
-        try:
-            source = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            total.files_scanned += 1
-            total.errors[relpath] = str(exc)
-            continue
-        result, summary = _scan_source(
-            source, relpath=relpath, path=path, rules=active, summarize=True
-        )
-        total.extend(result)
-        total.cache_misses += 1
-        if summary is not None:
-            summaries.append(summary)
-        if cache is not None:
-            cache.put(
-                relpath,
-                CachedFile(
-                    digest=digest,
-                    findings=list(result.findings),
-                    suppressed=result.suppressed,
-                    error=result.errors.get(relpath, ""),
-                    summary=summary,
-                ),
-            )
-    if project and graph_rules:
-        graph_findings, graph_suppressed, stats = _run_project_pass(
-            summaries, graph_rules
-        )
-        total.findings.extend(graph_findings)
-        total.suppressed += graph_suppressed
-        total.graph_stats = stats
-    if cache is not None:
-        cache.prune(relpaths)
-        cache.save()
-    total.findings.sort()
-    return total
-
-
 def lint_sources(
     files: dict[str, str],
     *,
     rules: Sequence[Rule] | None = None,
     project_rules: Sequence[ProjectRule] | None = None,
 ) -> LintResult:
-    """Lint a set of in-memory modules *as a project* (the test entry).
+    """Lint a set of in-memory modules *as a project*.
 
     ``files`` maps relpaths (``"src/pkg/mod.py"``) to source text; the
     call graph resolves across them exactly as it would on disk.
@@ -343,13 +213,7 @@ def lint_sources(
     total = LintResult()
     summaries: list[ModuleSummary] = []
     for relpath in sorted(files):
-        result, summary = _scan_source(
-            files[relpath],
-            relpath=relpath,
-            path=None,
-            rules=active,
-            summarize=True,
-        )
+        result, summary = _scan_source(files[relpath], relpath=relpath, rules=active)
         total.extend(result)
         if summary is not None:
             summaries.append(summary)
@@ -362,3 +226,37 @@ def lint_sources(
         total.graph_stats = stats
     total.findings.sort()
     return total
+
+
+def lint_source(
+    source: str, *, relpath: str, rules: Sequence[Rule] | None = None
+) -> LintResult:
+    """Lint one in-memory source blob with the per-file rules only."""
+    return lint_sources({relpath: source}, rules=rules, project_rules=())
+
+
+def lint_paths(
+    paths: Sequence[Path],
+    *,
+    root: Path | None = None,
+    rules: Sequence[Rule] | None = None,
+    project_rules: Sequence[ProjectRule] | None = None,
+) -> LintResult:
+    """Lint every ``.py`` file under ``paths``; the public library entry.
+
+    Files are named by their path relative to ``root`` (default: the
+    current directory).  An unreadable file is reported as an error.
+    """
+    base = Path.cwd() if root is None else root
+    sources: dict[str, str] = {}
+    unreadable: dict[str, str] = {}
+    for path in discover(paths):
+        relpath = _relpath(path, base)
+        try:
+            sources[relpath] = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            unreadable[relpath] = str(exc)
+    result = lint_sources(sources, rules=rules, project_rules=project_rules)
+    result.files_scanned += len(unreadable)
+    result.errors.update(unreadable)
+    return result

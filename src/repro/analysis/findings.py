@@ -1,22 +1,7 @@
-"""Finding model shared by the rules, the engine, and the reporters.
-
-A :class:`Finding` is one rule violation at one source location.  Its
-:attr:`~Finding.fingerprint` intentionally ignores the line *number* —
-baselines must survive unrelated edits above a grandfathered finding —
-and hashes the rule, the file, the enclosing symbol, and the offending
-source text instead.
-
-Graph-based rules (RPR008+) additionally set :attr:`~Finding.qualname`,
-the fully-qualified project symbol the finding lives in
-(``repro.core.geodist.GeoDistributedMapper._solve``).  When present the
-fingerprint hashes the qualname *instead of* the file path, so moving a
-function to another file — a refactor the call graph resolves right
-through — does not orphan a baseline entry.
-"""
+"""Finding model shared by the rules, the engine, and the CLI."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 
@@ -38,14 +23,9 @@ class Finding:
         Human-readable description of the violation.
     symbol:
         Dotted path of the enclosing class/function scope (empty string at
-        module level); part of the baseline fingerprint.
+        module level).
     snippet:
         The stripped source line the finding points at.
-    qualname:
-        Fully-qualified project symbol (module-rooted dotted name) for
-        findings produced by graph-based rules; empty for per-file
-        rules.  Not part of ordering/equality, but when set it replaces
-        the file path in the fingerprint.
     """
 
     path: str
@@ -55,54 +35,7 @@ class Finding:
     message: str
     symbol: str = ""
     snippet: str = field(default="", compare=False)
-    qualname: str = field(default="", compare=False)
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity used by the baseline: line-number independent.
-
-        Per-file findings hash ``(rule, path, symbol, snippet)``.  Graph
-        findings carry a :attr:`qualname` and hash
-        ``(rule, qualname, snippet)`` instead — independent of both line
-        numbers *and* file location, so a file rename or a function
-        moved between modules under the same package keeps its identity.
-        """
-        if self.qualname:
-            payload = "\x1f".join((self.rule_id, self.qualname, self.snippet))
-        else:
-            payload = "\x1f".join((self.rule_id, self.path, self.symbol, self.snippet))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
-        """``path:line:col: RPRxxx message`` — the text-reporter line."""
+        """``path:line:col: RPRxxx message`` — the text-report line."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
-
-    def to_json(self) -> dict[str, object]:
-        """JSON-reporter payload for one finding."""
-        out: dict[str, object] = {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "message": self.message,
-            "symbol": self.symbol,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
-        }
-        if self.qualname:
-            out["qualname"] = self.qualname
-        return out
-
-    @classmethod
-    def from_json(cls, payload: dict[str, object]) -> "Finding":
-        """Rebuild a finding from :meth:`to_json` output (cache storage)."""
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[call-overload]
-            col=int(payload["col"]),  # type: ignore[call-overload]
-            rule_id=str(payload["rule"]),
-            message=str(payload["message"]),
-            symbol=str(payload.get("symbol", "")),
-            snippet=str(payload.get("snippet", "")),
-            qualname=str(payload.get("qualname", "")),
-        )

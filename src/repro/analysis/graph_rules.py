@@ -4,9 +4,7 @@ Per-file rules (:mod:`.rules`) see one AST at a time; the rules here see
 the whole project — a :class:`ProjectGraph` bundling the module
 summaries (:mod:`.project`), the symbol index, and the resolved call
 graph (:mod:`.callgraph`).  Each rule implements ``check_project`` and
-yields findings carrying a :attr:`~.findings.Finding.qualname`, so
-their baseline fingerprints are line-number-independent *and*
-path-move-tolerant (hashing the qualified symbol, not ``file:line``).
+yields findings anchored at a source line inside a reachable function.
 
 Rule families
 -------------
@@ -141,7 +139,6 @@ class ProjectRule:
             message=message,
             symbol=_in_module_symbol(module, node),
             snippet=snippet,
-            qualname=node,
         )
 
 

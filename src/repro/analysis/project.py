@@ -3,19 +3,15 @@
 The whole-project pass (rules RPR008-RPR010) cannot work from one file
 at a time: "is ``np.random`` reachable from ``Mapper.map``" is a
 property of the import graph, the class hierarchy, and every call site
-in between.  This module extracts ONE compact, JSON-serializable
-:class:`ModuleSummary` per source file — imports (normalized to absolute
-dotted targets), classes with their bases and methods, and one
-:class:`FunctionSummary` per module-level function or method recording
-its call sites plus the domain facts the graph rules need (module-level
+in between.  This module extracts ONE compact :class:`ModuleSummary`
+per source file — imports (normalized to absolute dotted targets),
+classes with their bases and methods, and one :class:`FunctionSummary`
+per module-level function or method recording its call sites plus the domain facts the graph rules need (module-level
 RNG touches, ``dense_CG``/``dense_AG`` call sites, executor ``submit``
 sites with captured-variable analysis, global/attribute writes).
 
-Summaries are what the incremental cache stores: re-linting a tree with
-an unchanged file replays its summary instead of re-parsing, and the
-call graph is rebuilt from summaries alone (see
-:mod:`repro.analysis.callgraph`), which keeps the warm-cache whole-
-project pass fast while staying bit-identical to a cold run.
+The call graph is built from summaries alone (see
+:mod:`repro.analysis.callgraph`), never from the ASTs.
 
 Everything here is stdlib-only and intentionally *conservative*: a call
 whose target cannot be resolved syntactically (``getattr`` dispatch,
@@ -29,7 +25,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Iterator
 
 __all__ = [
     "CallSite",
@@ -126,23 +122,6 @@ class CallSite:
     line: int
     col: int
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "target": list(self.target),
-            "line": self.line,
-            "col": self.col,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "CallSite":
-        return cls(
-            kind=str(d["kind"]),
-            target=tuple(str(t) for t in d["target"]),
-            line=int(d["line"]),
-            col=int(d["col"]),
-        )
-
 
 @dataclass(frozen=True)
 class RngCall:
@@ -160,25 +139,6 @@ class RngCall:
     col: int
     snippet: str
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "snippet": self.snippet,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "RngCall":
-        return cls(
-            kind=str(d["kind"]),
-            name=str(d["name"]),
-            line=int(d["line"]),
-            col=int(d["col"]),
-            snippet=str(d["snippet"]),
-        )
-
 
 @dataclass(frozen=True)
 class DenseCall:
@@ -188,23 +148,6 @@ class DenseCall:
     line: int
     col: int
     snippet: str
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "col": self.col,
-            "snippet": self.snippet,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "DenseCall":
-        return cls(
-            name=str(d["name"]),
-            line=int(d["line"]),
-            col=int(d["col"]),
-            snippet=str(d["snippet"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -219,13 +162,6 @@ class CaptureIssue:
 
     var: str
     reason: str
-
-    def to_json(self) -> dict[str, Any]:
-        return {"var": self.var, "reason": self.reason}
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "CaptureIssue":
-        return cls(var=str(d["var"]), reason=str(d["reason"]))
 
 
 @dataclass(frozen=True)
@@ -251,29 +187,6 @@ class SubmitSite:
     worker_ref: tuple[str, ...]
     captures: tuple[CaptureIssue, ...]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "snippet": self.snippet,
-            "worker": self.worker,
-            "worker_kind": self.worker_kind,
-            "worker_ref": list(self.worker_ref),
-            "captures": [c.to_json() for c in self.captures],
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "SubmitSite":
-        return cls(
-            line=int(d["line"]),
-            col=int(d["col"]),
-            snippet=str(d["snippet"]),
-            worker=str(d["worker"]),
-            worker_kind=str(d["worker_kind"]),
-            worker_ref=tuple(str(t) for t in d["worker_ref"]),
-            captures=tuple(CaptureIssue.from_json(c) for c in d["captures"]),
-        )
-
 
 @dataclass(frozen=True)
 class FunctionSummary:
@@ -293,33 +206,6 @@ class FunctionSummary:
     #: ``self.<attr>`` attributes this function rebinds or mutates.
     writes_self_attrs: tuple[str, ...]
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "qualname": self.qualname,
-            "line": self.line,
-            "cls": self.cls,
-            "calls": [c.to_json() for c in self.calls],
-            "rng_calls": [c.to_json() for c in self.rng_calls],
-            "dense_calls": [c.to_json() for c in self.dense_calls],
-            "submit_sites": [s.to_json() for s in self.submit_sites],
-            "writes_globals": list(self.writes_globals),
-            "writes_self_attrs": list(self.writes_self_attrs),
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            qualname=str(d["qualname"]),
-            line=int(d["line"]),
-            cls=str(d["cls"]),
-            calls=tuple(CallSite.from_json(c) for c in d["calls"]),
-            rng_calls=tuple(RngCall.from_json(c) for c in d["rng_calls"]),
-            dense_calls=tuple(DenseCall.from_json(c) for c in d["dense_calls"]),
-            submit_sites=tuple(SubmitSite.from_json(s) for s in d["submit_sites"]),
-            writes_globals=tuple(str(w) for w in d["writes_globals"]),
-            writes_self_attrs=tuple(str(w) for w in d["writes_self_attrs"]),
-        )
-
 
 @dataclass(frozen=True)
 class ClassSummary:
@@ -330,21 +216,6 @@ class ClassSummary:
     #: ``"abc.ABC"``); resolved against imports at graph-build time.
     bases: tuple[str, ...]
     methods: tuple[str, ...]
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "bases": list(self.bases),
-            "methods": list(self.methods),
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=str(d["name"]),
-            bases=tuple(str(b) for b in d["bases"]),
-            methods=tuple(str(m) for m in d["methods"]),
-        )
 
 
 @dataclass
@@ -364,33 +235,6 @@ class ModuleSummary:
     #: 1-based line -> suppressed rule ids (graph rules honor these).
     suppressions: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "module": self.module,
-            "relpath": self.relpath,
-            "imports": dict(sorted(self.imports.items())),
-            "functions": {k: f.to_json() for k, f in sorted(self.functions.items())},
-            "classes": {k: c.to_json() for k, c in sorted(self.classes.items())},
-            "module_names": list(self.module_names),
-            "suppressions": {str(k): list(v) for k, v in sorted(self.suppressions.items())},
-        }
-
-    @classmethod
-    def from_json(cls, d: dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=str(d["module"]),
-            relpath=str(d["relpath"]),
-            imports={str(k): str(v) for k, v in d["imports"].items()},
-            functions={
-                str(k): FunctionSummary.from_json(v) for k, v in d["functions"].items()
-            },
-            classes={str(k): ClassSummary.from_json(v) for k, v in d["classes"].items()},
-            module_names=tuple(str(n) for n in d["module_names"]),
-            suppressions={
-                int(k): tuple(str(i) for i in v) for k, v in d["suppressions"].items()
-            },
-        )
-
 
 # ----------------------------------------------------------------- utilities
 
@@ -403,7 +247,7 @@ def module_name_for(relpath: str) -> str:
     trees use their path as-is (``benchmarks/bench_x.py`` ->
     ``benchmarks.bench_x``).  ``__init__.py`` names the package itself.
     The name is therefore independent of where the checkout lives on
-    disk — the property the qualified-name fingerprints rely on.
+    disk.
     """
     parts = [p for p in relpath.split("/") if p]
     if "src" in parts:

@@ -60,7 +60,7 @@ RPR011  no-blocking-call-in-async
     ``open()``/socket I/O/``subprocess``, and no direct solver calls
     (``.map()`` / ``.repair()`` — route them through the engine's
     executor).  One stalled handler freezes every connection the daemon
-    is serving; the baseline stays empty by construction.
+    is serving.
 
 (RPR008-010 are project-pass rules over the call graph; see
 :mod:`repro.analysis.graph_rules`.)

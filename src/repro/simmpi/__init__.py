@@ -22,7 +22,6 @@ from .compression import (
     iter_with_multiplicity,
 )
 from .engine import DeadlockError, Program, RankContext, SimResult, Simulator
-from .mpi_adapter import MPIRunResult, run_with_mpi
 from .network import SimNetwork, UniformNetwork
 from .ops import Barrier, Compute, Operation, Recv, Send
 from .tracing import DENSE_LIMIT, TraceRecorder
@@ -47,8 +46,6 @@ __all__ = [
     "RankContext",
     "SimResult",
     "Simulator",
-    "MPIRunResult",
-    "run_with_mpi",
     "SimNetwork",
     "UniformNetwork",
     "Barrier",

@@ -5,7 +5,6 @@ import textwrap
 import pytest
 
 from repro.analysis import lint_sources
-from repro.analysis.baseline import Baseline
 from repro.analysis.graph_rules import (
     RPR008UnseededRngReachable,
     RPR009SharedMutableCapture,
@@ -139,13 +138,13 @@ def test_rpr008_negative(files):
     assert result.findings == []
 
 
-def test_rpr008_finding_carries_qualname():
+def test_rpr008_finding_attributes_symbol_and_path():
     result = lint(
         RPR008_POSITIVE["direct numpy legacy call in reachable helper"],
         [RPR008UnseededRngReachable(ENTRY)],
     )
     (finding,) = result.findings
-    assert finding.qualname == "pkg.helper.solve"
+    assert finding.symbol == "solve"
     assert finding.path == "src/pkg/helper.py"
 
 
@@ -409,7 +408,7 @@ def test_rpr010_reproduces_rpr007_sites_without_allowlist():
     assert not RPR010HotPathDenseReachability.__dict__.get("allowlist")
 
 
-# ----------------------------------------------------- suppression + baseline
+# ---------------------------------------------------------------- suppression
 
 
 def test_graph_finding_honors_inline_suppression():
@@ -425,60 +424,3 @@ def test_graph_finding_honors_inline_suppression():
     result = lint(files, [RPR008UnseededRngReachable(ENTRY)])
     assert result.findings == []
     assert result.suppressed == 1
-
-
-def test_graph_fingerprint_survives_file_move():
-    """Qualified-name fingerprints are path-move-tolerant: relocating the
-    module file under a different tree keeps the baseline entry alive."""
-    before = {
-        "src/pkg/entry.py": RPR008_POSITIVE[
-            "direct numpy legacy call in reachable helper"
-        ]["src/pkg/entry.py"],
-        "src/pkg/helper.py": RPR008_POSITIVE[
-            "direct numpy legacy call in reachable helper"
-        ]["src/pkg/helper.py"],
-    }
-    # Same package layout, different checkout root and extra blank lines
-    # above the function (line numbers shift too).
-    after = {
-        "lib/src/pkg/entry.py": before["src/pkg/entry.py"],
-        "lib/src/pkg/helper.py": "\n\n\n" + textwrap.dedent(
-            before["src/pkg/helper.py"]
-        ),
-    }
-    rule = RPR008UnseededRngReachable(ENTRY)
-    f_before = lint(before, [rule]).findings
-    f_after = lint(after, [rule]).findings
-    assert len(f_before) == len(f_after) == 1
-    assert f_before[0].path != f_after[0].path
-    assert f_before[0].line != f_after[0].line
-    assert f_before[0].fingerprint == f_after[0].fingerprint
-
-
-def test_graph_fingerprint_baseline_round_trip(tmp_path):
-    files = RPR008_POSITIVE["direct numpy legacy call in reachable helper"]
-    rule = RPR008UnseededRngReachable(ENTRY)
-    findings = lint(files, [rule]).findings
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(findings).save(path)
-    loaded = Baseline.load(path)
-    new, baselined = loaded.partition(findings)
-    assert new == []
-    assert baselined == findings
-
-
-def test_per_file_finding_fingerprint_unchanged_without_qualname():
-    """Adding the qualname field must not disturb per-file fingerprints
-    (the empty-qualname branch hashes exactly the legacy payload)."""
-    import hashlib
-
-    from repro.analysis.findings import Finding
-
-    f = Finding(
-        path="src/x.py", line=3, col=0, rule_id="RPR001",
-        message="m", symbol="f", snippet="np.random.rand()",
-    )
-    legacy = hashlib.sha256(
-        "\x1f".join(("RPR001", "src/x.py", "f", "np.random.rand()")).encode()
-    ).hexdigest()[:16]
-    assert f.fingerprint == legacy

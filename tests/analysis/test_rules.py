@@ -573,12 +573,13 @@ def test_suppression_comment_silences_one_rule():
         """
         def invariant(x):
             assert x > 0  # repro-lint: disable=RPR004
+            assert x < 9  # repro-lint: disable=RPR004 invariant checked by caller
             return x
         """,
         rules=[NoBareAssertRule()],
     )
     assert result.findings == []
-    assert result.suppressed == 1
+    assert result.suppressed == 2
 
 
 def test_suppression_all_and_multiple_ids():
