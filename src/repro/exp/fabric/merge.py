@@ -185,7 +185,8 @@ def stitch_worker_traces(
 
     Workers write their traces independently (shared-nothing), so the
     sweep's execution history is scattered across
-    ``traces/<worker>.trace.json`` files plus the supervisor's own
+    ``traces/<worker>.<seq>.trace.json`` files (one per finished task)
+    plus the supervisor's own
     ``traces/supervisor.trace.json`` (the ``fabric.sweep`` root span).
     Stitching walks them in filename order (stable across runs) and:
 

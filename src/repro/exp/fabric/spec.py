@@ -7,8 +7,8 @@ A sweep lives entirely inside one directory::
       specs/<key>.json     one TaskSpec per scenario            (input)
       shards/<key>.json    one result shard per scenario        (output)
       hb/<slot>.hb         worker heartbeat files
-      traces/<worker>.trace.json   per-worker span files
-      logs/<worker>.log    worker stderr
+      traces/<worker>.<seq>.trace.json   one span document per task
+      logs/<worker>.log    worker stdout and stderr
       result.json          merged, input-ordered result table
       sweep.lock           exclusive PathLock while a supervisor runs
 

@@ -23,26 +23,31 @@ The fabric owns real OS processes and therefore a real robustness loop:
   supervisor holds no result state that is not also on disk, so a
   killed sweep resumes from the shards alone.
 
-The supervisor is single-threaded apart from one stdout-reader thread
-per worker (each pushes parsed events into one queue); all decisions
-happen on the main loop, which makes the state machine auditable.
+Workers are forked from the supervisor's own process (see
+:mod:`repro.exp.fabric.worker`), so they start with everything already
+imported.  The supervisor is single-threaded: one loop waits on the
+workers' pipes and process sentinels with
+:func:`multiprocessing.connection.wait` and makes every decision, which
+keeps the state machine auditable and means no fork ever happens while
+another supervisor thread holds a lock.  Workers stay direct children
+and are reaped before :meth:`SweepFabric.run` returns, so their CPU
+time is in the caller's ``RUSAGE_CHILDREN``.
 """
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import os
-import queue
 import signal
-import subprocess
-import sys
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Any, Sequence
 
+from ...obs import SpanRecorder, TraceContext, get_recorder, trace_to_dict
 from .chaos import ChaosConfig, ChaosInjector
 from .io import PathLock, atomic_write_json, sweep_stale_tmp
 from .spec import (
@@ -50,12 +55,14 @@ from .spec import (
     SweepLayout,
     load_manifest,
     load_shard,
+    load_spec,
     write_shard,
 )
+from .worker import run_worker
 
 __all__ = ["FabricConfig", "FabricReport", "SweepFabric"]
 
-_EOF = object()
+_FORK = multiprocessing.get_context("fork")
 
 #: Consecutive boot failures (per sweep, any slot) before giving up —
 #: a worker that cannot even reach "ready" means the environment is
@@ -126,7 +133,8 @@ class _Worker:
 
     slot: int
     name: str
-    proc: subprocess.Popen
+    proc: BaseProcess
+    conn: Connection
     hb_path: Path
     log_path: Path
     state: str = "booting"     # booting | idle | busy
@@ -197,6 +205,10 @@ class SweepFabric:
         (manifest + spec files).
     config:
         The :class:`FabricConfig` supervision policy.
+
+    :meth:`run` forks its workers from the calling process, so call it
+    where no other thread may hold a lock at that moment (the CLI and
+    the fabric itself start none).
     """
 
     def __init__(
@@ -221,8 +233,6 @@ class SweepFabric:
         timed out, quarantined, corrupt, half-written) is re-run —
         resuming is how a sweep heals.
         """
-        from ...obs import SpanRecorder, TraceContext, get_recorder
-
         manifest = load_manifest(self.layout.root)
         if keys is None:
             selected = list(manifest)
@@ -238,11 +248,11 @@ class SweepFabric:
         # recorder is already a SpanRecorder (the CLI's --trace) the
         # sweep span nests into the caller's trace; otherwise a local
         # recorder mints the sweep its own trace identity.  Either way
-        # workers inherit the context via --traceparent, which is what
+        # workers are handed the sweep span's context, which is what
         # lets stitch_worker_traces build one causally-parented tree.
         recorder = obs if isinstance(obs, SpanRecorder) else SpanRecorder()
         self._recorder = recorder
-        self._sweep_traceparent: str | None = None
+        self._sweep_context: TraceContext | None = None
         start = time.monotonic()
         with PathLock(self.layout.lock_path):
             sweep_stale_tmp(self.layout.shards_dir)
@@ -288,9 +298,9 @@ class SweepFabric:
                 chaos=self.config.chaos is not None,
             ) as span:
                 if span.span_id is not None:
-                    self._sweep_traceparent = TraceContext(
+                    self._sweep_context = TraceContext(
                         trace_id=recorder.trace_id, span_id=span.span_id
-                    ).to_traceparent()
+                    )
                 if pending_keys:
                     self._execute(pending_keys)
                 span.set(
@@ -319,8 +329,6 @@ class SweepFabric:
         Best-effort: a sweep must not fail because its trace could not
         be written.
         """
-        from ...obs import trace_to_dict
-
         recorder = self._recorder
         try:
             self.layout.traces_dir.mkdir(parents=True, exist_ok=True)
@@ -335,7 +343,11 @@ class SweepFabric:
                 self.layout.trace_context_path,
                 {
                     "trace_id": recorder.trace_id,
-                    "traceparent": self._sweep_traceparent,
+                    "traceparent": (
+                        self._sweep_context.to_traceparent()
+                        if self._sweep_context is not None
+                        else None
+                    ),
                     "anchor": anchor.to_dict(),
                 },
             )
@@ -350,7 +362,6 @@ class SweepFabric:
             d.mkdir(parents=True, exist_ok=True)
         self._tasks = {key: _Task(key=key) for key in pending_keys}
         self._pending: deque[_Task] = deque(self._tasks.values())
-        self._events: "queue.Queue[tuple[str, Any]]" = queue.Queue()
         self._workers: dict[str, _Worker] = {}
         self._retired: set[str] = set()
         self._incarnations = [0] * self.config.workers
@@ -361,7 +372,7 @@ class SweepFabric:
             while self._unsettled:
                 now = time.monotonic()
                 self._assign(now)
-                self._drain_events()
+                self._poll()
                 now = time.monotonic()
                 self._check_deadlines(now)
                 self._check_heartbeats(now)
@@ -378,72 +389,44 @@ class SweepFabric:
         name = f"w{slot}-{incarnation}"
         hb_path = self.layout.hb_dir / f"{slot}.hb"
         log_path = self.layout.logs_dir / f"{name}.log"
-        trace_path = self.layout.traces_dir / f"{name}.trace.json"
-        env = dict(os.environ)
-        import repro
-
-        src_root = str(Path(repro.__file__).resolve().parent.parent)
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            src_root + (os.pathsep + existing if existing else "")
+        ours, theirs = _FORK.Pipe()
+        live = list(self._workers.values())
+        proc = _FORK.Process(
+            target=run_worker,
+            name=f"fabric-{name}",
+            args=(theirs,),
+            kwargs=dict(
+                sweep_dir=self.layout.root,
+                name=name,
+                hb_path=hb_path,
+                log_path=log_path,
+                traces_dir=self.layout.traces_dir,
+                heartbeat_interval_s=self.config.heartbeat_interval_s,
+                context=self._sweep_context,
+                inherited=[ours] + [w.conn for w in live],
+                inherited_fds=[fd for w in live for fd in _sentinel_fds(w.proc)],
+            ),
         )
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.exp.fabric.worker",
-            "--sweep-dir", str(self.layout.root),
-            "--name", name,
-            "--heartbeat", str(hb_path),
-            "--trace", str(trace_path),
-            "--heartbeat-interval",
-            str(self.config.heartbeat_interval_s),
-        ]
-        if self._sweep_traceparent is not None:
-            argv += ["--traceparent", self._sweep_traceparent]
-        log_fh = open(log_path, "w")
         try:
-            proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=log_fh,
-                text=True,
-                bufsize=1,
-                env=env,
-            )
+            proc.start()
+        except BaseException:
+            ours.close()
+            raise
         finally:
-            log_fh.close()  # the child holds its own descriptor now
+            theirs.close()  # the child holds its own end now
         now = time.monotonic()
         worker = _Worker(
             slot=slot,
             name=name,
             proc=proc,
+            conn=ours,
             hb_path=hb_path,
             log_path=log_path,
             boot_deadline=now + self.config.boot_timeout_s,
             hb_changed_at=now,
         )
         self._workers[name] = worker
-        reader = threading.Thread(
-            target=self._read_stdout,
-            args=(name, proc),
-            daemon=True,
-            name=f"fabric-reader-{name}",
-        )
-        reader.start()
         return worker
-
-    def _read_stdout(self, name: str, proc: subprocess.Popen) -> None:
-        try:
-            stream = proc.stdout
-            if stream is None:
-                return
-            for line in stream:
-                self._events.put((name, line))
-        except (OSError, ValueError):
-            pass
-        finally:
-            self._events.put((name, _EOF))
 
     def _ensure_capacity(self) -> None:
         """Respawn lost workers while runnable work remains."""
@@ -498,11 +481,7 @@ class SweepFabric:
             "chaos": chaos,
         }
         try:
-            stdin = worker.proc.stdin
-            if stdin is None:
-                raise OSError("worker stdin closed")
-            stdin.write(json.dumps(msg) + "\n")
-            stdin.flush()
+            worker.conn.send(msg)
         except OSError:
             # The worker died between polls; undo the attempt and let
             # the exit check handle the corpse.
@@ -519,40 +498,30 @@ class SweepFabric:
 
     # --------------------------------------------------------------- events
 
-    def _drain_events(self) -> None:
-        try:
-            name, payload = self._events.get(timeout=self.config.tick_s)
-        except queue.Empty:
-            return
-        while True:
-            self._handle_event(name, payload)
-            try:
-                name, payload = self._events.get_nowait()
-            except queue.Empty:
-                return
+    def _poll(self) -> None:
+        """Handle every message that arrives within one tick.
 
-    def _handle_event(self, name: str, payload: Any) -> None:
-        if name in self._retired:
-            return
-        worker = self._workers.get(name)
-        if worker is None:
-            return
-        if payload is _EOF:
-            # Stream closed: the process is gone or going.  A worker
-            # that closed stdout but kept running is useless to us —
-            # kill it so wait() cannot block, then reap.
-            if worker.proc.poll() is None:
-                try:
-                    worker.proc.kill()
-                except OSError:
-                    pass
-            worker.proc.wait()
-            self._on_worker_death(worker)
-            return
-        try:
-            msg = json.loads(payload)
-        except json.JSONDecodeError:
-            return
+        Waits on each worker's pipe and process sentinel; a pipe that
+        hits EOF, or a sentinel that fires, is a worker that is gone.
+        """
+        by_handle: dict[Any, _Worker] = {}
+        for worker in self._workers.values():
+            by_handle[worker.conn] = worker
+            by_handle[worker.proc.sentinel] = worker
+        for handle in wait(list(by_handle), timeout=self.config.tick_s):
+            worker = by_handle[handle]
+            if worker.name in self._retired or handle is not worker.conn:
+                continue  # sentinels are left to _check_exits
+            try:
+                while worker.conn.poll():
+                    self._handle_message(worker, worker.conn.recv())
+            except (EOFError, OSError):
+                # The pipe closed: the process is gone or going.  A
+                # worker that closed its end but kept running is useless
+                # to us; _on_worker_death kills it.
+                self._on_worker_death(worker)
+
+    def _handle_message(self, worker: _Worker, msg: dict[str, Any]) -> None:
         event = msg.get("event")
         if event == "ready":
             worker.state = "idle"
@@ -637,15 +606,14 @@ class SweepFabric:
 
     def _check_exits(self) -> None:
         for worker in list(self._workers.values()):
-            if worker.proc.poll() is not None:
+            if worker.proc.exitcode is not None:
                 self._on_worker_death(worker)
 
     def _on_worker_death(self, worker: _Worker) -> None:
         if worker.name in self._retired:
             return
-        rc = worker.proc.poll()
         task = worker.task
-        self._retire(worker)
+        rc = self._kill(worker)
         if worker.state == "booting":
             self._note_boot_failure(worker, _describe_exit(rc))
             return
@@ -698,41 +666,17 @@ class SweepFabric:
 
     # ------------------------------------------------------------ lifecycle
 
-    def _kill(self, worker: _Worker) -> None:
-        """SIGKILL a worker (SIGCONT first, so frozen workers die too)."""
-        try:
-            worker.proc.send_signal(signal.SIGCONT)
-        except (OSError, ValueError):
-            pass
-        try:
-            worker.proc.kill()
-        except (OSError, ValueError):
-            pass
-        try:
-            worker.proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            pass
-        self._retire(worker)
-
-    def _retire(self, worker: _Worker) -> None:
+    def _kill(self, worker: _Worker) -> int | None:
+        """Retire a worker: SIGKILL it if it still runs, reap it, and
+        return its exit code (``None`` if it was already retired)."""
         if worker.name in self._retired:
-            return
+            return None
         self._retired.add(worker.name)
         self._workers.pop(worker.name, None)
-        for stream in (worker.proc.stdin, worker.proc.stdout):
-            try:
-                if stream is not None:
-                    stream.close()
-            except OSError:
-                pass
-        if worker.proc.poll() is None:
-            try:
-                worker.proc.kill()
-                worker.proc.wait(timeout=10)
-            except (OSError, subprocess.TimeoutExpired):
-                pass
+        rc = _reap(worker)
         if worker.state != "booting":
             self._restarts += 1
+        return rc
 
     # ------------------------------------------------------- task terminals
 
@@ -740,8 +684,6 @@ class SweepFabric:
         task.last_error = error
         task.last_status = status
         max_attempts = 1 + self.config.max_retries
-        from ...obs import get_recorder
-
         get_recorder().event(
             "fabric.attempt_failed",
             key=task.key,
@@ -764,8 +706,6 @@ class SweepFabric:
         limit = self.config.degrade_after_timeouts
         if limit is None or task.degraded or task.timeouts < limit:
             return
-        from .spec import load_spec
-
         try:
             spec = load_spec(self.layout.root, task.key)
         except FabricError:
@@ -773,8 +713,6 @@ class SweepFabric:
         if not spec.degraded_params:
             return
         task.degraded = True
-        from ...obs import get_recorder
-
         get_recorder().event(
             "fabric.degraded", key=task.key, after_timeouts=task.timeouts
         )
@@ -820,31 +758,45 @@ class SweepFabric:
     # -------------------------------------------------------------- shutdown
 
     def _shutdown_workers(self) -> None:
-        for worker in list(self._workers.values()):
+        for worker in self._workers.values():
             try:
-                stdin = worker.proc.stdin
-                if stdin is not None:
-                    stdin.write(json.dumps({"cmd": "shutdown"}) + "\n")
-                    stdin.flush()
-                    stdin.close()
+                worker.conn.send({"cmd": "shutdown"})
             except OSError:
                 pass
         deadline = time.monotonic() + 5.0
-        for worker in list(self._workers.values()):
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                worker.proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                worker.proc.kill()
-                try:
-                    worker.proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    pass
+        for worker in self._workers.values():
+            worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            _reap(worker)
             self._retired.add(worker.name)
-            for stream in (worker.proc.stdin, worker.proc.stdout):
-                try:
-                    if stream is not None:
-                        stream.close()
-                except OSError:
-                    pass
         self._workers.clear()
+
+
+def _sentinel_fds(proc: BaseProcess) -> tuple[int, ...]:
+    """The pipe pair multiprocessing keeps open for a forked child.
+
+    ``popen_fork`` holds the child's exit sentinel and the write end of
+    the child's parent-liveness pipe until the process object is
+    closed; both are copied into every later fork.
+    """
+    finalizer = getattr(getattr(proc, "_popen", None), "finalizer", None)
+    return tuple(getattr(finalizer, "_args", ()))
+
+
+def _reap(worker: _Worker) -> int | None:
+    """SIGKILL a worker that still runs (SIGCONT first, so frozen workers
+    die too), wait for it, close its handles; returns its exit code."""
+    proc = worker.proc
+    if proc.exitcode is None:
+        try:
+            os.kill(proc.pid, signal.SIGCONT)
+            proc.kill()
+        except OSError:
+            pass
+        proc.join(timeout=10)
+    rc = proc.exitcode
+    worker.conn.close()
+    try:
+        proc.close()
+    except ValueError:
+        pass  # still running after SIGKILL and a 10 s join; leave it
+    return rc

@@ -28,8 +28,17 @@ the app's cached, read-only CG/AG.  Profiling was ~99% of a 32-process
 robustness cell.  On the traced ``robustness-sweep`` bench (three
 10-cell grids, 2 workers, 2-vCPU VM) a sweep's split of spawn +
 supervision versus cell work went from 1.23 s / 3.78 s to 0.97 s /
-0.31 s.  Callers outside the fabric that pass an app name to the
-scenario builders still get a fresh app and profile on every call.
+0.31 s.  Forking workers from the supervisor and writing each task's
+spans once then cut spawn + supervision to about 0.14 s a sweep, with
+cell work about 0.23 s (wall, per worker).  A forked worker starts
+with an empty memo, whatever its supervisor's process holds, so its
+first cell profiles.  Callers outside the fabric that pass an app name
+to the scenario builders still get a fresh app and profile on every
+call.
+
+Workers run the kinds registered in the supervisor's process when it
+forked them: register a kind (or import the module that does) before
+:meth:`~repro.exp.fabric.supervisor.SweepFabric.run`.
 """
 
 from __future__ import annotations
@@ -139,6 +148,12 @@ def _shared_app(
     and its cached profile is read-only.
     """
     return make(name, num_ranks)
+
+
+# A forked worker starts with an empty memo, so it profiles on its first
+# cell whatever its supervisor's process ran before: a cell's trace (its
+# ``profile_cached`` attribute) and its timing do not depend on that.
+os.register_at_fork(after_in_child=_shared_app.cache_clear)
 
 
 @register_task("map-cell")

@@ -1,24 +1,34 @@
-"""Fabric worker process: ``python -m repro.exp.fabric.worker``.
+"""Fabric worker: a forked child of a :class:`~repro.exp.fabric.
+supervisor.SweepFabric`.
 
-One worker is one OS process owned by a :class:`~repro.exp.fabric.
-supervisor.SweepFabric`.  The protocol is line-delimited JSON:
+The supervisor forks each worker from its own process, which has
+already imported repro, numpy and scipy, so a worker starts without
+paying for those imports again.  A worker runs the task kinds that were
+registered in the supervisor's process when it forked (see
+:mod:`repro.exp.fabric.tasks`).  ``ps`` shows it under the supervisor's
+command line.
 
-* supervisor -> worker (stdin): ``{"cmd": "task", "key": ..., "attempt":
-  n, "degraded": bool, "chaos": {...}|null}`` or ``{"cmd": "shutdown"}``;
-* worker -> supervisor (stdout): ``{"event": "ready"}`` once at boot,
-  then ``{"event": "done", "key": ..., "status": "ok"|"failed", ...}``
-  after each task.
+The protocol runs over one duplex :func:`multiprocessing.Pipe`; each
+message is one small dict:
+
+* supervisor -> worker: ``{"cmd": "task", "key": ..., "attempt": n,
+  "degraded": bool, "chaos": {...}|None}`` or ``{"cmd": "shutdown"}``;
+* worker -> supervisor: ``{"event": "ready"}`` once at start, then
+  ``{"event": "done", "key": ..., "status": "ok"|"failed", ...}`` after
+  each task.
 
 The worker loads each spec from the sweep directory itself (shared-
-nothing: the only state that crosses the process boundary is files and
-the tiny control messages), runs the task function under a span
-recorder, writes the result shard atomically, rewrites its own trace
-file, and only then acks.  Everything of value is on disk before the
-ack, so a worker killed at any instant loses at most the task in
-flight — which the supervisor retries.
+nothing: the only state that crosses the process boundary after the
+fork is files and the tiny control messages), runs the task function
+under a span recorder, writes the result shard atomically, writes the
+task's spans as their own trace document, and only then acks.
+Everything of value is on disk before the ack, so a worker killed at
+any instant loses at most the task in flight, which the supervisor
+retries.  A worker whose supervisor dies sees the pipe close and exits
+after its current task.
 
 A daemon heartbeat thread bumps a counter file every
-``--heartbeat-interval`` seconds.  It keeps beating while a task spins
+``heartbeat_interval_s`` seconds.  It keeps beating while a task spins
 in native code (hang detection stays with the *deadline*); it stops only
 when the process itself is dead or frozen (SIGSTOP/livelock), which is
 what heartbeat liveness detection is for.
@@ -30,14 +40,14 @@ SIGKILLs of this process; nothing is simulated.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import json
+import contextvars
+import gc
 import os
 import signal
 import sys
 import threading
 import time
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -46,7 +56,7 @@ from .io import atomic_write_json
 from .spec import load_spec, write_shard
 from .tasks import get_task
 
-__all__ = ["main"]
+__all__ = ["run_worker"]
 
 
 def _heartbeat_loop(path: Path, interval_s: float) -> None:
@@ -94,7 +104,7 @@ def _post_write_chaos_hook(chaos: dict[str, Any] | None, *, mid_write: bool):
 
 
 def _run_task(
-    sweep_dir: str, name: str, msg: dict[str, Any], recorder: SpanRecorder
+    sweep_dir: Path, name: str, msg: dict[str, Any], recorder: SpanRecorder
 ) -> dict[str, Any]:
     """Execute one task message; returns the ack event dict."""
     key = str(msg["key"])
@@ -114,9 +124,7 @@ def _run_task(
         try:
             spec = load_spec(sweep_dir, key)
             params = spec.effective_params(degraded=degraded)
-            # Task functions must not pollute the control channel.
-            with contextlib.redirect_stdout(sys.stderr):
-                result = get_task(spec.kind)(params)
+            result = get_task(spec.kind)(params)
             if not isinstance(result, dict):
                 raise TypeError(
                     f"task {spec.kind!r} returned {type(result).__name__}, "
@@ -155,72 +163,110 @@ def _run_task(
     }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro-fabric-worker")
-    parser.add_argument("--sweep-dir", required=True)
-    parser.add_argument("--name", required=True)
-    parser.add_argument("--heartbeat", required=True)
-    parser.add_argument("--trace", required=True)
-    parser.add_argument("--heartbeat-interval", type=float, default=0.2)
-    parser.add_argument("--traceparent", default=None)
-    args = parser.parse_args(argv)
+def _redirect_output(log_path: Path) -> None:
+    """Point fds 1 and 2, and ``sys.stdout``/``sys.stderr``, at the log.
 
-    hb = threading.Thread(
-        target=_heartbeat_loop,
-        args=(Path(args.heartbeat), args.heartbeat_interval),
-        daemon=True,
-        name="fabric-heartbeat",
-    )
-    hb.start()
+    A task that prints, or a library that writes to fd 1 directly, must
+    not reach the terminal or pipe the supervisor's caller reads.
+    """
+    fd = os.open(log_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+    os.dup2(fd, 1)
+    os.dup2(fd, 2)
+    os.close(fd)
+    sys.stdout = open(1, "w", buffering=1, closefd=False)
+    sys.stderr = open(2, "w", buffering=1, closefd=False)
 
-    # Join the supervisor's trace when a context was handed down; a
-    # malformed value degrades to a local trace rather than failing the
-    # worker (the sweep matters more than its telemetry).
-    context = None
-    if args.traceparent:
-        try:
-            context = TraceContext.from_traceparent(args.traceparent)
-        except ValueError:
-            context = None
+
+def _serve(
+    conn: Connection,
+    *,
+    sweep_dir: Path,
+    name: str,
+    traces_dir: Path,
+    context: TraceContext | None,
+) -> None:
+    """The worker loop: receive tasks until shutdown or a closed pipe."""
     recorder = SpanRecorder(context=context)
     set_recorder(recorder)
+    seq = 0
+    try:
+        conn.send({"event": "ready"})
+        while True:
+            msg = conn.recv()
+            if msg["cmd"] == "shutdown":
+                return
+            event = _run_task(sweep_dir, name, msg, recorder)
+            # Write the spans recorded since the last write as their own
+            # document: the work per task stays constant, and a later
+            # SIGKILL loses at most the spans of the task in flight.
+            # The doc carries the trace id and this process's clock
+            # anchor so the stitcher can parent and rebase the spans.
+            try:
+                atomic_write_json(
+                    traces_dir / f"{name}.{seq:06d}.trace.json",
+                    trace_to_dict(
+                        recorder.roots,
+                        trace_id=recorder.trace_id,
+                        anchor=recorder.anchor,
+                    ),
+                )
+                recorder.trim(0)
+                seq += 1
+            except Exception:
+                pass  # kept for the next document
+            conn.send(event)
+    except (EOFError, OSError):
+        return  # the supervisor is gone
 
-    def emit(event: dict[str, Any]) -> None:
-        sys.stdout.write(json.dumps(event) + "\n")
-        sys.stdout.flush()
 
-    emit({"event": "ready", "worker": args.name})
-    for line in sys.stdin:
-        line = line.strip()
-        if not line:
-            continue
+def run_worker(
+    conn: Connection,
+    *,
+    sweep_dir: Path,
+    name: str,
+    hb_path: Path,
+    log_path: Path,
+    traces_dir: Path,
+    heartbeat_interval_s: float,
+    context: TraceContext | None,
+    inherited: Sequence[Connection] = (),
+    inherited_fds: Sequence[int] = (),
+) -> None:
+    """Body of a freshly forked worker process.
+
+    ``inherited`` and ``inherited_fds`` are the supervisor's descriptors
+    that the fork copied into this process: its ends of every worker's
+    pipe (this one's included) and multiprocessing's per-child sentinel
+    pipes.  Closing them keeps a worker's descriptors independent of how
+    many workers were forked before it, and lets a worker see EOF when
+    the supervisor dies.  The loop runs in an empty
+    :class:`contextvars.Context`: the fork copied the supervisor's open
+    ``fabric.sweep`` span as the current span, and task spans must be
+    roots of this worker's recorder, not children of that copy.
+    """
+    # The worker never frees what it inherited; freezing those objects
+    # keeps the collector from walking them, which would copy every
+    # inherited page just to mark it.
+    gc.freeze()
+    for other in inherited:
+        other.close()
+    for fd in inherited_fds:
         try:
-            msg = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # a garbled control line is the supervisor's bug
-        if msg.get("cmd") == "shutdown":
-            break
-        if msg.get("cmd") != "task":
-            continue
-        event = _run_task(args.sweep_dir, args.name, msg, recorder)
-        # Persist this worker's spans after every task; a later SIGKILL
-        # loses at most the in-flight span, not the history.  The doc
-        # carries the trace id and this process's clock anchor so the
-        # stitcher can parent and rebase the spans.
-        try:
-            atomic_write_json(
-                args.trace,
-                trace_to_dict(
-                    recorder.roots,
-                    trace_id=recorder.trace_id,
-                    anchor=recorder.anchor,
-                ),
-            )
-        except Exception:
+            os.close(fd)
+        except OSError:
             pass
-        emit(event)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    sys.exit(main())
+    _redirect_output(log_path)
+    threading.Thread(
+        target=_heartbeat_loop,
+        args=(hb_path, heartbeat_interval_s),
+        daemon=True,
+        name="fabric-heartbeat",
+    ).start()
+    contextvars.Context().run(
+        _serve,
+        conn,
+        sweep_dir=sweep_dir,
+        name=name,
+        traces_dir=traces_dir,
+        context=context,
+    )

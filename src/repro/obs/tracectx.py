@@ -10,7 +10,8 @@ state make those per-process forests stitchable into one causal tree:
   *parent* span on the sending side (exactly the W3C ``traceparent``
   pair).  The wire form is ``00-<trace_id>-<span_id>-01`` and travels in
   a ``"traceparent"`` field of whatever dict the transport already
-  ships (serve request JSON, fabric worker argv).
+  ships (serve request JSON); a forked fabric worker is handed the
+  :class:`TraceContext` object itself.
 * a :class:`ClockAnchor` — one ``(perf_counter, unix)`` reading pair
   captured when a recorder starts.  ``perf_counter`` values from two
   processes are not comparable (each process has its own arbitrary

@@ -3,7 +3,7 @@
 Two front ends over one :class:`~repro.serve.engine.PlacementEngine`:
 
 * **Unix socket** (always on) — line-JSON, one request object per line,
-  one response object per line, exactly the fabric worker framing.  The
+  one response object per line.  The
   primary transport: local clients (the CLI's ``--remote`` flag, the
   benchmark, CI's smoke test) speak it through
   :class:`repro.serve.client.PlacementClient`.

@@ -4,9 +4,12 @@ The daemon's event loop never touches a solver — it ships each payload
 as one task to a warm ``ProcessPoolExecutor`` whose workers run
 :func:`solve_one`.  Each payload is a fabric-style ``{"kind", "params"}``
 pair resolved through :mod:`repro.exp.fabric.tasks`'s registry, so the
-serve stack reuses the fabric worker entrypoint contract instead of
-inventing a second task dispatch: importing this module (which the pool
-initializer and any fabric worker does) registers the three serve kinds.
+serve stack reuses the fabric's task contract instead of inventing a
+second task dispatch: importing this module (which the pool initializer
+does) registers the three serve kinds.  Fabric workers import nothing
+themselves: a worker runs the kinds registered in the supervisor's
+process when it forked, so a sweep of ``serve-*`` tasks needs this
+module imported in the supervisor first.
 
 ``serve-map``
     One placement solve: params carry a wire-encoded problem, a mapper

@@ -1,14 +1,19 @@
 """End-to-end supervisor behavior with real worker processes.
 
-These tests spawn genuine subprocesses and inject genuine SIGKILLs;
+These tests fork genuine worker processes and inject genuine SIGKILLs;
 they are the fabric's contract tests.  Timings are kept tight (tiny
 demo tasks, short backoffs) so the whole module stays in CI-smoke
-territory.
+territory.  The task kinds registered below exist only in this test
+process; workers run them because they are forked from it.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import sys
+from collections import Counter
 
 import pytest
 
@@ -17,17 +22,58 @@ from repro.exp.fabric import (
     FabricConfig,
     FabricError,
     SweepFabric,
+    SweepLayout,
     TaskSpec,
     comparable_rows,
     demo_specs,
     load_shard,
     merge_shards,
+    read_json,
+    register_task,
     results_equivalent,
     stitch_worker_traces,
     write_sweep,
 )
+from repro.exp.fabric.io import PathLock
 
 FAST = dict(backoff_base_s=0.01, heartbeat_interval_s=0.1)
+
+
+@register_task("test-introspect")
+def _introspect_task(params):
+    """The worker's pid and how many pipe and socket fds it holds."""
+    pipes = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # the listing's own fd, closed by now
+        pipes += target.startswith(("pipe:", "socket:"))
+    return {"pid": os.getpid(), "pipes": pipes, "index": params["index"]}
+
+
+@register_task("test-noisy")
+def _noisy_task(params):
+    os.write(1, b"fd1-from-task\n")
+    print("print-from-task")
+    return {}
+
+
+@register_task("test-system-exit")
+def _system_exit_task(params):
+    raise SystemExit(3)
+
+
+@register_task("test-keyboard-interrupt")
+def _keyboard_interrupt_task(params):
+    raise KeyboardInterrupt
+
+
+def _introspect_specs(n):
+    return [
+        TaskSpec(key=f"i/{i:03d}", kind="test-introspect", params={"index": i})
+        for i in range(n)
+    ]
 
 
 def _fabric(tmp_path, **kw):
@@ -300,3 +346,220 @@ class TestConfigValidation:
     def test_bad_config_rejected(self, kw):
         with pytest.raises(ValueError):
             FabricConfig(**kw)
+
+
+class TestForkedWorkers:
+    def test_kind_registered_in_this_process_runs_in_a_worker(self, tmp_path):
+        write_sweep(tmp_path, _introspect_specs(2))
+        report = _fabric(tmp_path, workers=1).run()
+        assert report.ok, report.statuses
+        for row in merge_shards(tmp_path).rows:
+            assert row["result"]["pid"] != os.getpid()
+
+    @pytest.mark.parametrize(
+        "kind", ["test-system-exit", "test-keyboard-interrupt"]
+    )
+    def test_base_exception_in_task_stays_in_the_worker(
+        self, tmp_path, monkeypatch, kind
+    ):
+        # Every call records the calling pid in a file, so a forked
+        # worker that unwound into the supervisor's frames would show.
+        calls = tmp_path / "calls.txt"
+
+        def recording(fn, what):
+            def wrapper(*args, **kwargs):
+                with open(calls, "a") as fh:
+                    fh.write(f"{what} {os.getpid()}\n")
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            PathLock, "release", recording(PathLock.release, "release")
+        )
+        monkeypatch.setattr(
+            SweepFabric,
+            "_write_sweep_trace",
+            recording(SweepFabric._write_sweep_trace, "trace"),
+        )
+        sweep = tmp_path / "sweep"
+        write_sweep(
+            sweep,
+            [TaskSpec(key="bad", kind=kind, params={})] + demo_specs(3, work=2),
+        )
+        report = _fabric(
+            sweep, workers=2, max_retries=2, quarantine_after=2
+        ).run()
+        assert report.statuses["bad"] in ("failed", "quarantined")
+        assert all(
+            v == "ok" for k, v in report.statuses.items() if k != "bad"
+        )
+        assert calls.read_text().splitlines() == [
+            f"trace {os.getpid()}",
+            f"release {os.getpid()}",
+        ]
+        assert not SweepLayout(sweep).lock_path.exists()
+
+    def test_unflushed_stdout_is_written_once(self, tmp_path, capfd):
+        write_sweep(tmp_path, demo_specs(4, work=2))
+        buffered = open(os.dup(1), "w")  # block-buffered: not a tty
+        real = sys.stdout
+        sys.stdout = buffered
+        try:
+            buffered.write("unflushed-before-fork\n")
+            report = _fabric(tmp_path, workers=2).run()
+        finally:
+            sys.stdout = real
+            buffered.close()
+        assert report.ok
+        assert capfd.readouterr().out.count("unflushed-before-fork") == 1
+
+    def test_task_output_goes_to_the_worker_log(self, tmp_path, capfd):
+        write_sweep(tmp_path, [TaskSpec(key="n", kind="test-noisy", params={})])
+        assert _fabric(tmp_path, workers=1).run().ok
+        out, err = capfd.readouterr()
+        assert "from-task" not in out + err
+        log = (SweepLayout(tmp_path).logs_dir / "w0-0.log").read_text()
+        assert "fd1-from-task" in log and "print-from-task" in log
+
+    def test_worker_fds_do_not_grow_with_earlier_forks(self, tmp_path):
+        write_sweep(tmp_path, _introspect_specs(18))
+        report = _fabric(
+            tmp_path, workers=3, max_retries=3,
+            chaos=ChaosConfig(seed=3, kill=0.3),
+        ).run()
+        assert report.ok, report.statuses
+        assert report.worker_restarts > 0  # respawns forked mid-sweep
+        rows = merge_shards(tmp_path).rows
+        assert len({r["result"]["pid"] for r in rows}) > 3
+        assert len({r["result"]["pipes"] for r in rows}) == 1
+
+    def test_workers_are_reaped_when_run_returns(self, tmp_path):
+        write_sweep(tmp_path, _introspect_specs(6))
+        report = _fabric(
+            tmp_path, workers=2, max_retries=3,
+            chaos=ChaosConfig(seed=5, kill=0.3),
+        ).run()
+        assert report.ok, report.statuses
+        assert multiprocessing.active_children() == []
+        for row in merge_shards(tmp_path).rows:
+            pid = row["result"]["pid"]
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    fields = fh.read().rsplit(")", 1)[1].split()
+            except FileNotFoundError:
+                continue  # reaped
+            # The pid may have been reused, but never by our zombie.
+            assert not (fields[0] == "Z" and int(fields[1]) == os.getpid())
+
+    def test_workers_exit_when_the_supervisor_is_killed(self, tmp_path):
+        """Forked workers share the supervisor's command line; none may
+        outlive it, and --resume finishes the sweep from its shards."""
+        import signal
+        import subprocess
+        import time
+
+        killed = tmp_path / "killed"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--sweep-dir", str(killed),
+             "--grid", "demo", "--tasks", "16", "--workers", "2",
+             "--chaos", "seed=1,delay=1.0,delay-s=0.2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        shards = SweepLayout(killed).shards_dir
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline and proc.poll() is None:
+            if shards.is_dir() and len(list(shards.glob("*.json"))) >= 2:
+                break
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+
+        def survivors():
+            found = []
+            for pid in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    with open(f"/proc/{pid}/cmdline", "rb") as fh:
+                        if str(killed).encode() in fh.read():
+                            found.append(pid)
+                except OSError:
+                    pass
+            return found
+
+        deadline = time.monotonic() + 5
+        while survivors() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = survivors()
+        for pid in left:
+            os.kill(int(pid), signal.SIGKILL)
+        assert left == []
+
+        clean = tmp_path / "clean"
+        write_sweep(clean, demo_specs(16))
+        assert _fabric(clean, workers=2).run().ok
+        assert _fabric(killed, workers=2).run(resume=True).ok
+        assert results_equivalent(
+            merge_shards(killed).rows, merge_shards(clean).rows
+        )
+
+
+class TestPerTaskTraces:
+    def test_one_task_span_per_acked_attempt(self, tmp_path, monkeypatch):
+        from repro.obs import validate_causal_trace, validate_trace
+
+        acked = []
+        on_done = SweepFabric._on_done
+
+        def recording(self, worker, msg):
+            if worker.task is not None:
+                acked.append((msg["key"], worker.task.attempts - 1))
+            on_done(self, worker, msg)
+
+        monkeypatch.setattr(SweepFabric, "_on_done", recording)
+        write_sweep(tmp_path, demo_specs(16, work=2))
+        chaos = ChaosConfig(
+            seed=7, kill=0.2, kill_mid_write=0.1, kill_after_write=0.1,
+            delay=0.1, delay_s=0.01,
+        )
+        report = _fabric(
+            tmp_path, workers=3, max_retries=3, timeout_s=10.0, chaos=chaos
+        ).run()
+        assert report.ok, report.statuses
+        assert report.worker_restarts > 0
+
+        layout = SweepLayout(tmp_path)
+        for path in layout.traces_dir.glob("*.trace.json"):
+            validate_trace(read_json(path))
+        doc = stitch_worker_traces(tmp_path)
+        assert doc["skipped_sources"] == []
+        roots = validate_trace(doc)
+        validate_causal_trace(roots, epsilon=0.05)
+        spans = Counter(
+            (t.attrs["key"], t.attrs["attempt"])
+            for t in roots[0].children
+            if t.name == "fabric.task"
+        )
+        assert max(spans.values()) == 1  # no span in two documents
+        assert sorted(spans) == sorted(acked)
+
+    def test_killed_worker_leaves_one_document_per_finished_task(
+        self, tmp_path
+    ):
+        from repro.obs import validate_trace
+
+        k = 3
+        specs = demo_specs(k, work=2) + [
+            TaskSpec(key="die", kind="demo", params={"die_signal": 9})
+        ]
+        write_sweep(tmp_path, specs)
+        report = _fabric(
+            tmp_path, workers=1, max_retries=0, quarantine_after=1
+        ).run()
+        assert report.statuses["die"] == "quarantined"
+        docs = sorted(SweepLayout(tmp_path).traces_dir.glob("w0-0.*.trace.json"))
+        assert len(docs) == k
+        keys = []
+        for path in docs:
+            (span,) = validate_trace(read_json(path))
+            keys.append(span.attrs["key"])
+        assert keys == [s.key for s in specs[:k]]

@@ -22,6 +22,7 @@ from repro.exp.fabric import (
     merge_shards,
     results_equivalent,
     robustness_specs,
+    stitch_worker_traces,
     write_shard,
     write_sweep,
 )
@@ -111,3 +112,23 @@ def test_one_worker_sweep_matches_a_fresh_app_per_cell(tmp_path, profiles):
 
     assert results_equivalent(rows, reference), diff_results(rows, reference)[:2]
     assert _sha(rows) == ROBUSTNESS_32_SHA
+
+
+def test_forked_worker_starts_with_an_empty_memo(tmp_path, profiles):
+    _robustness(16, "outage", "greedy", 0)  # memoized in this process
+    write_sweep(tmp_path, robustness_specs(
+        processes=16, faults=("outage", "brownout"), mappers=("greedy",)
+    ))
+    assert SweepFabric(tmp_path, config=FabricConfig(workers=1)).run().ok
+
+    def walk(spans):
+        for span in spans:
+            yield span
+            yield from walk(span["children"])
+
+    cached = [
+        s["attrs"]["profile_cached"]
+        for s in walk(stitch_worker_traces(tmp_path)["spans"])
+        if s["name"] == "build_problem"
+    ]
+    assert cached == [False, True]  # the worker's own first cell profiles
