@@ -167,6 +167,17 @@ def _initial_state(problem: MappingProblem) -> _FillState:
     return _FillState(P, selected, avail, site_done, num_placed, 0)
 
 
+def _first_admitted(
+    by_quantity: list[int], cursor: int, selected: np.ndarray, admits: np.ndarray
+) -> int:
+    """Heaviest unselected process that admits the site, or -1 if none."""
+    for k in range(cursor, len(by_quantity)):
+        t = by_quantity[k]
+        if admits[t] and not selected[t]:
+            return t
+    return -1
+
+
 def _fill_group(
     state: _FillState,
     group: SiteGroup,
@@ -174,6 +185,7 @@ def _fill_group(
     rows: list[tuple[np.ndarray, np.ndarray]] | None,
     by_quantity: list[int],
     n: int,
+    allowed: np.ndarray | None = None,
 ) -> tuple[int, int, int]:
     """Lines 7-15 of Algorithm 1 for one group, mutating ``state`` in place.
 
@@ -183,6 +195,13 @@ def _fill_group(
     maintained incrementally: selecting a process sets its entry to -inf
     (which further row additions cannot revive), so each placement is one
     ``argmax`` plus one in-place row addition.
+
+    ``allowed`` is an optional (N, M) admissible-site mask (multi-site set
+    constraints).  With it, a site only takes processes that admit it: the
+    seed and every quantity fallback are the heaviest unselected process
+    admitting the site, and non-admitting processes start at -inf in
+    ``masked_w``.  A site no unselected process admits is closed empty; a
+    site whose fallback finds none stops filling.
 
     Returns the greedy-fill pick counts of this group walk —
     ``(seed_picks, affinity_picks, fallback_picks)`` — where a fallback
@@ -211,10 +230,17 @@ def _fill_group(
 
         slots = int(avail[site])
         if slots > 0:
+            admits = None if allowed is None else allowed[:, site]
             # Seed: globally heaviest unselected process.
             while selected[by_quantity[cursor]]:
                 cursor += 1
-            t = by_quantity[cursor]
+            if admits is None:
+                t = by_quantity[cursor]
+            else:
+                t = _first_admitted(by_quantity, cursor, selected, admits)
+                if t < 0:
+                    site_done[site] = True
+                    continue
             P[t] = site
             selected[t] = True
             num_placed += 1
@@ -225,7 +251,9 @@ def _fill_group(
             # processes pinned there by constraints, in one batched sum.
             residents = np.flatnonzero(P == site)
             w = _affinity_rows_sum(sym, residents)
-            masked_w = np.where(selected, neg_inf, w)
+            masked_w = np.where(
+                selected if admits is None else selected | ~admits, neg_inf, w
+            )
 
             for _ in range(slots - 1):
                 if num_placed == n:
@@ -236,7 +264,12 @@ def _fill_group(
                 if masked_w[t] <= 0.0:
                     while selected[by_quantity[cursor]]:
                         cursor += 1
-                    t = by_quantity[cursor]
+                    if admits is None:
+                        t = by_quantity[cursor]
+                    else:
+                        t = _first_admitted(by_quantity, cursor, selected, admits)
+                        if t < 0:
+                            break
                     fallback_picks += 1
                 else:
                     affinity_picks += 1
@@ -256,6 +289,42 @@ def _fill_group(
     state.num_placed = num_placed
     state.cursor = cursor
     return seed_picks, affinity_picks, fallback_picks
+
+
+def _complete(state: _FillState, allowed: np.ndarray) -> np.ndarray | None:
+    """Place what a set-constrained fill left over; consumes ``state``.
+
+    Leftovers go most-restricted first (fewest admissible sites) to their
+    lowest-numbered open admissible site, else into a slot that
+    :func:`_relocate_for` frees.  Returns the completed assignment, or
+    None when a leftover can be placed neither way (the group order
+    dead-ends).
+    """
+    P, avail = state.P, state.avail
+    leftovers = np.flatnonzero(~state.selected)
+    for i in leftovers[np.argsort(allowed[leftovers].sum(axis=1))]:
+        open_sites = np.flatnonzero(allowed[i] & (avail > 0))
+        if open_sites.size:
+            P[i] = open_sites[0]
+            avail[open_sites[0]] -= 1
+        elif not _relocate_for(P, i, allowed, avail):
+            return None
+    return P
+
+
+def _relocate_for(P: np.ndarray, i: int, allowed: np.ndarray, avail: np.ndarray) -> bool:
+    """Move one resident of a site ``i`` admits to an open site the
+    resident admits, and put ``i`` in the freed slot (an augmenting path
+    of length 2).  False if no resident can move."""
+    for site in np.flatnonzero(allowed[i]):
+        for resident in np.flatnonzero(P == site):
+            targets = np.flatnonzero(allowed[resident] & (avail > 0))
+            if targets.size:
+                P[resident] = targets[0]
+                avail[targets[0]] -= 1
+                P[i] = site
+                return True
+    return False
 
 
 class GeoDistributedMapper(Mapper):
@@ -319,27 +388,35 @@ class GeoDistributedMapper(Mapper):
     def _solve(
         self, problem: MappingProblem, rng: np.random.Generator
     ) -> tuple[np.ndarray, dict]:
-        if problem.coordinates is None:
-            # Without coordinates, fall back to a single all-sites group:
-            # the algorithm still enumerates nothing but greedily fills
-            # sites by available nodes, which is well-defined.
-            groups = [
-                SiteGroup(0, tuple(range(problem.num_sites)), np.zeros(2))
-            ]
-        else:
-            groups = group_sites(
-                problem.coordinates, self.kappa, seed=self.grouping_seed
-            )
-
+        groups = self._groups(problem)
         if self.recursive and any(g.num_sites > self.recursion_limit for g in groups):
             return self._solve_recursive(problem, groups)
         return self._solve_flat(problem, groups)
 
+    def _groups(self, problem: MappingProblem) -> list[SiteGroup]:
+        """K-means site groups, or one all-sites group without coordinates.
+
+        With a single group the algorithm enumerates nothing but still
+        greedily fills sites by available nodes, which is well-defined.
+        """
+        if problem.coordinates is None:
+            return [SiteGroup(0, tuple(range(problem.num_sites)), np.zeros(2))]
+        return group_sites(problem.coordinates, self.kappa, seed=self.grouping_seed)
+
     # ------------------------------------------------------------- flat Alg.1
 
     def _solve_flat(
-        self, problem: MappingProblem, groups: Sequence[SiteGroup]
-    ) -> tuple[np.ndarray, dict]:
+        self,
+        problem: MappingProblem,
+        groups: Sequence[SiteGroup],
+        allowed: np.ndarray | None = None,
+    ) -> tuple[np.ndarray | None, dict]:
+        """Algorithm 1 over ``groups``; ``allowed`` adds set constraints.
+
+        With ``allowed`` an order whose fill leaves processes unplaced is
+        completed by :func:`_complete` or, if that dead-ends, skipped; the
+        assignment is None only when every order dead-ends.
+        """
         sym = _symmetric_traffic(problem)
         rows = _row_views(sym)
         # Stable descending order: ties keep index order, as argmax does.
@@ -354,9 +431,10 @@ class GeoDistributedMapper(Mapper):
         if self.max_orders is not None:
             orders = islice(orders, self.max_orders)
         best_cost, best_idx, best_P, best_order, stats = self._evaluate_orders(
-            problem, groups, enumerate(orders), sym, rows, by_quantity
+            problem, groups, enumerate(orders), sym, rows, by_quantity, allowed
         )
-        if best_P is None:  # unreachable: at least one order always runs
+        if best_P is None and allowed is None:
+            # Unreachable: at least one order always runs.
             raise RuntimeError(
                 "greedy fill evaluated no group orders; at least one "
                 "permutation should always be enumerated"
@@ -377,6 +455,11 @@ class GeoDistributedMapper(Mapper):
                 "fallback_picks": stats["fallback_picks"],
             },
         }
+        if allowed is not None:
+            meta["completion"] = {
+                "completed": stats["completed"],
+                "dead_ends": stats["dead_ends"],
+            }
         return best_P, meta
 
     def _evaluate_orders(
@@ -387,6 +470,7 @@ class GeoDistributedMapper(Mapper):
         sym,
         rows: list[tuple[np.ndarray, np.ndarray]] | None,
         by_quantity: list[int],
+        allowed: np.ndarray | None = None,
     ) -> tuple[float, int, np.ndarray | None, tuple[int, ...], dict]:
         """Greedy-fill and cost every (index, order); return the best.
 
@@ -399,7 +483,8 @@ class GeoDistributedMapper(Mapper):
         Returns ``(best_cost, best_idx, best_P, best_order, stats)``;
         ``stats`` counts the work actually performed — group fills
         executed (memo misses) vs resumed from the prefix cache (memo
-        hits), and the greedy-fill pick breakdown.  Each evaluated order
+        hits), the greedy-fill pick breakdown, and how many set-constrained
+        orders were completed or dead-ended.  Each evaluated order
         additionally gets a ``geodist.order`` span when recording is on.
         """
         obs = get_recorder()
@@ -417,6 +502,8 @@ class GeoDistributedMapper(Mapper):
             "seed_picks": 0,
             "affinity_picks": 0,
             "fallback_picks": 0,
+            "completed": 0,
+            "dead_ends": 0,
         }
 
         for idx, order in indexed_orders:
@@ -431,29 +518,39 @@ class GeoDistributedMapper(Mapper):
                 for g in order[d:]:
                     st = states[-1].clone()
                     seeds, affs, falls = _fill_group(
-                        st, groups[g], sym, rows, by_quantity, n
+                        st, groups[g], sym, rows, by_quantity, n, allowed
                     )
                     stats["seed_picks"] += seeds
                     stats["affinity_picks"] += affs
                     stats["fallback_picks"] += falls
                     states.append(st)
-                final = states[-1]
-                if final.num_placed != n:
-                    raise RuntimeError(
-                        "greedy fill left processes unplaced; this indicates an "
-                        "infeasible problem slipped past validation"
-                    )
-                cost = total_cost(problem, final.P)
+                prev = order
                 stats["orders_evaluated"] += 1
                 stats["memo_hits"] += d
                 stats["memo_misses"] += len(order) - d
+                final = states[-1]
+                P = final.P
+                if final.num_placed != n:
+                    if allowed is None:
+                        raise RuntimeError(
+                            "greedy fill left processes unplaced; this indicates "
+                            "an infeasible problem slipped past validation"
+                        )
+                    # The completion works on a clone: the memo keeps the
+                    # fill state this order's successors resume from.
+                    P = _complete(final.clone(), allowed)
+                    if P is None:
+                        stats["dead_ends"] += 1
+                        sp.set(dead_end=True, resumed_depth=d, groups_filled=len(order) - d)
+                        continue
+                    stats["completed"] += 1
+                cost = total_cost(problem, P)
                 sp.set(cost=cost, resumed_depth=d, groups_filled=len(order) - d)
                 if cost < best_cost:
                     best_cost = cost
                     best_idx = idx
-                    best_P = final.P.copy()
+                    best_P = P.copy()
                     best_order = order
-                prev = order
         return best_cost, best_idx, best_P, best_order, stats
 
     # ---------------------------------------------------------- recursive mode
@@ -541,11 +638,7 @@ class GeoDistributedMapper(Mapper):
                 if problem.coordinates is not None
                 else None,
             )
-            sub_groups = group_sites(
-                sub.coordinates, self.kappa, seed=self.grouping_seed
-            ) if sub.coordinates is not None else [
-                SiteGroup(0, tuple(range(sub.num_sites)), np.zeros(2))
-            ]
+            sub_groups = self._groups(sub)
             with obs.span(
                 "geodist.subproblem",
                 group=g.index,

@@ -11,8 +11,9 @@ Representation: a boolean ``allowed`` matrix of shape (N, M);
 single-site pin is a row with one True; an unconstrained process is an
 all-True row.  The helpers here convert, validate, check feasibility
 (via a maximum-flow argument on the bipartite process/site graph), and
-repair/construct assignments.  :class:`MultiSiteGeoMapper` extends
-Algorithm 1 to honor set constraints during the greedy fill.
+construct assignments.  :class:`MultiSiteGeoMapper` runs Algorithm 1's
+one greedy fill (:mod:`repro.core.geodist`) with ``allowed`` as its
+admissible mask.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .._validation import as_rng, check_fraction, check_positive_int, check_vector
-from .geodist import GeoDistributedMapper, _affinity_row, _symmetric_traffic
-from .grouping import SiteGroup, group_sites
+from .geodist import GeoDistributedMapper
 from .mapping import FeasibilityError
 from .problem import UNCONSTRAINED, MappingProblem
 
@@ -200,12 +200,13 @@ def random_allowed_assignment(
 class MultiSiteGeoMapper(GeoDistributedMapper):
     """Algorithm 1 extended to multi-site (set) constraints.
 
-    The problem's own ``constraints`` vector is ignored; instead an
+    The problem's own ``constraints`` vector must be empty; instead an
     ``allowed`` (N, M) matrix supplied at construction governs placement.
-    During the greedy fill a process may only be selected for a site it
-    admits, and a completion pass guarantees every process lands
-    somewhere admissible (falling back to a constrained random repair if
-    the greedy order dead-ends).
+    The solve is geodist's flat Algorithm 1 with that matrix as an
+    admissible mask: during the greedy fill a process may only be selected
+    for a site it admits, and a completion pass places any leftovers on
+    admissible sites.  If every group order dead-ends, a constrained
+    random construction answers and ``meta["fallback"]`` says so.
     """
 
     name = "geo-distributed-multisite"
@@ -214,11 +215,9 @@ class MultiSiteGeoMapper(GeoDistributedMapper):
         super().__init__(**kwargs)
         self._allowed_input = np.asarray(allowed, dtype=bool)
 
-    # The base Mapper.map validates against the problem's single-site
-    # constraints, which stay UNCONSTRAINED here; the multi-site check is
-    # exposed via validate_multisite_assignment and exercised in tests.
-
-    def _solve(self, problem: MappingProblem, rng: np.random.Generator) -> np.ndarray:
+    def _solve(
+        self, problem: MappingProblem, rng: np.random.Generator
+    ) -> tuple[np.ndarray, dict]:
         n, m = problem.num_processes, problem.num_sites
         allowed = validate_allowed(self._allowed_input, n, m)
         if np.any(problem.constraints != UNCONSTRAINED):
@@ -230,122 +229,15 @@ class MultiSiteGeoMapper(GeoDistributedMapper):
         if not multisite_feasible(allowed, problem.capacities):
             raise FeasibilityError("multi-site constraints are infeasible")
 
-        if problem.coordinates is None:
-            groups = [SiteGroup(0, tuple(range(m)), np.zeros(2))]
-        else:
-            groups = group_sites(problem.coordinates, self.kappa, seed=self.grouping_seed)
-
-        quantity = problem.communication_quantity()
-        sym = _symmetric_traffic(problem)
-
-        from itertools import permutations
-
-        from .cost import total_cost
-
-        best_P, best_cost = None, np.inf
-        for count, order in enumerate(permutations(range(len(groups)))):
-            if self.max_orders is not None and count >= self.max_orders:
-                break
-            P = self._fill_with_sets(
-                problem, [groups[g] for g in order], quantity, sym, allowed, rng
-            )
-            if P is None:
-                continue
-            cost = total_cost(problem, P)
-            if cost < best_cost:
-                best_cost, best_P = cost, P
-        if best_P is None:
+        # Set-constrained solves stay flat: the recursive grouping
+        # optimization has no notion of per-process site sets.
+        P, meta = self._solve_flat(problem, self._groups(problem), allowed)
+        if P is None:
             # Greedy dead-ended on every order; fall back to a feasible
             # random construction so the mapper never fails on feasible
             # instances.
-            best_P = random_allowed_assignment(allowed, problem.capacities, rng)
-        return best_P
-
-    def _fill_with_sets(
-        self, problem, ordered_groups, quantity, sym, allowed, rng
-    ) -> np.ndarray | None:
-        n, m = problem.num_processes, problem.num_sites
-        P = np.full(n, -1, dtype=np.int64)
-        selected = np.zeros(n, dtype=bool)
-        avail = problem.capacities.copy()
-        site_done = avail == 0
-        neg_inf = -np.inf
-        num_placed = 0
-
-        for group in ordered_groups:
-            if num_placed == n:
-                break
-            group_sites_arr = np.array(group.sites, dtype=np.int64)
-            for _ in range(len(group_sites_arr)):
-                if num_placed == n:
-                    break
-                open_mask = ~site_done[group_sites_arr]
-                if not np.any(open_mask):
-                    break
-                open_sites = group_sites_arr[open_mask]
-                site = int(open_sites[np.argmax(avail[open_sites])])
-
-                slots = int(avail[site])
-                if slots > 0:
-                    admissible = allowed[:, site] & ~selected
-                    if np.any(admissible):
-                        masked_q = np.where(admissible, quantity, neg_inf)
-                        t0 = int(np.argmax(masked_q))
-                        P[t0] = site
-                        selected[t0] = True
-                        avail[site] -= 1
-                        num_placed += 1
-
-                        w = _affinity_row(sym, t0).copy()
-                        for _ in range(slots - 1):
-                            if num_placed == n:
-                                break
-                            admissible = allowed[:, site] & ~selected
-                            if not np.any(admissible):
-                                break
-                            masked_w = np.where(admissible, w, neg_inf)
-                            t = int(np.argmax(masked_w))
-                            if masked_w[t] <= 0.0:
-                                t = int(
-                                    np.argmax(np.where(admissible, quantity, neg_inf))
-                                )
-                            P[t] = site
-                            selected[t] = True
-                            avail[site] -= 1
-                            num_placed += 1
-                            w += _affinity_row(sym, t)
-                site_done[site] = True
-
-        if num_placed < n:
-            # Completion pass: place leftovers on any admissible open site
-            # (most-restricted first); when none is open, repair by
-            # relocating a flexible resident of an admissible site to some
-            # other open site it admits (an augmenting path of length 2).
-            leftovers = np.flatnonzero(~selected)
-            degrees = allowed[leftovers].sum(axis=1)
-            for i in leftovers[np.argsort(degrees)]:
-                open_sites = np.flatnonzero(allowed[i] & (avail > 0))
-                if open_sites.size:
-                    site = int(open_sites[0])
-                    P[i] = site
-                    avail[site] -= 1
-                    continue
-                if not self._repair_place(P, int(i), allowed, avail):
-                    return None  # dead end under this order
-        return P
-
-    @staticmethod
-    def _repair_place(
-        P: np.ndarray, i: int, allowed: np.ndarray, avail: np.ndarray
-    ) -> bool:
-        """Free a slot for process ``i`` by relocating one resident."""
-        for s in np.flatnonzero(allowed[i]):
-            for j in np.flatnonzero(P == s):
-                targets = np.flatnonzero(allowed[j] & (avail > 0))
-                if targets.size:
-                    t = int(targets[0])
-                    P[j] = t
-                    avail[t] -= 1
-                    P[i] = int(s)
-                    return True
-        return False
+            P = random_allowed_assignment(allowed, problem.capacities, rng)
+            meta["fallback"] = "random-allowed"
+        # Mapper.map only checks the (empty) single-site vector; the set
+        # constraints are checked here.
+        return validate_multisite_assignment(problem, allowed, P), meta

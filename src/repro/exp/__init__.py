@@ -11,7 +11,6 @@ from .robustness import (
     evaluate_robustness,
     robustness_table,
 )
-from .sweeps import METRICS, SweepResult, sweep_improvements
 from .runner import (
     RunResult,
     build_problem,
@@ -58,9 +57,6 @@ __all__ = [
     "evaluate_robustness",
     "robustness_table",
     "ascii_heatmap",
-    "METRICS",
-    "SweepResult",
-    "sweep_improvements",
     "Summary",
     "baseline_reference",
     "improvement_pct",

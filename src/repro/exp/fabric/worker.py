@@ -24,8 +24,10 @@ under a span recorder, writes the result shard atomically, writes the
 task's spans as their own trace document, and only then acks.
 Everything of value is on disk before the ack, so a worker killed at
 any instant loses at most the task in flight, which the supervisor
-retries.  A worker whose supervisor dies sees the pipe close and exits
-after its current task.
+retries.  A worker whose supervisor dies exits within a heartbeat
+interval, even in the middle of a task that never returns: the
+heartbeat thread sees the worker reparented and ends the process.
+Between tasks the main loop also sees the pipe close.
 
 A daemon heartbeat thread bumps a counter file every
 ``heartbeat_interval_s`` seconds.  It keeps beating while a task spins
@@ -60,8 +62,14 @@ __all__ = ["run_worker"]
 
 
 def _heartbeat_loop(path: Path, interval_s: float) -> None:
+    supervisor = os.getppid()
     counter = 0
     while True:
+        if os.getppid() != supervisor:
+            # Orphaned.  The task in flight may never return to the
+            # loop that would see the pipe close, and its shard is
+            # written atomically, so ending here loses at most that task.
+            os._exit(1)
         counter += 1
         try:
             with open(path, "w") as fh:

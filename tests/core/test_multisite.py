@@ -1,12 +1,17 @@
 """Unit tests for the multi-site constraint extension (paper future work)."""
 
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro._validation import as_rng
 from repro.core import (
     UNCONSTRAINED,
     FeasibilityError,
+    GeoDistributedMapper,
+    MappingProblem,
     MultiSiteGeoMapper,
     allowed_from_constraints,
     multisite_feasible,
@@ -124,3 +129,130 @@ def test_multisite_mapper_rejects_infeasible(topo4):
 def test_sites_per_constraint_validation():
     with pytest.raises(ValueError):
         random_multisite_constraints(8, np.array([4, 4]), 0.5, sites_per_constraint=3)
+
+
+# ------------------------------------------------------ one greedy fill
+
+
+def _set_problem(seed: int, *, sparse: bool, tight: bool):
+    """A 24-process, 4-site problem with two-site sets on some processes.
+
+    ``tight`` leaves no spare slot and restricts most processes, so the
+    greedy fill strands some of them and the completion pass runs.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = 24, 4
+    cg = rng.integers(0, 4, size=(n, n)).astype(np.float64)
+    cg *= rng.random((n, n)) < 0.3
+    np.fill_diagonal(cg, 0.0)
+    ag = np.minimum(cg, 1.0)
+    caps = np.array([6, 6, 6, 6]) if tight else np.array([8, 7, 6, 5])
+    lt = rng.random((m, m)) * 0.1
+    np.fill_diagonal(lt, 1e-4)
+    bt = rng.random((m, m)) * 1e8 + 1e6
+    if sparse:
+        cg, ag = sp.csr_matrix(cg), sp.csr_matrix(ag)
+    problem = MappingProblem(
+        CG=cg, AG=ag, LT=lt, BT=bt, capacities=caps,
+        coordinates=rng.random((m, 2)) * 100.0,
+    )
+    allowed = random_multisite_constraints(
+        n, caps, 0.8 if tight else 0.4, sites_per_constraint=2, seed=rng
+    )
+    return problem, allowed
+
+
+def _golden_family():
+    for seed in range(4):
+        for sparse in (False, True):
+            for tight in (False, True):
+                problem, allowed = _set_problem(seed, sparse=sparse, tight=tight)
+                for kappa in (1, 4):
+                    yield tight, MultiSiteGeoMapper(allowed, kappa=kappa).map(
+                        problem, seed=0
+                    )
+
+
+#: sha256 over the assignment bytes and cost hex of every map in
+#: ``_golden_family``, recorded with the mapper's own forked fill before
+#: set constraints ran through geodist's greedy fill.
+GOLDEN_DIGEST = "e8f9d080e6e0e7a3e95d5ef51e838743dceb442aa51ae4d7f40150d5503ea5a2"
+
+
+def test_set_constrained_maps_are_pinned():
+    digest = hashlib.sha256()
+    completed = 0
+    for tight, result in _golden_family():
+        digest.update(result.assignment.tobytes())
+        digest.update(float(result.cost).hex().encode())
+        if tight:
+            completed += result.meta["completion"]["completed"]
+    assert completed > 0  # the family reaches the completion pass
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_all_true_sets_reproduce_plain_geodist(topo4, sparse):
+    dense = make_problem(48, topo4, seed=35, locality=0.5)
+    problem = MappingProblem(
+        CG=sp.csr_matrix(dense.CG) if sparse else dense.CG,
+        AG=sp.csr_matrix(dense.AG) if sparse else dense.AG,
+        LT=dense.LT, BT=dense.BT, capacities=dense.capacities,
+        coordinates=dense.coordinates,
+    )
+    allowed = np.ones((48, topo4.num_sites), dtype=bool)
+    multi = MultiSiteGeoMapper(allowed).map(problem, seed=0)
+    plain = GeoDistributedMapper(recursive=False).map(problem, seed=0)
+    assert multi.assignment.tobytes() == plain.assignment.tobytes()
+    assert multi.meta["fill"] == plain.meta["fill"]
+    assert multi.meta["memo"] == plain.meta["memo"]
+
+
+def test_a_fill_that_breaks_a_set_is_a_feasibility_error(topo4, monkeypatch):
+    import repro.core.geodist as geodist
+
+    p = make_problem(32, topo4, seed=36)
+    free = GeoDistributedMapper(recursive=False).map(p, seed=0).assignment
+    allowed = np.ones((32, 4), dtype=bool)
+    allowed[0, free[0]] = False
+    fill = geodist._fill_group
+
+    def unmasked_fill(*args):
+        return fill(*args[:6])  # drops the admissible mask
+
+    monkeypatch.setattr(geodist, "_fill_group", unmasked_fill)
+    with pytest.raises(FeasibilityError, match=r"violated for processes \[0\]"):
+        MultiSiteGeoMapper(allowed).map(p, seed=0)
+
+
+def _stranding_problem():
+    """Process 1 admits only site 0, which the greedy fill gives to 2 and 0."""
+    cg = np.zeros((4, 4))
+    cg[0, 2] = cg[2, 0] = 10.0
+    cg[2, 3] = cg[3, 2] = 1.0
+    cg[1, 3] = cg[3, 1] = 1.0
+    problem = MappingProblem(
+        CG=cg, AG=np.minimum(cg, 1.0), LT=np.full((2, 2), 0.01),
+        BT=np.full((2, 2), 1e8), capacities=[2, 2],
+    )
+    allowed = np.array([[True, False], [True, False], [True, True], [True, True]])
+    return problem, allowed
+
+
+def test_completion_relocates_a_flexible_resident():
+    problem, allowed = _stranding_problem()
+    result = MultiSiteGeoMapper(allowed).map(problem, seed=0)
+    assert result.meta["completion"] == {"completed": 1, "dead_ends": 0}
+    assert result.assignment.tolist() == [0, 0, 1, 1]
+    assert "fallback" not in result.meta
+
+
+def test_dead_ended_orders_fall_back_visibly(monkeypatch):
+    import repro.core.geodist as geodist
+
+    problem, allowed = _stranding_problem()
+    monkeypatch.setattr(geodist, "_complete", lambda state, allowed: None)
+    result = MultiSiteGeoMapper(allowed).map(problem, seed=0)
+    assert result.meta["completion"] == {"completed": 0, "dead_ends": 1}
+    assert result.meta["fallback"] == "random-allowed"
+    validate_multisite_assignment(problem, allowed, result.assignment)

@@ -451,7 +451,29 @@ class TestForkedWorkers:
             # The pid may have been reused, but never by our zombie.
             assert not (fields[0] == "Z" and int(fields[1]) == os.getpid())
 
-    def test_workers_exit_when_the_supervisor_is_killed(self, tmp_path):
+    @pytest.mark.parametrize(
+        "chaos, started",
+        [
+            # Killed between tasks: two shards are already written.
+            (
+                "seed=1,delay=1.0,delay-s=0.2",
+                lambda sweep: len(list(sweep.glob("shards/*.json"))) >= 2,
+            ),
+            # Killed while every worker is stuck in a task that never
+            # returns: both have beaten for a few intervals since taking
+            # their first task.
+            (
+                "seed=1,hang=1.0",
+                lambda sweep: sum(
+                    int(hb.read_text() or 0) >= 3 for hb in sweep.glob("hb/*.hb")
+                ) >= 2,
+            ),
+        ],
+        ids=["delay", "hang"],
+    )
+    def test_workers_exit_when_the_supervisor_is_killed(
+        self, tmp_path, chaos, started
+    ):
         """Forked workers share the supervisor's command line; none may
         outlive it, and --resume finishes the sweep from its shards."""
         import signal
@@ -463,13 +485,12 @@ class TestForkedWorkers:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "sweep", "--sweep-dir", str(killed),
              "--grid", "demo", "--tasks", "16", "--workers", "2",
-             "--chaos", "seed=1,delay=1.0,delay-s=0.2"],
+             "--chaos", chaos],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        shards = SweepLayout(killed).shards_dir
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline and proc.poll() is None:
-            if shards.is_dir() and len(list(shards.glob("*.json"))) >= 2:
+            if started(killed):
                 break
             time.sleep(0.05)
         proc.send_signal(signal.SIGKILL)
