@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .._validation import check_positive_int, freeze_matrix
 from ..simmpi.engine import RankContext, drain
-from ..simmpi.ops import Operation
+from ..simmpi.ops import Operation, Repeat
 from ..simmpi.tracing import TraceRecorder
 
 __all__ = ["Application", "grid_shape"]
@@ -53,8 +53,13 @@ class Application(abc.ABC):
         self._profile_cache: tuple | None = None
 
     @abc.abstractmethod
-    def program(self, ctx: RankContext) -> Generator[Operation, None, None]:
-        """The operation stream executed by rank ``ctx.rank``."""
+    def program(self, ctx: RankContext) -> Generator[Operation | Repeat, None, None]:
+        """The operation stream executed by rank ``ctx.rank``.
+
+        Loops may be declared as :class:`~repro.simmpi.ops.Repeat` items,
+        which profiling visits once per body op instead of once per
+        iteration.
+        """
 
     # ------------------------------------------------------------- profiling
 

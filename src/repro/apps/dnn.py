@@ -23,7 +23,7 @@ from typing import Generator
 from .._validation import check_positive_int
 from ..simmpi.collectives import bcast, reduce
 from ..simmpi.engine import RankContext
-from ..simmpi.ops import Compute, Operation
+from ..simmpi.ops import Compute, Operation, Repeat
 from .base import Application
 
 __all__ = ["DNNApp"]
@@ -67,15 +67,14 @@ class DNNApp(Application):
             raise ValueError("compute_per_round must be >= 0")
         self.compute_per_round = float(compute_per_round)
 
-    def program(self, ctx: RankContext) -> Generator[Operation, None, None]:
+    def program(self, ctx: RankContext) -> Generator[Operation | Repeat, None, None]:
         # Initial model distribution from the coordinator.
         yield from bcast(ctx, nbytes=self.param_bytes, root=0, tag=30)
-        # One round, built once and replayed: compute, then parameter
+        # One round, built once and repeated: compute, then parameter
         # averaging (gradients up the tree, model back down).
         body = (
             Compute(self.compute_per_round),
             *reduce(ctx, nbytes=self.param_bytes, root=0, tag=31),
             *bcast(ctx, nbytes=self.param_bytes, root=0, tag=32),
         )
-        for _ in range(self.rounds):
-            yield from body
+        yield Repeat(body, self.rounds)

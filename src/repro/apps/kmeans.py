@@ -31,7 +31,7 @@ from .._validation import as_rng, check_positive_int
 from ..core.grouping import kmeans
 from ..simmpi.collectives import allreduce_recursive_doubling, bcast
 from ..simmpi.engine import RankContext
-from ..simmpi.ops import Compute, Operation, Recv, Send
+from ..simmpi.ops import Compute, Operation, Recv, Repeat, Send
 from .base import Application
 
 __all__ = ["KMeansApp"]
@@ -155,27 +155,26 @@ class KMeansApp(Application):
 
     # --------------------------------------------------------------- program
 
-    def program(self, ctx: RankContext) -> Generator[Operation, None, None]:
+    def program(self, ctx: RankContext) -> Generator[Operation | Repeat, None, None]:
         compute_iter = self.points_per_rank * self.compute_per_point
 
         # Initial centroids reach everyone from rank 0.
         yield from bcast(ctx, nbytes=self.clusters * self.dims * 8, root=0, tag=20)
 
-        # One Lloyd iteration, built once and replayed.
+        # One Lloyd iteration, built once and repeated; every
+        # shuffle_every-th iteration ends with a shuffle round.
         step = (
             Compute(compute_iter),
             *allreduce_recursive_doubling(ctx, nbytes=self.reduce_bytes, tag=22),
         )
-        rounds = iter(self.shuffle_offsets)
-        for it in range(self.iterations):
-            yield from step
-            if (it + 1) % self.shuffle_every == 0:
-                offsets = next(rounds)
-                for off, nbytes in zip(offsets, self.shuffle_sizes):
-                    yield Send(
-                        dst=(ctx.rank + off) % ctx.size,
-                        nbytes=nbytes,
-                        tag=_TAG_SHUFFLE,
-                    )
-                for off in offsets:
-                    yield Recv(src=(ctx.rank - off) % ctx.size, tag=_TAG_SHUFFLE)
+        for offsets in self.shuffle_offsets:
+            yield Repeat(step, self.shuffle_every)
+            for off, nbytes in zip(offsets, self.shuffle_sizes):
+                yield Send(
+                    dst=(ctx.rank + off) % ctx.size,
+                    nbytes=nbytes,
+                    tag=_TAG_SHUFFLE,
+                )
+            for off in offsets:
+                yield Recv(src=(ctx.rank - off) % ctx.size, tag=_TAG_SHUFFLE)
+        yield Repeat(step, self.iterations % self.shuffle_every)

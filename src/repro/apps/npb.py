@@ -21,10 +21,10 @@ Message sizes scale with ``class_scale`` (1.0 = CLASS C-like) and
 compute phases use per-iteration compute times representative of the
 paper's m4.xlarge runs.
 
-Every iteration of a rank yields the same operations, so each
+Every iteration of a rank runs the same operations, so each
 ``program`` builds its iteration body once as a tuple (collective
-included) and replays it; operations are frozen, so sharing them
-across iterations is safe.
+included) and yields it as a :class:`~repro.simmpi.ops.Repeat`: the
+loop is declared as data, and profiling visits the body once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Generator
 from .._validation import check_positive_int
 from ..simmpi.collectives import allreduce_recursive_doubling
 from ..simmpi.engine import RankContext
-from ..simmpi.ops import Compute, Operation, Recv, Send
+from ..simmpi.ops import Compute, Operation, Recv, Repeat, Send
 from .base import Application, grid_shape
 
 __all__ = ["LUApp", "BTApp", "SPApp"]
@@ -107,7 +107,7 @@ class LUApp(_GridApp):
         self.ew_bytes = max(1, int(LU_EW_BYTES * self.class_scale))
         self.ns_bytes = max(1, int(LU_NS_BYTES * self.class_scale))
 
-    def program(self, ctx: RankContext) -> Generator[Operation, None, None]:
+    def program(self, ctx: RankContext) -> Generator[Operation | Repeat, None, None]:
         i, j = self._coords(ctx.rank)
         north = self._rank(i - 1, j) if i > 0 else None
         south = self._rank(i + 1, j) if i < self.rows - 1 else None
@@ -140,10 +140,10 @@ class LUApp(_GridApp):
 
         sweeps = tuple(body)
         residual = tuple(allreduce_recursive_doubling(ctx, nbytes=40, tag=900))
-        for it in range(self.iterations):
-            yield from sweeps
-            if (it + 1) % self.residual_every == 0:
-                yield from residual
+        # Every residual_every-th iteration ends with the residual allreduce.
+        periods, rest = divmod(self.iterations, self.residual_every)
+        yield Repeat(sweeps * self.residual_every + residual, periods)
+        yield Repeat(sweeps, rest)
 
 
 class _ADIApp(_GridApp):
@@ -168,7 +168,7 @@ class _ADIApp(_GridApp):
         self.compute_per_sweep = float(compute_per_sweep)
         self.face_bytes = max(1, int(self.face_bytes_base * self.class_scale))
 
-    def program(self, ctx: RankContext) -> Generator[Operation, None, None]:
+    def program(self, ctx: RankContext) -> Generator[Operation | Repeat, None, None]:
         i, j = self._coords(ctx.rank)
         east = self._rank(i, (j + 1) % self.cols)
         west = self._rank(i, (j - 1) % self.cols)
@@ -199,8 +199,7 @@ class _ADIApp(_GridApp):
         body = tuple(sweep) * self.sweeps_per_dim + tuple(
             allreduce_recursive_doubling(ctx, nbytes=40, tag=901)
         )
-        for _ in range(self.iterations):
-            yield from body
+        yield Repeat(body, self.iterations)
 
 
 class BTApp(_ADIApp):

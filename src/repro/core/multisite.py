@@ -64,40 +64,47 @@ def validate_allowed(allowed: np.ndarray, n: int, m: int) -> np.ndarray:  # repr
     return arr
 
 
-def multisite_feasible(allowed: np.ndarray, capacities: np.ndarray) -> bool:
-    """Whether some assignment satisfies the set constraints + capacities.
+def _types_feasible(types: np.ndarray, counts: np.ndarray, caps: np.ndarray) -> bool:
+    """Max-flow test on processes grouped by their allowed set.
 
-    This is a bipartite b-matching feasibility question; we answer it
-    with a max-flow computation (source -> processes -> sites -> sink)
-    using scipy's sparse max-flow.
+    ``types`` holds the distinct allowed rows (K, M) and ``counts`` how
+    many processes hold each.  The flow runs source -> set type (capacity
+    its count) -> admitted sites -> sink (capacity the site's), so the
+    graph has K + M + 2 nodes however many processes share a type.  An
+    integral flow splits into one unit per process, so all processes fit
+    exactly when the per-process flow of the same instance is N.
     """
-    allowed = np.asarray(allowed, dtype=bool)
-    n, m = allowed.shape
-    caps = check_vector(capacities, "capacities", size=m)
+    n = int(counts.sum())
     if caps.sum() < n:
         return False
 
     from scipy.sparse.csgraph import maximum_flow
 
-    # Node ids: 0 = source, 1..n = processes, n+1..n+m = sites, n+m+1 = sink.
-    size = n + m + 2
-    rows, cols, data = [], [], []
-    for i in range(n):
-        rows.append(0)
-        cols.append(1 + i)
-        data.append(1)
-    pr, si = np.nonzero(allowed)
-    for i, j in zip(pr, si):
-        rows.append(1 + i)
-        cols.append(1 + n + j)
-        data.append(1)
-    for j in range(m):
-        rows.append(1 + n + j)
-        cols.append(n + m + 1)
-        data.append(int(caps[j]))
-    graph = sp.csr_matrix((data, (rows, cols)), shape=(size, size), dtype=np.int32)
-    flow = maximum_flow(graph, 0, n + m + 1)
-    return int(flow.flow_value) == n
+    k, m = types.shape
+    # Node ids: 0 = source, 1..k = set types, k+1..k+m = sites, k+m+1 = sink.
+    t_idx, s_idx = np.nonzero(types)
+    rows = np.concatenate([np.zeros(k, dtype=np.int64), 1 + t_idx, 1 + k + np.arange(m)])
+    cols = np.concatenate([1 + np.arange(k), 1 + k + s_idx, np.full(m, k + m + 1)])
+    data = np.concatenate([counts, counts[t_idx], np.minimum(caps, n)]).astype(np.int32)
+    size = k + m + 2
+    graph = sp.csr_matrix((data, (rows, cols)), shape=(size, size))
+    return int(maximum_flow(graph, 0, size - 1).flow_value) == n
+
+
+def multisite_feasible(allowed: np.ndarray, capacities: np.ndarray) -> bool:
+    """Whether some assignment satisfies the set constraints + capacities.
+
+    This is a bipartite b-matching feasibility question; we answer it
+    with scipy's sparse max-flow on processes grouped by their allowed
+    set (see :func:`_types_feasible`).
+    """
+    allowed = np.asarray(allowed, dtype=bool)
+    n, m = allowed.shape
+    caps = check_vector(capacities, "capacities", size=m)
+    if n == 0:
+        return True
+    types, counts = np.unique(allowed, axis=0, return_counts=True)
+    return _types_feasible(types, counts, caps)
 
 
 def random_multisite_constraints(
@@ -109,7 +116,13 @@ def random_multisite_constraints(
     seed: int | np.random.Generator | None = None,
 ) -> np.ndarray:
     """Random allowed matrix: a ``ratio`` share of processes is limited
-    to ``sites_per_constraint`` random sites (always kept feasible)."""
+    to ``sites_per_constraint`` random sites (always kept feasible).
+
+    Processes are restricted one at a time, and a restriction that makes
+    the instance infeasible is rolled back.  The check after each one
+    only needs how many processes hold each distinct allowed set, which
+    is kept up to date instead of re-read from the matrix.
+    """
     ratio = check_fraction(ratio, "ratio")
     caps = np.asarray(capacities, dtype=np.int64)
     m = caps.shape[0]
@@ -123,14 +136,31 @@ def random_multisite_constraints(
     k = int(round(ratio * n))
     if k == 0:
         return allowed
+    # Distinct allowed sets (row 0: every site) and how many processes hold each.
+    index: dict[tuple[int, ...], int] = {tuple(range(m)): 0}
+    types = [np.ones(m, dtype=bool)]
+    holders = [n]
     chosen = rng.choice(n, size=k, replace=False)
     for proc in chosen:
         sites = rng.choice(m, size=sites_per_constraint, replace=False)
-        allowed[proc, :] = False
-        allowed[proc, sites] = True
-        if not multisite_feasible(allowed, caps):
+        key = tuple(sorted(sites.tolist()))
+        row = index.get(key)
+        if row is None:
+            row = index[key] = len(types)
+            types.append(np.zeros(m, dtype=bool))
+            types[row][sites] = True
+            holders.append(0)
+        holders[0] -= 1
+        holders[row] += 1
+        counts = np.array(holders)
+        held = counts > 0
+        if _types_feasible(np.array(types)[held], counts[held], caps):
+            allowed[proc, :] = False
+            allowed[proc, sites] = True
+        else:
             # Roll back the restriction that broke feasibility.
-            allowed[proc, :] = True
+            holders[row] -= 1
+            holders[0] += 1
     return allowed
 
 

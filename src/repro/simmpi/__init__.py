@@ -23,7 +23,7 @@ from .compression import (
 )
 from .engine import DeadlockError, Program, RankContext, SimResult, Simulator
 from .network import SimNetwork, UniformNetwork
-from .ops import Barrier, Compute, Operation, Recv, Send
+from .ops import Barrier, Compute, Operation, Recv, Repeat, Send, unroll
 from .tracing import DENSE_LIMIT, TraceRecorder
 
 __all__ = [
@@ -52,7 +52,9 @@ __all__ = [
     "Compute",
     "Operation",
     "Recv",
+    "Repeat",
     "Send",
+    "unroll",
     "DENSE_LIMIT",
     "TraceRecorder",
 ]

@@ -2,8 +2,14 @@
 
 CYPRESS exploits the loop structure of MPI programs to compress
 communication traces: the body of a communication loop appears in the
-trace as a tandem repeat, which folds into ``(body, count)``.  We
-reproduce the runtime half of that idea as a generic sequence compressor:
+trace as a tandem repeat, which folds into ``(body, count)``.  CYPRESS
+reads the loops from the program's source; here the program declares
+them: the paper apps yield each loop as a :class:`~repro.simmpi.ops.Repeat`,
+and the profiling drain (:func:`repro.simmpi.engine.drain`) records each
+body once, weighted by its count, so profiling cost follows the folded
+program, not the iteration count.  This module reproduces the runtime
+half, for traces whose loops were never declared, as a generic sequence
+compressor:
 
 * :func:`compress` repeatedly folds the most profitable tandem repeat
   (adjacent identical blocks) until a fixpoint, producing a nested

@@ -28,18 +28,28 @@ tracer, with no event loop, heap or network.  Programs cannot observe
 time or received data (the engine only ever calls ``next`` on them), so
 each rank's send stream is the same under any interleaving, and the
 drain records exactly what a simulated run records.
+
+A program may yield a :class:`~repro.simmpi.ops.Repeat` (a loop
+declared as data).  The drain visits each op of its body once and
+weights the send records, the op budget and the channel balance by the
+count; the simulator walks the body from a per-rank cursor (an
+``itertools`` chain over the body ``count`` times) instead of resuming
+the program's generator for every op.  Either way a folded program and
+its unrolled form are indistinguishable: the ``Repeat`` item itself
+spends no budget.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
+from itertools import chain, repeat
 from dataclasses import dataclass
-from typing import Callable, Generator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 import numpy as np
 
-from .ops import Barrier, Compute, Operation, Recv, Send
+from .ops import Barrier, Compute, Operation, Recv, Repeat, Send
 
 __all__ = [
     "RankContext",
@@ -112,13 +122,20 @@ class RankContext:
     size: int
 
 
-Program = Callable[[RankContext], Generator[Operation, None, None]]
+Program = Callable[[RankContext], Iterable[Operation | Repeat]]
 
 
 class Tracer(Protocol):
-    """Message-stream observer (see :mod:`repro.simmpi.tracing`)."""
+    """Message-stream observer (see :mod:`repro.simmpi.tracing`).
 
-    def record(self, src: int, dst: int, nbytes: int, tag: int) -> None: ...
+    ``record`` observes ``times`` identical messages in a row.  The
+    simulator always passes 1; the drain passes a ``Repeat``'s count,
+    unless the tracer has a true ``keep_events`` attribute, which makes
+    the drain replay the loop so the tracer sees the unrolled stream in
+    order.
+    """
+
+    def record(self, src: int, dst: int, nbytes: int, tag: int, times: int = 1) -> None: ...
 
 
 def _budget_error(max_ops: int) -> RuntimeError:
@@ -142,6 +159,62 @@ def _op_error(rank: int, op: object) -> TypeError:
     )
 
 
+def _drain_block(
+    rank: int,
+    n: int,
+    block: Repeat,
+    budget: int,
+    max_ops: int,
+    tracer: Tracer,
+    balance: dict[tuple[int, int, int], int],
+) -> int:
+    """Drain one :class:`Repeat` of ``rank``; returns the budget left.
+
+    A body often holds one op object several times (an inner loop
+    unrolled into it), so each distinct object is checked and recorded
+    once, in first-occurrence order, weighted by ``count`` times its
+    multiplicity.  A bad peer raises what the unrolled stream raises on
+    the body's first pass: the peer error, or the budget error if the
+    budget runs out before that op is reached.
+    """
+    count = block.count
+    ops = block.ops
+    if not count:
+        return budget
+    multiplicity = Counter(map(id, ops))
+    distinct = dict(zip(map(id, ops), ops))
+    weighted: list[tuple[Send, int]] = []
+    for key_id, op in distinct.items():
+        if isinstance(op, Send):
+            peer, key, weight = op.dst, (rank, op.dst, op.tag), count
+        elif isinstance(op, Recv):
+            peer, key, weight = op.src, (op.src, rank, op.tag), -count
+        else:
+            continue
+        if peer == rank or not 0 <= peer < n:
+            step = next(i for i, other in enumerate(ops, 1) if other is op)
+            if budget < step:
+                raise _budget_error(max_ops)
+            raise _peer_error(rank, peer, n, send=isinstance(op, Send))
+        weight *= multiplicity[key_id]
+        balance[key] = balance.get(key, 0) + weight
+        if weight > 0:
+            weighted.append((op, weight))
+    budget -= len(ops) * count
+    if budget < 0:
+        raise _budget_error(max_ops)
+    record = tracer.record
+    if getattr(tracer, "keep_events", False):
+        sends = [op for op in ops if isinstance(op, Send)]
+        for _ in range(count):
+            for op in sends:
+                record(rank, op.dst, op.nbytes, op.tag)
+    else:
+        for op, weight in weighted:
+            record(rank, op.dst, op.nbytes, op.tag, weight)
+    return budget
+
+
 def drain(num_ranks: int, program: Program, tracer: Tracer) -> None:
     """Run every rank's program to exhaustion and record each send.
 
@@ -149,7 +222,9 @@ def drain(num_ranks: int, program: Program, tracer: Tracer) -> None:
     ``tracer.record`` in program order, so the tracer ends up holding
     what a :class:`Simulator` run with it would hold: the same byte and
     message sums per pair and the same per-source event streams.
-    :class:`Compute` and :class:`Barrier` are skipped.
+    :class:`Compute` and :class:`Barrier` are skipped.  A
+    :class:`~repro.simmpi.ops.Repeat` is visited once per op of its body
+    and recorded with ``times=count`` (see :class:`Tracer`).
 
     On a program that breaks one rule, raises what the simulator raises:
     ``ValueError`` for a self or out-of-range peer, ``TypeError`` for a
@@ -195,7 +270,12 @@ def drain(num_ranks: int, program: Program, tracer: Tracer) -> None:
                 key = (src, rank, op.tag)
                 balance[key] = balance.get(key, 0) - 1
             elif not isinstance(op, (Compute, Barrier)):
-                raise _op_error(rank, op)
+                if not isinstance(op, Repeat):
+                    raise _op_error(rank, op)
+                # The item itself spends nothing; its body is charged in full.
+                budget = _drain_block(
+                    rank, n, op, budget + 1, max_ops, tracer, balance
+                )
         # The simulator also spends one step on the call that finishes a rank.
         budget -= 1
         if budget < 0:
@@ -240,6 +320,7 @@ class SimResult:
 class _RankState:
     __slots__ = (
         "gen",
+        "feed",
         "time",
         "finished",
         "waiting_channel",
@@ -248,8 +329,11 @@ class _RankState:
         "last_op",
     )
 
-    def __init__(self, gen: Generator[Operation, None, None]) -> None:
+    def __init__(self, gen: Iterator[Operation | Repeat]) -> None:
         self.gen = gen
+        # Where the next op comes from: the program itself, or a cursor
+        # over the Repeat it yielded last (its body, count times).
+        self.feed: Iterator[Operation | Repeat] = gen
         self.time = 0.0
         self.finished = False
         self.waiting_channel: tuple[int, int, int] | None = None
@@ -268,7 +352,9 @@ class Simulator:
     num_ranks:
         Number of simulated processes.
     program:
-        Factory invoked once per rank with its :class:`RankContext`.
+        Factory invoked once per rank with its :class:`RankContext`; it
+        returns the rank's operations, where a
+        :class:`~repro.simmpi.ops.Repeat` stands for its unrolled body.
     network:
         Object with ``transfer(src, dst, nbytes, ready) -> completion`` and
         ``reset()`` (see :mod:`repro.simmpi.network`).  ``transfer`` is
@@ -355,7 +441,8 @@ class Simulator:
         heappush, heappop = heapq.heappush, heapq.heappop
         self.network.reset()
         states = [
-            _RankState(self.program(RankContext(rank=r, size=n))) for r in range(n)
+            _RankState(iter(self.program(RankContext(rank=r, size=n))))
+            for r in range(n)
         ]
         # FIFO message queues per channel (src, dst, tag): (post_time, nbytes).
         channels: dict[tuple[int, int, int], deque[tuple[float, int]]] = {}
@@ -377,11 +464,13 @@ class Simulator:
             The rank's clock and its last operation live in locals while
             it runs and are written back once when it stops; an exception
             aborts the whole run, so nothing is written back then.  Sends
-            and receives dominate the stream, so they are tested first.
+            and receives dominate the stream, so they are tested first; a
+            ``Repeat`` is rare, so it is tested last, and it only swaps
+            the rank's feed for a cursor over its body.
             """
             nonlocal seq, total_messages, total_bytes, ops_budget
             st = states[rank]
-            gen = st.gen
+            feed = st.feed
             now = st.time
             op = st.last_op
             while True:
@@ -389,10 +478,15 @@ class Simulator:
                 if ops_budget < 0:
                     raise _budget_error(max_ops)
                 try:
-                    op = next(gen)
+                    op = next(feed)
                 except StopIteration:
-                    st.finished = True
-                    break
+                    if feed is st.gen:
+                        st.finished = True
+                        break
+                    # The block is done, and this step took no op from it.
+                    ops_budget += 1
+                    feed = st.feed = st.gen
+                    continue
 
                 if isinstance(op, Send):
                     dst = op.dst
@@ -448,6 +542,12 @@ class Simulator:
                     st.in_barrier = True
                     barrier_waiting.append(rank)
                     break
+
+                if isinstance(op, Repeat):
+                    # The item itself spends no budget; its ops do.
+                    ops_budget += 1
+                    feed = st.feed = chain.from_iterable(repeat(op.ops, op.count))
+                    continue
 
                 raise _op_error(rank, op)
             st.time = now

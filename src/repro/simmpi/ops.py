@@ -16,13 +16,21 @@ semantics are deliberately simple and deterministic:
 * :class:`Barrier` is an ideal synchronization: all ranks resume at the
   maximum of their arrival times.  Realistic barriers built from messages
   live in :mod:`repro.simmpi.collectives`.
+
+A program may also yield a :class:`Repeat`: a loop declared as data, a
+tuple of the operations above run ``count`` times in a row.  It means
+exactly its unrolled form (:func:`unroll`), but lets the profiling drain
+visit each op of the body once and weight it by ``count``, the way
+CYPRESS folds a loop instead of replaying it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-__all__ = ["Send", "Recv", "Compute", "Barrier", "Operation"]
+__all__ = ["Send", "Recv", "Compute", "Barrier", "Operation", "Repeat", "unroll"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,3 +77,46 @@ class Barrier:
 
 
 Operation = Send | Recv | Compute | Barrier
+_PRIMITIVES = frozenset((Send, Recv, Compute, Barrier))
+
+
+@dataclass(frozen=True, slots=True)
+class Repeat:
+    """The operations ``ops`` run ``count`` times in a row.
+
+    ``ops`` is stored as a tuple of primitive operations; a nested
+    :class:`Repeat` or a non-operation raises ``TypeError`` and a
+    negative count ``ValueError``.  A count of 0 or an empty body is
+    allowed and runs nothing.
+    """
+
+    ops: tuple[Operation, ...]
+    count: int
+
+    def __post_init__(self) -> None:
+        ops = self.ops
+        if type(ops) is not tuple:
+            ops = tuple(ops)
+            object.__setattr__(self, "ops", ops)
+        if not _PRIMITIVES.issuperset(map(type, ops)):
+            for op in ops:
+                if isinstance(op, Repeat):
+                    raise TypeError("a Repeat cannot contain another Repeat")
+                if not isinstance(op, (Send, Recv, Compute, Barrier)):
+                    raise TypeError(f"Repeat body holds {op!r}, which is not an operation")
+        count = self.count
+        if type(count) is not int:
+            count = operator.index(count)
+            object.__setattr__(self, "count", count)
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+
+
+def unroll(program: Iterable[Operation | Repeat]) -> Iterator[Operation]:
+    """The primitive operation stream a program means, loops expanded."""
+    for op in program:
+        if isinstance(op, Repeat):
+            for _ in range(op.count):
+                yield from op.ops
+        else:
+            yield op

@@ -69,15 +69,22 @@ class TraceRecorder:
         self.total_messages = 0
         self.total_bytes = 0
 
-    def record(self, src: int, dst: int, nbytes: int, tag: int) -> None:
-        """Observe one message (called by the drain or simulator per send)."""
+    def record(
+        self, src: int, dst: int, nbytes: int, tag: int, times: int = 1
+    ) -> None:
+        """Observe ``times`` identical messages in a row.
+
+        The drain passes a ``Repeat`` body's weight here, or replays the
+        loop when ``keep_events`` is on (see
+        :class:`~repro.simmpi.engine.Tracer`).
+        """
         key = (src, dst)
-        self._volume[key] += nbytes
-        self._count[key] += 1
-        self.total_messages += 1
-        self.total_bytes += nbytes
+        self._volume[key] += nbytes * times
+        self._count[key] += times
+        self.total_messages += times
+        self.total_bytes += nbytes * times
         if self.keep_events:
-            self._events[src].append((dst, nbytes, tag))
+            self._events[src].extend([(dst, nbytes, tag)] * times)
 
     # --------------------------------------------------------- event access
 

@@ -5,6 +5,8 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro._validation import as_rng
 from repro.core import (
@@ -59,6 +61,81 @@ def test_random_multisite_constraints_stay_feasible():
         )
         assert allowed.shape == (16, 4)
         assert multisite_feasible(allowed, caps)
+
+
+#: Seeded draws pinned by a digest of their packed allowed matrices.  It
+#: was computed with the per-process formulation (one max-flow graph
+#: node per process); the 96-process cases roll restrictions back.
+DRAW_CASES = [
+    (64, [20, 20, 16, 12], 0.6, 2),
+    (96, [40, 30, 20, 10], 0.9, 1),
+    (40, [6, 10, 12, 14], 1.0, 2),
+    (128, [9] * 16, 0.8, 3),
+]
+DRAW_DIGEST = "05be40f22c52beff62374b00ee24fc8b1aedd14dfd2978b2a487125c5da2e488"
+
+
+def test_random_multisite_draws_are_pinned():
+    h = hashlib.sha256()
+    for seed in range(4):
+        for n, caps, ratio, k in DRAW_CASES:
+            allowed = random_multisite_constraints(
+                n, np.array(caps), ratio, sites_per_constraint=k, seed=seed
+            )
+            h.update(np.packbits(allowed).tobytes())
+    assert h.hexdigest() == DRAW_DIGEST
+
+
+def _per_process_feasible(allowed, caps):
+    """Reference: max-flow with one node per process."""
+    from scipy.sparse.csgraph import maximum_flow
+
+    n, m = allowed.shape
+    if caps.sum() < n:
+        return False
+    pr, si = np.nonzero(allowed)
+    rows = np.concatenate([np.zeros(n, dtype=int), 1 + pr, 1 + n + np.arange(m)])
+    cols = np.concatenate([1 + np.arange(n), 1 + n + si, np.full(m, n + m + 1)])
+    data = np.concatenate([np.ones(n + pr.size, dtype=int), caps]).astype(np.int32)
+    size = n + m + 2
+    graph = sp.csr_matrix((data, (rows, cols)), shape=(size, size))
+    return int(maximum_flow(graph, 0, size - 1).flow_value) == n
+
+
+def _per_process_draw(n, caps, ratio, k, seed):
+    """Reference: restrict one process at a time, re-checking the matrix."""
+    rng = as_rng(seed)
+    m = caps.shape[0]
+    allowed = np.ones((n, m), dtype=bool)
+    chosen_k = int(round(ratio * n))
+    if chosen_k == 0:
+        return allowed
+    for proc in rng.choice(n, size=chosen_k, replace=False):
+        sites = rng.choice(m, size=k, replace=False)
+        allowed[proc, :] = False
+        allowed[proc, sites] = True
+        if not _per_process_feasible(allowed, caps):
+            allowed[proc, :] = True
+    return allowed
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.lists(st.integers(0, 12), min_size=1, max_size=5),
+    st.floats(0.0, 1.0),
+    st.integers(1, 5),
+    st.integers(0, 2**16),
+)
+def test_grouped_draw_matches_per_process_formulation(n, caps, ratio, k, seed):
+    caps = np.array(caps)
+    k = min(k, caps.size)
+    got = random_multisite_constraints(n, caps, ratio, sites_per_constraint=k, seed=seed)
+    np.testing.assert_array_equal(got, _per_process_draw(n, caps, ratio, k, seed))
+    rng = np.random.default_rng(seed)
+    allowed = rng.random((n, caps.size)) < 0.4
+    allowed[np.arange(n), rng.integers(0, caps.size, size=n)] = True
+    assert multisite_feasible(allowed, caps) == _per_process_feasible(allowed, caps)
 
 
 def test_random_allowed_assignment_respects_sets():

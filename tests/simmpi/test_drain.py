@@ -23,7 +23,7 @@ from repro.exp.scenarios import scale_app
 from repro.simmpi import Simulator, TraceRecorder, UniformNetwork
 from repro.simmpi import engine
 from repro.simmpi.engine import DeadlockError, drain
-from repro.simmpi.ops import Barrier, Compute, Recv, Send
+from repro.simmpi.ops import Barrier, Compute, Recv, Repeat, Send
 
 SIZES = (1, 2, 7, 64)
 SYNTHETIC = {
@@ -196,19 +196,35 @@ def _ops(k):
     return program
 
 
+def _folded_ops(k):
+    """``_ops(k)`` with its loop declared as data (k = 5)."""
+    assert k == 5
+
+    def program(ctx):
+        yield Compute(0.0)
+        yield Repeat((Compute(0.0), Compute(0.0)), 2)
+        yield Repeat((Compute(0.0),), 0)
+        yield Repeat((), 3)
+
+    return program
+
+
 def test_operation_budget_is_counted_alike(monkeypatch):
-    """n ranks of k ops spend n * (k + 1) steps in both engines."""
+    """n ranks of k ops spend n * (k + 1) steps in both engines, whether
+    the ops are yielded one by one or as ``Repeat`` items, which spend
+    nothing themselves."""
     n, k = 3, 5
     budget = n * (k + 1)
-    monkeypatch.setattr(engine, "MAX_OPS", budget)
-    Simulator(n, _ops(k), UniformNetwork(), max_ops=budget).run()
-    drain(n, _ops(k), TraceRecorder(n))
-    monkeypatch.setattr(engine, "MAX_OPS", budget - 1)
-    with pytest.raises(RuntimeError) as simulated:
-        Simulator(n, _ops(k), UniformNetwork(), max_ops=budget - 1).run()
-    with pytest.raises(RuntimeError) as drained:
-        drain(n, _ops(k), TraceRecorder(n))
-    assert str(drained.value) == str(simulated.value)
+    for make in (_ops, _folded_ops):
+        monkeypatch.setattr(engine, "MAX_OPS", budget)
+        Simulator(n, make(k), UniformNetwork(), max_ops=budget).run()
+        drain(n, make(k), TraceRecorder(n))
+        monkeypatch.setattr(engine, "MAX_OPS", budget - 1)
+        with pytest.raises(RuntimeError) as simulated:
+            Simulator(n, make(k), UniformNetwork(), max_ops=budget - 1).run()
+        with pytest.raises(RuntimeError) as drained:
+            drain(n, make(k), TraceRecorder(n))
+        assert str(drained.value) == str(simulated.value)
 
 
 def test_drain_rejects_bad_arguments():

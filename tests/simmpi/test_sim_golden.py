@@ -27,7 +27,7 @@ from repro.faults import FaultSchedule, FaultyNetwork
 from repro.faults.events import LinkDegradation, SiteOutage
 from repro.simmpi import SimNetwork, Simulator, UniformNetwork
 from repro.simmpi.engine import DeadlockError, RankContext
-from repro.simmpi.ops import Barrier, Compute, Recv, Send
+from repro.simmpi.ops import Barrier, Compute, Recv, Send, unroll
 
 RANKS = 64
 #: The rank count the paper-apps benchmark profiles and simulates at.
@@ -112,13 +112,17 @@ def paper_profile_digest(app: str) -> str:
 
 
 def op_stream_digest(app: str) -> str:
-    """``repr`` of every op ranks 0, 1, N/2 and N-1 of a paper app yield."""
+    """``repr`` of every op ranks 0, 1, N/2 and N-1 of a paper app run.
+
+    Loops declared as ``Repeat`` are unrolled first, so the digest pins
+    the primitive stream a program means, however it is folded.
+    """
     app_ = _paper_app(app)
     n = app_.num_ranks
     h = hashlib.sha256()
     for rank in (0, 1, n // 2, n - 1):
         h.update(f"rank {rank}\n".encode())
-        for op in app_.program(RankContext(rank=rank, size=n)):
+        for op in unroll(app_.program(RankContext(rank=rank, size=n))):
             h.update(f"{op!r}\n".encode())
     return h.hexdigest()
 
