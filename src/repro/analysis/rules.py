@@ -19,8 +19,9 @@ RPR001  no-legacy-rng
 RPR002  no-frozen-views
     Never return or store a subscript view of the frozen problem arrays
     ``CG``/``AG``/``LT``/``BT``.  A caller scaling or zeroing such a view
-    corrupts the shared problem instance (the ``_rows_for`` bug class);
-    take ``.copy()`` or materialize with ``np.array``.
+    corrupts the shared problem instance (as a cost-row reader that once
+    handed out views of ``CG`` rows did); take ``.copy()`` or
+    materialize with ``np.array``.
 
 RPR003  validate-public-entry
     Public entry points in ``core/``, ``cloud/``, ``baselines/`` and
@@ -196,7 +197,8 @@ class NoFrozenViewRule(Rule):
     name = "no-frozen-views"
     rationale = (
         "subscripts of the frozen problem matrices are live views; returning or "
-        "storing one lets callers corrupt shared state (the _rows_for bug class)"
+        "storing one lets callers corrupt shared state, as a row reader that "
+        "returned views of CG rows once did"
     )
     node_types = (ast.Return, ast.Assign, ast.AnnAssign)
 

@@ -12,8 +12,9 @@ This module provides:
 * :func:`aggregate_site_traffic` — the (M, M) per-site-pair traffic
   aggregation the algorithms reason about;
 * :class:`CostEvaluator` — caches 1/BT and per-process rows to answer
-  move/swap deltas in O(N) (or O(row nnz)), which MPIPP's refinement loop
-  and the Monte Carlo engine lean on heavily.
+  move/swap deltas and per-site placement costs in O(N) (or O(row
+  nnz)), which MPIPP's refinement loop, the Monte Carlo engine and the
+  greedy placement of repair and multilevel lean on heavily.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ class CostEvaluator:
     * ``move_delta(P, i, s)`` — cost change of moving process i to site s.
     * ``swap_delta(P, i, j)`` — cost change of exchanging two processes'
       sites, with the i<->j interaction double-count corrected exactly.
+    * ``_site_costs(P, placed, i)`` — cost of process i on every site
+      against a partial placement (greedy placement and repair).
     * ``batch_cost(Ps)`` — vectorized evaluation of many mappings at once
       (Monte Carlo engine).
     """
@@ -223,26 +226,6 @@ class CostEvaluator:
 
     # ----------------------------------------------------------- incremental
 
-    def _rows_for(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(cg_out, cg_in, ag_out, ag_in) dense rows for process i.
-
-        Every returned array is an owned copy — never a live view into the
-        problem's CG/AG — so callers may scale or zero them freely without
-        corrupting the (frozen) problem matrices.
-        """
-        if self.problem.is_sparse:
-            cg_out = self._cg_rows.getrow(i).toarray().ravel()
-            cg_in = self._cg_cols.getcol(i).toarray().ravel()
-            ag_out = self._ag_rows.getrow(i).toarray().ravel()
-            ag_in = self._ag_cols.getcol(i).toarray().ravel()
-            return cg_out, cg_in, ag_out, ag_in
-        return (
-            self._cg_rows[i, :].copy(),
-            self._cg_rows[:, i].copy(),
-            self._ag_rows[i, :].copy(),
-            self._ag_rows[:, i].copy(),
-        )
-
     def move_delta(self, P: np.ndarray, i: int, new_site: int) -> float:
         """Cost change of re-mapping process ``i`` to ``new_site``.
 
@@ -286,8 +269,11 @@ class CostEvaluator:
                 sites = P[nbrs]
                 delta += w @ (table[sites, new_site] - table[sites, old])
             return float(delta)
-        cg_out, cg_in, ag_out, ag_in = self._rows_for(i)
-        sites = P
+        # Contiguous copies: a dot product over the strided column view
+        # takes BLAS's strided path, which may round differently.
+        cg, ag, sites = self._cg_rows, self._ag_rows, P
+        cg_out, cg_in = cg[i, :].copy(), cg[:, i].copy()
+        ag_out, ag_in = ag[i, :].copy(), ag[:, i].copy()
         out_delta = (
             ag_out @ (lt[new_site, sites] - lt[old, sites])
             + cg_out @ (ibt[new_site, sites] - ibt[old, sites])
@@ -302,6 +288,42 @@ class CostEvaluator:
         # beyond using the *old* position of i for its own entry — which is
         # exactly what P provides, and its coefficient is zero.
         return float(out_delta + in_delta)
+
+    def _site_costs(self, P: np.ndarray, placed: np.ndarray, i: int) -> np.ndarray:
+        """Alpha-beta cost of process ``i`` on every site, vs the placed set.
+
+        ``cost[s] = sum_{j placed, j != i} AG[i,j] LT[s, P[j]] + AG[j,i] LT[P[j], s]
+                    + CG[i,j] / BT[s, P[j]] + CG[j,i] / BT[P[j], s]``
+
+        i's traffic is first summed by its partners' sites, then
+        contracted against LT and 1/BT in O(M^2).  Sparse problems read
+        the cached CSR rows and CSC columns in O(row nnz); dense ones
+        mask the full rows in O(N).  Both add the same nonzero terms in
+        ascending partner order, so they agree bit for bit.  ``P`` may
+        hold anything where ``placed`` is False.  Unchecked, like
+        :meth:`_move_delta_unchecked`: greedy placement and repair's
+        polish call it once per process per pass.
+        """
+        m = self.problem.num_sites
+        if self.problem.is_sparse:
+            sums = []
+            for mat in (self._cg_rows, self._cg_cols, self._ag_rows, self._ag_cols):
+                start, end = mat.indptr[i], mat.indptr[i + 1]
+                nbrs, w = mat.indices[start:end], mat.data[start:end]
+                keep = placed[nbrs] & (nbrs != i)
+                sums.append(np.bincount(P[nbrs[keep]], weights=w[keep], minlength=m))
+        else:
+            partners = placed.copy()
+            partners[i] = False  # a process never pays cost against itself
+            idx = P[partners]
+            cg, ag = self._cg_rows, self._ag_rows
+            sums = [
+                np.bincount(idx, weights=w, minlength=m)
+                for w in (cg[i, partners], cg[partners, i], ag[i, partners], ag[partners, i])
+            ]
+        cgo, cgi, ago, agi = sums
+        lt, ibt = self._lt, self._inv_bt
+        return lt @ ago + lt.T @ agi + ibt @ cgo + ibt.T @ cgi
 
     def move_delta_matrix(self, P: np.ndarray) -> np.ndarray:
         """All single-move deltas at once: ``D[i, s] = move_delta(P, i, s)``.

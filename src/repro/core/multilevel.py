@@ -30,11 +30,13 @@ Pipeline of :class:`MultilevelMapper`:
    back to the Greedy baseline above ``inner_fallback_size``).  The
    inner mapper sees vertex-unit capacities scaled as
    ``max(ceil(cap * N_c / N), pinned_vertices)`` — feasible by
-   construction; the node-unit capacities are enforced afterwards by an
-   eviction + best-site legalization pass (super-vertices too large for
-   any remaining site are deferred ``UNPLACED`` and placed at a finer
-   level, where they have split; at level 0 every vertex has size 1 and
-   placement always succeeds).
+   construction; the node-unit capacities are enforced afterwards by
+   the evict-and-place pass incremental repair also runs
+   (:mod:`repro.core.repair`), with super-vertex sizes as node demands.
+   Super-vertices too large for any remaining site are deferred
+   ``UNPLACED`` and placed by the same pass at a finer level, where
+   they have split; at level 0 every vertex has size 1 and placement
+   always succeeds.
 3. **Uncoarsen + refine** — project each coarse assignment onto the
    finer level (children inherit their parent's site, which preserves
    node-unit loads exactly) and run a bounded, gain-based refinement:
@@ -57,9 +59,10 @@ import scipy.sparse as sp
 from .._validation import check_nonnegative_int, check_positive_int, check_vector
 from ..obs import get_recorder
 from .cost import CostEvaluator
+from .geodist import _symmetric_traffic
 from .mapping import Mapper, register_mapper
 from .problem import UNCONSTRAINED, MappingProblem
-from .repair import UNPLACED, _site_cost_vector
+from .repair import UNPLACED, _evict_overflow, _place_heaviest_first
 
 __all__ = ["Level", "MultilevelMapper", "heavy_edge_matching", "contract"]
 
@@ -97,17 +100,6 @@ class Level:
         self.fine_to_coarse: np.ndarray | None = None
         self.internal_volume = 0.0
         self.internal_count = 0.0
-
-
-def _symmetric_affinity(problem: MappingProblem):
-    """``CG + CG^T`` as CSR (or dense), the matching's edge weights."""
-    cg = problem.CG
-    if sp.issparse(cg):
-        sym = (cg + cg.T).tocsr()
-        sym.sum_duplicates()
-        sym.sort_indices()
-        return sym
-    return cg + cg.T
 
 
 def _affinity_edges(sym) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,7 +142,7 @@ def heavy_edge_matching(
     """
     n = problem.num_processes
     mate = np.full(n, -1, dtype=np.int64)
-    u, v, w = _affinity_edges(_symmetric_affinity(problem))
+    u, v, w = _affinity_edges(_symmetric_traffic(problem))
     if u.size == 0:
         return mate
     pins = problem.constraints
@@ -447,44 +439,10 @@ class MultilevelMapper(Mapper):
         P = mapping.assignment.astype(np.int64).copy()
 
         # Node-unit legalization against the *real* capacities.
-        caps = problem.capacities.astype(np.int64)
-        inv_bt = 1.0 / problem.BT
-        loads = np.bincount(P, weights=sizes.astype(np.float64), minlength=m)
-        loads = loads.astype(np.int64)
         placed = np.ones(nc, dtype=bool)
-        sym = _symmetric_affinity(problem)
-        for site in np.flatnonzero(loads > caps):
-            residents = np.flatnonzero(P == site)
-            movable = residents[~pinned[residents]]
-            if sp.issparse(sym):
-                aff = np.asarray(sym[movable][:, residents].sum(axis=1)).ravel()
-            else:
-                aff = sym[np.ix_(movable, residents)].sum(axis=1)
-            # Least-attached leave first; stable sort keeps determinism.
-            for v in movable[np.argsort(aff, kind="stable")]:
-                if loads[site] <= caps[site]:
-                    break
-                P[v] = UNPLACED
-                placed[v] = False
-                loads[site] -= sizes[v]
-
+        free = _evict_overflow(problem, P, placed, sizes)
         evicted = np.flatnonzero(~placed)
-        free = caps - loads
-        quantity = problem.communication_quantity()
-        # Largest (then heaviest-communication) first: big vertices have
-        # the fewest feasible sites, so they pick before space fragments.
-        order = evicted[
-            np.lexsort((-quantity[evicted], -sizes[evicted]), axis=0)
-        ]
-        for v in order:
-            cost_vec = _site_cost_vector(problem, inv_bt, P, placed, int(v))
-            cost_vec[free < sizes[v]] = np.inf
-            target = int(np.argmin(cost_vec))
-            if not np.isfinite(cost_vec[target]):
-                continue  # defer: placeable once split at a finer level
-            P[v] = target
-            placed[v] = True
-            free[target] -= sizes[v]
+        _place_heaviest_first(CostEvaluator(problem), P, placed, sizes, free, evicted)
         meta = {
             "inner": inner.name,
             "inner_cost_vertex_units": mapping.cost,
@@ -499,43 +457,25 @@ class MultilevelMapper(Mapper):
     ) -> tuple[np.ndarray, dict]:
         """Place any deferred vertices, then run bounded gain refinement.
 
-        Projection preserves node-unit loads exactly (children occupy
-        their parent's site with the same total size), so no eviction is
-        ever needed here — only deferred ``UNPLACED`` vertices must find
-        a site.  At level 0 all sizes are 1 and total capacity covers N,
-        so placement always completes and the final assignment is fully
-        valid.
+        Runs the same evict-and-place pass as the coarse solve and
+        repair.  Projection preserves node-unit loads exactly (children
+        occupy their parent's site with the same total size), so the
+        eviction finds nothing to evict and only deferred ``UNPLACED``
+        vertices must find a site.  At level 0 all sizes are 1 and total
+        capacity covers N, so placement always completes and the final
+        assignment is fully valid.
         """
         problem, sizes = level.problem, level.sizes
         n, m = problem.num_processes, problem.num_sites
-        caps = problem.capacities.astype(np.int64)
         pinned = problem.constraints != UNCONSTRAINED
         P = P.copy()
 
         placed = P != UNPLACED
-        loads = np.bincount(
-            P[placed], weights=sizes[placed].astype(np.float64), minlength=m
-        ).astype(np.int64)
-        free = caps - loads
-
+        free = _evict_overflow(problem, P, placed, sizes)
         deferred = np.flatnonzero(~placed)
-        still_deferred = 0
-        if deferred.size:
-            inv_bt = 1.0 / problem.BT
-            quantity = problem.communication_quantity()
-            order = deferred[
-                np.lexsort((-quantity[deferred], -sizes[deferred]), axis=0)
-            ]
-            for v in order:
-                cost_vec = _site_cost_vector(problem, inv_bt, P, placed, int(v))
-                cost_vec[free < sizes[v]] = np.inf
-                target = int(np.argmin(cost_vec))
-                if not np.isfinite(cost_vec[target]):
-                    still_deferred += 1
-                    continue
-                P[v] = target
-                placed[v] = True
-                free[target] -= sizes[v]
+        evaluator = CostEvaluator(problem)
+        _, left = _place_heaviest_first(evaluator, P, placed, sizes, free, deferred)
+        still_deferred = int(left.size)
 
         stats = {
             "placed_deferred": int(deferred.size) - still_deferred,
@@ -549,7 +489,6 @@ class MultilevelMapper(Mapper):
             # let the finer level handle both.
             return P, stats
 
-        evaluator = CostEvaluator(problem)
         move_cap = max(64, n // 4)
         for _ in range(self.refine_rounds):
             stats["rounds"] += 1

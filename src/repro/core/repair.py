@@ -9,8 +9,11 @@ alpha-beta cost given everything that stayed put — so migration volume
 is (by construction) bounded by the displaced set, and the repaired cost
 stays close to a from-scratch re-map.
 
-The algorithm mirrors Algorithm 1's greedy fill restricted to the
-displaced set:
+Steps 1 and 2 are one placement pass — Algorithm 1's greedy fill
+restricted to the processes that need a site — which the multilevel
+mapper's node-unit legalization runs too, with super-vertex sizes where
+repair uses all ones (:func:`_evict_overflow`,
+:func:`_place_heaviest_first`):
 
 1. evict overflow: if a surviving site's load now exceeds its (possibly
    reduced) capacity, the residents with the *least* affinity to the
@@ -18,8 +21,8 @@ displaced set:
    processes are never evicted;
 2. place the displaced processes heaviest-communication-first, each on
    the feasible site minimizing its exact incremental alpha-beta cost
-   against the current partial placement (one vectorized (M,)-cost
-   evaluation per process);
+   against the current partial placement (one
+   :meth:`CostEvaluator._site_costs` call per process);
 3. optionally polish with a bounded best-move refinement that again
    touches only the displaced processes, preserving the migration bound.
 
@@ -40,6 +43,7 @@ import scipy.sparse as sp
 from .._validation import check_nonnegative_int, check_vector
 from .constraints import ensure_feasible
 from .cost import CostEvaluator, total_cost
+from .geodist import _symmetric_traffic
 from .mapping import Mapping, validate_assignment
 from .problem import UNCONSTRAINED, InfeasibleProblemError, MappingProblem
 
@@ -76,59 +80,87 @@ class RepairResult:
         return int(self.migrated.shape[0])
 
 
-def _rows(problem: MappingProblem, i: int) -> tuple[np.ndarray, ...]:
-    """(cg_out, cg_in, ag_out, ag_in) dense owned rows for process i.
+def _evict_overflow(
+    problem: MappingProblem, P: np.ndarray, placed: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Least-affinity eviction: shrink every overfull site's load to fit.
 
-    Sparse problems read the cached CSR views: the out-row is an
-    ``indptr`` slice, the in-column the stored entries whose column is
-    ``i`` (O(nnz), no scipy submatrix machinery).
+    On each site whose load (in units of ``sizes``) exceeds its
+    capacity, the unpinned residents leave in ascending order of their
+    affinity (``CG + CG^T``) to all of the site's residents — a stable
+    sort, so ties go by index — until the load fits.  Evicted vertices
+    become :data:`UNPLACED` in ``P`` and drop out of ``placed`` (both
+    updated in place).  Returns each site's free capacity, negative
+    only where pinned residents alone overfill a site.
     """
-    if not problem.is_sparse:
-        cg, ag = problem.CG, problem.AG
-        return cg[i, :].copy(), cg[:, i].copy(), ag[i, :].copy(), ag[:, i].copy()
-    n = problem.num_processes
-    out = []
-    for csr in (problem.cg_csr(), problem.ag_csr()):
-        row = np.zeros(n)
-        cols, vals = csr.row_slice(i)
-        row[cols] = vals
-        col = np.zeros(n)
-        hit = csr.indices == i
-        col[csr.rows[hit]] = csr.data[hit]
-        out += [row, col]
-    return tuple(out)
+    caps = problem.capacities.astype(np.int64)
+    loads = np.bincount(
+        P[placed], weights=sizes[placed].astype(np.float64), minlength=caps.shape[0]
+    ).astype(np.int64)
+    over = np.flatnonzero(loads > caps)
+    if over.size == 0:
+        return caps - loads
+    sym = _symmetric_traffic(problem)
+    pinned = problem.constraints != UNCONSTRAINED
+    for site in over:
+        residents = np.flatnonzero(P == site)
+        movable = residents[~pinned[residents]]
+        if sp.issparse(sym):
+            aff = np.asarray(sym[movable][:, residents].sum(axis=1)).ravel()
+        else:
+            aff = sym[np.ix_(movable, residents)].sum(axis=1)
+        leave = movable[np.argsort(aff, kind="stable")]
+        # The fewest least-attached vertices whose sizes cover the excess.
+        k = np.searchsorted(np.cumsum(sizes[leave]), loads[site] - caps[site]) + 1
+        P[leave[:k]] = UNPLACED
+        placed[leave[:k]] = False
+        loads[site] -= sizes[leave[:k]].sum()
+    return caps - loads
 
 
-def _site_cost_vector(
-    problem: MappingProblem,
-    inv_bt: np.ndarray,
+def _place_heaviest_first(
+    evaluator: CostEvaluator,
     P: np.ndarray,
     placed: np.ndarray,
-    i: int,
-) -> np.ndarray:
-    """Alpha-beta cost of process ``i`` on every site, vs the placed set.
+    sizes: np.ndarray,
+    free: np.ndarray,
+    vertices: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1's greedy fill restricted to the ``UNPLACED`` ``vertices``.
 
-    ``cost[s] = sum_{j placed} AG[i,j] LT[s, P[j]] + AG[j,i] LT[P[j], s]
-                + CG[i,j] / BT[s, P[j]] + CG[j,i] / BT[P[j], s]``
-
-    computed by first aggregating i's comm rows by the partners' sites
-    (O(N)) and then contracting against LT / 1/BT (O(M^2)).
+    Largest first, then heaviest communication (stable, ties by index):
+    big vertices have the fewest feasible sites, so they pick before
+    space fragments.  A pinned vertex goes to its pin site; any other
+    to the site with room (``free >= sizes[v]``) of least exact
+    incremental alpha-beta cost against the current placement
+    (:meth:`CostEvaluator._site_costs`), lowest index on ties.  A vertex
+    with nowhere to go stays ``UNPLACED``.  ``P``, ``placed`` and
+    ``free`` are updated in place.  Returns ``(order, unplaced)``: the
+    placement order and the vertices left out, in that order.
     """
-    m = problem.num_sites
-    cg_out, cg_in, ag_out, ag_in = _rows(problem, i)
-    partners = placed.copy()
-    partners[i] = False  # a process never pays cost against itself
-    idx = P[partners]
-    cgo = np.bincount(idx, weights=cg_out[partners], minlength=m)
-    cgi = np.bincount(idx, weights=cg_in[partners], minlength=m)
-    ago = np.bincount(idx, weights=ag_out[partners], minlength=m)
-    agi = np.bincount(idx, weights=ag_in[partners], minlength=m)
-    return (
-        problem.LT @ ago
-        + problem.LT.T @ agi
-        + inv_bt @ cgo
-        + inv_bt.T @ cgi
-    )
+    if vertices.size == 0:
+        return vertices, vertices
+    problem = evaluator.problem
+    pins = problem.constraints
+    quantity = problem.communication_quantity()
+    order = vertices[np.lexsort((-quantity[vertices], -sizes[vertices]))]
+    unplaced = []
+    for v in order:
+        if pins[v] != UNCONSTRAINED:
+            target = int(pins[v])
+            fits = free[target] >= sizes[v]
+        else:
+            cost = evaluator._site_costs(P, placed, int(v))
+            cost[free < sizes[v]] = np.inf
+            target = int(np.argmin(cost))
+            fits = np.isfinite(cost[target])
+        if not fits:
+            unplaced.append(v)
+            continue
+        P[v] = target
+        placed[v] = True
+        free[target] -= sizes[v]
+    return order, np.array(unplaced, dtype=np.int64)
 
 
 def _best_swap(
@@ -241,67 +273,40 @@ class IncrementalRepairMapper:
                 f"{np.flatnonzero(broken)[:10].tolist()}"
             )
 
-        displaced_mask = ~kept
         placed = kept.copy()
-        loads = np.bincount(P[placed], minlength=m)
+        sizes = np.ones(n, dtype=np.int64)
 
         # ---- 1. evict overflow from shrunk sites (least-affinity first).
-        handed_in = int(displaced_mask.sum())
         with obs.span("repair.evict") as span:
-            sym = problem.CG + problem.CG.T
-            if sp.issparse(sym):
-                sym = sym.tocsr()
-            for site in np.flatnonzero(loads > problem.capacities):
-                residents = np.flatnonzero(placed & (P == site))
-                movable = residents[~pinned[residents]]
-                excess = int(loads[site] - problem.capacities[site])
-                if movable.shape[0] < excess:
-                    raise InfeasibleProblemError(
-                        f"{self.name}: site {site} holds "
-                        f"{int(pinned[residents].sum())} pinned processes but "
-                        f"only {int(problem.capacities[site])} nodes remain"
-                    )
-                if sp.issparse(sym):
-                    aff = np.asarray(sym[movable][:, residents].sum(axis=1)).ravel()
-                else:
-                    aff = sym[np.ix_(movable, residents)].sum(axis=1)
-                # Stable sort: least-attached residents leave first,
-                # deterministic ties by process index.
-                evict = movable[np.argsort(aff, kind="stable")[:excess]]
-                P[evict] = UNPLACED
-                placed[evict] = False
-                displaced_mask[evict] = True
-                loads[site] -= excess
-
+            free = _evict_overflow(problem, P, placed, sizes)
+            if np.any(free < 0):
+                site = int(np.flatnonzero(free < 0)[0])
+                raise InfeasibleProblemError(
+                    f"{self.name}: site {site} holds "
+                    f"{int(np.count_nonzero(P == site))} pinned processes but "
+                    f"only {int(problem.capacities[site])} nodes remain"
+                )
+            displaced_mask = ~placed
             displaced = np.flatnonzero(displaced_mask)
-            evicted = int(displaced.shape[0]) - handed_in
+            evicted = int(displaced.shape[0] - np.count_nonzero(~kept))
             span.set(evicted=evicted)
 
         # ---- 2. greedy placement, heaviest communication first.
+        evaluator = CostEvaluator(problem)
         with obs.span("repair.place", num_displaced=int(displaced.shape[0])):
-            quantity = problem.communication_quantity()
-            order = displaced[np.argsort(-quantity[displaced], kind="stable")]
-            inv_bt = 1.0 / problem.BT
-            free = problem.capacities - loads
-            for i in order:
+            order, unplaced = _place_heaviest_first(
+                evaluator, P, placed, sizes, free, displaced
+            )
+            if unplaced.size:
+                i = int(unplaced[0])
                 if pinned[i]:
-                    target = int(pins[i])
-                    if free[target] <= 0:
-                        raise InfeasibleProblemError(
-                            f"{self.name}: process {i} is pinned to site {target}, "
-                            "which has no free node left"
-                        )
-                else:
-                    cost_vec = _site_cost_vector(problem, inv_bt, P, placed, int(i))
-                    cost_vec[free <= 0] = np.inf
-                    target = int(np.argmin(cost_vec))
-                    if not np.isfinite(cost_vec[target]):
-                        raise InfeasibleProblemError(
-                            f"{self.name}: no site has a free node for process {i}"
-                        )
-                P[i] = target
-                placed[i] = True
-                free[target] -= 1
+                    raise InfeasibleProblemError(
+                        f"{self.name}: process {i} is pinned to site {int(pins[i])}, "
+                        "which has no free node left"
+                    )
+                raise InfeasibleProblemError(
+                    f"{self.name}: no site has a free node for process {i}"
+                )
 
         # ---- 3. bounded best-move polish, displaced processes only.
         polish_rounds = 0
@@ -313,7 +318,7 @@ class IncrementalRepairMapper:
                     if pinned[i]:
                         continue
                     cur = int(P[i])
-                    cost_vec = _site_cost_vector(problem, inv_bt, P, placed, int(i))
+                    cost_vec = evaluator._site_costs(P, placed, int(i))
                     candidates = cost_vec.copy()
                     candidates[(free <= 0) & (np.arange(m) != cur)] = np.inf
                     best = int(np.argmin(candidates))
@@ -338,7 +343,6 @@ class IncrementalRepairMapper:
         moved_extra: set[int] = set()
         if self.extra_moves > 0:
             with obs.span("repair.global_polish", budget=self.extra_moves) as span:
-                evaluator = CostEvaluator(problem)
                 for _ in range(2 * n):
                     budget = self.extra_moves - len(moved_extra)
                     # Processes allowed to move this round without / within

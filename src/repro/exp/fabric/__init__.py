@@ -25,7 +25,6 @@ from .merge import (
     MergeResult,
     comparable_rows,
     diff_results,
-    load_result,
     merge_shards,
     results_equivalent,
     stitch_worker_traces,
@@ -71,7 +70,6 @@ __all__ = [
     "fig7_specs",
     "get_task",
     "load_manifest",
-    "load_result",
     "load_shard",
     "load_spec",
     "merge_shards",

@@ -35,7 +35,6 @@ __all__ = [
     "comparable_rows",
     "results_equivalent",
     "diff_results",
-    "load_result",
     "stitch_worker_traces",
 ]
 
@@ -161,21 +160,6 @@ def diff_results(
                 f"{json.dumps(right[key], sort_keys=True)[:120]})"
             )
     return out
-
-
-def load_result(root: str | Path) -> list[dict[str, Any]]:
-    """The merged result table's rows; raises when absent/invalid."""
-    layout = SweepLayout(root)
-    data = read_json(layout.result_path)
-    if not isinstance(data, dict) or data.get("format") != RESULT_FORMAT:
-        raise FabricError(
-            f"{layout.result_path} is missing or not a {RESULT_FORMAT} "
-            "document — run the merge first"
-        )
-    rows = data.get("rows")
-    if not isinstance(rows, list):
-        raise FabricError(f"{layout.result_path} has a malformed row list")
-    return rows
 
 
 def stitch_worker_traces(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 from urllib.parse import quote
 
 from .io import FabricError, atomic_write_json, read_json
@@ -309,11 +309,3 @@ def write_shard(
     return atomic_write_json(
         SweepLayout(root).shard_path(key), row, before_replace=before_replace
     )
-
-
-def iter_shards(
-    root: str | Path, keys: Iterable[str]
-) -> Iterable[tuple[str, dict[str, Any] | None]]:
-    """(key, shard-or-None) pairs in the given key order."""
-    for key in keys:
-        yield key, load_shard(root, key)

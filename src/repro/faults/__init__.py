@@ -7,7 +7,7 @@ loss, link degradation, latency spikes, flapping links) composed into a
 :class:`FaultSchedule` that can
 
 * perturb a realized topology / mapping problem at a point in simulated
-  time (:func:`degrade_problem`, :func:`degrade_topology`) — the input
+  time (:func:`degrade_problem`) — the input
   to the incremental repair mapper;
 * inject mid-run faults into the discrete-event simulator through the
   time-varying :class:`FaultyNetwork`;
@@ -29,7 +29,7 @@ from .events import (
     event_from_dict,
 )
 from .schedule import FaultSchedule, random_schedule
-from .degrade import DegradedProblem, degrade_problem, degrade_topology
+from .degrade import DegradedProblem, degrade_problem
 from .simnet import FaultyNetwork, SiteDownError
 from .repair import FaultRepairOutcome, repair_after_faults
 from .suite import standard_fault_suite
@@ -47,7 +47,6 @@ __all__ = [
     "random_schedule",
     "DegradedProblem",
     "degrade_problem",
-    "degrade_topology",
     "FaultyNetwork",
     "SiteDownError",
     "FaultRepairOutcome",

@@ -1,7 +1,6 @@
 """Deterministic topology/problem degradation under a fault schedule.
 
-Given a :class:`~repro.core.problem.MappingProblem` (or a realized
-:class:`~repro.cloud.topology.CloudTopology`) and a
+Given a :class:`~repro.core.problem.MappingProblem` and a
 :class:`~repro.faults.schedule.FaultSchedule`, produce the *degraded*
 problem at a point in simulated time: dead sites removed, shrunk
 capacities debited, link matrices scaled by the active degradations.
@@ -16,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cloud.topology import CloudTopology, Site
 from ..core.problem import UNCONSTRAINED, InfeasibleProblemError, MappingProblem
 from .schedule import FaultSchedule
 
-__all__ = ["DegradedProblem", "degrade_problem", "degrade_topology"]
+__all__ = ["DegradedProblem", "degrade_problem"]
 
 
 @dataclass(frozen=True)
@@ -204,42 +202,3 @@ def degrade_problem(
         unpinned=unpinned,
         at_time=float(at_time),
     )
-
-
-def degrade_topology(
-    topology: CloudTopology,
-    schedule: FaultSchedule,
-    at_time: float = 0.0,
-) -> tuple[CloudTopology, np.ndarray]:
-    """Realize the degraded topology at ``at_time``.
-
-    Returns ``(degraded_topology, alive_sites)`` where ``alive_sites``
-    maps the new topology's site positions back to the original indices.
-    Dead sites are dropped (a :class:`CloudTopology` requires positive
-    capacity everywhere); link matrices carry the active degradations.
-    """
-    m = topology.num_sites
-    schedule.validate_sites(m)
-    caps_t = schedule.capacities_at(topology.capacities, at_time)
-    caps_t[schedule.sites_down(m, at_time)] = 0
-    alive_sites = np.flatnonzero(caps_t > 0)
-    if alive_sites.size == 0:
-        raise InfeasibleProblemError(
-            f"fault schedule leaves no site alive at t={at_time}"
-        )
-    lat_mult, lat_add, bw_mult = schedule.link_effect_matrices(m, at_time)
-    lt = topology.latency_s * lat_mult + lat_add
-    bt = topology.bandwidth_Bps * bw_mult
-    ix = np.ix_(alive_sites, alive_sites)
-    sites = tuple(
-        Site(index=k, region=topology.sites[int(orig)].region,
-             capacity=int(caps_t[orig]))
-        for k, orig in enumerate(alive_sites)
-    )
-    degraded = CloudTopology(
-        sites=sites,
-        latency_s=lt[ix].copy(),
-        bandwidth_Bps=bt[ix].copy(),
-        instance_type=topology.instance_type,
-    )
-    return degraded, alive_sites

@@ -15,6 +15,12 @@ transfer's ready time:
 Because the simulator executes transfers in non-decreasing ready-time
 order and the schedule is a pure function of time, a faulty run is just
 as deterministic as a healthy one.
+
+Link stats (:meth:`SimNetwork.link_stats`) are collected as in the
+healthy network, so a traced faulty run reports its ``network.link``
+events; a transfer's ``stall_s`` runs from its ready time to the moment
+its link starts sending, so it includes the outage wait as well as
+contention.
 """
 
 from __future__ import annotations
@@ -84,8 +90,12 @@ class FaultyNetwork(SimNetwork):
         alpha = self._lt[a][b] * lat_mult + lat_add
         busy = nbytes / (self._bt[a][b] * bw_mult)
         if a == b or not self.contention:
+            if self._stats_on:
+                self._record((a, b), nbytes, t - ready)
             return t + alpha + busy
         key = (a, b)
         start = max(t, self._link_free.get(key, 0.0))
         self._link_free[key] = start + busy
+        if self._stats_on:
+            self._record(key, nbytes, start - ready)
         return start + alpha + busy

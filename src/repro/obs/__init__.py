@@ -56,7 +56,6 @@ from .export import (
     span_from_dict,
     span_to_dict,
     trace_anchor,
-    trace_from_dict,
     trace_to_dict,
     validate_causal_trace,
     validate_trace,
@@ -125,7 +124,6 @@ __all__ = [
     "span_to_dict",
     "span_from_dict",
     "trace_to_dict",
-    "trace_from_dict",
     "validate_trace",
     "trace_anchor",
     "causal_violations",

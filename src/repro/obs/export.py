@@ -58,7 +58,6 @@ __all__ = [
     "span_to_dict",
     "span_from_dict",
     "trace_to_dict",
-    "trace_from_dict",
     "validate_trace",
     "trace_anchor",
     "causal_violations",
@@ -278,11 +277,6 @@ def span_from_dict(obj: Any, where: str = "span") -> Span:
         parent_span_id=parent_span_id,
         links=links,
     )
-
-
-def trace_from_dict(obj: Any) -> list[Span]:
-    """Parse a whole trace document; alias of :func:`validate_trace`."""
-    return validate_trace(obj)
 
 
 def validate_trace(obj: Any) -> list[Span]:

@@ -1,15 +1,23 @@
 """Property tests for the vectorized cost kernels.
 
 Pins the perf-layer rewrite (bincount / one-hot aggregation, chunked
-dense batch evaluation, copying ``_rows_for``) to the scalar semantics it
-must preserve.
+dense batch evaluation, the CSR/CSC site-cost kernel) to the scalar
+semantics it must preserve.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import CostEvaluator, MappingProblem, aggregate_site_traffic, total_cost
+from repro.core import (
+    UNCONSTRAINED,
+    CostEvaluator,
+    MappingProblem,
+    aggregate_site_traffic,
+    total_cost,
+)
 from tests.conftest import make_problem
 
 
@@ -91,20 +99,76 @@ def test_batch_cost_single_mapping(topo4):
 
 
 @pytest.mark.parametrize("sparse_input", [False, True])
-def test_rows_for_returns_owned_copies(topo4, sparse_input):
-    """Regression: mutating a returned row must not corrupt CG/AG or
-    subsequent delta evaluations (the dense path used to return views)."""
+def test_site_costs_returns_owned_array(topo4, sparse_input):
+    """Regression: mutating a returned cost vector must not corrupt CG/AG
+    or later evaluations (a row reader once returned live views)."""
     p = make_problem(16, topo4, seed=25)
     if sparse_input:
         p = _sparsify(p)
     ev = CostEvaluator(p)
     P = np.random.default_rng(3).integers(0, p.num_sites, size=16)
-    before = ev.move_delta(P, 2, 1)
-    rows = ev._rows_for(2)
-    for r in rows:
-        r[:] = -1.0  # must be writeable and isolated
-    assert ev.move_delta(P, 2, 1) == pytest.approx(before)
+    placed = np.ones(16, dtype=bool)
+    before = ev.move_delta(P, 2, 1), ev._site_costs(P, placed, 2).copy()
+    costs = ev._site_costs(P, placed, 2)
+    costs[:] = -1.0  # must be writeable and isolated
+    assert ev.move_delta(P, 2, 1) == before[0]
+    np.testing.assert_array_equal(ev._site_costs(P, placed, 2), before[1])
     np.testing.assert_array_equal(p.dense_CG()[2, :] == -1.0, np.zeros(16, bool))
+
+
+def _brute_site_costs(problem, P, placed, i):
+    """Double loop over sites and placed partners: the kernel's definition."""
+    cg, ag = problem.dense_CG(), problem.dense_AG()
+    lt, bt = problem.LT, problem.BT
+    out = np.zeros(problem.num_sites)
+    for s in range(problem.num_sites):
+        for j in range(problem.num_processes):
+            if j == i or not placed[j]:
+                continue
+            t = P[j]
+            out[s] += ag[i, j] * lt[s, t] + ag[j, i] * lt[t, s]
+            out[s] += cg[i, j] / bt[s, t] + cg[j, i] / bt[t, s]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([0.0, 0.2, 1.0]),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_site_costs_match_brute_force(n, m, density, placed_ratio, seed):
+    """Exact oracle for the site-cost kernel: asymmetric LT/BT and comm
+    matrices, pinned processes, partial placements with unplaced (-1)
+    entries, dense and CSR storage; the two storages agree bit for bit."""
+    rng = np.random.default_rng(seed)
+    cg = np.where(rng.random((n, n)) < density, rng.random((n, n)) * 1e6, 0.0)
+    np.fill_diagonal(cg, 0.0)
+    ag = np.where(rng.random((n, n)) < density, rng.integers(1, 9, (n, n)), 0)
+    ag = ag.astype(np.float64)
+    np.fill_diagonal(ag, 0.0)
+    pins = np.full(n, UNCONSTRAINED, dtype=np.int64)
+    pinned = rng.random(n) < 0.3
+    pins[pinned] = rng.integers(0, m, size=int(pinned.sum()))
+    common = dict(
+        LT=rng.uniform(1e-4, 0.1, (m, m)),
+        BT=rng.uniform(1e7, 1e9, (m, m)),
+        capacities=np.full(m, n),
+        constraints=pins,
+    )
+    dense = MappingProblem(CG=cg, AG=ag, **common)
+    sparse = MappingProblem(CG=sp.csr_matrix(cg), AG=sp.csr_matrix(ag), **common)
+    placed = rng.random(n) < placed_ratio
+    P = np.where(placed, rng.integers(0, m, size=n), -1)
+    ev_d, ev_s = CostEvaluator(dense), CostEvaluator(sparse)
+    for i in range(n):
+        got = ev_d._site_costs(P, placed, i)
+        assert got.tobytes() == ev_s._site_costs(P, placed, i).tobytes()
+        np.testing.assert_allclose(
+            got, _brute_site_costs(dense, P, placed, i), rtol=1e-12, atol=0.0
+        )
 
 
 def test_aggregate_empty_sparse_matrix(topo4):

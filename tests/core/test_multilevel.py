@@ -23,7 +23,8 @@ from repro.core import (
     total_cost,
     validate_assignment,
 )
-from repro.core.multilevel import _affinity_edges, _symmetric_affinity
+from repro.core.geodist import _symmetric_traffic
+from repro.core.multilevel import _affinity_edges
 from repro.obs import recording
 
 
@@ -93,7 +94,7 @@ def _lexsort_matching(problem, rng, rounds):
     """
     n = problem.num_processes
     mate = np.full(n, -1, dtype=np.int64)
-    u, v, w = _affinity_edges(_symmetric_affinity(problem))
+    u, v, w = _affinity_edges(_symmetric_traffic(problem))
     if u.size == 0:
         return mate
     pins = problem.constraints
@@ -160,6 +161,23 @@ def test_matching_equals_lexsort_reference(problem, rounds, seed):
     got = heavy_edge_matching(problem, np.random.default_rng(seed), rounds=rounds)
     want = _lexsort_matching(problem, np.random.default_rng(seed), rounds)
     np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matching_problems())
+def test_symmetric_traffic_is_canonical_csr(problem):
+    """Matching and eviction read ``CG + CG^T`` straight from geodist's
+    builder; its CSR arrays must already be sorted and duplicate-free."""
+    sym = _symmetric_traffic(problem)
+    if not sp.issparse(sym):
+        return
+    canon = sym.copy()
+    canon.sum_duplicates()
+    canon.sort_indices()
+    for got, want in zip(
+        (sym.indptr, sym.indices, sym.data), (canon.indptr, canon.indices, canon.data)
+    ):
+        np.testing.assert_array_equal(got, want)
 
 
 # ----------------------------------------------------------- contraction

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    CostEvaluator,
     GeoDistributedMapper,
     IncrementalRepairMapper,
     InfeasibleProblemError,
@@ -18,7 +19,6 @@ from repro.core import (
     repair_mapping,
     total_cost,
 )
-from repro.core.repair import _rows, _site_cost_vector
 
 
 def make_problem(n=12, m=3, cap=6, seed=0, constraints=None):
@@ -175,23 +175,22 @@ def _sparse_and_dense(n, m, seed):
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_row_kernel_sparse_equals_dense(n, m, seed):
+    """The site-cost kernel repair places with reads CSR/CSC rows on
+    sparse problems and full rows on dense ones; both give the same bytes."""
     sparse, dense = _sparse_and_dense(n, m, seed)
     rng = np.random.default_rng(seed)
     P = rng.integers(0, m, size=n)
     placed = rng.random(n) < 0.7
-    inv_bt = 1.0 / sparse.BT
+    ev_s, ev_d = CostEvaluator(sparse), CostEvaluator(dense)
     for i in range(n):
-        got, want = _rows(sparse, i), _rows(dense, i)
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-        # Owned, writable copies: scribbling on them leaves the problem intact.
-        for a in got:
+        cost_s = ev_s._site_costs(P, placed, i)
+        cost_d = ev_d._site_costs(P, placed, i)
+        assert cost_s.tobytes() == cost_d.tobytes()
+        # Owned, writable output: scribbling on it leaves the problem intact.
+        for a in (cost_s, cost_d):
             assert a.flags.writeable and a.base is None
             a[:] = -1.0
         np.testing.assert_array_equal(sparse.CG.toarray(), dense.CG)
         np.testing.assert_array_equal(sparse.AG.toarray(), dense.AG)
-        cost_s = _site_cost_vector(sparse, inv_bt, P, placed, i)
-        cost_d = _site_cost_vector(dense, inv_bt, P, placed, i)
-        assert cost_s.tobytes() == cost_d.tobytes()
     # The no-in-edge and no-out-edge processes really are edge cases.
-    assert not _rows(sparse, 0)[1].any() and not _rows(sparse, 1)[0].any()
+    assert sparse.CG[:, 0].nnz == 0 and sparse.CG[1, :].nnz == 0

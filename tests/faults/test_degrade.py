@@ -1,4 +1,4 @@
-"""Problem/topology degradation and its index bookkeeping."""
+"""Problem degradation and its index bookkeeping."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.faults import (
     SiteCapacityLoss,
     SiteOutage,
     degrade_problem,
-    degrade_topology,
 )
 
 
@@ -81,6 +80,18 @@ class TestDegradeProblem:
         # Unaffected links untouched.
         assert deg.problem.LT[2, 3] == pytest.approx(prob.LT[2, 3])
 
+    def test_outage_and_capacity_loss_drop_and_shrink_sites(self):
+        prob = make_problem()
+        sched = FaultSchedule(
+            events=(
+                SiteOutage(site=3, start_s=0.0),
+                SiteCapacityLoss(site=0, fraction=0.5, start_s=0.0),
+            )
+        )
+        deg = degrade_problem(prob, sched, 1.0)
+        assert deg.alive_sites.tolist() == [0, 1, 2]
+        assert deg.problem.capacities.tolist() == [4, 8, 8]
+
     def test_capacity_deficit_names_deficit(self):
         prob = make_problem(n=16, m=4, cap=4)  # zero slack
         sched = FaultSchedule(events=(SiteOutage(site=0, start_s=0.0),))
@@ -106,20 +117,6 @@ class TestDegradeProblem:
         deg = degrade_problem(prob, sched, 1.0, on_lost_pin="unpin")
         # Original site 3 is reduced index 2 once site 1 is dropped.
         assert deg.problem.constraints[0] == 2
-
-
-class TestDegradeTopology:
-    def test_drops_dead_sites(self, topo4):
-        sched = FaultSchedule(
-            events=(
-                SiteOutage(site=3, start_s=0.0),
-                SiteCapacityLoss(site=0, fraction=0.5, start_s=0.0),
-            )
-        )
-        degraded, alive = degrade_topology(topo4, sched, 1.0)
-        assert degraded.num_sites == 3
-        assert alive.tolist() == [0, 1, 2]
-        assert degraded.sites[0].capacity == topo4.sites[0].capacity // 2
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import GeoDistributedMapper, MappingProblem
+from repro.exp.scenarios import scale_scenario
 from repro.faults import (
     FaultSchedule,
     FaultyNetwork,
@@ -16,6 +17,8 @@ from repro.faults import (
     repair_after_faults,
     standard_fault_suite,
 )
+from repro.obs import recording
+from repro.simmpi import Simulator
 from repro.simmpi.network import SimNetwork
 
 
@@ -117,6 +120,38 @@ class TestFaultyNetwork:
         faulty.reset()
         with pytest.raises(SiteDownError, match="permanently down"):
             faulty.transfer(0, 2, 1000, 0.5)
+
+    @staticmethod
+    def _traced_lu(make_net):
+        """LU at 16 ranks under ``recording()``: (result, link stats)."""
+        sc = scale_scenario("LU", 16, seed=0)
+        P = GeoDistributedMapper(kappa=4).map(sc.problem, seed=0).assignment
+        net = make_net(sc.problem, P)
+        with recording():
+            result = Simulator(16, sc.app.program, net).run()
+        return result, net.link_stats()
+
+    def test_no_faults_link_stats_match_healthy(self):
+        _, healthy = self._traced_lu(SimNetwork)
+        _, faulty = self._traced_lu(
+            lambda prob, P: FaultyNetwork(prob, P, FaultSchedule(events=()))
+        )
+        assert healthy  # a recorder turns stats on
+        assert faulty == healthy
+
+    def test_outage_link_bytes_cover_every_transfer(self):
+        sched = FaultSchedule(
+            events=(SiteOutage(site=1, start_s=0.01, duration_s=0.05),)
+        )
+        _, healthy = self._traced_lu(SimNetwork)
+        result, stats = self._traced_lu(
+            lambda prob, P: FaultyNetwork(prob, P, sched)
+        )
+        assert sum(e["bytes"] for e in stats) == result.total_bytes
+        assert sum(e["transfers"] for e in stats) == result.total_messages
+        # Stall counts the outage wait on top of contention.
+        stall = sum(e["stall_s"] for e in stats)
+        assert stall > sum(e["stall_s"] for e in healthy)
 
     def test_brownout_slows_transfer(self):
         sched = FaultSchedule(
