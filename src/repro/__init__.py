@@ -34,64 +34,62 @@ import os
 # VM the dense site aggregation at n=256 took 16 ms with the default
 # threads and 0.15 ms with one, and the 1000-mapping dense batch cost at
 # n=64 took 124 ms against 45 ms.  OpenBLAS reads the variable once,
-# when numpy loads, so this runs before any import below; fabric
-# workers, pool solvers and bench scripts inherit it through os.environ.
+# when numpy loads, so this runs before anything else in the package;
+# fabric workers, pool solvers and bench scripts inherit it through
+# os.environ.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import apps, baselines, cloud, core, exp, simmpi
-from .apps import PAPER_APPS, make_paper_app
-from .baselines import GreedyMapper, MonteCarloMapper, MPIPPMapper, RandomMapper
-from .cloud import CloudTopology, NetworkModel, paper_topology
-from .core import (
-    GeoDistributedMapper,
-    Mapper,
-    Mapping,
-    MappingProblem,
-    available_mappers,
-    get_mapper,
-    random_constraints,
-    total_cost,
-)
-from .exp import (
-    build_problem,
-    default_mappers,
-    paper_ec2_scenario,
-    run_comparison,
-    scale_scenario,
-    simulate_mapping,
-)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "apps",
-    "baselines",
-    "cloud",
-    "core",
-    "exp",
-    "simmpi",
-    "PAPER_APPS",
-    "make_paper_app",
-    "GreedyMapper",
-    "MonteCarloMapper",
-    "MPIPPMapper",
-    "RandomMapper",
-    "CloudTopology",
-    "NetworkModel",
-    "paper_topology",
-    "GeoDistributedMapper",
-    "Mapper",
-    "Mapping",
-    "MappingProblem",
-    "available_mappers",
-    "get_mapper",
-    "random_constraints",
-    "total_cost",
-    "build_problem",
-    "default_mappers",
-    "paper_ec2_scenario",
-    "run_comparison",
-    "scale_scenario",
-    "simulate_mapping",
-    "__version__",
-]
+# Every re-export loads on first use: ``import repro`` alone imports no
+# submodule, and so neither numpy nor scipy.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".apps": ("apps", "PAPER_APPS", "make_paper_app"),
+    ".baselines": (
+        "baselines", "GreedyMapper", "MonteCarloMapper", "MPIPPMapper", "RandomMapper",
+    ),
+    ".cloud": ("cloud", "CloudTopology", "NetworkModel", "paper_topology"),
+    ".core": (
+        "core", "GeoDistributedMapper", "Mapper", "Mapping", "MappingProblem",
+        "available_mappers", "get_mapper", "random_constraints", "total_cost",
+    ),
+    ".exp": (
+        "exp", "build_problem", "default_mappers", "paper_ec2_scenario",
+        "run_comparison", "scale_scenario", "simulate_mapping",
+    ),
+    ".simmpi": ("simmpi",),
+})
+__all__ += ["__version__"]
+
+# The same names as imports, for type checkers and for repro-lint's call
+# graph, which follows re-exports through these import tables.
+# ruff reads neither the lazy table nor the __all__ it builds, so it
+# would call these imports unused.
+# ruff: noqa: F401
+if TYPE_CHECKING:
+    from . import apps, baselines, cloud, core, exp, simmpi
+    from .apps import PAPER_APPS, make_paper_app
+    from .baselines import GreedyMapper, MonteCarloMapper, MPIPPMapper, RandomMapper
+    from .cloud import CloudTopology, NetworkModel, paper_topology
+    from .core import (
+        GeoDistributedMapper,
+        Mapper,
+        Mapping,
+        MappingProblem,
+        available_mappers,
+        get_mapper,
+        random_constraints,
+        total_cost,
+    )
+    from .exp import (
+        build_problem,
+        default_mappers,
+        paper_ec2_scenario,
+        run_comparison,
+        scale_scenario,
+        simulate_mapping,
+    )

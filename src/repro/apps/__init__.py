@@ -1,47 +1,36 @@
 """Simulated workloads: the paper's five evaluation applications (LU, BT,
 SP, K-means, DNN) plus synthetic patterns for tests and ablations.
+
+The application classes load on first use: :data:`PAPER_APPS` (the
+CLI's ``--app`` choices) costs no numpy or scipy import.
 """
 
-from .base import Application, grid_shape
-from .dnn import DNNApp
-from .kmeans import KMeansApp
-from .npb import LU_EW_BYTES, LU_NS_BYTES, BTApp, LUApp, SPApp
-from .synthetic import RandomSparseApp, RingApp, StencilApp, UniformApp
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Application",
-    "grid_shape",
-    "DNNApp",
-    "KMeansApp",
-    "LU_EW_BYTES",
-    "LU_NS_BYTES",
-    "BTApp",
-    "LUApp",
-    "SPApp",
-    "RandomSparseApp",
-    "RingApp",
-    "StencilApp",
-    "UniformApp",
-]
+from .._lazy import lazy_exports
 
-#: Factory for the paper's five evaluation applications at a given scale.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("Application", "grid_shape"),
+    ".dnn": ("DNNApp",),
+    ".kmeans": ("KMeansApp",),
+    ".npb": ("LU_EW_BYTES", "LU_NS_BYTES", "BTApp", "LUApp", "SPApp"),
+    ".synthetic": ("RandomSparseApp", "RingApp", "StencilApp", "UniformApp"),
+    ".paper": ("make_paper_app",),
+})
+__all__ += ["PAPER_APPS"]
+
+# The same names as imports, for type checkers and repro-lint's call graph.
+# ruff reads neither the lazy table nor the __all__ it builds, so it
+# would call these imports unused.
+# ruff: noqa: F401
+if TYPE_CHECKING:
+    from .base import Application, grid_shape
+    from .dnn import DNNApp
+    from .kmeans import KMeansApp
+    from .npb import LU_EW_BYTES, LU_NS_BYTES, BTApp, LUApp, SPApp
+    from .paper import make_paper_app
+    from .synthetic import RandomSparseApp, RingApp, StencilApp, UniformApp
+
+#: The paper's five evaluation applications, by the names
+#: :func:`make_paper_app` takes.
 PAPER_APPS = ("BT", "SP", "LU", "K-means", "DNN")
-
-
-def make_paper_app(name: str, num_ranks: int = 64, **kwargs) -> Application:
-    """Instantiate one of the paper's five applications by name."""
-    factories = {
-        "BT": BTApp,
-        "SP": SPApp,
-        "LU": LUApp,
-        "K-means": KMeansApp,
-        "DNN": DNNApp,
-    }
-    try:
-        factory = factories[name]
-    except KeyError:
-        raise KeyError(f"unknown paper app {name!r}; choose from {sorted(factories)}") from None
-    return factory(num_ranks, **kwargs)
-
-
-__all__ += ["PAPER_APPS", "make_paper_app"]

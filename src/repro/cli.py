@@ -76,21 +76,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+# Both are stdlib-only.  Each command imports the rest of what it runs,
+# so building the parser, `repro obs` and `repro sweep` load no numpy.
+from .apps import PAPER_APPS
+from .exp.report import format_table
 
-from .apps import PAPER_APPS, make_paper_app
-from .cloud import CloudTopology, list_regions
-from .cloud.regions import PAPER_EC2_REGIONS
-from .core import available_mappers, get_mapper
-from .exp import (
-    build_problem,
-    default_mappers,
-    format_table,
-    improvement_pct,
-    run_comparison,
-)
+if TYPE_CHECKING:
+    from .cloud import CloudTopology
 
 __all__ = ["main"]
 
@@ -109,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--regions",
         nargs="+",
-        default=list(PAPER_EC2_REGIONS),
+        default=None,
         help="region keys for the deployment (default: the paper's four)",
     )
     common.add_argument("--provider", default="ec2", choices=["ec2", "azure"])
@@ -173,7 +167,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_map.add_argument(
         "--mapper",
         default="geo-distributed",
-        help=f"one of: {', '.join(available_mappers())}",
+        help="mapper registry name, e.g. greedy, geo-distributed, multilevel "
+        "(an unknown name lists them all)",
     )
 
     sub.add_parser(
@@ -549,9 +544,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _topology(args) -> CloudTopology:
+    from .cloud import CloudTopology
+    from .cloud.regions import PAPER_EC2_REGIONS
+
     instance = args.instance or ("m4.xlarge" if args.provider == "ec2" else "standard-d2")
     return CloudTopology.from_regions(
-        args.regions,
+        args.regions or list(PAPER_EC2_REGIONS),
         args.nodes,
         provider=args.provider,
         instance_type=instance,
@@ -560,6 +558,8 @@ def _topology(args) -> CloudTopology:
 
 
 def _cmd_regions(args) -> int:
+    from .cloud import list_regions
+
     rows = [
         [r.key, r.name, f"{r.location.latitude:.2f}", f"{r.location.longitude:.2f}"]
         for r in list_regions(args.provider)
@@ -570,6 +570,8 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    import numpy as np
+
     topo = _topology(args)
     keys = [s.region.key for s in topo.sites]
     lat_rows = [[keys[i]] + list(np.round(topo.latency_s[i] * 1e3, 3)) for i in range(topo.num_sites)]
@@ -603,6 +605,10 @@ def _remote_map(args, problem, mapper_name: str) -> int:
 
 
 def _cmd_map(args) -> int:
+    from .apps import make_paper_app
+    from .core import get_mapper
+    from .exp.runner import build_problem
+
     topo = _topology(args)
     app = make_paper_app(args.app, topo.total_nodes)
     problem = build_problem(
@@ -651,6 +657,12 @@ def _remote_compare(args, problem, names: list[str]) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .apps import make_paper_app
+    from .core import get_mapper
+    from .exp.improvement import improvement_pct
+    from .exp.runner import build_problem, run_comparison
+    from .exp.scenarios import default_mappers
+
     topo = _topology(args)
     app = make_paper_app(args.app, topo.total_nodes)
     problem = build_problem(
@@ -680,7 +692,7 @@ def _cmd_compare(args) -> int:
         format_table(
             ["mapper", "comm cost", "sim time (s)", "improvement %", "overhead ms"],
             rows,
-            title=f"{args.app} on {len(args.regions)} sites x {args.nodes} nodes",
+            title=f"{args.app} on {topo.num_sites} sites x {args.nodes} nodes",
         )
     )
     return 0

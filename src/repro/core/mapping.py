@@ -5,7 +5,8 @@ hosting process i — together with its cost and provenance.  All mapping
 algorithms (the paper's Geo-distributed method and the Baseline / Greedy /
 MPIPP comparison methods) implement the :class:`Mapper` interface and
 register themselves in a global registry so experiments can be configured
-by name.
+by name.  Reading the registry imports :mod:`repro.baselines` first, so
+the comparison mappers are there whatever the caller imported.
 
 :meth:`Mapper.map` is an explicit four-stage pipeline — feasibility →
 solve → validate → cost — each stage wrapped in an observability span
@@ -223,18 +224,31 @@ def register_mapper(factory: Callable[..., Mapper] | type, name: str | None = No
     return factory
 
 
+def _registry() -> dict[str, Callable[..., Mapper]]:
+    """The registry with every built-in mapper in it.
+
+    geodist and multilevel register when :mod:`repro.core` loads; the
+    comparison mappers register when :mod:`repro.baselines` loads, which
+    this imports on first read.
+    """
+    from .. import baselines  # noqa: F401
+
+    return _REGISTRY
+
+
 def get_mapper(name: str, **kwargs) -> Mapper:
     """Instantiate a registered mapper by name."""
+    registry = _registry()
     try:
-        factory = _REGISTRY[name]
+        factory = registry[name]
     except KeyError:
         raise KeyError(
-            f"unknown mapper {name!r}; available: {sorted(_REGISTRY)}"
+            f"unknown mapper {name!r}; available: {sorted(registry)}"
         ) from None
     return factory(**kwargs)
 
 
 def available_mappers() -> list[str]:
     """Names of all registered mappers."""
-    return sorted(_REGISTRY)
+    return sorted(_registry())
 

@@ -321,7 +321,10 @@ class MultilevelMapper(Mapper):
         with obs.span(
             "multilevel.solve", coarse_n=coarsest.problem.num_processes
         ) as span:
-            P, solve_meta = self._solve_coarsest(coarsest, rng)
+            # One evaluator per level: the coarse solve's legalization
+            # and the coarsest level's refinement share theirs.
+            evaluator = CostEvaluator(coarsest.problem)
+            P, solve_meta = self._solve_coarsest(coarsest, evaluator, rng)
             deferred = int(np.count_nonzero(P == UNPLACED))
             span.set(inner=solve_meta["inner"], deferred=deferred)
 
@@ -334,7 +337,9 @@ class MultilevelMapper(Mapper):
             with obs.span(
                 "multilevel.refine", level=depth, n=level.problem.num_processes
             ) as span:
-                P, stats = self._legalize_and_refine(level, P)
+                if level is not coarsest:
+                    evaluator = CostEvaluator(level.problem)
+                P, stats = self._legalize_and_refine(level, evaluator, P)
                 span.set(**stats)
                 refine_meta.append({"level": depth, **stats})
 
@@ -401,7 +406,7 @@ class MultilevelMapper(Mapper):
         )
 
     def _solve_coarsest(
-        self, level: Level, rng: np.random.Generator
+        self, level: Level, evaluator: CostEvaluator, rng: np.random.Generator
     ) -> tuple[np.ndarray, dict]:
         """Inner-solve the coarsest graph, then legalize node units.
 
@@ -442,7 +447,7 @@ class MultilevelMapper(Mapper):
         placed = np.ones(nc, dtype=bool)
         free = _evict_overflow(problem, P, placed, sizes)
         evicted = np.flatnonzero(~placed)
-        _place_heaviest_first(CostEvaluator(problem), P, placed, sizes, free, evicted)
+        _place_heaviest_first(evaluator, P, placed, sizes, free, evicted)
         meta = {
             "inner": inner.name,
             "inner_cost_vertex_units": mapping.cost,
@@ -453,7 +458,7 @@ class MultilevelMapper(Mapper):
     # ------------------------------------------------------------ refinement
 
     def _legalize_and_refine(
-        self, level: Level, P: np.ndarray
+        self, level: Level, evaluator: CostEvaluator, P: np.ndarray
     ) -> tuple[np.ndarray, dict]:
         """Place any deferred vertices, then run bounded gain refinement.
 
@@ -473,7 +478,6 @@ class MultilevelMapper(Mapper):
         placed = P != UNPLACED
         free = _evict_overflow(problem, P, placed, sizes)
         deferred = np.flatnonzero(~placed)
-        evaluator = CostEvaluator(problem)
         _, left = _place_heaviest_first(evaluator, P, placed, sizes, free, deferred)
         still_deferred = int(left.size)
 

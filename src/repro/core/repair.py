@@ -279,13 +279,6 @@ class IncrementalRepairMapper:
         # ---- 1. evict overflow from shrunk sites (least-affinity first).
         with obs.span("repair.evict") as span:
             free = _evict_overflow(problem, P, placed, sizes)
-            if np.any(free < 0):
-                site = int(np.flatnonzero(free < 0)[0])
-                raise InfeasibleProblemError(
-                    f"{self.name}: site {site} holds "
-                    f"{int(np.count_nonzero(P == site))} pinned processes but "
-                    f"only {int(problem.capacities[site])} nodes remain"
-                )
             displaced_mask = ~placed
             displaced = np.flatnonzero(displaced_mask)
             evicted = int(displaced.shape[0] - np.count_nonzero(~kept))
@@ -297,15 +290,14 @@ class IncrementalRepairMapper:
             order, unplaced = _place_heaviest_first(
                 evaluator, P, placed, sizes, free, displaced
             )
+            # MappingProblem rejects pins that overfill a site and total
+            # capacity below N, so the one process placement can leave
+            # over is a pinned one whose site kept processes have filled.
             if unplaced.size:
                 i = int(unplaced[0])
-                if pinned[i]:
-                    raise InfeasibleProblemError(
-                        f"{self.name}: process {i} is pinned to site {int(pins[i])}, "
-                        "which has no free node left"
-                    )
                 raise InfeasibleProblemError(
-                    f"{self.name}: no site has a free node for process {i}"
+                    f"{self.name}: process {i} is pinned to site {int(pins[i])}, "
+                    "which has no free node left"
                 )
 
         # ---- 3. bounded best-move polish, displaced processes only.

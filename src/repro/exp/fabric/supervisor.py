@@ -24,8 +24,11 @@ The fabric owns real OS processes and therefore a real robustness loop:
   killed sweep resumes from the shards alone.
 
 Workers are forked from the supervisor's own process (see
-:mod:`repro.exp.fabric.worker`), so they start with everything already
-imported.  The supervisor is single-threaded: one loop waits on the
+:mod:`repro.exp.fabric.worker`) and inherit its imported modules.
+Before it forks, the supervisor resolves the task kind of every spec it
+is about to run, which imports the kind's module and what that module
+imports, so no worker imports the solver stack on its own.  The
+supervisor is single-threaded: one loop waits on the
 workers' pipes and process sentinels with
 :func:`multiprocessing.connection.wait` and makes every decision, which
 keeps the state machine auditable and means no fork ever happens while
@@ -58,6 +61,7 @@ from .spec import (
     load_spec,
     write_shard,
 )
+from .tasks import get_task
 from .worker import run_worker
 
 __all__ = ["FabricConfig", "FabricReport", "SweepFabric"]
@@ -366,6 +370,7 @@ class SweepFabric:
         self._retired: set[str] = set()
         self._incarnations = [0] * self.config.workers
         self._unsettled = set(pending_keys)
+        _resolve_kinds(self.layout.root, pending_keys)
         try:
             for slot in range(min(self.config.workers, len(pending_keys))):
                 self._spawn(slot)
@@ -769,6 +774,26 @@ class SweepFabric:
             _reap(worker)
             self._retired.add(worker.name)
         self._workers.clear()
+
+
+def _resolve_kinds(root: Path, keys: Sequence[str]) -> None:
+    """Look up the task kind of each key's spec in this process.
+
+    Workers forked afterwards inherit every module the lookups import.
+    A spec or kind that does not resolve is skipped here: the worker
+    that runs it fails that attempt with the error.
+    """
+    kinds = set()
+    for key in keys:
+        try:
+            kinds.add(load_spec(root, key).kind)
+        except (FabricError, ValueError):
+            continue
+    for kind in sorted(kinds):
+        try:
+            get_task(kind)
+        except KeyError:
+            continue
 
 
 def _sentinel_fds(proc: BaseProcess) -> tuple[int, ...]:

@@ -20,6 +20,10 @@ Built-in kinds:
     One (fault x mapper) cell of the robustness harness; every cell of
     ``python -m repro robustness`` runs as one.  Degrades to Greedy.
 
+The two cell kinds live in :mod:`.cells`, which this registry imports
+the first time either is looked up; this module and the spec builders
+import no numpy.
+
 Both cell kinds profile an application once per worker process, not
 once per cell, as the paper profiles once and maps many times: a worker
 keeps one :class:`~repro.apps.base.Application` per (app, ranks) in a
@@ -37,14 +41,18 @@ to the scenario builders still get a fresh app and profile on every
 call.
 
 Workers run the kinds registered in the supervisor's process when it
-forked them: register a kind (or import the module that does) before
-:meth:`~repro.exp.fabric.supervisor.SweepFabric.run`.
+forked them.  :meth:`~repro.exp.fabric.supervisor.SweepFabric.run`
+looks up every selected kind before it forks, which imports a built-in
+kind's module and everything that module imports.  A kind defined
+elsewhere (the serve kinds, a test's kind) must be registered before
+``run``.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import importlib
 import json
 import os
 import time
@@ -82,7 +90,16 @@ def register_task(kind: str) -> Callable[[TaskFn], TaskFn]:
     return deco
 
 
+#: Built-in kinds whose module registers them when it is imported.  They
+#: need numpy and the solver stack, so they load on first lookup, not
+#: with this module.
+_CELL_KINDS = {"map-cell": ".cells", "robustness-cell": ".cells"}
+
+
 def get_task(kind: str) -> TaskFn:
+    """The task function for ``kind``, importing a built-in's module first."""
+    if kind not in _TASK_REGISTRY and kind in _CELL_KINDS:
+        importlib.import_module(_CELL_KINDS[kind], __package__)
     try:
         return _TASK_REGISTRY[kind]
     except KeyError:
@@ -92,7 +109,7 @@ def get_task(kind: str) -> TaskFn:
 
 
 def available_tasks() -> list[str]:
-    return sorted(_TASK_REGISTRY)
+    return sorted(set(_TASK_REGISTRY) | set(_CELL_KINDS))
 
 
 # ------------------------------------------------------------------ builtins
@@ -128,16 +145,6 @@ def demo_task(params: dict[str, Any]) -> dict[str, Any]:
     return {"digest": digest.hex(), "work": work}
 
 
-def _mapper_from_params(params: dict[str, Any]) -> Any:
-    from ...core import get_mapper
-
-    name = str(params.get("mapper", "greedy"))
-    kwargs: dict[str, Any] = {}
-    if name == "geo-distributed" and "kappa" in params:
-        kwargs["kappa"] = int(params["kappa"])
-    return get_mapper(name, **kwargs)
-
-
 @functools.lru_cache(maxsize=8)
 def _shared_app(
     make: Callable[..., Application], name: str, num_ranks: int
@@ -155,85 +162,6 @@ def _shared_app(
 # ``profile_cached`` attribute) and its timing do not depend on that.
 os.register_at_fork(after_in_child=_shared_app.cache_clear)
 
-
-@register_task("map-cell")
-def map_cell_task(params: dict[str, Any]) -> dict[str, Any]:
-    """One (scale, mapper) cell of the Fig. 7 scalability grid.
-
-    Params: ``app``, ``machines``, ``sites`` (default 4),
-    ``constraint_ratio`` (default 0.2), ``seed``, ``mapper``, optional
-    ``kappa``, optional ``simulate`` (simulated times are deterministic
-    — they come from the discrete-event clock, not the wall clock).
-    """
-    from ..scenarios import PAPER_CONSTRAINT_RATIO, scale_app, scale_scenario
-
-    machines = int(params["machines"])
-    scenario = scale_scenario(
-        _shared_app(scale_app, str(params.get("app", "LU")), machines),
-        machines,
-        num_sites=int(params.get("sites", 4)),
-        constraint_ratio=float(
-            params.get("constraint_ratio", PAPER_CONSTRAINT_RATIO)
-        ),
-        seed=int(params.get("seed", 0)),
-    )
-    mapper = _mapper_from_params(params)
-    mapping = mapper.map(scenario.problem, seed=int(params.get("seed", 0)))
-    row: dict[str, Any] = {
-        "app": scenario.app.name,
-        "machines": machines,
-        "mapper": mapping.mapper,
-        "cost": float(mapping.cost),
-        "assignment_sha": hashlib.sha256(
-            mapping.assignment.tobytes()
-        ).hexdigest(),
-        "timing": {"map_elapsed_s": float(mapping.elapsed_s)},
-    }
-    if params.get("simulate"):
-        from ..runner import simulate_mapping
-
-        sim = simulate_mapping(
-            scenario.app, scenario.problem, mapping.assignment, mode="comm"
-        )
-        row["comm_time_s"] = float(sim.makespan_s)
-    return row
-
-
-@register_task("robustness-cell")
-def robustness_cell_task(params: dict[str, Any]) -> dict[str, Any]:
-    """One (fault x mapper) cell of the robustness harness.
-
-    Params: ``app``, ``processes``, ``sites``, ``slack``,
-    ``constraint_ratio``, ``seed``, ``fault`` (a standard-suite name),
-    ``mapper`` (a registry name).
-    """
-    from ...apps import make_paper_app
-    from ...faults.suite import standard_fault_suite
-    from ..robustness import evaluate_robustness, robustness_scenario
-
-    processes = int(params["processes"])
-    scenario = robustness_scenario(
-        _shared_app(make_paper_app, str(params.get("app", "LU")), processes),
-        processes,
-        num_sites=int(params.get("sites", 4)),
-        slack=float(params.get("slack", 2.0)),
-        constraint_ratio=float(params.get("constraint_ratio", 0.2)),
-        seed=int(params.get("seed", 0)),
-    )
-    suite = standard_fault_suite(scenario.problem.num_sites)
-    fault = str(params["fault"])
-    if fault not in suite:
-        raise KeyError(
-            f"unknown fault {fault!r}; available: {sorted(suite)}"
-        )
-    mapper = _mapper_from_params(params)
-    cells = evaluate_robustness(
-        scenario.problem,
-        {str(params.get("mapper", "greedy")): mapper},
-        suite={fault: suite[fault]},
-        seed=int(params.get("seed", 0)),
-    )
-    return cells[0].to_dict()
 
 
 # -------------------------------------------------------------- spec builders

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from .. import __version__
-from ..core import MappingProblem
+from ..core import MappingProblem, available_mappers
 from ..obs import (
     MetricsRegistry,
     SpanRecorder,
@@ -154,6 +154,10 @@ class PlacementEngine:
         if self._pool is not None:
             return
         workers = self.config.pool_workers
+        # Workers inherit this process's modules.  Reading the mapper
+        # registry imports the comparison mappers, so do it before the
+        # fork, not in each worker's first solve.
+        available_mappers()
         self._pool = ProcessPoolExecutor(max_workers=workers, initializer=_pool_init)
         # The pool forks lazily inside submit.  Forked there, a worker
         # would inherit the submitting request's open span (misparenting
@@ -626,8 +630,9 @@ def _pool_init() -> None:
 
     Under the ``spawn`` start method workers begin with a blank module
     table; importing :mod:`repro.serve.solver` re-registers the serve
-    kinds (fork inherits them for free, and the import is a no-op).
-    :meth:`PlacementEngine.start` also submits it once per worker as the
+    kinds.  A forked worker inherits them, and the mappers that
+    :meth:`PlacementEngine.start` resolved before the fork, so there the
+    import is a no-op.  ``start`` also submits it once per worker as the
     no-op task that forks the pool up front.
     """
     from . import solver  # noqa: F401

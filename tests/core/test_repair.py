@@ -119,6 +119,30 @@ class TestIncrementalRepair:
         with pytest.raises(InfeasibleProblemError, match="no free node"):
             IncrementalRepairMapper().repair(prob, partial)
 
+    @pytest.mark.parametrize(
+        "caps, match",
+        [
+            ([2, 6, 6], r"constraints overfill sites \[0\]"),
+            ([3, 3, 3], "total capacity 9 cannot host 12 processes"),
+        ],
+        ids=["pins-overfill-site", "capacity-below-n"],
+    )
+    def test_unplaceable_inputs_fail_before_repair(self, caps, match):
+        """Repair has no error of its own for these: the problem is
+        rejected, with the deficit named, before repair can start."""
+        cons = np.full(12, UNCONSTRAINED, dtype=np.int64)
+        cons[:3] = 0
+        base = make_problem(constraints=cons)
+        with pytest.raises(InfeasibleProblemError, match=match):
+            MappingProblem(
+                CG=base.CG,
+                AG=base.AG,
+                LT=base.LT,
+                BT=base.BT,
+                capacities=np.array(caps, dtype=np.int64),
+                constraints=cons,
+            )
+
     def test_extra_moves_budget_respected(self):
         prob = make_problem(seed=4)
         base = GeoDistributedMapper().map(prob)
