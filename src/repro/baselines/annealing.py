@@ -81,7 +81,7 @@ class SimulatedAnnealingMapper(Mapper):
         uphill = []
         for _ in range(64):
             i, j = rng.choice(mv, size=2, replace=False)
-            d = ev.swap_delta(P, int(i), int(j))
+            d = ev._swap_delta_unchecked(P, int(i), int(j))
             if d > 0:
                 uphill.append(d)
         if not uphill:
@@ -122,7 +122,7 @@ class SimulatedAnnealingMapper(Mapper):
                     temp *= decay
                     continue
                 stats["proposals"] += 1
-                delta = ev.move_delta(P, i, s)
+                delta = ev._move_delta_unchecked(P, i, s)
                 if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-300)):
                     loads[P[i]] -= 1
                     loads[s] += 1
@@ -135,7 +135,7 @@ class SimulatedAnnealingMapper(Mapper):
                     temp *= decay
                     continue
                 stats["proposals"] += 1
-                delta = ev.swap_delta(P, int(i), int(j))
+                delta = ev._swap_delta_unchecked(P, int(i), int(j))
                 if delta <= 0 or rng.random() < np.exp(-delta / max(temp, 1e-300)):
                     P[i], P[j] = P[j], P[i]
                     cost += delta

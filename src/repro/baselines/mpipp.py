@@ -37,6 +37,10 @@ __all__ = ["MPIPPMapper"]
 #: Enumerate part->site assignments exhaustively up to this many sites.
 _EXHAUSTIVE_SITES = 6
 
+#: Minimum absolute gain for a part or process exchange to be applied,
+#: guarding against floating-point churn.
+_SWAP_TOLERANCE = 1e-9
+
 
 def _part_sizes(problem: MappingProblem) -> np.ndarray:
     """Per-site process counts: proportional to capacity, honoring pins.
@@ -93,9 +97,9 @@ class MPIPPMapper(Mapper):
         O(N^2 * M) shortlist-and-verify pass (an extension; see
         ``_refine``).  Off by default so the optimization-overhead
         experiments reflect the original algorithm's complexity.
-    swap_tolerance:
-        Minimum absolute gain for a swap to be applied, guarding against
-        floating-point churn.
+
+    An exchange is applied only if it gains more than ``1e-9``
+    (``_SWAP_TOLERANCE``), which guards against floating-point churn.
     """
 
     name = "mpipp"
@@ -107,15 +111,11 @@ class MPIPPMapper(Mapper):
         restarts: int = 2,
         geo_aware: bool = False,
         fast_refine: bool = False,
-        swap_tolerance: float = 1e-9,
     ) -> None:
         self.max_passes = check_positive_int(max_passes, "max_passes")
         self.restarts = check_positive_int(restarts, "restarts")
         self.geo_aware = bool(geo_aware)
         self.fast_refine = bool(fast_refine)
-        if swap_tolerance < 0:
-            raise ValueError(f"swap_tolerance must be >= 0, got {swap_tolerance}")
-        self.swap_tolerance = float(swap_tolerance)
 
     # ------------------------------------------------------- coarse network
 
@@ -253,7 +253,7 @@ class MPIPPMapper(Mapper):
                         if not feasible(tuple(cand)):
                             continue
                         c = perm_cost(tuple(cand))
-                        if c < base - self.swap_tolerance:
+                        if c < base - _SWAP_TOLERANCE:
                             perm, base = cand, c
                             improved = True
             perm = tuple(perm)
@@ -270,8 +270,12 @@ class MPIPPMapper(Mapper):
         delta with every partner on another site — O(N) work per pair,
         O(N^3) per pass, the complexity the paper attributes to MPIPP
         (and the reason Fig. 7 drops it beyond ~1000 processes).  The
-        ``fast_refine`` extension shortlists partners with the O(N^2 * M)
-        all-moves delta matrix and verifies only the best candidate.
+        ``fast_refine`` extension shortlists partners by the approximate
+        gain from the O(N^2 * M) all-moves delta matrix
+        (:meth:`CostEvaluator._swap_gains`) and verifies only the best
+        candidate.  Exact deltas come from
+        :meth:`CostEvaluator._swap_delta_unchecked`: every index here is
+        valid by construction.
 
         Returns the refined assignment and the number of sweeps run
         (including the final no-improvement sweep that stopped it).
@@ -295,12 +299,12 @@ class MPIPPMapper(Mapper):
                     partners = np.flatnonzero(movable & ~used & (P != P[i]))
                     if partners.size == 0:
                         continue
-                    approx_gain = D[i, P[partners]] + D[partners, P[i]]
+                    approx_gain = ev._swap_gains(D, P, i, partners)
                     j = int(partners[np.argmin(approx_gain)])
-                    if approx_gain.min() >= -self.swap_tolerance:
+                    if approx_gain.min() >= -_SWAP_TOLERANCE:
                         continue
-                    exact = ev.swap_delta(P, int(i), j)
-                    if exact < -self.swap_tolerance:
+                    exact = ev._swap_delta_unchecked(P, int(i), j)
+                    if exact < -_SWAP_TOLERANCE:
                         P[i], P[j] = P[j], P[i]
                         used[i] = used[j] = True
                         applied = True
@@ -308,11 +312,11 @@ class MPIPPMapper(Mapper):
                 for i in range(n):
                     if not movable[i]:
                         continue
-                    best_j, best_delta = -1, -self.swap_tolerance
-                    for j in np.flatnonzero(movable & (P != P[i])):
-                        delta = ev.swap_delta(P, int(i), int(j))
+                    best_j, best_delta = -1, -_SWAP_TOLERANCE
+                    for j in np.flatnonzero(movable & (P != P[i])).tolist():
+                        delta = ev._swap_delta_unchecked(P, i, j)
                         if delta < best_delta:
-                            best_j, best_delta = int(j), delta
+                            best_j, best_delta = j, delta
                     if best_j >= 0:
                         P[i], P[best_j] = P[best_j], P[i]
                         applied = True

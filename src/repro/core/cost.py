@@ -13,8 +13,9 @@ This module provides:
   aggregation the algorithms reason about;
 * :class:`CostEvaluator` — caches 1/BT and per-process rows to answer
   move/swap deltas and per-site placement costs in O(N) (or O(row
-  nnz)), which MPIPP's refinement loop, the Monte Carlo engine and the
-  greedy placement of repair and multilevel lean on heavily.
+  nnz)), which MPIPP's refinement loop, annealing, the Monte Carlo
+  engine and the greedy placement of repair and multilevel lean on
+  heavily.
 """
 
 from __future__ import annotations
@@ -112,6 +113,14 @@ class CostEvaluator:
     * ``move_delta(P, i, s)`` — cost change of moving process i to site s.
     * ``swap_delta(P, i, j)`` — cost change of exchanging two processes'
       sites, with the i<->j interaction double-count corrected exactly.
+    * ``_move_delta_unchecked`` / ``_swap_delta_unchecked`` — the same
+      kernels without argument validation, for inner loops whose
+      arguments are valid by construction (MPIPP, annealing, repair,
+      multilevel refinement).
+    * ``_swap_gains(D, P, rows, cols)`` — the approximate swap deltas
+      ``D[i, P[j]] + D[j, P[i]]`` from :meth:`move_delta_matrix`, the
+      one shortlist MPIPP's ``fast_refine`` and repair rank exchanges
+      by before verifying them with ``_swap_delta_unchecked``.
     * ``_site_costs(P, placed, i)`` — cost of process i on every site
       against a partial placement (greedy placement and repair).
     * ``batch_cost(Ps)`` — vectorized evaluation of many mappings at once
@@ -122,8 +131,9 @@ class CostEvaluator:
         self.problem = problem
         self._inv_bt = 1.0 / problem.BT
         self._lt = problem.LT
-        n = problem.num_processes
-        if problem.is_sparse:
+        # A scipy isinstance check on every read otherwise.
+        self._sparse = problem.is_sparse
+        if self._sparse:
             self._cg_rows = problem.CG  # CSR: fast row slicing
             self._cg_cols = problem.CG.tocsc()
             self._ag_rows = problem.AG
@@ -162,7 +172,7 @@ class CostEvaluator:
             raise ValueError(
                 f"Ps must be (B, {self.problem.num_processes}), got {Ps.shape}"
             )
-        if self.problem.is_sparse:
+        if self._sparse:
             return self._batch_cost_sparse(Ps)
         return self._batch_cost_dense(Ps)
 
@@ -254,7 +264,7 @@ class CostEvaluator:
         if old == new_site:
             return 0.0
         lt, ibt = self._lt, self._inv_bt
-        if self.problem.is_sparse:
+        if self._sparse:
             delta = 0.0
             for csr, csc, table in (
                 (self._cg_rows, self._cg_cols, ibt),
@@ -305,7 +315,7 @@ class CostEvaluator:
         polish call it once per process per pass.
         """
         m = self.problem.num_sites
-        if self.problem.is_sparse:
+        if self._sparse:
             sums = []
             for mat in (self._cg_rows, self._cg_cols, self._ag_rows, self._ag_cols):
                 start, end = mat.indptr[i], mat.indptr[i + 1]
@@ -330,8 +340,8 @@ class CostEvaluator:
 
         Computed with four (sparse-aware) matrix products in O(N^2 * M)
         time, which is what makes MPIPP's pairwise refinement tractable:
-        a swap gain is ``D[i, P[j]] + D[j, P[i]]`` plus an O(1) pair
-        correction.
+        a swap gain is ``D[i, P[j]] + D[j, P[i]]`` (:meth:`_swap_gains`)
+        plus an O(1) pair correction.
         """
         n, m = self.problem.num_processes, self.problem.num_sites
         P = _check_assignment(P, n, m)
@@ -351,29 +361,66 @@ class CostEvaluator:
         current = new[np.arange(n), P]
         return new - current[:, None]
 
+    @staticmethod
+    def _swap_gains(
+        D: np.ndarray, P: np.ndarray, rows: np.ndarray | int, cols: np.ndarray
+    ) -> np.ndarray:
+        """Approximate swap deltas ``D[i, P[j]] + D[j, P[i]]``.
+
+        ``D`` is :meth:`move_delta_matrix` at ``P``.  The sum of the two
+        single moves mis-charges only the (i, j) interaction, so it ranks
+        exchanges for :meth:`_swap_delta_unchecked` to verify.  Returns a
+        ``(len(rows), len(cols))`` block, or one ``(len(cols),)`` row for
+        a scalar ``rows``.
+        """
+        rows = np.asarray(rows)[..., None]
+        return D[rows, P[cols]] + D[cols, P[rows]]
+
     def swap_delta(self, P: np.ndarray, i: int, j: int) -> float:
         """Cost change of exchanging the sites of processes ``i`` and ``j``.
 
-        Computed as the sum of the two independent single moves, corrected
-        exactly for the (i, j) interaction each naive move mis-charges.
-        With ``pair(x, y)`` the cost of the i<->j traffic when i sits on
-        site x and j on site y:
+        Validates like :meth:`move_delta`, then runs
+        :meth:`_swap_delta_unchecked`.
+        """
+        n, m = self.problem.num_processes, self.problem.num_sites
+        P = _check_assignment(P, n, m)
+        for k in (i, j):
+            if not 0 <= k < n:
+                raise IndexError(f"process index {k} out of range for N={n}")
+        return self._swap_delta_unchecked(P, i, j)
+
+    def _pair_weight(self, mat, i: int, j: int) -> float:
+        """``mat[i, j]`` read from the cached rows.
+
+        Sparse rows are canonical (sorted, duplicate-free), so one
+        ``searchsorted`` finds the entry; a missing one is 0.
+        """
+        if not self._sparse:
+            return float(mat[i, j])
+        indices = mat.indices
+        s, e = mat.indptr[i], mat.indptr[i + 1]
+        k = s + int(indices[s:e].searchsorted(j))
+        return float(mat.data[k]) if k < e and indices[k] == j else 0.0
+
+    def _swap_delta_unchecked(self, P: np.ndarray, i: int, j: int) -> float:
+        """``swap_delta`` without argument validation.
+
+        The sum of the two independent single moves, corrected exactly
+        for the (i, j) interaction each naive move mis-charges.  With
+        ``pair(x, y)`` the cost of the i<->j traffic when i sits on site
+        x and j on site y:
 
         * move i->b (j still at b) charges ``pair(b, b) - pair(a, b)``;
         * move j->a (i still at a) charges ``pair(a, a) - pair(a, b)``;
         * the true pair delta is ``pair(b, a) - pair(a, b)``.
         """
-        n, m = self.problem.num_processes, self.problem.num_sites
-        P = _check_assignment(P, n, m)
-        if i == j:
-            return 0.0
         a, b = int(P[i]), int(P[j])
-        if a == b:
+        if i == j or a == b:
             return 0.0
-        d = self.move_delta(P, i, b) + self.move_delta(P, j, a)
-        cg, ag = self.problem.CG, self.problem.AG
-        cij, cji = float(cg[i, j]), float(cg[j, i])
-        aij, aji = float(ag[i, j]), float(ag[j, i])
+        d = self._move_delta_unchecked(P, i, b) + self._move_delta_unchecked(P, j, a)
+        cg, ag = self._cg_rows, self._ag_rows
+        cij, cji = self._pair_weight(cg, i, j), self._pair_weight(cg, j, i)
+        aij, aji = self._pair_weight(ag, i, j), self._pair_weight(ag, j, i)
         lt, ibt = self._lt, self._inv_bt
 
         def pair(x: int, y: int) -> float:

@@ -24,7 +24,12 @@ repair uses all ones (:func:`_evict_overflow`,
    against the current partial placement (one
    :meth:`CostEvaluator._site_costs` call per process);
 3. optionally polish with a bounded best-move refinement that again
-   touches only the displaced processes, preserving the migration bound.
+   touches only the displaced processes, preserving the migration bound;
+4. with an ``extra_moves`` budget, spend it on kept processes: each
+   round prices every move once (:meth:`CostEvaluator.move_delta_matrix`)
+   and takes the best improving one, or else the best exactly-verified
+   improving swap shortlisted from the same matrix (:func:`_best_swap`,
+   row-blocked, so memory stays O(N * M) plus one block).
 
 This module is deliberately independent of :mod:`repro.faults` — it
 operates on any :class:`MappingProblem` plus a partial assignment, so
@@ -166,39 +171,52 @@ def _place_heaviest_first(
 def _best_swap(
     evaluator: CostEvaluator,
     P: np.ndarray,
+    D: np.ndarray,
     movable: np.ndarray,
     billed: np.ndarray,
     budget: int,
 ) -> tuple[int, int] | None:
     """The best exactly-verified improving swap, or ``None``.
 
-    Pairs are shortlisted by the naive two-move sum from the all-moves
-    delta matrix (which mis-charges only the (i, j) interaction), then
-    verified exactly with :meth:`CostEvaluator.swap_delta` in ascending
-    approximate order — the first exact improvement wins.  A swap bills
-    budget for each participant in ``billed``; pairs exceeding the
-    remaining ``budget`` are excluded.
+    Pairs ``i < j`` of movable processes on different sites are ranked
+    by their approximate gain (:meth:`CostEvaluator._swap_gains` over
+    the all-moves delta matrix ``D`` at ``P``); a swap bills budget for
+    each participant in ``billed``, and pairs exceeding the remaining
+    ``budget`` are excluded.  The 4N best negative gains, in ascending
+    (gain, i, j) order, are verified exactly with
+    :meth:`CostEvaluator._swap_delta_unchecked` — the first exact
+    improvement wins.  Gains are scanned in row blocks of at most
+    ``_DENSE_CHUNK_ELEMS`` pairs, merged into a running best, so memory
+    is O(N * M + block), never N x N.
     """
-    n = P.shape[0]
-    D = evaluator.move_delta_matrix(P)
-    approx = D[np.arange(n)[:, None], P[None, :]]  # move i -> P[j]
-    gain = approx + approx.T
-    bill = billed[:, None].astype(np.int64) + billed[None, :].astype(np.int64)
-    invalid = (
-        ~movable[:, None]
-        | ~movable[None, :]
-        | (P[:, None] == P[None, :])
-        | (bill > budget)
-    )
-    gain = np.where(invalid, np.inf, gain)
-    gain[np.tril_indices(n)] = np.inf
-    order = np.argsort(gain, axis=None, kind="stable")
-    for flat in order[: 4 * n]:
-        i, j = np.unravel_index(int(flat), gain.shape)
-        if not np.isfinite(gain[i, j]) or gain[i, j] >= 0:
-            break
-        if evaluator.swap_delta(P, int(i), int(j)) < -1e-12:
-            return int(i), int(j)
+    keep = 4 * P.shape[0]
+    idx = np.flatnonzero(movable)
+    bill, cap = billed[idx].astype(np.int8), min(budget, 2)
+    best_g = np.empty(0)
+    best_i = best_j = np.empty(0, dtype=np.int64)
+    step = max(1, evaluator._DENSE_CHUNK_ELEMS // max(1, idx.size))
+    for lo in range(0, idx.size, step):
+        rows, cols = idx[lo : lo + step], idx[lo + 1 :]
+        gain = evaluator._swap_gains(D, P, rows, cols)
+        gain[
+            (cols <= rows[:, None])
+            | (P[rows][:, None] == P[cols])
+            | (bill[lo : lo + step, None] + bill[lo + 1 :] > cap)
+        ] = np.inf
+        # Once the shortlist is full, a later pair must beat its last
+        # entry outright: on a tie its larger i sorts after it.
+        ok = gain < (best_g[-1] if best_g.size == keep else 0.0)
+        if np.count_nonzero(ok) > keep:
+            ok &= gain <= np.partition(gain, keep - 1, axis=None)[keep - 1]
+        r, c = np.nonzero(ok)
+        best_g = np.concatenate([best_g, gain[r, c]])
+        best_i = np.concatenate([best_i, rows[r]])
+        best_j = np.concatenate([best_j, cols[c]])
+        order = np.lexsort((best_j, best_i, best_g))[:keep]
+        best_g, best_i, best_j = best_g[order], best_i[order], best_j[order]
+    for i, j in zip(best_i.tolist(), best_j.tolist()):
+        if evaluator._swap_delta_unchecked(P, i, j) < -1e-12:
+            return i, j
     return None
 
 
@@ -332,48 +350,38 @@ class IncrementalRepairMapper:
         # single move improves, it falls back to the best improving swap
         # (exact-verified).  Cost strictly decreases every round, so the
         # loop terminates.
-        moved_extra: set[int] = set()
+        moved_extra = np.zeros(n, dtype=bool)
         if self.extra_moves > 0:
             with obs.span("repair.global_polish", budget=self.extra_moves) as span:
                 for _ in range(2 * n):
-                    budget = self.extra_moves - len(moved_extra)
+                    budget = self.extra_moves - int(np.count_nonzero(moved_extra))
                     # Processes allowed to move this round without / within
                     # the remaining budget.
-                    billed = np.fromiter(
-                        (
-                            not displaced_mask[i] and i not in moved_extra
-                            for i in range(n)
-                        ),
-                        dtype=bool,
-                        count=n,
-                    )
+                    billed = ~displaced_mask & ~moved_extra
                     can_move = ~pinned & (~billed | (budget > 0))
                     if not np.any(can_move):
                         break
                     D = evaluator.move_delta_matrix(P)
-                    D[~can_move, :] = np.inf
-                    D[:, free <= 0] = np.inf
-                    D[np.arange(n), P] = 0.0
-                    i, s = np.unravel_index(int(np.argmin(D)), D.shape)
-                    if D[i, s] < -1e-12:
+                    moves = D.copy()
+                    moves[~can_move, :] = np.inf
+                    moves[:, free <= 0] = np.inf
+                    moves[np.arange(n), P] = 0.0
+                    i, s = np.unravel_index(int(np.argmin(moves)), moves.shape)
+                    if moves[i, s] < -1e-12:
                         free[int(P[i])] += 1
                         free[s] -= 1
                         P[i] = s
-                        if billed[i]:
-                            moved_extra.add(int(i))
+                        moved_extra[i] |= billed[i]
                         continue
-                    # No improving single move: look for an improving swap.
-                    # Shortlist pairs by the naive two-move sum (cheap, from
-                    # D), then verify candidates exactly with swap_delta.
-                    pair = _best_swap(evaluator, P, ~pinned, billed, budget)
+                    # No improving single move: look for an improving swap,
+                    # shortlisted from the same (unmasked) delta matrix.
+                    pair = _best_swap(evaluator, P, D, ~pinned, billed, budget)
                     if pair is None:
                         break
                     i, j = pair
                     P[i], P[j] = P[j], P[i]
-                    for k in (i, j):
-                        if billed[k]:
-                            moved_extra.add(int(k))
-                span.set(extra_moves_used=len(moved_extra))
+                    moved_extra[[i, j]] |= billed[[i, j]]
+                span.set(extra_moves_used=int(np.count_nonzero(moved_extra)))
 
         assignment = validate_assignment(problem, P)
         old = np.asarray(partial).astype(np.int64)
@@ -388,7 +396,7 @@ class IncrementalRepairMapper:
                 "migrated": migrated.tolist(),
                 "evicted": evicted,
                 "polish_rounds": polish_rounds,
-                "extra_moves_used": len(moved_extra),
+                "extra_moves_used": int(np.count_nonzero(moved_extra)),
             },
         )
         return RepairResult(

@@ -24,155 +24,127 @@ Typical use::
     with recording() as rec:
         mapper.map(problem)
     print(render_trace(rec.roots))
+
+Re-exports load on first use, so the recorder a sweep supervisor or
+worker needs pulls in neither the analytics, the store nor the bench
+gate.
 """
 
-from .analytics import (
-    CriticalPathStep,
-    LinkUse,
-    SpanDelta,
-    TraceDiff,
-    aggregate_trace,
-    critical_path,
-    diff_traces,
-    structure_signature,
-    trace_to_chrome,
-    write_chrome_trace,
-)
-from .benchgate import (
-    BENCH_JSON_ENV,
-    BENCH_SCHEMA_VERSION,
-    BenchCheckReport,
-    BenchDelta,
-    compare_bench_records,
-    load_bench_records,
-)
-from .export import (
-    SUPPORTED_TRACE_VERSIONS,
-    TRACE_VERSION,
-    TraceSchemaError,
-    causal_violations,
-    load_trace,
-    render_trace,
-    span_from_dict,
-    span_to_dict,
-    trace_anchor,
-    trace_to_dict,
-    validate_causal_trace,
-    validate_trace,
-    write_trace,
-)
-from .recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    NullSpan,
-    Recorder,
-    SpanRecorder,
-    current_trace_context,
-    get_recorder,
-    recording,
-    set_recorder,
-    using_recorder,
-)
-from .store import (
-    STORE_ENV,
-    STORE_SCHEMA,
-    QueryResult,
-    StoreError,
-    TelemetryStore,
-    default_store_dir,
-    percentiles_of,
-    resolve_store_dir,
-)
-from .tracectx import (
-    TRACEPARENT_KEY,
-    ClockAnchor,
-    TraceContext,
-    new_span_id,
-    new_trace_id,
-    shift_spans,
-)
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    HistogramValue,
-    Labels,
-    MetricsRegistry,
-    MetricsSnapshot,
-    labelset,
-)
-from .spans import JSONValue, Span, SpanEvent
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "JSONValue",
-    "Span",
-    "SpanEvent",
-    "Recorder",
-    "NullRecorder",
-    "NullSpan",
-    "SpanRecorder",
-    "NULL_RECORDER",
-    "get_recorder",
-    "set_recorder",
-    "using_recorder",
-    "recording",
-    "current_trace_context",
-    "TRACE_VERSION",
-    "SUPPORTED_TRACE_VERSIONS",
-    "TraceSchemaError",
-    "span_to_dict",
-    "span_from_dict",
-    "trace_to_dict",
-    "validate_trace",
-    "trace_anchor",
-    "causal_violations",
-    "validate_causal_trace",
-    "write_trace",
-    "load_trace",
-    "render_trace",
-    # trace context
-    "TRACEPARENT_KEY",
-    "ClockAnchor",
-    "TraceContext",
-    "new_trace_id",
-    "new_span_id",
-    "shift_spans",
-    # store
-    "STORE_SCHEMA",
-    "STORE_ENV",
-    "StoreError",
-    "QueryResult",
-    "TelemetryStore",
-    "default_store_dir",
-    "resolve_store_dir",
-    "percentiles_of",
-    # metrics
-    "Labels",
-    "labelset",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HistogramValue",
-    "DEFAULT_BUCKETS",
-    "MetricsSnapshot",
-    "MetricsRegistry",
-    # analytics
-    "aggregate_trace",
-    "CriticalPathStep",
-    "LinkUse",
-    "critical_path",
-    "SpanDelta",
-    "TraceDiff",
-    "diff_traces",
-    "structure_signature",
-    "trace_to_chrome",
-    "write_chrome_trace",
-    # bench gate
-    "BENCH_SCHEMA_VERSION",
-    "BENCH_JSON_ENV",
-    "BenchDelta",
-    "BenchCheckReport",
-    "compare_bench_records",
-    "load_bench_records",
-]
+from .._lazy import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".spans": ("JSONValue", "Span", "SpanEvent"),
+    ".recorder": (
+        "Recorder", "NullRecorder", "NullSpan", "SpanRecorder", "NULL_RECORDER",
+        "get_recorder", "set_recorder", "using_recorder", "recording",
+        "current_trace_context",
+    ),
+    ".export": (
+        "TRACE_VERSION", "SUPPORTED_TRACE_VERSIONS", "TraceSchemaError",
+        "span_to_dict", "span_from_dict", "trace_to_dict", "validate_trace",
+        "trace_anchor", "causal_violations", "validate_causal_trace", "write_trace",
+        "load_trace", "render_trace",
+    ),
+    ".tracectx": (
+        "TRACEPARENT_KEY", "ClockAnchor", "TraceContext", "new_trace_id",
+        "new_span_id", "shift_spans",
+    ),
+    ".store": (
+        "STORE_SCHEMA", "STORE_ENV", "StoreError", "QueryResult", "TelemetryStore",
+        "default_store_dir", "resolve_store_dir", "percentiles_of",
+    ),
+    ".metrics": (
+        "Labels", "labelset", "Counter", "Gauge", "Histogram", "HistogramValue",
+        "DEFAULT_BUCKETS", "MetricsSnapshot", "MetricsRegistry",
+    ),
+    ".analytics": (
+        "aggregate_trace", "SpanDelta", "TraceDiff", "diff_traces",
+        "structure_signature", "trace_to_chrome", "write_chrome_trace",
+    ),
+    ".benchgate": (
+        "BENCH_SCHEMA_VERSION", "BENCH_JSON_ENV", "BenchDelta", "BenchCheckReport",
+        "compare_bench_records", "load_bench_records",
+    ),
+})
+
+# The same names as imports, for type checkers and repro-lint's call graph.
+# ruff reads neither the lazy table nor the __all__ it builds, so it
+# would call these imports unused.
+# ruff: noqa: F401
+if TYPE_CHECKING:
+    from .analytics import (
+        SpanDelta,
+        TraceDiff,
+        aggregate_trace,
+        diff_traces,
+        structure_signature,
+        trace_to_chrome,
+        write_chrome_trace,
+    )
+    from .benchgate import (
+        BENCH_JSON_ENV,
+        BENCH_SCHEMA_VERSION,
+        BenchCheckReport,
+        BenchDelta,
+        compare_bench_records,
+        load_bench_records,
+    )
+    from .export import (
+        SUPPORTED_TRACE_VERSIONS,
+        TRACE_VERSION,
+        TraceSchemaError,
+        causal_violations,
+        load_trace,
+        render_trace,
+        span_from_dict,
+        span_to_dict,
+        trace_anchor,
+        trace_to_dict,
+        validate_causal_trace,
+        validate_trace,
+        write_trace,
+    )
+    from .metrics import (
+        DEFAULT_BUCKETS,
+        Counter,
+        Gauge,
+        Histogram,
+        HistogramValue,
+        Labels,
+        MetricsRegistry,
+        MetricsSnapshot,
+        labelset,
+    )
+    from .recorder import (
+        NULL_RECORDER,
+        NullRecorder,
+        NullSpan,
+        Recorder,
+        SpanRecorder,
+        current_trace_context,
+        get_recorder,
+        recording,
+        set_recorder,
+        using_recorder,
+    )
+    from .spans import JSONValue, Span, SpanEvent
+    from .store import (
+        STORE_ENV,
+        STORE_SCHEMA,
+        QueryResult,
+        StoreError,
+        TelemetryStore,
+        default_store_dir,
+        percentiles_of,
+        resolve_store_dir,
+    )
+    from .tracectx import (
+        TRACEPARENT_KEY,
+        ClockAnchor,
+        TraceContext,
+        new_span_id,
+        new_trace_id,
+        shift_spans,
+    )

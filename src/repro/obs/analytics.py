@@ -1,4 +1,4 @@
-"""Trace analytics: aggregation, critical path, diffing, Chrome export.
+"""Trace analytics: aggregation, diffing, Chrome export.
 
 PR 4 produced raw hierarchical traces; this module *consumes* them:
 
@@ -7,10 +7,6 @@ PR 4 produced raw hierarchical traces; this module *consumes* them:
   self time, per-link bytes/transfers/stalls, memoization hit ratios,
   retry/replay counts.  The numbers behind the paper's Fig. 4 overhead
   attribution come straight out of this.
-* :func:`critical_path` extracts the longest dependency chain through a
-  trace (descending into the slowest closed child at every level), with
-  ``network.link`` usage attributed to each step — "which inter-site
-  link is simulated runtime actually waiting on".
 * :func:`diff_traces` compares two traces per span name (count, total
   and self time, stable attributes); the structural signature check is
   what the CI ``trace-diff`` smoke uses to assert two seeded runs
@@ -37,9 +33,6 @@ from .spans import JSONValue, Span
 
 __all__ = [
     "aggregate_trace",
-    "CriticalPathStep",
-    "LinkUse",
-    "critical_path",
     "SpanDelta",
     "TraceDiff",
     "diff_traces",
@@ -159,101 +152,6 @@ def aggregate_trace(trace: Sequence[Span]) -> MetricsSnapshot:
     if hits + misses > 0:
         reg.set_gauge("memo_hit_ratio", hits / (hits + misses))
     return reg.snapshot()
-
-
-# ------------------------------------------------------------ critical path
-
-
-@dataclass(frozen=True)
-class LinkUse:
-    """One inter-site link's usage attributed to a critical-path step."""
-
-    src_site: str
-    dst_site: str
-    bytes: float
-    transfers: float
-    stall_s: float
-
-
-@dataclass(frozen=True)
-class CriticalPathStep:
-    """One span along the critical path through a trace."""
-
-    name: str
-    t_start: float
-    t_end: float
-    duration_s: float
-    #: Duration minus the chosen (slowest) child — time this step alone
-    #: contributes to the chain; step self times sum to the root duration.
-    self_s: float
-    depth: int
-    links: tuple[LinkUse, ...] = ()
-
-
-def _links_of(span: Span) -> tuple[LinkUse, ...]:
-    uses: list[LinkUse] = []
-    for event in span.events:
-        if event.name != "network.link":
-            continue
-        uses.append(
-            LinkUse(
-                src_site=_label(event.attrs, "src_site"),
-                dst_site=_label(event.attrs, "dst_site"),
-                bytes=_num(event.attrs, "bytes") or 0.0,
-                transfers=_num(event.attrs, "transfers") or 0.0,
-                stall_s=_num(event.attrs, "stall_s") or 0.0,
-            )
-        )
-    uses.sort(key=lambda u: u.stall_s, reverse=True)
-    return tuple(uses)
-
-
-def critical_path(trace: Sequence[Span]) -> list[CriticalPathStep]:
-    """The longest dependency chain through a trace.
-
-    Starts at the longest closed root and descends into the slowest
-    closed child at every level (first wins ties, so zero-duration
-    fan-outs are deterministic).  Each step carries its self time
-    (duration minus the chosen child — the steps' ``self_s`` telescope
-    to exactly the root duration) and any ``network.link`` usage on the
-    span, sorted by stall time, so simulated runtime can be attributed
-    to specific inter-site links.
-
-    Returns ``[]`` for an empty trace or one with no closed root.
-    """
-    closed_roots = [r for r in trace if r.duration_s is not None]
-    if not closed_roots:
-        return []
-    span = max(closed_roots, key=lambda r: r.duration_s or 0.0)
-    path: list[CriticalPathStep] = []
-    depth = 0
-    while True:
-        duration = span.duration_s
-        if duration is None:  # defensive: only closed spans are chosen
-            break
-        closed_children = [c for c in span.children if c.duration_s is not None]
-        child = (
-            max(closed_children, key=lambda c: c.duration_s or 0.0)
-            if closed_children
-            else None
-        )
-        child_duration = 0.0 if child is None else (child.duration_s or 0.0)
-        path.append(
-            CriticalPathStep(
-                name=span.name,
-                t_start=span.t_start,
-                t_end=span.t_start + duration,
-                duration_s=duration,
-                self_s=duration - child_duration,
-                depth=depth,
-                links=_links_of(span),
-            )
-        )
-        if child is None:
-            break
-        span = child
-        depth += 1
-    return path
 
 
 # ----------------------------------------------------------------- diffing

@@ -375,7 +375,7 @@ def test_real_tree_follows_lazy_package_reexports():
     ]
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.exp", "repro.apps"])
+@pytest.mark.parametrize("package", ["repro", "repro.exp", "repro.apps", "repro.obs"])
 def test_lazy_init_import_table_lists_every_export(package):
     """Each lazily exported name also appears in the init's import table."""
     _, index = _real_tree()

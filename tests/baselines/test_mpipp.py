@@ -70,5 +70,3 @@ def test_invalid_parameters():
         MPIPPMapper(max_passes=0)
     with pytest.raises(ValueError):
         MPIPPMapper(restarts=0)
-    with pytest.raises(ValueError):
-        MPIPPMapper(swap_tolerance=-1.0)

@@ -160,3 +160,27 @@ def test_move_delta_index_validation(topo4):
         ev.move_delta(P, 99, 0)
     with pytest.raises(IndexError):
         ev.move_delta(P, 0, 99)
+
+
+@pytest.mark.parametrize("sparse_input", [False, True], ids=["dense", "csr"])
+def test_swap_delta_validates_like_move_delta(topo4, sparse_input):
+    p = make_problem(8, topo4, seed=10)
+    if sparse_input:
+        p = MappingProblem(
+            CG=sp.csr_matrix(p.CG), AG=sp.csr_matrix(p.AG), LT=p.LT, BT=p.BT,
+            capacities=p.capacities,
+        )
+    ev = CostEvaluator(p)
+    P = np.arange(8, dtype=np.int64) % 4
+    for i, j in [(8, 0), (0, 8), (-1, 0), (0, -1), (99, 1)]:
+        with pytest.raises(IndexError):
+            ev.swap_delta(P, i, j)
+    for bad, error in [
+        (P[:7], ValueError),  # wrong shape
+        (P.astype(float), TypeError),
+        (np.full(8, 99), ValueError),  # sites outside 0..M-1
+    ]:
+        with pytest.raises(error):
+            ev.move_delta(bad, 0, 1)
+        with pytest.raises(error):
+            ev.swap_delta(bad, 0, 1)

@@ -15,7 +15,6 @@ from repro.obs import (
     SpanEvent,
     SpanRecorder,
     aggregate_trace,
-    critical_path,
     diff_traces,
     structure_signature,
     trace_to_chrome,
@@ -140,46 +139,6 @@ def test_aggregate_memo_hit_ratio():
     assert snap.gauge_value("memo_hit_ratio") == pytest.approx(0.5)
     # No geodist spans -> no ratio gauge at all.
     assert aggregate_trace([Span("x", t_start=0, t_end=1)]).gauges.get("memo_hit_ratio") is None
-
-
-# ------------------------------------------------------------ critical path
-
-
-def test_critical_path_empty_and_all_open():
-    assert critical_path([]) == []
-    assert critical_path([Span("open", t_start=0.0)]) == []
-
-
-def test_critical_path_descends_into_slowest_child():
-    trace = pipeline_trace()
-    path = critical_path(trace)
-    assert [step.name for step in path] == ["mapper.map", "solve"]
-    assert path[0].depth == 0 and path[1].depth == 1
-    assert path[0].self_s == pytest.approx(4.0)  # 10 - slowest child (6)
-    assert path[1].self_s == pytest.approx(6.0)
-    assert sum(s.self_s for s in path) == pytest.approx(trace[0].duration_s)
-    # Link usage rides along on the step that recorded it.
-    (link,) = path[1].links
-    assert (link.src_site, link.dst_site, link.bytes) == ("0", "1", 1000.0)
-
-
-def test_critical_path_zero_duration_spans():
-    # Zero-duration everywhere: the walk must terminate and stay exact.
-    leaf_a = Span("a", t_start=5.0, t_end=5.0)
-    leaf_b = Span("b", t_start=5.0, t_end=5.0)
-    root = Span("root", t_start=5.0, t_end=5.0, children=[leaf_a, leaf_b])
-    path = critical_path([root])
-    assert [s.name for s in path] == ["root", "a"]  # first wins ties
-    assert all(s.duration_s == 0.0 and s.self_s == 0.0 for s in path)
-
-
-def test_critical_path_skips_open_children_and_picks_longest_root():
-    short = Span("short", t_start=0.0, t_end=1.0)
-    hung_child = Span("hung", t_start=0.0)
-    closed_child = Span("ok", t_start=0.0, t_end=2.0)
-    long = Span("long", t_start=0.0, t_end=5.0, children=[hung_child, closed_child])
-    path = critical_path([short, long])
-    assert [s.name for s in path] == ["long", "ok"]
 
 
 # ----------------------------------------------------------------- diffing

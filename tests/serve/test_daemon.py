@@ -25,6 +25,7 @@ from repro.serve import (
     OverloadedRemoteError,
     PlacementClient,
     PlacementDaemon,
+    RemoteError,
 )
 from tests.conftest import make_problem
 
@@ -218,6 +219,30 @@ def test_malformed_line_gets_400_and_connection_survives(tmp_path, problem):
     )
     assert not bad["ok"] and bad["code"] == 400
     assert good["ok"] and good["result"]["status"] == "ok"
+
+
+def test_unknown_mapper_kwarg_gets_error_and_daemon_keeps_serving(tmp_path, problem):
+    """MPIPP takes no ``swap_tolerance`` (its tolerance is a module constant)."""
+
+    def session(socket_path):
+        with PlacementClient(socket_path) as client:
+            with pytest.raises(RemoteError) as info:
+                client.map(
+                    problem, mapper="mpipp", mapper_kwargs={"swap_tolerance": 1e-9}
+                )
+            after = client.map(problem, mapper="greedy", seed=0)
+        return info.value, after
+
+    async def scenario(daemon, socket_path, loop):
+        return await loop.run_in_executor(None, session, socket_path)
+
+    error, after = run_daemon_scenario(
+        tmp_path, EngineConfig(pool_workers=1), scenario
+    )
+    assert error.code in (400, 500)
+    assert "swap_tolerance" in str(error)
+    assert after["ok"]
+    assert after["result"]["cost"] == get_mapper("greedy").map(problem, seed=0).cost
 
 
 def test_shutdown_op_stops_the_daemon(tmp_path, problem):

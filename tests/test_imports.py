@@ -67,6 +67,19 @@ def test_light_imports_load_no_numpy_or_scipy(statement):
     assert heavy_after(statement) == []
 
 
+def test_fabric_loads_only_the_recorder_half_of_obs():
+    """Supervisor and workers record spans; analysis and the store load on demand."""
+    loaded = run_fresh(
+        """
+        import json, sys
+        import repro.exp.fabric
+        heavy = ("analytics", "benchgate", "store")
+        print(json.dumps([m for m in heavy if f"repro.obs.{m}" in sys.modules]))
+        """
+    )
+    assert loaded == []
+
+
 @pytest.mark.parametrize(
     "entry, argv",
     [
@@ -94,7 +107,7 @@ def test_console_scripts_load_the_solver_stack_only_when_needed(entry, argv, tmp
     assert heavy_after(code) == []
 
 
-@pytest.mark.parametrize("package", ["repro", "repro.exp", "repro.apps"])
+@pytest.mark.parametrize("package", ["repro", "repro.exp", "repro.apps", "repro.obs"])
 def test_every_public_name_resolves_and_is_listed(package):
     missing = run_fresh(
         f"""
