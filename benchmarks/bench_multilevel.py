@@ -17,8 +17,9 @@ Run directly::
     PYTHONPATH=src python benchmarks/bench_multilevel.py [--smoke]
 
 ``--smoke`` runs the CI correctness smoke (N=2048: quality ratio +
-trace structure) and writes no bench rows.  Multilevel timing is graded
-by perfbench's ``multilevel-sparse`` workload, not by ``bench-check``.
+trace structure; N=8192: coarsening reaches ``coarsest_size``) and
+writes no bench rows.  Multilevel timing is graded by perfbench's
+``multilevel-sparse`` workload, not by ``bench-check``.
 """
 
 from __future__ import annotations
@@ -102,8 +103,9 @@ def bench_multilevel(n: int, *, kappa: int = 4) -> dict:
     return record
 
 
-def run_smoke(n: int = 2048, kappa: int = 4) -> int:
-    """CI smoke: quality ratio vs direct geodist + clean trace structure."""
+def run_smoke(n: int = 2048, kappa: int = 4, deep_n: int = 8192) -> int:
+    """CI smoke: quality ratio vs direct geodist, clean trace structure,
+    and coarsening that stops on the size target, not a matching floor."""
     problem = make_sparse_problem(n, kappa=kappa)
     with recording() as rec:
         result = MultilevelMapper(kappa=kappa).map(problem, seed=0)
@@ -128,9 +130,18 @@ def run_smoke(n: int = 2048, kappa: int = 4) -> int:
     if not levels or levels[0]["n"] != n:
         print(f"SMOKE FAIL: meta levels malformed: {levels}")
         return 1
+    deep = MultilevelMapper(kappa=kappa).map(make_sparse_problem(deep_n, kappa=kappa), seed=0)
+    deep_levels = [lv["n"] for lv in deep.meta["levels"]]
+    if deep.meta["coarsen_stop"] != "size":
+        print(
+            f"SMOKE FAIL: n={deep_n} coarsening stopped on "
+            f"{deep.meta['coarsen_stop']!r}, not the size target (levels {deep_levels})"
+        )
+        return 1
     print(
         f"SMOKE OK: n={n} ratio={ratio:.4f} levels={[lv['n'] for lv in levels]} "
-        f"spans={len(names)}"
+        f"spans={len(names)}; n={deep_n} levels={deep_levels} "
+        f"inner={deep.meta['inner']}"
     )
     return 0
 

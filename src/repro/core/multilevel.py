@@ -14,11 +14,15 @@ Pipeline of :class:`MultilevelMapper`:
 1. **Coarsen** — seeded heavy-edge matching on ``CG + CG^T``
    (vectorized mutual-best rounds, deterministic tie-breaking by a
    seeded priority permutation), then contract matched pairs into
-   super-vertices with summed traffic and merged edges.  Each round's
-   proposals cost O(E) with no sort: the edge list is grouped by
-   source vertex, so a vertex's heaviest edge is a segmented max
-   (``np.maximum.reduceat``) and its tie-break a second segmented max
-   over the priorities of the edges that reach that weight.  Self-loops
+   super-vertices with summed traffic and merged edges.  Rounds run
+   until one pairs nothing (at most ``match_rounds``), so each level
+   pairs all it can; why coarsening stopped is recorded as
+   ``meta["coarsen_stop"]``.  Each round's
+   proposals cost O(live edges) with no sort: the edge list, shrunk
+   after every round to the edges between unmatched vertices, is
+   grouped by source vertex, so a vertex's heaviest edge is a segmented
+   max (``np.maximum.reduceat``) and its tie-break a second segmented
+   max over the priorities of the edges that reach that weight.  Self-loops
    created by contraction are dropped from the matrices but accounted
    (``internal_volume``/``internal_count``) so conservation is testable.
    A pinned vertex only ever matches a vertex pinned to the *same*
@@ -124,7 +128,7 @@ def heavy_edge_matching(
     problem: MappingProblem,
     rng: np.random.Generator,
     *,
-    rounds: int = 3,
+    rounds: int = 16,
 ) -> np.ndarray:
     """Seeded heavy-edge matching on the symmetric communication graph.
 
@@ -135,6 +139,13 @@ def heavy_edge_matching(
     state) and mutual proposals become matches — the classic
     vectorized local-max scheme.
 
+    Rounds run until one pairs nothing, at most ``rounds`` of them.
+    Stopping early is exact: a round that pairs nothing leaves ``mate``
+    unchanged, so every later round would make the same proposals.  The
+    cap still matters, since a monotone-weight path pairs only one pair
+    per round.  After each round the edge list shrinks to the edges
+    between still-unmatched vertices, so a round costs O(live edges).
+
     A vertex pinned by the constraint vector only matches a vertex
     pinned to the same site; unpinned vertices only match unpinned
     ones.  This keeps every super-vertex's pin well-defined and the
@@ -142,6 +153,7 @@ def heavy_edge_matching(
     """
     n = problem.num_processes
     mate = np.full(n, -1, dtype=np.int64)
+    rounds = check_positive_int(rounds, "rounds")
     u, v, w = _affinity_edges(_symmetric_traffic(problem))
     if u.size == 0:
         return mate
@@ -151,25 +163,27 @@ def heavy_edge_matching(
     prio = rng.permutation(n)
     by_prio = np.argsort(prio)  # inverse permutation: priority -> vertex
 
-    for _ in range(check_positive_int(rounds, "rounds")):
-        live = (mate[u] == -1) & (mate[v] == -1)
-        if not np.any(live):
+    for _ in range(rounds):
+        if u.size == 0:
             break
-        lu, lv, lw = u[live], v[live], w[live]
-        # Edges arrive grouped by ascending u, so u's heaviest edge
+        # Edges stay grouped by ascending u, so u's heaviest edge
         # (highest-priority partner on ties) is a segmented max.
-        head = np.diff(lu, prepend=-1) != 0
+        head = np.diff(u, prepend=-1) != 0
         starts = np.flatnonzero(head)
         seg = np.cumsum(head) - 1
-        top = np.maximum.reduceat(lw, starts)
-        best = np.maximum.reduceat(np.where(lw == top[seg], prio[lv], -1), starts)
+        top = np.maximum.reduceat(w, starts)
+        best = np.maximum.reduceat(np.where(w == top[seg], prio[v], -1), starts)
+        cand = u[starts]
         pref = np.full(n, -1, dtype=np.int64)
-        pref[lu[starts]] = by_prio[best]
-        cand = np.flatnonzero(pref >= 0)
+        pref[cand] = by_prio[best]
         mutual = cand[(pref[pref[cand]] == cand) & (pref[cand] != cand)]
         pair = mutual[mutual < pref[mutual]]
+        if pair.size == 0:
+            break
         mate[pair] = pref[pair]
         mate[pref[pair]] = pair
+        live = (mate[u] == -1) & (mate[v] == -1)
+        u, v, w = u[live], v[live], w[live]
     return mate
 
 
@@ -255,8 +269,10 @@ class MultilevelMapper(Mapper):
         less than this factor (e.g. 0.05 -> stop below 5% reduction);
         matching has degenerated and further levels would only add cost.
     match_rounds:
-        Mutual-proposal rounds per matching (more rounds match more of
-        the graph per level at slightly higher cost).
+        Most mutual-proposal rounds per matching.  Matching stops
+        earlier, at the first round that pairs nothing; the cap only
+        bounds degenerate graphs (a monotone-weight path pairs one pair
+        per round).
     refine_rounds:
         Gain-based refinement rounds per uncoarsening step; each round
         is one ``move_delta_matrix`` plus exact re-verification of the
@@ -281,7 +297,7 @@ class MultilevelMapper(Mapper):
         coarsest_size: int = 1024,
         max_levels: int = 20,
         min_shrink: float = 0.05,
-        match_rounds: int = 3,
+        match_rounds: int = 16,
         refine_rounds: int = 2,
         inner_mapper: Mapper | None = None,
         inner_fallback_size: int = 4096,
@@ -310,10 +326,11 @@ class MultilevelMapper(Mapper):
 
         # ---- 1. coarsen.
         with obs.span("multilevel.coarsen") as span:
-            levels = self._coarsen(problem, rng)
+            levels, coarsen_stop = self._coarsen(problem, rng)
             span.set(
                 num_levels=len(levels),
                 level_sizes=[lv.problem.num_processes for lv in levels],
+                stop=coarsen_stop,
             )
 
         # ---- 2. coarse solve + node-unit legalization.
@@ -355,6 +372,7 @@ class MultilevelMapper(Mapper):
                 }
                 for lv in levels
             ],
+            "coarsen_stop": coarsen_stop,
             "coarse_deferred": deferred,
             **solve_meta,
             "refine": refine_meta,
@@ -365,30 +383,35 @@ class MultilevelMapper(Mapper):
 
     def _coarsen(
         self, problem: MappingProblem, rng: np.random.Generator
-    ) -> list[Level]:
-        """Build the hierarchy, finest first.  Always at least one level."""
+    ) -> tuple[list[Level], str]:
+        """Build the hierarchy, finest first.  Always at least one level.
+
+        Also returns why coarsening stopped: ``"size"`` (at most
+        ``coarsest_size`` vertices left), ``"max_levels"``,
+        ``"no_match"`` (matching paired nothing) or ``"min_shrink"``
+        (a level shrank too little and was discarded).
+        """
         levels = [Level(problem, np.ones(problem.num_processes, dtype=np.int64))]
-        while (
-            levels[-1].problem.num_processes > self.coarsest_size
-            and len(levels) <= self.max_levels
-        ):
+        while levels[-1].problem.num_processes > self.coarsest_size:
+            if len(levels) > self.max_levels:
+                return levels, "max_levels"
             fine = levels[-1]
             mate = heavy_edge_matching(
                 fine.problem, rng, rounds=self.match_rounds
             )
             if not np.any(mate >= 0):
-                break
+                return levels, "no_match"
             coarse_p, f2c, coarse_sizes, ivol, icnt = contract(
                 fine.problem, fine.sizes, mate
             )
             shrink = 1.0 - coarse_p.num_processes / fine.problem.num_processes
             if shrink < self.min_shrink:
-                break
+                return levels, "min_shrink"
             fine.fine_to_coarse = f2c
             fine.internal_volume = ivol
             fine.internal_count = icnt
             levels.append(Level(coarse_p, coarse_sizes))
-        return levels
+        return levels, "size"
 
     # ---------------------------------------------------------- coarse solve
 

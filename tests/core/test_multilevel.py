@@ -6,6 +6,10 @@ bijection, pin survival) plus end-to-end determinism and quality.
 """
 
 import hashlib
+import importlib.util
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,21 @@ from repro.core import (
 from repro.core.geodist import _symmetric_traffic
 from repro.core.multilevel import _affinity_edges
 from repro.obs import recording
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _clustered_problem(n: int) -> MappingProblem:
+    """``benchmarks/bench_multilevel.py``'s clustered 16-site problem."""
+    path = REPO_ROOT / "benchmarks" / "bench_multilevel.py"
+    saved = list(sys.path)  # the bench script puts its own dirs in front
+    try:
+        spec = importlib.util.spec_from_file_location("bench_multilevel", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = saved
+    return module.make_sparse_problem(n)
 
 
 def _sparse_problem(
@@ -154,13 +173,55 @@ def matching_problems(draw):
 @settings(max_examples=150, deadline=None)
 @given(
     matching_problems(),
-    st.sampled_from([1, 3, 5]),
+    st.sampled_from([1, 3, 5, 16]),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_matching_equals_lexsort_reference(problem, rounds, seed):
     got = heavy_edge_matching(problem, np.random.default_rng(seed), rounds=rounds)
     want = _lexsort_matching(problem, np.random.default_rng(seed), rounds)
     np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(matching_problems(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_matching_with_spare_rounds_is_a_fixpoint(problem, seed):
+    """A cap above the rounds needed ends on a round that pairs nothing.
+
+    Every round with a live edge pairs at least one pair (the endpoint
+    of highest priority among the heaviest live edges and its preferred
+    partner propose to each other), so at the fixpoint no edge joins two
+    unmatched vertices with the same pin, and more rounds change nothing.
+    """
+    n = problem.num_processes
+    mate = heavy_edge_matching(problem, np.random.default_rng(seed), rounds=n)
+    more = heavy_edge_matching(problem, np.random.default_rng(seed), rounds=n + 16)
+    np.testing.assert_array_equal(mate, more)
+    u, v, _ = _affinity_edges(_symmetric_traffic(problem))
+    pins = problem.constraints
+    live = (mate[u] == -1) & (mate[v] == -1) & (pins[u] == pins[v]) & (u != v)
+    assert not np.any(live), "an unmatched same-pin pair is left adjacent"
+
+
+def test_matching_rounds_cap_bounds_a_monotone_path():
+    # Weights rise along the path, so only its heaviest live edge is a
+    # mutual proposal: each round pairs exactly one pair, and without
+    # the cap matching would take N/2 rounds.
+    n = 4096
+    idx = np.arange(n - 1)
+    w = 1.0 + idx.astype(np.float64)
+    cg = sp.csr_matrix((w, (idx, idx + 1)), shape=(n, n))
+    problem = MappingProblem(
+        CG=cg, AG=cg.copy(), LT=np.full((2, 2), 0.01),
+        BT=np.full((2, 2), 1e8), capacities=np.full(2, n),
+    )
+    start = time.process_time()
+    mate = heavy_edge_matching(problem, np.random.default_rng(0), rounds=16)
+    assert time.process_time() - start < 5.0
+    matched = np.flatnonzero(mate >= 0)
+    assert matched.size == 2 * 16
+    # The 16 heaviest edges, taken from the top end of the path.
+    np.testing.assert_array_equal(matched, np.arange(n - 32, n))
+    np.testing.assert_array_equal(mate[matched], matched ^ 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,21 +313,93 @@ def test_multilevel_same_seed_is_bit_identical():
     assert a.cost == b.cost
 
 
+def _digest(result) -> str:
+    return hashlib.sha256(
+        result.assignment.astype("<i8").tobytes() + result.cost.hex().encode()
+    ).hexdigest()
+
+
 def test_multilevel_mapping_matches_stored_digest():
     # Pins the whole pipeline (matching, contraction, inner solve,
     # refinement) to the mapping it produced before the matching lost
-    # its sort: assignment bytes and the cost's exact bits.
+    # its sort: assignment bytes and the cost's exact bits.  It was
+    # recorded at three matching rounds, which the early-exit loop on a
+    # shrinking edge list must reproduce bit for bit.
     problem = _sparse_problem(2048, m=8, seed=12, pin_ratio=0.1)
-    result = MultilevelMapper(kappa=2, coarsest_size=128).map(problem, seed=5)
+    mapper = MultilevelMapper(kappa=2, coarsest_size=128, match_rounds=3)
+    result = mapper.map(problem, seed=5)
     assert [lv["n"] for lv in result.meta["levels"]] == [
         2048, 1290, 880, 673, 563, 506
     ]
-    digest = hashlib.sha256(
-        result.assignment.astype("<i8").tobytes() + result.cost.hex().encode()
-    ).hexdigest()
-    assert digest == (
+    assert _digest(result) == (
         "4d04442d3b4d96b12a9c4e2f851dcd956b0dcc0d2a67f95713107c322ef05f83"
     )
+
+
+def test_multilevel_default_depth_matches_stored_digest():
+    # Same problem at the default matching depth, where rounds run until
+    # one pairs nothing.  The digest is also what 16 full rounds without
+    # the early exit or the edge-list shrinking produce.
+    problem = _sparse_problem(2048, m=8, seed=12, pin_ratio=0.1)
+    result = MultilevelMapper(kappa=2, coarsest_size=128).map(problem, seed=5)
+    assert [lv["n"] for lv in result.meta["levels"]] == [
+        2048, 1173, 711, 472, 349, 287, 256, 241
+    ]
+    assert _digest(result) == (
+        "1ee4a550cfb9497bddc37d922382b076d92e1e9919280db3b9c4e641cabb9d37"
+    )
+
+
+def test_multilevel_coarsens_to_the_size_target():
+    # With matching run to its fixpoint, the clustered bench problem
+    # coarsens below coarsest_size, so the inner solve is geodist on a
+    # small graph rather than a matching floor.
+    problem = _clustered_problem(8192)
+    with recording() as rec:
+        result = MultilevelMapper(kappa=4).map(problem, seed=0)
+    assert result.meta["coarsen_stop"] == "size"
+    assert result.meta["levels"][-1]["n"] <= 1024
+    assert result.meta["inner"] == "geo-distributed"
+    (coarsen,) = [
+        s for root in rec.roots for s in root.iter() if s.name == "multilevel.coarsen"
+    ]
+    assert coarsen.attrs["stop"] == "size"
+
+
+@pytest.mark.parametrize(
+    "kwargs, empty, stop",
+    [
+        ({"max_levels": 1}, False, "max_levels"),
+        ({"min_shrink": 0.9}, False, "min_shrink"),
+        ({}, True, "no_match"),
+        ({"coarsest_size": 512}, False, "size"),
+    ],
+)
+def test_multilevel_records_why_coarsening_stopped(kwargs, empty, stop):
+    problem = _sparse_problem(512, seed=3)
+    if empty:  # no edges: matching pairs nothing
+        zero = sp.csr_matrix(problem.CG.shape)
+        problem = MappingProblem(
+            CG=zero, AG=zero, LT=problem.LT, BT=problem.BT,
+            capacities=problem.capacities, coordinates=problem.coordinates,
+        )
+    options = {"coarsest_size": 64, **kwargs}
+    result = MultilevelMapper(kappa=2, **options).map(problem, seed=0)
+    assert result.meta["coarsen_stop"] == stop
+    validate_assignment(problem, result.assignment)
+
+
+def test_single_level_multilevel_equals_its_inner_geodist():
+    # Metamorphic: with coarsest_size >= N nothing is coarsened, the
+    # scaled vertex-unit capacities equal the real ones, so legalization
+    # moves nothing; without refinement the result is geodist's own.
+    problem = _clustered_problem(512)
+    ml = MultilevelMapper(kappa=4, coarsest_size=512, refine_rounds=0)
+    result = ml.map(problem, seed=3)
+    direct = GeoDistributedMapper(kappa=4).map(problem, seed=3)
+    assert len(result.meta["levels"]) == 1
+    np.testing.assert_array_equal(result.assignment, direct.assignment)
+    assert result.cost == direct.cost
 
 
 def test_multilevel_valid_and_within_quality_bound():

@@ -157,7 +157,9 @@ _MULTILEVEL_DIGESTS = {
 def test_multilevel_legalization_matches_stored_digest(sparse, case):
     n, m, seed, pin_ratio = case
     problem = _multilevel_case(n, m, seed, pin_ratio, sparse)
-    result = MultilevelMapper(kappa=2, coarsest_size=32).map(problem, seed=seed)
+    # Three matching rounds: the depth these digests were recorded at.
+    mapper = MultilevelMapper(kappa=2, coarsest_size=32, match_rounds=3)
+    result = mapper.map(problem, seed=seed)
     refine = result.meta["refine"]
     assert result.meta["coarse_evicted"] > 0
     assert result.meta["coarse_deferred"] > 0
