@@ -27,6 +27,15 @@ RPR011   no-blocking-call-in-async   ``async def`` bodies in ``repro.serve``
                                      never block the event loop
 =======  ==========================  ============================================
 
+Both stages resolve names through one absolute import table per file
+(:class:`~repro.analysis.context.FileContext`): plain and aliased
+imports, ``import a.b`` (binds ``a``), ``import a.b as c``, from-imports
+with or without ``as``, and relative imports climbed from the module's
+package.  The per-file rules match the absolute names it gives
+(``numpy.random.seed``, ``time.time``, ``repro.obs.Span``,
+``subprocess.run``), and the module summaries carry the same table into
+the call graph.
+
 Findings can be silenced inline (``# repro-lint: disable=RPR003``,
 optionally followed by a reason); anything else fails the run (and CI).
 """

@@ -1,15 +1,35 @@
-"""Per-file analysis context: parsed AST, import aliases, suppressions.
+"""Per-file analysis context: parsed AST, import table, suppressions.
 
 The engine builds one :class:`FileContext` per scanned file and hands it
-to every rule, so alias resolution (``import numpy as np``), suppression
-comments, and scope tracking are computed once per file rather than once
-per rule.
+to every per-file rule and to the module summarizer, so name
+resolution, suppression comments and scope tracking are computed once
+per file rather than once per rule or per stage.
+
+The import table is the lint's one answer to "what does this name refer
+to?".  It maps each local name an import statement binds, anywhere in
+the file, to an absolute dotted target:
+
+- ``import a`` and ``import a.b`` bind ``a`` to ``a``;
+- ``import a.b as c`` binds ``c`` to ``a.b``;
+- ``from a.b import c [as d]`` binds ``d`` (or ``c``) to ``a.b.c``;
+- ``from .x import y`` / ``from .. import y`` climb from the module's
+  own package (``src/repro/core/m.py`` is in ``repro.core``, so
+  ``from ..obs import Span`` binds ``Span`` to ``repro.obs.Span``); a
+  climb past the top package binds nothing.
+
+:meth:`FileContext.resolve` reads an ``a.b.c`` chain through the table,
+so ``np.random.seed`` (``import numpy as np``), ``npr.seed`` (``from
+numpy import random as npr``) and ``numpy.random.seed`` (``import
+numpy.random``) all come back as ``("numpy", "random", "seed")``.  The
+per-file rules match those absolute names, and the module summary
+handed to the call graph carries the same table as its ``imports``.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,38 +59,79 @@ def parse_suppressions(lines: list[str]) -> dict[int, frozenset[str]]:
     return out
 
 
+def module_name_for(relpath: str) -> str:
+    """Dotted module name for a repo-relative path.
+
+    Anything under a ``src/`` component is package-rooted there
+    (``src/repro/core/geodist.py`` -> ``repro.core.geodist``), other
+    trees use their path as-is (``benchmarks/bench_x.py`` ->
+    ``benchmarks.bench_x``).  ``__init__.py`` names the package itself.
+    The name is therefore independent of where the checkout lives on
+    disk.
+    """
+    parts = [p for p in relpath.split("/") if p]
+    if "src" in parts:
+        parts = parts[parts.index("src") + 1 :]
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
+
+
+def dotted_parts(node: ast.expr) -> tuple[str, ...] | None:
+    """``a.b.c`` attribute chain as ``("a", "b", "c")``, else None."""
+    parts: list[str] = []
+    cur: ast.expr = node
+    while isinstance(cur, ast.Attribute):
+        parts.append(cur.attr)
+        cur = cur.value
+    if not isinstance(cur, ast.Name):
+        return None
+    parts.append(cur.id)
+    return tuple(reversed(parts))
+
+
 @dataclass
 class FileContext:
-    """Everything the rules need to know about one source file."""
+    """Everything the rules and the summarizer need about one source file."""
 
     relpath: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
     #: 1-based line -> rule ids suppressed on that line (may contain "ALL").
     suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
-    #: Local names bound to the ``numpy`` module (e.g. {"np", "numpy"}).
-    numpy_aliases: set[str] = field(default_factory=set)
-    #: Local names bound to the ``numpy.random`` module itself.
-    numpy_random_aliases: set[str] = field(default_factory=set)
-    #: Local names bound to the ``time`` module.
-    time_aliases: set[str] = field(default_factory=set)
-    #: Local names bound to the ``datetime`` module.
-    datetime_aliases: set[str] = field(default_factory=set)
-    #: Local name -> original name, for ``from numpy.random import X [as Y]``.
-    from_numpy_random: dict[str, str] = field(default_factory=dict)
-    #: Local name -> original name, for ``from time import X [as Y]``.
-    from_time: dict[str, str] = field(default_factory=dict)
-    #: Local names bound to the ``repro.obs`` module (absolute or relative).
-    obs_aliases: set[str] = field(default_factory=set)
-    #: Local name -> original name, for imports from ``repro.obs`` (or its
-    #: submodules), absolute *or* relative (``from ..obs import Span``).
-    from_obs: dict[str, str] = field(default_factory=dict)
     #: Enclosing class/function names; maintained by the engine's visitor.
     scope: list[str] = field(default_factory=list)
     #: Kind of each enclosing *function* (True = ``async def``); also
     #: maintained by the visitor.  Lambdas push False — their bodies run
     #: when called, not where they are written.
     func_kinds: list[bool] = field(default_factory=list)
+    #: Dotted module name derived from ``relpath`` (``repro.core.cost``).
+    module: str = field(init=False)
+    #: The package relative imports climb from.
+    package: str = field(init=False)
+    #: Local name -> absolute dotted import target (see the module doc).
+    imports: dict[str, str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.module = module_name_for(self.relpath)
+        if self.relpath.endswith("__init__.py"):
+            self.package = self.module
+        else:
+            self.package = self.module.rpartition(".")[0]
+        self.imports = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        self.imports[alias.asname] = alias.name
+                    else:
+                        head = alias.name.split(".")[0]
+                        self.imports[head] = head
+            elif isinstance(node, ast.ImportFrom):
+                for alias, target in zip(node.names, self.from_import_targets(node)):
+                    self.imports[alias.asname or alias.name] = ".".join(target)
 
     # ------------------------------------------------------------- location
 
@@ -96,83 +157,39 @@ class FileContext:
 
     # ------------------------------------------------------------ resolution
 
-    def collect_imports(self) -> None:
-        """Record module aliases from every import statement in the file."""
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    if alias.name == "numpy":
-                        self.numpy_aliases.add(local)
-                    elif alias.name == "numpy.random":
-                        if alias.asname:
-                            self.numpy_random_aliases.add(local)
-                        else:  # ``import numpy.random`` binds ``numpy``
-                            self.numpy_aliases.add(local)
-                    elif alias.name == "time":
-                        self.time_aliases.add(local)
-                    elif alias.name == "datetime":
-                        self.datetime_aliases.add(local)
-                    elif alias.name == "repro.obs" and alias.asname:
-                        self.obs_aliases.add(local)
-            elif isinstance(node, ast.ImportFrom):
-                if node.level == 0:
-                    if node.module == "numpy":
-                        for alias in node.names:
-                            if alias.name == "random":
-                                self.numpy_random_aliases.add(alias.asname or "random")
-                    elif node.module == "numpy.random":
-                        for alias in node.names:
-                            self.from_numpy_random[alias.asname or alias.name] = alias.name
-                    elif node.module == "time":
-                        for alias in node.names:
-                            self.from_time[alias.asname or alias.name] = alias.name
-                self._collect_obs_import(node)
+    def from_import_targets(self, node: ast.ImportFrom) -> Iterator[tuple[str, ...]]:
+        """Absolute target of each name ``node`` imports, in order.
 
-    def _collect_obs_import(self, node: ast.ImportFrom) -> None:
-        """Track names bound from ``repro.obs``, absolute or relative.
-
-        Handles ``from repro.obs import Span``, ``from ..obs import Span
-        as S``, ``from repro.obs.spans import Span``, and module binds
-        like ``from repro import obs`` / ``from .. import obs``.
+        Yields nothing when a relative import climbs past the top package.
         """
-        module = node.module or ""
-        parts = tuple(module.split(".")) if module else ()
-        relative = node.level > 0
-        if parts and not (relative or parts[0] == "repro"):
-            return
-        if parts and (parts[-1] == "obs" or (len(parts) >= 2 and "obs" in parts[:-1])):
-            # ``from ...obs[...] import X [as Y]``
-            for alias in node.names:
-                self.from_obs[alias.asname or alias.name] = alias.name
-        elif (not parts and relative) or parts == ("repro",):
-            # ``from repro import obs`` / ``from .. import obs [as o]``
-            for alias in node.names:
-                if alias.name == "obs":
-                    self.obs_aliases.add(alias.asname or "obs")
+        if node.level == 0:
+            base = node.module.split(".") if node.module else []
+        else:
+            parts = self.package.split(".") if self.package else []
+            climb = node.level - 1
+            if climb >= len(parts):
+                return
+            base = parts[: len(parts) - climb]
+            if node.module:
+                base.extend(node.module.split("."))
+        for alias in node.names:
+            yield (*base, *alias.name.split("."))
 
-    def dotted_parts(self, node: ast.expr) -> tuple[str, ...] | None:
-        """``a.b.c`` attribute chain as ``("a", "b", "c")``, else None."""
-        parts: list[str] = []
-        cur: ast.expr = node
-        while isinstance(cur, ast.Attribute):
-            parts.append(cur.attr)
-            cur = cur.value
-        if not isinstance(cur, ast.Name):
+    def absolute(self, parts: tuple[str, ...]) -> tuple[str, ...] | None:
+        """A dotted chain with its head read through the import table."""
+        target = self.imports.get(parts[0])
+        if target is None:
             return None
-        parts.append(cur.id)
-        return tuple(reversed(parts))
+        return tuple(target.split(".")) + parts[1:]
 
-    def is_numpy_random_attr(self, node: ast.expr) -> str | None:
-        """If ``node`` is ``<numpy.random module>.X``, return ``X``."""
-        parts = self.dotted_parts(node)
-        if parts is None:
-            return None
-        if len(parts) == 3 and parts[0] in self.numpy_aliases and parts[1] == "random":
-            return parts[2]
-        if len(parts) == 2 and parts[0] in self.numpy_random_aliases:
-            return parts[1]
-        return None
+    def resolve(self, expr: ast.expr) -> tuple[str, ...] | None:
+        """Absolute dotted name of an ``a.b.c`` chain whose head is imported.
+
+        None for anything else: an unimported head, a call or subscript
+        in the chain, a non-name expression.
+        """
+        parts = dotted_parts(expr)
+        return None if parts is None else self.absolute(parts)
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         """True when a suppression comment on ``line`` covers ``rule_id``."""

@@ -1,10 +1,13 @@
 """The lint engine: per-file pass, then project pass.
 
-Stage 1 (per file) — parsing and one recursive AST visit per file;
+Stage 1 (per file) — parsing, the file's absolute import table
+(:class:`~.context.FileContext`), and one recursive AST visit per file;
 per-file rules are dispatched by node type from a table built once per
-file (so a rule that does not apply costs nothing there).  The same
-parse also produces the file's :class:`~.project.ModuleSummary` for
-stage 2.
+file (so a rule that does not apply costs nothing there) and match
+names through that table.  The same context also produces the file's
+:class:`~.project.ModuleSummary` for stage 2, so both stages resolve
+imports (plain, aliased, dotted, from-imports and relative imports)
+through one table.
 
 Stage 2 (project) — the module summaries are indexed into a
 call graph (:mod:`.callgraph`) and the project rules
@@ -76,7 +79,6 @@ class _Visitor:
                 self.table.setdefault(node_type, []).append(rule)
 
     def run(self) -> LintResult:
-        self.ctx.collect_imports()
         self._visit(self.ctx.tree)
         self.result.findings.sort()
         return self.result
@@ -133,15 +135,11 @@ def _scan_source(
         result.errors[relpath] = f"syntax error: {exc.msg} (line {exc.lineno})"
         return result, None
     lines = source.splitlines()
-    suppressions = parse_suppressions(lines)
     ctx = FileContext(
-        relpath=relpath, tree=tree, lines=lines, suppressions=suppressions
+        relpath=relpath, tree=tree, lines=lines, suppressions=parse_suppressions(lines)
     )
     result = _Visitor(ctx, rules).run()
-    summary = summarize_module(
-        tree, relpath=relpath, lines=lines, suppressions=suppressions
-    )
-    return result, summary
+    return result, summarize_module(ctx)
 
 
 def discover(paths: Iterable[Path]) -> list[Path]:

@@ -4,11 +4,15 @@ The whole-project pass (rules RPR008-RPR010) cannot work from one file
 at a time: "is ``np.random`` reachable from ``Mapper.map``" is a
 property of the import graph, the class hierarchy, and every call site
 in between.  This module extracts ONE compact :class:`ModuleSummary`
-per source file — imports (normalized to absolute dotted targets),
-classes with their bases and methods, and one :class:`FunctionSummary`
-per module-level function or method recording its call sites plus the domain facts the graph rules need (module-level
+per source file — imports (the file's absolute import table, built
+once on its :class:`~repro.analysis.context.FileContext` and shared with
+the per-file rules), classes with their bases and methods, and one
+:class:`FunctionSummary` per module-level function or method recording
+its call sites plus the domain facts the graph rules need (module-level
 RNG touches, ``dense_CG``/``dense_AG`` call sites, executor ``submit``
-sites with captured-variable analysis, global/attribute writes).
+sites with captured-variable analysis, global/attribute writes).  The
+RNG and dense facts match the same name tables as the per-file rules
+RPR001, RPR005 and RPR007.
 
 The call graph is built from summaries alone (see
 :mod:`repro.analysis.callgraph`), never from the ASTs.
@@ -27,6 +31,9 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .context import FileContext, dotted_parts, module_name_for
+from .rules import DENSE_METHODS, is_legacy_rng, is_wall_clock
+
 __all__ = [
     "CallSite",
     "RngCall",
@@ -41,29 +48,9 @@ __all__ = [
     "summarize_source",
 ]
 
-#: numpy.random attributes belonging to the *new* Generator API (safe to
-#: reference anywhere); everything else on the module is hidden global
-#: state.  Kept in sync with ``rules._NEW_RNG_API`` by a unit test.
-NEW_RNG_API = frozenset(
-    {
-        "Generator",
-        "default_rng",
-        "SeedSequence",
-        "BitGenerator",
-        "PCG64",
-        "PCG64DXSM",
-        "Philox",
-        "SFC64",
-        "MT19937",
-    }
-)
-
 #: stdlib ``random`` names that do NOT touch the shared module-level
 #: stream (explicit instances the caller seeds and owns).
 _STDLIB_RANDOM_OK = frozenset({"Random", "SystemRandom"})
-
-#: The densifying MappingProblem methods RPR010 tracks.
-_DENSE_METHODS = frozenset({"dense_CG", "dense_AG"})
 
 #: Executor classes whose ``submit``/``map`` fan work out to threads.
 _EXECUTOR_CLASSES = frozenset({"ThreadPoolExecutor", "ProcessPoolExecutor"})
@@ -86,14 +73,6 @@ _MUTATORS = frozenset(
         "setdefault",
         "discard",
     }
-)
-
-#: Wall-clock call chains whose value must never seed an RNG.
-_WALL_CLOCK_SUFFIXES: tuple[tuple[str, ...], ...] = (
-    ("time", "time"),
-    ("time", "time_ns"),
-    ("datetime", "now"),
-    ("datetime", "utcnow"),
 )
 
 _FunctionNode = ast.FunctionDef | ast.AsyncFunctionDef
@@ -239,39 +218,6 @@ class ModuleSummary:
 # ----------------------------------------------------------------- utilities
 
 
-def module_name_for(relpath: str) -> str:
-    """Dotted module name for a repo-relative path.
-
-    Anything under a ``src/`` component is package-rooted there
-    (``src/repro/core/geodist.py`` -> ``repro.core.geodist``), other
-    trees use their path as-is (``benchmarks/bench_x.py`` ->
-    ``benchmarks.bench_x``).  ``__init__.py`` names the package itself.
-    The name is therefore independent of where the checkout lives on
-    disk.
-    """
-    parts = [p for p in relpath.split("/") if p]
-    if "src" in parts:
-        parts = parts[parts.index("src") + 1 :]
-    if parts and parts[-1].endswith(".py"):
-        parts[-1] = parts[-1][: -len(".py")]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
-def _dotted_parts(node: ast.expr) -> tuple[str, ...] | None:
-    """``a.b.c`` as ``("a", "b", "c")``, else None."""
-    parts: list[str] = []
-    cur: ast.expr = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    parts.append(cur.id)
-    return tuple(reversed(parts))
-
-
 def _iter_non_function_children(node: ast.AST) -> Iterator[ast.AST]:
     """Children of ``node``, not descending into nested function bodies."""
     for child in ast.iter_child_nodes(node):
@@ -280,94 +226,28 @@ def _iter_non_function_children(node: ast.AST) -> Iterator[ast.AST]:
             yield from _iter_non_function_children(child)
 
 
-def _package_of(module: str, relpath: str) -> str:
-    """The package a module's relative imports resolve against."""
-    if relpath.endswith("__init__.py"):
-        return module
-    return module.rsplit(".", 1)[0] if "." in module else ""
-
-
 # ---------------------------------------------------------------- extraction
 
 
 class _ModuleSummarizer:
     """Single pass turning one parsed module into a ModuleSummary."""
 
-    def __init__(
-        self,
-        tree: ast.Module,
-        *,
-        module: str,
-        relpath: str,
-        lines: list[str],
-        suppressions: dict[int, frozenset[str]] | None = None,
-    ) -> None:
-        self.tree = tree
-        self.module = module
-        self.relpath = relpath
-        self.lines = lines
-        self.package = _package_of(module, relpath)
-        self.summary = ModuleSummary(module=module, relpath=relpath)
-        if suppressions:
-            self.summary.suppressions = {
-                line: tuple(sorted(ids)) for line, ids in suppressions.items()
-            }
-
-    # ------------------------------------------------------------- plumbing
-
-    def _snippet(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
-    def _absolute(self, parts: tuple[str, ...]) -> tuple[str, ...] | None:
-        """Resolve a dotted chain's head through the import table."""
-        target = self.summary.imports.get(parts[0])
-        if target is None:
-            return None
-        return tuple(target.split(".")) + parts[1:]
-
-    # -------------------------------------------------------------- imports
-
-    def _collect_imports(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        self.summary.imports[alias.asname] = alias.name
-                    else:
-                        head = alias.name.split(".")[0]
-                        self.summary.imports[head] = head
-            elif isinstance(node, ast.ImportFrom):
-                base = self._import_base(node)
-                if base is None:
-                    continue
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    self.summary.imports[local] = (
-                        f"{base}.{alias.name}" if base else alias.name
-                    )
-
-    def _import_base(self, node: ast.ImportFrom) -> str | None:
-        """Absolute dotted base of a from-import (None when unresolvable)."""
-        if node.level == 0:
-            return node.module or ""
-        # Relative: climb ``level`` packages from this module's package.
-        parts = self.package.split(".") if self.package else []
-        climb = node.level - 1
-        if climb > len(parts):
-            return None
-        base_parts = parts[: len(parts) - climb]
-        if node.module:
-            base_parts.append(node.module)
-        return ".".join(base_parts)
+    def __init__(self, ctx: FileContext) -> None:
+        self.ctx = ctx
+        self.summary = ModuleSummary(
+            module=ctx.module,
+            relpath=ctx.relpath,
+            imports=ctx.imports,
+            suppressions={
+                line: tuple(sorted(ids)) for line, ids in ctx.suppressions.items()
+            },
+        )
 
     # ------------------------------------------------------------ structure
 
     def run(self) -> ModuleSummary:
-        self._collect_imports()
         module_names: list[str] = []
-        for node in self.tree.body:
+        for node in self.ctx.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.summary.functions[node.name] = self._summarize_function(
                     node, cls=""
@@ -382,7 +262,7 @@ class _ModuleSummarizer:
     def _summarize_class(self, node: ast.ClassDef) -> None:
         bases: list[str] = []
         for base in node.bases:
-            parts = _dotted_parts(base)
+            parts = dotted_parts(base)
             if parts is not None:
                 bases.append(".".join(parts))
         methods: list[str] = []
@@ -536,7 +416,7 @@ class _ModuleSummarizer:
         if isinstance(func, ast.Name):
             return CallSite("name", (func.id,), line, col)
         if isinstance(func, ast.Attribute):
-            parts = _dotted_parts(func)
+            parts = dotted_parts(func)
             if parts is not None:
                 if parts[0] == "self" and len(parts) == 2:
                     return CallSite("self", (parts[1],), line, col)
@@ -544,7 +424,7 @@ class _ModuleSummarizer:
                     return CallSite("cls", (parts[1],), line, col)
                 return CallSite("dotted", parts, line, col)
             if isinstance(func.value, ast.Call):
-                inner = _dotted_parts(func.value.func)
+                inner = dotted_parts(func.value.func)
                 if inner is not None:
                     return CallSite("instance", inner + (func.attr,), line, col)
             return CallSite("unknown", (func.attr,), line, col)
@@ -553,57 +433,35 @@ class _ModuleSummarizer:
     # ------------------------------------------------------------ rng facts
 
     def _rng_call(self, call: ast.Call) -> RngCall | None:
-        parts = _dotted_parts(call.func)
-        rendered = ".".join(parts) if parts else ""
-        absolute = self._absolute(parts) if parts else None
-        if absolute is not None:
-            if (
-                len(absolute) == 3
-                and absolute[:2] == ("numpy", "random")
-                and absolute[2] not in NEW_RNG_API
-            ):
-                return RngCall(
-                    "numpy-legacy",
-                    rendered,
-                    call.lineno,
-                    call.col_offset,
-                    self._snippet(call.lineno),
-                )
-            if (
-                len(absolute) == 2
-                and absolute[0] == "random"
-                and absolute[1] not in _STDLIB_RANDOM_OK
-            ):
-                return RngCall(
-                    "stdlib-random",
-                    rendered,
-                    call.lineno,
-                    call.col_offset,
-                    self._snippet(call.lineno),
-                )
-        clock = self._wall_clock_in_seed(call, absolute)
-        if clock is not None:
-            return RngCall(
-                "time-seed",
-                clock,
-                call.lineno,
-                call.col_offset,
-                self._snippet(call.lineno),
-            )
-        return None
+        parts = dotted_parts(call.func)
+        name = ".".join(parts) if parts else ""
+        absolute = self.ctx.absolute(parts) if parts else None
+        if absolute is not None and is_legacy_rng(absolute):
+            kind = "numpy-legacy"
+        elif (
+            absolute is not None
+            and len(absolute) == 2
+            and absolute[0] == "random"
+            and absolute[1] not in _STDLIB_RANDOM_OK
+        ):
+            kind = "stdlib-random"
+        else:
+            clock = self._wall_clock_in_seed(call, absolute)
+            if clock is None:
+                return None
+            kind, name = "time-seed", clock
+        return RngCall(
+            kind, name, call.lineno, call.col_offset, self.ctx.line_text(call.lineno)
+        )
 
     def _wall_clock_call(self, node: ast.expr) -> str | None:
         """Rendered name of a wall-clock call inside ``node``, else None."""
         for sub in ast.walk(node):
             if not isinstance(sub, ast.Call):
                 continue
-            parts = _dotted_parts(sub.func)
-            if parts is None:
-                continue
-            absolute = self._absolute(parts) or parts
-            for suffix in _WALL_CLOCK_SUFFIXES:
-                if absolute[-len(suffix) :] == suffix:
-                    return ".".join(parts)
+            parts = dotted_parts(sub.func)
+            if parts is not None and is_wall_clock(self.ctx.absolute(parts) or parts):
+                return ".".join(parts)
         return None
 
     def _wall_clock_in_seed(
@@ -613,7 +471,7 @@ class _ModuleSummarizer:
         is_rng_factory = False
         if absolute is not None and absolute[-1] in ("default_rng", "as_rng"):
             is_rng_factory = True
-        parts = _dotted_parts(call.func)
+        parts = dotted_parts(call.func)
         if parts is not None and parts[-1] in ("default_rng", "as_rng"):
             is_rng_factory = True
         seed_exprs: list[ast.expr] = []
@@ -632,12 +490,12 @@ class _ModuleSummarizer:
 
     def _dense_call(self, call: ast.Call) -> DenseCall | None:
         func = call.func
-        if isinstance(func, ast.Attribute) and func.attr in _DENSE_METHODS:
+        if isinstance(func, ast.Attribute) and func.attr in DENSE_METHODS:
             return DenseCall(
                 func.attr,
                 call.lineno,
                 call.col_offset,
-                self._snippet(call.lineno),
+                self.ctx.line_text(call.lineno),
             )
         return None
 
@@ -672,7 +530,7 @@ class _ModuleSummarizer:
     def _is_executor_ctor(expr: ast.expr) -> bool:
         if not isinstance(expr, ast.Call):
             return False
-        parts = _dotted_parts(expr.func)
+        parts = dotted_parts(expr.func)
         return parts is not None and parts[-1] in _EXECUTOR_CLASSES
 
     @staticmethod
@@ -701,7 +559,7 @@ class _ModuleSummarizer:
             and func.value.id in executors
         ):
             return None
-        snippet = self._snippet(call.lineno)
+        snippet = self.ctx.line_text(call.lineno)
         # Find the most informative worker among the arguments: a closure
         # or lambda beats a method/function reference beats unknown.
         worker_expr: ast.expr | None = call.args[0] if call.args else None
@@ -746,7 +604,7 @@ class _ModuleSummarizer:
                 return "closure", (), nested[arg.id]
             return "function", (arg.id,), None
         if isinstance(arg, ast.Attribute):
-            parts = _dotted_parts(arg)
+            parts = dotted_parts(arg)
             if parts is not None and parts[0] == "self" and len(parts) == 2:
                 return "self-method", (parts[1],), None
             if parts is not None:
@@ -891,26 +749,14 @@ class _ModuleSummarizer:
                         writes_globals.append(el.id)
 
 
-def summarize_module(
-    tree: ast.Module,
-    *,
-    relpath: str,
-    lines: list[str],
-    module: str | None = None,
-    suppressions: dict[int, frozenset[str]] | None = None,
-) -> ModuleSummary:
-    """Summarize one already-parsed module."""
-    name = module if module is not None else module_name_for(relpath)
-    return _ModuleSummarizer(
-        tree,
-        module=name,
-        relpath=relpath,
-        lines=lines,
-        suppressions=suppressions,
-    ).run()
+def summarize_module(ctx: FileContext) -> ModuleSummary:
+    """Summarize one already-parsed module through its import table."""
+    return _ModuleSummarizer(ctx).run()
 
 
 def summarize_source(source: str, *, relpath: str) -> ModuleSummary:
     """Parse and summarize one in-memory source blob (the test helper)."""
     tree = ast.parse(source, filename=relpath)
-    return summarize_module(tree, relpath=relpath, lines=source.splitlines())
+    return summarize_module(
+        FileContext(relpath=relpath, tree=tree, lines=source.splitlines())
+    )

@@ -88,7 +88,12 @@ __all__ = [
     "NoDenseCgInHotPathsRule",
     "NoBlockingCallInAsyncRule",
     "ALL_RULES",
+    "DENSE_METHODS",
+    "NEW_RNG_API",
+    "WALL_CLOCKS",
     "default_rules",
+    "is_legacy_rng",
+    "is_wall_clock",
 ]
 
 
@@ -127,9 +132,11 @@ class Rule:
 
 # --------------------------------------------------------------------- RPR001
 
-#: numpy.random attributes that are part of the *new* Generator API and
-#: therefore fine to reference at module scope.
-_NEW_RNG_API = frozenset(
+#: numpy.random attributes belonging to the *new* Generator API (safe to
+#: reference anywhere); everything else on the module is hidden global
+#: state.  RPR001 flags the rest per file; the summarizer records them as
+#: RPR008's ``numpy-legacy`` evidence.
+NEW_RNG_API = frozenset(
     {
         "Generator",
         "default_rng",
@@ -142,6 +149,11 @@ _NEW_RNG_API = frozenset(
         "MT19937",
     }
 )
+
+
+def is_legacy_rng(target: tuple[str, ...]) -> bool:
+    """True for an absolute ``numpy.random.X`` outside the Generator API."""
+    return len(target) == 3 and target[:2] == ("numpy", "random") and target[2] not in NEW_RNG_API
 
 
 class NoLegacyRngRule(Rule):
@@ -157,23 +169,22 @@ class NoLegacyRngRule(Rule):
 
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         if isinstance(node, ast.ImportFrom):
-            if node.level == 0 and node.module == "numpy.random":
-                for alias in node.names:
-                    if alias.name not in _NEW_RNG_API:
-                        yield self.finding(
-                            node,
-                            ctx,
-                            f"legacy RNG import numpy.random.{alias.name}; use "
-                            "_validation.as_rng / numpy.random.Generator",
-                        )
+            for target in ctx.from_import_targets(node):
+                if is_legacy_rng(target):
+                    yield self.finding(
+                        node,
+                        ctx,
+                        f"legacy RNG import {'.'.join(target)}; use "
+                        "_validation.as_rng / numpy.random.Generator",
+                    )
             return
         assert isinstance(node, ast.Attribute)  # repro-lint: disable=RPR004
-        attr = ctx.is_numpy_random_attr(node)
-        if attr is not None and attr not in _NEW_RNG_API:
+        target = ctx.resolve(node)
+        if target is not None and is_legacy_rng(target):
             yield self.finding(
                 node,
                 ctx,
-                f"legacy RNG call numpy.random.{attr}; use _validation.as_rng / "
+                f"legacy RNG call {'.'.join(target)}; use _validation.as_rng / "
                 "an explicit numpy.random.Generator parameter",
             )
 
@@ -187,7 +198,7 @@ _FROZEN_ATTRS = frozenset({"CG", "AG", "LT", "BT"})
 _COPYING_METHODS = frozenset({"copy", "toarray", "todense", "astype"})
 
 #: numpy module-level constructors that copy their input by default.
-_COPYING_FUNCS = frozenset({"array"})
+_COPYING_FUNCS = frozenset({("numpy", "array")})
 
 
 class NoFrozenViewRule(Rule):
@@ -221,13 +232,7 @@ class NoFrozenViewRule(Rule):
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in _COPYING_METHODS:
             return True
-        parts = ctx.dotted_parts(func)
-        return (
-            parts is not None
-            and len(parts) == 2
-            and parts[0] in ctx.numpy_aliases
-            and parts[1] in _COPYING_FUNCS
-        )
+        return ctx.resolve(func) in _COPYING_FUNCS
 
     def _offending_exprs(self, value: ast.expr, ctx: FileContext) -> Iterator[tuple[str, ast.expr]]:
         exprs = value.elts if isinstance(value, ast.Tuple) else [value]
@@ -407,8 +412,26 @@ class NoBareAssertRule(Rule):
 
 # --------------------------------------------------------------------- RPR005
 
-#: ``time`` module attributes that read the wall clock.
-_WALL_CLOCK_TIME_ATTRS = frozenset({"time", "time_ns", "clock"})
+#: Wall clocks, as the last two parts of an absolute dotted name
+#: (``time.time``, ``datetime.datetime.now``, ``datetime.date.today``).
+#: RPR005 bans calling them in benchmarks; the summarizer records one
+#: flowing into an RNG seed as RPR008's ``time-seed`` evidence.
+WALL_CLOCKS = frozenset(
+    {
+        ("time", "time"),
+        ("time", "time_ns"),
+        ("time", "clock"),
+        ("datetime", "now"),
+        ("datetime", "utcnow"),
+        ("datetime", "today"),
+        ("date", "today"),
+    }
+)
+
+
+def is_wall_clock(target: tuple[str, ...]) -> bool:
+    """True when a dotted name ends in a :data:`WALL_CLOCKS` pair."""
+    return target[-2:] in WALL_CLOCKS
 
 
 class NoWallClockRule(Rule):
@@ -427,44 +450,24 @@ class NoWallClockRule(Rule):
 
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         if isinstance(node, ast.ImportFrom):
-            if node.level == 0 and node.module == "time":
-                for alias in node.names:
-                    if alias.name in _WALL_CLOCK_TIME_ATTRS:
-                        yield self.finding(
-                            node,
-                            ctx,
-                            f"importing wall-clock time.{alias.name} in a "
-                            "benchmark; use time.perf_counter",
-                        )
+            for target in ctx.from_import_targets(node):
+                if is_wall_clock(target):
+                    yield self.finding(
+                        node,
+                        ctx,
+                        f"importing wall-clock {'.'.join(target)} in a "
+                        "benchmark; use time.perf_counter",
+                    )
             return
         call = node
         assert isinstance(call, ast.Call)  # repro-lint: disable=RPR004
-        parts = ctx.dotted_parts(call.func)
-        if parts is None:
-            return
-        if len(parts) == 2 and parts[0] in ctx.time_aliases and parts[1] in _WALL_CLOCK_TIME_ATTRS:
-            yield self.finding(
-                call, ctx, f"wall-clock time.{parts[1]}() in a benchmark; use time.perf_counter()"
-            )
-        elif (
-            len(parts) == 1
-            and ctx.from_time.get(parts[0]) in _WALL_CLOCK_TIME_ATTRS
-        ):
+        target = ctx.resolve(call.func)
+        if target is not None and is_wall_clock(target):
             yield self.finding(
                 call,
                 ctx,
-                f"wall-clock time.{ctx.from_time[parts[0]]}() in a benchmark; "
+                f"wall-clock {'.'.join(target)}() in a benchmark; "
                 "use time.perf_counter()",
-            )
-        elif len(parts) >= 2 and parts[0] in ctx.datetime_aliases and parts[-1] in (
-            "now",
-            "utcnow",
-            "today",
-        ):
-            yield self.finding(
-                call,
-                ctx,
-                f"wall-clock {'.'.join(parts)}() in a benchmark; use time.perf_counter()",
             )
 
 
@@ -492,32 +495,17 @@ class NoDirectSpanConstructionRule(Rule):
         parts = Path(ctx.relpath).parts
         return ctx.in_src and "obs" not in parts
 
-    def _constructed_type(self, call: ast.Call, ctx: FileContext) -> str | None:
-        """The obs span type name if this call builds one, else None."""
-        func = call.func
-        if isinstance(func, ast.Name):
-            original = ctx.from_obs.get(func.id)
-            return original if original in _SPAN_TYPES else None
-        parts = ctx.dotted_parts(func)
-        if parts is None or len(parts) < 2 or parts[-1] not in _SPAN_TYPES:
-            return None
-        head, trail = parts[0], parts[:-1]
-        if head in ctx.obs_aliases or "obs" in trail:
-            return parts[-1]
-        # ``from repro.obs import spans; spans.Span(...)``
-        if ctx.from_obs.get(head) == "spans":
-            return parts[-1]
-        return None
-
     def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
         call = node
         assert isinstance(call, ast.Call)  # repro-lint: disable=RPR004
-        constructed = self._constructed_type(call, ctx)
-        if constructed is not None:
+        # ``repro.obs.Span``, ``repro.obs.spans.SpanEvent``, ...: however
+        # the module or the class was imported.
+        target = ctx.resolve(call.func)
+        if target is not None and target[:2] == ("repro", "obs") and target[-1] in _SPAN_TYPES:
             yield self.finding(
                 call,
                 ctx,
-                f"direct construction of repro.obs {constructed}; spans must "
+                f"direct construction of repro.obs {target[-1]}; spans must "
                 "be created via the recorder API (get_recorder().span() / "
                 "SpanRecorder)",
             )
@@ -525,8 +513,10 @@ class NoDirectSpanConstructionRule(Rule):
 
 # --------------------------------------------------------------------- RPR007
 
-#: The densifying MappingProblem methods banned from algorithm packages.
-_DENSE_METHODS = frozenset({"dense_CG", "dense_AG"})
+#: The densifying MappingProblem methods: RPR007 bans them from the
+#: algorithm packages, and the summarizer records them as RPR010's
+#: evidence.
+DENSE_METHODS = frozenset({"dense_CG", "dense_AG"})
 
 #: Packages whose modules are the cost/mapping hot paths.
 _HOT_PACKAGES = ("core", "baselines", "faults")
@@ -557,7 +547,7 @@ class NoDenseCgInHotPathsRule(Rule):
         call = node
         assert isinstance(call, ast.Call)  # repro-lint: disable=RPR004
         func = call.func
-        if not isinstance(func, ast.Attribute) or func.attr not in _DENSE_METHODS:
+        if not isinstance(func, ast.Attribute) or func.attr not in DENSE_METHODS:
             return
         # problem.py itself defines (and self-references) these methods.
         if Path(ctx.relpath).name == "problem.py" and "core" in Path(ctx.relpath).parts:
@@ -602,25 +592,16 @@ class NoBlockingCallInAsyncRule(Rule):
 
     def _blocking_reason(self, call: ast.Call, ctx: FileContext) -> str | None:
         func = call.func
-        if isinstance(func, ast.Name):
-            if func.id == "open":
-                return "synchronous open() blocks the event loop; do file I/O off-loop"
-            if ctx.from_time.get(func.id) == "sleep":
-                return "time.sleep() stalls the event loop; use asyncio.sleep()"
-            return None
-        parts = ctx.dotted_parts(func)
-        if parts is not None:
-            if (
-                len(parts) == 2
-                and parts[0] in ctx.time_aliases
-                and parts[1] == "sleep"
-            ):
-                return "time.sleep() stalls the event loop; use asyncio.sleep()"
-            if parts[0] == "subprocess":
-                return (
-                    f"{'.'.join(parts)}() blocks on the child process; use "
-                    "asyncio.create_subprocess_exec()"
-                )
+        if isinstance(func, ast.Name) and func.id == "open":
+            return "synchronous open() blocks the event loop; do file I/O off-loop"
+        target = ctx.resolve(func)
+        if target == ("time", "sleep"):
+            return "time.sleep() stalls the event loop; use asyncio.sleep()"
+        if target is not None and target[0] == "subprocess":
+            return (
+                f"{'.'.join(target)}() blocks on the child process; use "
+                "asyncio.create_subprocess_exec()"
+            )
         if isinstance(func, ast.Attribute):
             if func.attr in _SOLVER_METHODS:
                 return (

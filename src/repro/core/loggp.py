@@ -131,18 +131,6 @@ class LogGPModel:
         g = 2.0 * o
         return cls(L=L, o=o, g=g, G=G)
 
-    def message_cost(self, src_site: int, dst_site: int, nbytes: int) -> float:
-        """One message's LogGP time over a given site pair."""
-        return loggp_transfer_time(
-            LogGPParams(
-                L=float(self.L[src_site, dst_site]),
-                o=float(self.o[src_site, dst_site]),
-                g=float(self.g[src_site, dst_site]),
-                G=float(self.G[src_site, dst_site]),
-            ),
-            nbytes,
-        )
-
     def total_cost(self, problem: MappingProblem, P: np.ndarray) -> float:
         """Additive LogGP mapping cost (the Formula-2 analogue)."""
         vol, cnt = aggregate_site_traffic(problem, P)

@@ -114,11 +114,6 @@ class CSRArrays:
     def nnz(self) -> int:
         return int(self.data.shape[0])
 
-    def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, data) of stored entries in row ``i`` — O(1) views."""
-        start, end = int(self.indptr[i]), int(self.indptr[i + 1])
-        return self.indices[start:end], self.data[start:end]
-
 
 def _check_comm_matrix(mat, name: str, size: int | None):
     """Validate a communication matrix, dense or sparse, zeroing nothing.

@@ -72,6 +72,7 @@ __all__ = ["EngineConfig", "PlacementEngine", "OverloadedError"]
 
 #: The degradation ladder, cheapest last.  A request's mapper is moved
 #: *down* this list (never up) as queue depth crosses the thresholds.
+#: A request that names no mapper gets the head of the ladder.
 DEGRADATION_LADDER = ("geo-distributed", "multilevel", "greedy")
 
 #: The row every unsettled request gets when the engine stops.
@@ -105,7 +106,6 @@ class EngineConfig:
     degrade_at: int | None = None
     #: Queue depth at which any non-Greedy request degrades to Greedy.
     degrade_hard_at: int | None = None
-    default_mapper: str = "geo-distributed"
     #: Keep at most this many request span trees (oldest dropped); also
     #: bounds the by-trace-id document map behind ``GET /v1/trace/<id>``.
     span_keep: int = 256
@@ -535,7 +535,7 @@ class PlacementEngine:
         request_id = request.get("id")
         problem = decode_problem(request.get("problem"))
         fingerprint = problem.fingerprint()
-        requested = str(request.get("mapper") or self.config.default_mapper)
+        requested = str(request.get("mapper") or DEGRADATION_LADDER[0])
         mapper_kwargs = dict(request.get("mapper_kwargs") or {})
         seed = int(request.get("seed", 0))
         sleep_s = float(request.get("sleep_s", 0.0))

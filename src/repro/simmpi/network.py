@@ -135,12 +135,12 @@ class SimNetwork:
 
 
 class UniformNetwork:
-    """Flat network used for application *profiling*.
+    """Timing-free, contention-free network for the simulator tests.
 
-    During profiling (the CYPRESS substitute) only the message stream
-    matters, not the timing, so all transfers take a constant small time
-    and never contend.  This keeps profiling runs independent of any
-    particular topology or mapping.
+    Every transfer takes the same small constant time and nothing ever
+    contends, so a test can drive :class:`~repro.simmpi.engine.Simulator`
+    without a topology or a mapping.  Profiling does not use it:
+    ``Application.profile`` drains programs with no network at all.
     """
 
     def __init__(self, transfer_time: float = 1e-6) -> None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import contextvars
 from collections import defaultdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
@@ -137,12 +137,6 @@ class TraceRecorder:
         bridge span into its own tree.
         """
         return contextvars.Context().run(self._build_span)
-
-    def to_trace_dict(self) -> dict[str, Any]:
-        """The profile as a schema-valid trace document (version 1)."""
-        from ..obs import trace_to_dict
-
-        return trace_to_dict([self.to_span()])
 
     def write_trace(self, path: "str | Path") -> Path:
         """Write the profile as a trace JSON file.

@@ -326,13 +326,6 @@ def test_graph_counts_cover_every_function():
 # --------------------------------------------------------------- real tree
 
 
-def test_rng_api_constant_in_sync_with_per_file_rule():
-    from repro.analysis.project import NEW_RNG_API
-    from repro.analysis.rules import _NEW_RNG_API
-
-    assert NEW_RNG_API == _NEW_RNG_API
-
-
 @functools.lru_cache(maxsize=1)
 def _real_tree() -> tuple[int, ProjectIndex]:
     """(file count, index) of every module under src/repro."""

@@ -259,6 +259,19 @@ def test_rpr005_flags_from_import_alias():
     )
     # Both the import itself and the aliased call are flagged.
     assert rule_ids(result) == ["RPR005", "RPR005"]
+    # Importing the datetime class is not a clock read; calling now() is.
+    result = lint(
+        """
+        from datetime import datetime
+
+        def bench():
+            return datetime.now()
+        """,
+        relpath=BENCH,
+        rules=[NoWallClockRule()],
+    )
+    assert rule_ids(result) == ["RPR005"]
+    assert "datetime.datetime.now()" in result.findings[0].message
 
 
 def test_rpr005_allows_perf_counter_and_src_files():
@@ -312,6 +325,7 @@ def test_rpr006_flags_module_qualified_construction():
         "from repro import obs\n\ndef f():\n    return obs.SpanEvent(name='e', t=0.0)\n",
         "import repro.obs\n\ndef f():\n    return repro.obs.Span(name='s', t_start=0.0)\n",
         "from repro.obs import spans\n\ndef f():\n    return spans.Span(name='s', t_start=0.0)\n",
+        "import repro.obs.spans as sp\n\ndef f():\n    return sp.Span(name='s', t_start=0.0)\n",
     ]
     for source in flagged:
         result = lint(source, rules=[NoDirectSpanConstructionRule()])
@@ -438,6 +452,20 @@ def test_rpr011_flags_from_import_sleep_and_aliases():
         rules=[NoBlockingCallInAsyncRule()],
     )
     assert rule_ids(result) == ["RPR011", "RPR011"]
+    result = lint(
+        """
+        import subprocess as sp
+        from subprocess import run
+
+        async def handle():
+            sp.run(["true"])
+            run(["true"])
+        """,
+        relpath=SERVE,
+        rules=[NoBlockingCallInAsyncRule()],
+    )
+    assert rule_ids(result) == ["RPR011", "RPR011"]
+    assert all("subprocess.run()" in f.message for f in result.findings)
 
 
 def test_rpr011_flags_open_subprocess_and_socket_calls():
