@@ -9,8 +9,8 @@ The package provides:
   mappers;
 * :mod:`repro.cloud` — the geo-distributed cloud substrate calibrated to
   the paper's EC2/Azure measurements;
-* :mod:`repro.simmpi` — a discrete-event MPI simulator with profiling
-  and CYPRESS-style trace compression;
+* :mod:`repro.simmpi` — a discrete-event MPI simulator, and the
+  CYPRESS-style profiler that drains loops declared as data into CG/AG;
 * :mod:`repro.apps` — the five evaluation workloads (LU, BT, SP,
   K-means, DNN) and synthetic patterns;
 * :mod:`repro.exp` — the experiment harness regenerating every table and

@@ -64,23 +64,23 @@ class Application(abc.ABC):
     # ------------------------------------------------------------- profiling
 
     def profile(
-        self, *, keep_events: bool = False
+        self,
     ) -> tuple["np.ndarray | sp.csr_matrix", "np.ndarray | sp.csr_matrix", TraceRecorder]:
         """Record (CG, AG, recorder) by draining every rank's program.
 
         :func:`~repro.simmpi.engine.drain` runs the programs rank by rank
         without simulating them; programs cannot observe time, so the
-        recorder holds exactly what a simulated run would record.  A
-        program that breaks one rule fails here as it fails in the
-        simulator, except an *ordering* deadlock, where every channel's
-        send and receive counts balance but the order blocks: that
-        profiles cleanly here, and only
+        recorder holds the per-pair sums and totals a simulated run
+        would leave it.  A program that breaks one rule fails here as it
+        fails in the simulator, except an *ordering* deadlock, where
+        every channel's send and receive counts balance but the order
+        blocks: that profiles cleanly here, and only
         :meth:`Simulator.run <repro.simmpi.engine.Simulator.run>` raises
         :class:`~repro.simmpi.engine.DeadlockError` on it.  A program
         that breaks several rules may fail with another error than the
         simulator's (see :func:`~repro.simmpi.engine.drain`).
         """
-        recorder = TraceRecorder(self.num_ranks, keep_events=keep_events)
+        recorder = TraceRecorder(self.num_ranks)
         drain(self.num_ranks, self.program, recorder)
         cg, ag = recorder.communication_matrices()
         return cg, ag, recorder

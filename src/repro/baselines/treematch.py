@@ -56,22 +56,11 @@ def _block_sum(mat, rows: np.ndarray, cols: np.ndarray) -> float:
 class TreeMatchMapper(Mapper):
     """Hierarchical affinity grouping + greedy subtree assignment.
 
-    Parameters
-    ----------
-    assignment_order:
-        ``"traffic"`` (default) places the cluster with the heaviest
-        external traffic first; ``"size"`` places the largest cluster
-        first.  Both appear in TreeMatch variants.
+    Clusters are placed in order of their external traffic, heaviest
+    first.
     """
 
     name = "treematch"
-
-    def __init__(self, *, assignment_order: str = "traffic") -> None:
-        if assignment_order not in ("traffic", "size"):
-            raise ValueError(
-                f"assignment_order must be 'traffic' or 'size', got {assignment_order!r}"
-            )
-        self.assignment_order = assignment_order
 
     # ----------------------------------------------------------------- solve
 
@@ -148,11 +137,8 @@ class TreeMatchMapper(Mapper):
 
         # Greedy cluster -> site assignment.  Clusters pinned to a site go
         # first so free processes can never steal their reserved slots.
-        if self.assignment_order == "traffic":
-            ext = [float(traffic[i, :].sum()) for i in live]
-            order = [live[i] for i in np.argsort(-np.asarray(ext), kind="stable")]
-        else:
-            order = [live[i] for i in np.argsort(-sizes[live], kind="stable")]
+        ext = [float(traffic[i, :].sum()) for i in live]
+        order = [live[i] for i in np.argsort(-np.asarray(ext), kind="stable")]
         order = [c for c in order if forced[c] >= 0] + [
             c for c in order if forced[c] < 0
         ]

@@ -44,6 +44,9 @@ Commands
     records and prints exact latency percentiles, and ``obs show
     TRACE_ID`` renders a stored trace document.
 
+Bad arguments (an unknown region or mapper, ``--nodes 0``, a ratio
+outside [0, 1]) print ``error: <message>`` on stderr and exit 2.
+
 ``map``, ``compare``, and ``robustness`` accept ``--trace out.json``:
 the whole command runs under a span recorder and the trace forest is
 written as JSON on exit (see :mod:`repro.obs`).  The same commands plus
@@ -557,6 +560,27 @@ def _topology(args) -> CloudTopology:
     )
 
 
+def _error_exit(exc: Exception) -> int:
+    """Print ``error: <exc>`` on stderr; returns exit code 2."""
+    # A KeyError's str() is the repr of its message, quotes and all.
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _pose(args):
+    """(topology, application, problem) named by the command line."""
+    from .apps import make_paper_app
+    from .exp.runner import build_problem
+
+    topo = _topology(args)
+    app = make_paper_app(args.app, topo.total_nodes)
+    problem = build_problem(
+        app, topo, constraint_ratio=args.constraint_ratio, seed=args.seed
+    )
+    return topo, app, problem
+
+
 def _cmd_regions(args) -> int:
     from .cloud import list_regions
 
@@ -572,7 +596,10 @@ def _cmd_regions(args) -> int:
 def _cmd_calibrate(args) -> int:
     import numpy as np
 
-    topo = _topology(args)
+    try:
+        topo = _topology(args)
+    except (KeyError, ValueError) as exc:
+        return _error_exit(exc)
     keys = [s.region.key for s in topo.sites]
     lat_rows = [[keys[i]] + list(np.round(topo.latency_s[i] * 1e3, 3)) for i in range(topo.num_sites)]
     bw_rows = [[keys[i]] + list(np.round(topo.bandwidth_mbs[i], 1)) for i in range(topo.num_sites)]
@@ -605,19 +632,16 @@ def _remote_map(args, problem, mapper_name: str) -> int:
 
 
 def _cmd_map(args) -> int:
-    from .apps import make_paper_app
     from .core import get_mapper
-    from .exp.runner import build_problem
 
-    topo = _topology(args)
-    app = make_paper_app(args.app, topo.total_nodes)
-    problem = build_problem(
-        app, topo, constraint_ratio=args.constraint_ratio, seed=args.seed
-    )
     mapper_name = "multilevel" if args.multilevel else args.mapper
+    try:
+        mapper = get_mapper(mapper_name)
+        topo, app, problem = _pose(args)
+    except (KeyError, ValueError) as exc:
+        return _error_exit(exc)
     if args.remote:
         return _remote_map(args, problem, mapper_name)
-    mapper = get_mapper(mapper_name)
     mapping = mapper.map(problem, seed=args.seed)
     print(
         f"{args.app} ({app.num_ranks} processes) mapped by {mapping.mapper}: "
@@ -657,17 +681,15 @@ def _remote_compare(args, problem, names: list[str]) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .apps import make_paper_app
     from .core import get_mapper
     from .exp.improvement import improvement_pct
-    from .exp.runner import build_problem, run_comparison
+    from .exp.runner import run_comparison
     from .exp.scenarios import default_mappers
 
-    topo = _topology(args)
-    app = make_paper_app(args.app, topo.total_nodes)
-    problem = build_problem(
-        app, topo, constraint_ratio=args.constraint_ratio, seed=args.seed
-    )
+    try:
+        topo, app, problem = _pose(args)
+    except (KeyError, ValueError) as exc:
+        return _error_exit(exc)
     if args.remote:
         names = ["baseline", "greedy", "geo-distributed"]
         if args.multilevel:
@@ -711,8 +733,7 @@ def _cmd_robustness(args) -> int:
     try:
         suite = standard_fault_suite(args.sites)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(exc)
     faults = args.faults or list(suite)
     unknown = sorted(set(faults) - set(suite))
     if unknown:
@@ -746,8 +767,7 @@ def _cmd_robustness(args) -> int:
                 limit=args.limit,
             )
         except (FabricError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error_exit(exc)
     rows = [row for row in merged.rows if row["key"] in report.statuses]
     cells = [RobustnessCell(**row["result"]) for row in rows if row["status"] == "ok"]
     if cells:
@@ -886,8 +906,7 @@ def _cmd_bench_check(args) -> int:
             else find_benchmarks_dir()
         )
     except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(exc)
     baseline_path = (
         Path(args.baseline) if args.baseline else bench_dir.parent / "BENCH_perf.json"
     )
@@ -905,8 +924,7 @@ def _cmd_bench_check(args) -> int:
                     bench_dir, Path(tmp) / "bench_current.json"
                 )
     except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(exc)
     report = compare_bench_records(
         baseline,
         current,
@@ -944,8 +962,7 @@ def _cmd_obs_query(args) -> int:
             limit=args.limit,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(exc)
     if args.json:
         for row in result.rows:
             print(json.dumps(row, sort_keys=True))
@@ -976,8 +993,7 @@ def _cmd_obs_show(args) -> int:
         validate_trace(doc)
         spans = [span_from_dict(s) for s in doc.get("spans", [])]
     except (StoreError, TraceSchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(exc)
     print(f"trace {args.trace_id} (version {doc.get('version')})")
     print(render_trace(spans, max_depth=args.max_depth))
     return 0
@@ -1101,8 +1117,7 @@ def _cmd_sweep(args) -> int:
             print(f"ok={report.count('ok')}")
         print(merged.summary())
     except (FabricError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(exc)
 
     stitched = None
     if args.stitch_trace:
@@ -1206,8 +1221,7 @@ def _cmd_serve(args) -> int:
             store_dir=str(store_dir) if store_dir is not None else None,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error_exit(exc)
     where = f"unix://{args.socket}"
     if args.http_port is not None:
         where += f" and http://127.0.0.1:{args.http_port}"

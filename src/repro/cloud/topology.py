@@ -199,47 +199,6 @@ class CloudTopology:
         sites = tuple(Site(i, r, c) for i, (r, c) in enumerate(zip(regions, caps)))
         return cls(sites=sites, latency_s=lat, bandwidth_Bps=bw, instance_type=model.instance_type)
 
-    @classmethod
-    def from_matrices(
-        cls,
-        latency_s: np.ndarray,
-        bandwidth_Bps: np.ndarray,
-        capacities: Sequence[int],
-        *,
-        regions: Sequence[Region] | None = None,
-        instance_type: str | InstanceType = "m4.xlarge",
-    ) -> "CloudTopology":
-        """Build a topology directly from LT/BT matrices (tests, imports).
-
-        If ``regions`` is omitted, synthetic regions are placed on a circle
-        so that coordinate-based grouping still works.
-        """
-        from .geo import GeoCoordinate  # local import to avoid cycle at module load
-
-        caps = [check_positive_int(int(c), "capacities[i]") for c in capacities]
-        m = len(caps)
-        if regions is None:
-            angles = np.linspace(0.0, 360.0, num=m, endpoint=False)
-            regions = [
-                Region(f"synthetic-{i}", f"Synthetic {i}", "ec2",
-                       GeoCoordinate(0.0, float(a) - 180.0))
-                for i, a in enumerate(angles)
-            ]
-        if len(regions) != m:
-            raise ValueError(f"regions has {len(regions)} entries for {m} capacities")
-        it = instance_type
-        if not isinstance(it, InstanceType):
-            from .instances import get_instance_type
-
-            it = get_instance_type(it)
-        sites = tuple(Site(i, r, c) for i, (r, c) in enumerate(zip(regions, caps)))
-        return cls(
-            sites=sites,
-            latency_s=np.array(latency_s, dtype=np.float64),
-            bandwidth_Bps=np.array(bandwidth_Bps, dtype=np.float64),
-            instance_type=it,
-        )
-
 
 def paper_topology(
     nodes_per_site: int = 16,

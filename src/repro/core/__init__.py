@@ -5,8 +5,6 @@ Geo-distributed mapping algorithm.
 from .constraints import (
     constrained_sites_available,
     ensure_feasible,
-    feasible_assignment_exists,
-    merge_constraints,
     random_constraints,
 )
 from .cost import CostEvaluator, aggregate_site_traffic, total_cost
@@ -50,8 +48,6 @@ from .repair import UNPLACED, IncrementalRepairMapper, RepairResult, repair_mapp
 __all__ = [
     "constrained_sites_available",
     "ensure_feasible",
-    "feasible_assignment_exists",
-    "merge_constraints",
     "random_constraints",
     "CostEvaluator",
     "aggregate_site_traffic",

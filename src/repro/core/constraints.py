@@ -5,7 +5,7 @@ holds their data.  The paper models this with a constraint vector C and
 evaluates sensitivity by sweeping a *constraint ratio* — the fraction of
 processes pinned — choosing the pinned processes and their sites at
 random (Section 5.1).  This module provides exactly that generator plus
-assorted helpers.
+the capacity checks mappers run on pinned problems.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .problem import UNCONSTRAINED, InfeasibleProblemError, MappingProblem
 __all__ = [
     "random_constraints",
     "constrained_sites_available",
-    "merge_constraints",
-    "feasible_assignment_exists",
     "ensure_feasible",
 ]
 
@@ -92,22 +90,6 @@ def constrained_sites_available(constraints: np.ndarray, capacities: np.ndarray)
     return remaining
 
 
-def merge_constraints(primary: np.ndarray, secondary: np.ndarray) -> np.ndarray:
-    """Combine two constraint vectors; ``primary`` wins on conflicts.
-
-    Useful when an application imposes structural pins (e.g. data sources)
-    on top of a user-supplied privacy policy.
-    """
-    a = check_vector(primary, "primary")
-    b = check_vector(secondary, "secondary")
-    if a.shape != b.shape:
-        raise ValueError(f"constraint vectors differ in shape: {a.shape} vs {b.shape}")
-    out = a.copy()
-    take = out == UNCONSTRAINED
-    out[take] = b[take]
-    return out
-
-
 def ensure_feasible(problem: MappingProblem, *, context: str = "") -> None:
     """Raise :class:`InfeasibleProblemError` unless an assignment can exist.
 
@@ -140,18 +122,3 @@ def ensure_feasible(problem: MappingProblem, *, context: str = "") -> None:
             f"(deficit: {free - slack} nodes)"
         )
 
-
-def feasible_assignment_exists(problem: MappingProblem) -> bool:
-    """Whether any assignment satisfies both constraint families.
-
-    With single-site pins this reduces to: pins do not overfill any site
-    (checked at problem construction) and total capacity covers N — both
-    already guaranteed by :class:`MappingProblem`; kept as an explicit,
-    cheap re-check for callers mutating constraints on their own.
-    """
-    try:
-        remaining = constrained_sites_available(problem.constraints, problem.capacities)
-    except ValueError:
-        return False
-    free = int(np.count_nonzero(problem.constraints == UNCONSTRAINED))
-    return int(remaining.sum()) >= free

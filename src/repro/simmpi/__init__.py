@@ -1,6 +1,7 @@
 """Discrete-event MPI simulator: the reproduction's substitute for the
 paper's real EC2 runs and ns-2 simulations, plus the CYPRESS-style
-profiling and trace-compression substrate.
+profiler (a timeless drain of loops declared as data into per-pair
+message sums, from which CG/AG come).
 """
 
 from .collectives import (
@@ -11,15 +12,6 @@ from .collectives import (
     barrier_dissemination,
     bcast,
     reduce,
-)
-from .compression import (
-    Loop,
-    compress,
-    compressed_size,
-    compression_ratio,
-    decompress,
-    expanded_length,
-    iter_with_multiplicity,
 )
 from .engine import DeadlockError, Program, RankContext, SimResult, Simulator
 from .network import SimNetwork, UniformNetwork
@@ -34,13 +26,6 @@ __all__ = [
     "barrier_dissemination",
     "bcast",
     "reduce",
-    "Loop",
-    "compress",
-    "compressed_size",
-    "compression_ratio",
-    "decompress",
-    "expanded_length",
-    "iter_with_multiplicity",
     "DeadlockError",
     "Program",
     "RankContext",

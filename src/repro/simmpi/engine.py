@@ -27,7 +27,8 @@ rank's program to exhaustion, rank by rank, and hands every send to a
 tracer, with no event loop, heap or network.  Programs cannot observe
 time or received data (the engine only ever calls ``next`` on them), so
 each rank's send stream is the same under any interleaving, and the
-drain records exactly what a simulated run records.
+drain leaves a tracer the per-pair sums and totals a simulated run
+leaves it.
 
 A program may yield a :class:`~repro.simmpi.ops.Repeat` (a loop
 declared as data).  The drain visits each op of its body once and
@@ -128,11 +129,12 @@ Program = Callable[[RankContext], Iterable[Operation | Repeat]]
 class Tracer(Protocol):
     """Message-stream observer (see :mod:`repro.simmpi.tracing`).
 
-    ``record`` observes ``times`` identical messages in a row.  The
-    simulator always passes 1; the drain passes a ``Repeat``'s count,
-    unless the tracer has a true ``keep_events`` attribute, which makes
-    the drain replay the loop so the tracer sees the unrolled stream in
-    order.
+    ``record`` observes ``times`` identical messages.  The simulator
+    passes 1, once per message, and so does the drain outside a
+    ``Repeat``; inside one, the drain calls once per distinct send and
+    passes the count times the send's multiplicity in the body.
+    A tracer that sums per pair ends with the same sums and totals
+    either way; the order and grouping of the calls differ.
     """
 
     def record(self, src: int, dst: int, nbytes: int, tag: int, times: int = 1) -> None: ...
@@ -165,7 +167,7 @@ def _drain_block(
     block: Repeat,
     budget: int,
     max_ops: int,
-    tracer: Tracer,
+    record: Callable[[int, int, int, int, int], None],
     balance: dict[tuple[int, int, int], int],
 ) -> int:
     """Drain one :class:`Repeat` of ``rank``; returns the budget left.
@@ -203,15 +205,8 @@ def _drain_block(
     budget -= len(ops) * count
     if budget < 0:
         raise _budget_error(max_ops)
-    record = tracer.record
-    if getattr(tracer, "keep_events", False):
-        sends = [op for op in ops if isinstance(op, Send)]
-        for _ in range(count):
-            for op in sends:
-                record(rank, op.dst, op.nbytes, op.tag)
-    else:
-        for op, weight in weighted:
-            record(rank, op.dst, op.nbytes, op.tag, weight)
+    for op, weight in weighted:
+        record(rank, op.dst, op.nbytes, op.tag, weight)
     return budget
 
 
@@ -219,12 +214,12 @@ def drain(num_ranks: int, program: Program, tracer: Tracer) -> None:
     """Run every rank's program to exhaustion and record each send.
 
     Ranks run one after another, and every :class:`Send` goes to
-    ``tracer.record`` in program order, so the tracer ends up holding
+    ``tracer.record``, so a tracer that sums per pair ends up holding
     what a :class:`Simulator` run with it would hold: the same byte and
-    message sums per pair and the same per-source event streams.
-    :class:`Compute` and :class:`Barrier` are skipped.  A
-    :class:`~repro.simmpi.ops.Repeat` is visited once per op of its body
-    and recorded with ``times=count`` (see :class:`Tracer`).
+    message sums per pair and the same totals.  :class:`Compute` and
+    :class:`Barrier` are skipped.  A :class:`~repro.simmpi.ops.Repeat`
+    is visited once per op of its body, and each distinct send in it is
+    recorded once, weighted by the count (see :class:`Tracer`).
 
     On a program that breaks one rule, raises what the simulator raises:
     ``ValueError`` for a self or out-of-range peer, ``TypeError`` for a
@@ -274,7 +269,7 @@ def drain(num_ranks: int, program: Program, tracer: Tracer) -> None:
                     raise _op_error(rank, op)
                 # The item itself spends nothing; its body is charged in full.
                 budget = _drain_block(
-                    rank, n, op, budget + 1, max_ops, tracer, balance
+                    rank, n, op, budget + 1, max_ops, record, balance
                 )
         # The simulator also spends one step on the call that finishes a rank.
         budget -= 1

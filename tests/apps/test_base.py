@@ -23,12 +23,6 @@ def test_profile_cache_is_reused():
     assert a[0] is b[0]  # cached object identity
 
 
-def test_profile_keep_events():
-    app = RingApp(4, iterations=2)
-    _, _, rec = app.profile(keep_events=True)
-    assert len(rec.event_streams()[0]) == 4  # 2 sends x 2 iterations
-
-
 def test_make_paper_app_factory():
     for name in PAPER_APPS:
         app = make_paper_app(name, 16)

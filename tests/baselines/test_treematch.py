@@ -1,7 +1,6 @@
 """Unit tests for the TreeMatch-style hierarchical mapper."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import RandomMapper, TreeMatchMapper
 from repro.core import MappingProblem, validate_assignment
@@ -42,13 +41,6 @@ def test_deterministic(problem64):
     a = TreeMatchMapper().map(problem64, seed=1)
     b = TreeMatchMapper().map(problem64, seed=2)  # no RNG dependence
     np.testing.assert_array_equal(a.assignment, b.assignment)
-
-
-def test_size_order_variant(problem64):
-    m = TreeMatchMapper(assignment_order="size").map(problem64, seed=0)
-    validate_assignment(problem64, m.assignment)
-    with pytest.raises(ValueError, match="assignment_order"):
-        TreeMatchMapper(assignment_order="weird")
 
 
 def test_slack_capacity(topo4):

@@ -67,15 +67,6 @@ def test_coordinates_match_catalog(topo4):
     assert d[0, 1] > 1000
 
 
-def test_from_matrices_synthetic_regions():
-    lt = np.array([[0.001, 0.1], [0.1, 0.001]])
-    bt = np.array([[1e8, 1e6], [1e6, 1e8]])
-    t = CloudTopology.from_matrices(lt, bt, [3, 5])
-    assert t.num_sites == 2
-    assert t.total_nodes == 8
-    assert t.coordinates.shape == (2, 2)
-
-
 def test_validation_errors():
     with pytest.raises(ValueError, match="empty"):
         CloudTopology.from_regions([], 4)

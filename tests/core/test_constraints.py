@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import UNCONSTRAINED, random_constraints
-from repro.core.constraints import (
-    constrained_sites_available,
-    feasible_assignment_exists,
-    merge_constraints,
-)
-from tests.conftest import make_problem
+from repro.core.constraints import constrained_sites_available
 
 
 def test_ratio_zero_means_no_pins():
@@ -66,20 +61,3 @@ def test_constrained_sites_available_debits_pins():
 def test_constrained_sites_available_detects_overfill():
     with pytest.raises(ValueError, match="overfill"):
         constrained_sites_available(np.array([0, 0, 0]), np.array([2, 2]))
-
-
-def test_merge_constraints_primary_wins():
-    a = np.array([0, UNCONSTRAINED, UNCONSTRAINED])
-    b = np.array([1, 1, UNCONSTRAINED])
-    out = merge_constraints(a, b)
-    np.testing.assert_array_equal(out, [0, 1, UNCONSTRAINED])
-
-
-def test_merge_constraints_shape_check():
-    with pytest.raises(ValueError, match="shape"):
-        merge_constraints(np.array([0]), np.array([0, 1]))
-
-
-def test_feasible_assignment_exists(topo4):
-    p = make_problem(64, topo4, constraint_ratio=0.5, seed=3)
-    assert feasible_assignment_exists(p)

@@ -157,8 +157,8 @@ def _failure(exc):
     return (type(exc).__name__, str(exc), repr(states))
 
 
-def _profile(n, program, max_ops, *, keep_events):
-    recorder = TraceRecorder(n, keep_events=keep_events)
+def _profile(n, program, max_ops):
+    recorder = TraceRecorder(n)
     try:
         with mock.patch.object(engine, "MAX_OPS", max_ops or engine.MAX_OPS):
             drain(n, program, recorder)
@@ -173,7 +173,6 @@ def _profile(n, program, max_ops, *, keep_events):
         recorder.total_messages,
         recorder.total_bytes,
         recorder.nonzero_pairs(),
-        recorder.event_streams(),
     )
 
 
@@ -219,10 +218,7 @@ def test_folded_program_profiles_like_its_unrolled_form(case):
     def unrolled(ctx):
         return unroll(programs[ctx.rank])
 
-    for keep_events in (False, True):
-        assert _profile(n, folded, max_ops, keep_events=keep_events) == _profile(
-            n, unrolled, max_ops, keep_events=keep_events
-        )
+    assert _profile(n, folded, max_ops) == _profile(n, unrolled, max_ops)
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,12 +265,10 @@ def test_bad_op_inside_a_block_fails_as_unrolled(case, count):
         return unroll(folded(ctx))
 
     for budget in (None, 2, 3, 4):
-        assert _profile(3, folded, budget, keep_events=False) == _profile(
-            3, unrolled, budget, keep_events=False
-        )
+        assert _profile(3, folded, budget) == _profile(3, unrolled, budget)
         assert _simulate(3, folded, budget, 0) == _simulate(3, unrolled, budget, 0)
     if count:
-        assert _profile(3, folded, None, keep_events=False)[0] == "ValueError"
+        assert _profile(3, folded, None)[0] == "ValueError"
 
 
 # ---------------------------------------------------------- drain work

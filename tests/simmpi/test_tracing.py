@@ -44,20 +44,9 @@ def test_sparse_empty():
     assert cg.nnz == 0 and ag.nnz == 0
 
 
-def test_event_streams_optional():
-    tr = TraceRecorder(2, keep_events=True)
-    tr.record(0, 1, 5, 9)
-    tr.record(0, 1, 6, 9)
-    assert tr.event_streams()[0] == [(1, 5, 9), (1, 6, 9)]
-    assert tr.rank_events(0) == [(1, 5, 9), (1, 6, 9)]
-    off = TraceRecorder(2)
-    off.record(0, 1, 5, 9)
-    assert off.event_streams()[0] == []
-
-
 def test_events_attribute_removed():
-    # The legacy ``events`` alias is gone; event_streams() is the one accessor.
-    tr = TraceRecorder(2, keep_events=True)
+    # The recorder keeps per-pair sums only; no per-message stream.
+    tr = TraceRecorder(2)
     tr.record(0, 1, 5, 9)
     assert not hasattr(tr, "events")
 
@@ -66,46 +55,3 @@ def test_invalid_rank_count():
     with pytest.raises(ValueError):
         TraceRecorder(0)
 
-
-def test_to_span_bridges_profile_onto_obs_schema():
-    tr = TraceRecorder(3)
-    tr.record(0, 1, 10, 0)
-    tr.record(0, 1, 20, 0)
-    tr.record(2, 0, 5, 1)
-    span = tr.to_span()
-    assert span.name == "profile.messages"
-    assert span.attrs["num_ranks"] == 3
-    assert span.counters == {"messages": 3, "bytes": 35, "pairs": 2}
-    pairs = [e for e in span.events if e.name == "profile.pair"]
-    assert [(e.attrs["src_rank"], e.attrs["dst_rank"]) for e in pairs] == [
-        (0, 1),
-        (2, 0),
-    ]
-    assert pairs[0].attrs["bytes"] == 30 and pairs[0].attrs["messages"] == 2
-    # The profiler has no clock: the bridge span is closed at t == 0.
-    assert span.t_start == 0.0 and span.t_end == 0.0
-
-
-def test_to_span_does_not_leak_into_ambient_trace():
-    from repro.obs import recording
-
-    tr = TraceRecorder(2)
-    tr.record(0, 1, 8, 0)
-    with recording() as rec:
-        with rec.span("outer"):
-            bridged = tr.to_span()
-    (outer,) = rec.roots
-    assert outer.children == []  # the bridge built in its own context
-    assert bridged.name == "profile.messages"
-
-
-def test_write_trace_round_trips_through_obs_loader(tmp_path):
-    from repro.obs import load_trace
-
-    tr = TraceRecorder(2, keep_events=True)
-    tr.record(0, 1, 16, 3)
-    path = tr.write_trace(tmp_path / "profile.json")
-    (root,) = load_trace(path)
-    assert root.name == "profile.messages"
-    assert root.counters["bytes"] == 16
-    assert root.attrs["kept_events"] is True

@@ -60,10 +60,38 @@ def test_compare_command(capsys):
         assert name in out
 
 
-def test_unknown_mapper_fails():
-    with pytest.raises(KeyError):
-        main(["map", "--mapper", "nonsense", "--nodes", "2",
-              "--regions", "us-east-1"])
+def test_unknown_mapper_fails(capsys, monkeypatch):
+    from repro.apps import Application
+
+    def no_profile(self):
+        raise AssertionError("profiled before the mapper name was checked")
+
+    monkeypatch.setattr(Application, "profile", no_profile)
+    rc = main(["map", "--mapper", "nonsense", "--nodes", "2",
+               "--regions", "us-east-1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown mapper 'nonsense'; available: [")
+    assert "'geo-distributed'" in err and "'greedy'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["map", "--nodes", "0"], "nodes_per_site must be positive, got 0"),
+        (["compare", "--nodes", "-1"], "nodes_per_site must be positive, got -1"),
+        (["map", "--constraint-ratio", "2"], "constraint_ratio must be in [0, 1], got 2.0"),
+        (["calibrate", "--regions", "nowhere"], "unknown ec2 region 'nowhere'; choose from ["),
+    ],
+    ids=["map-nodes-0", "compare-nodes-negative", "map-ratio-2", "calibrate-unknown-region"],
+)
+def test_bad_arguments_exit_2_with_an_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_missing_command_errors():
