@@ -12,9 +12,10 @@ RPR001  no-legacy-rng
     All randomness must flow through ``repro._validation.as_rng`` / an
     explicit ``numpy.random.Generator``.  The legacy module-level API
     (``np.random.seed``/``rand``/... ) and ``RandomState`` mutate hidden
-    global state and break the determinism contract PR 1 established
-    (threaded fan-out shares streams, memoized vs. plain walks must be
-    bit-identical).
+    global state and break the determinism contract: a seeded result
+    must not depend on the process computing it (a forked sweep worker,
+    a serve pool worker) or on what ran there before, and geodist's
+    memoized and plain order walks must stay bit-identical.
 
 RPR002  no-frozen-views
     Never return or store a subscript view of the frozen problem arrays
@@ -44,8 +45,8 @@ RPR006  no-direct-span-construction
     ``SpanEvent`` objects directly: hand-built spans bypass the recorder
     (no parent attachment, no clock, no NULL fast path) and silently
     diverge from the trace schema.  Create spans via the recorder API —
-    ``get_recorder().span(...)`` / ``SpanRecorder`` — as the simmpi
-    profile bridge does.
+    ``get_recorder().span(...)`` / ``SpanRecorder`` — as
+    ``Simulator.run`` opens its ``simulate.run`` span.
 
 RPR007  no-dense-cg-in-hot-paths
     ``dense_CG()``/``dense_AG()`` materialize O(N^2) float64 from a
@@ -163,7 +164,8 @@ class NoLegacyRngRule(Rule):
     name = "no-legacy-rng"
     rationale = (
         "all randomness must flow through _validation.as_rng / an explicit "
-        "numpy.random.Generator so streams stay deterministic and thread-local"
+        "numpy.random.Generator so a seeded result is the same in any process "
+        "and after any earlier call"
     )
     node_types = (ast.Attribute, ast.ImportFrom)
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core import MappingProblem
 from repro.simmpi import (
     Barrier,
+    Repeat,
     Compute,
     DeadlockError,
     Recv,
@@ -183,6 +184,72 @@ def test_non_operation_yield_rejected():
 
     with pytest.raises(TypeError, match="not a simulator operation"):
         Simulator(1, program, UniformNetwork()).run()
+
+
+class _LoudSend(Send):
+    pass
+
+
+class _LoudRecv(Recv):
+    pass
+
+
+class _LoudCompute(Compute):
+    pass
+
+
+class _LoudBarrier(Barrier):
+    pass
+
+
+class _LoudRepeat(Repeat):
+    pass
+
+
+def _exchange(send, recv, compute, barrier, block):
+    def program(ctx):
+        other = ctx.rank ^ 1
+        yield compute(0.5 * (ctx.rank + 1))
+        yield send(dst=other, nbytes=1000 * (ctx.rank + 1), tag=3)
+        yield recv(src=other, tag=3)
+        yield barrier()
+        yield block((send(dst=other, nbytes=64, tag=4), recv(src=other, tag=4)), 3)
+        yield recv(src=other, tag=5)
+
+    return program
+
+
+def test_operation_subclasses_run_as_their_base():
+    p = two_site_problem(2)
+    P = np.array([0, 1])
+    runs = []
+    for ops in (
+        (Send, Recv, Compute, Barrier, Repeat),
+        (_LoudSend, _LoudRecv, _LoudCompute, _LoudBarrier, _LoudRepeat),
+    ):
+        tr = TraceRecorder(2)
+        with pytest.raises(DeadlockError) as info:
+            Simulator(2, _exchange(*ops), SimNetwork(p, P), tracer=tr).run()
+        states = info.value.rank_states
+        runs.append(
+            (tr.communication_matrices()[0].tolist(), tr.total_messages,
+             [(s.reason, s.peer, s.tag, s.bytes_outstanding) for s in states.values()],
+             states[0].last_op)
+        )
+    assert runs[0][:3] == runs[1][:3]
+    assert runs[0][3] == "Recv(src=1, tag=5)"
+    # The post-mortem names the op the program yielded, subclass and all.
+    assert runs[1][3] == "_LoudRecv(src=1, tag=5)"
+
+    def sends(ctx):
+        if ctx.rank == 0:
+            yield _LoudSend(dst=1, nbytes=10**6, tag=1)
+        else:
+            yield Recv(src=0, tag=1)
+
+    res = Simulator(2, sends, SimNetwork(p, P)).run()
+    assert res.total_messages == 1
+    assert res.makespan_s == pytest.approx(1.1, rel=1e-3)
 
 
 def test_ops_budget_guard():

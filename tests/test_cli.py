@@ -94,6 +94,48 @@ def test_bad_arguments_exit_2_with_an_error_line(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["robustness", "--processes", "0", "--limit", "1"],
+         "processes must be >= 1, got 0"),
+        (["robustness", "--slack", "0"], "slack must be >= 1, got 0.0"),
+        (["robustness", "--sites", "5"], "sites must be in 1..4, got 5"),
+        (["sweep", "--grid", "robustness", "--processes", "0"],
+         "processes must be >= 1, got 0"),
+        (["sweep", "--grid", "robustness", "--slack", "0"],
+         "slack must be >= 1, got 0.0"),
+        (["sweep", "--grid", "fig7", "--scales", "0"],
+         "scales must be positive multiples of sites (4), got 0"),
+        (["sweep", "--grid", "fig7", "--scales", "64", "6"],
+         "scales must be positive multiples of sites (4), got 6"),
+        (["sweep", "--grid", "fig7", "--sites", "5", "--scales", "5"],
+         "sites must be in 1..4, got 5"),
+        (["sweep", "--grid", "fig7", "--scales", "8", "--mappers", "greedy", "nonsense"],
+         "unknown mappers ['nonsense']; available: ['baseline', "),
+    ],
+    ids=["robustness-processes-0", "robustness-slack-0", "robustness-sites-5",
+         "sweep-processes-0", "sweep-slack-0", "sweep-scales-0",
+         "sweep-scales-uneven", "sweep-sites-5", "sweep-unknown-mapper"],
+)
+def test_bad_sweep_arguments_exit_2_before_any_cell_runs(
+    argv, message, tmp_path, capsys, monkeypatch
+):
+    from repro.exp import fabric
+
+    def no_run(self, *args, **kwargs):
+        raise AssertionError("the sweep ran before its arguments were checked")
+
+    monkeypatch.setattr(fabric.SweepFabric, "run", no_run)
+    sweep_dir = tmp_path / "sweep"
+    assert main([*argv, "--sweep-dir", str(sweep_dir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not sweep_dir.exists()
+
+
 def test_missing_command_errors():
     with pytest.raises(SystemExit):
         main([])
