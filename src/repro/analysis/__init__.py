@@ -4,8 +4,11 @@
 the library and benchmark sources.  Stage 1 is one AST pass per file
 with pluggable :class:`~repro.analysis.rules.Rule` objects; stage 2
 summarizes every module, resolves a conservative project call graph
-(:mod:`~repro.analysis.callgraph`), and runs the
-:class:`~repro.analysis.graph_rules.ProjectRule` families over it:
+(:mod:`~repro.analysis.callgraph`), and runs the two
+:class:`~repro.analysis.graph_rules.ProjectRule` rules over it, both from
+one entry-point list (``Mapper.map``, the ``FaultSchedule`` constructors,
+the Monte-Carlo samplers, the repair entry points and ``Simulator.run``;
+:data:`~repro.analysis.graph_rules.ENTRY_POINTS`):
 
 =======  ==========================  ============================================
 Rule     Name                        Contract enforced
@@ -16,13 +19,10 @@ RPR003   validate-public-entry       entry points validate arrays via ``_validat
 RPR004   no-bare-assert              no ``-O``-strippable invariant checks in src/
 RPR005   no-wall-clock               benchmarks time with ``perf_counter`` only
 RPR006   no-direct-span              spans come from the ambient recorder
-RPR007   no-dense-cg-in-hot-paths    per-file dense-materialization ban
 RPR008   unseeded-rng-reachable      no global/wall-clock RNG reachable from
-                                     seeded entry points (graph)
-RPR009   shared-mutable-capture      no shared mutable state across
-                                     ``executor.submit``/``map`` (graph)
+                                     the entry points (graph)
 RPR010   hot-path-dense-reachability ``dense_CG``/``dense_AG`` unreachable from
-                                     ``Mapper.map``/``Simulator.run`` (graph)
+                                     the entry points (graph)
 RPR011   no-blocking-call-in-async   ``async def`` bodies in ``repro.serve``
                                      never block the event loop
 =======  ==========================  ============================================

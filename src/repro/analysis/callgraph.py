@@ -13,7 +13,8 @@ resolution against the project's import tables and class hierarchy:
   subclass override** — the conservative model of dynamic dispatch that
   lets ``Mapper.map -> self._solve`` reach every registered mapper;
 - ``Ctor(...).m(...)`` resolves the constructor chain to a project
-  class, then the method like a self-call.
+  class, then the method like a self-call; so does ``x.m(...)`` when
+  the function binds the local ``x`` only by ``x = Ctor(...)``.
 
 Anything else — ``getattr`` dispatch, callables passed as parameters,
 attribute calls on arbitrary expressions (``problem.dense_CG()``) — is

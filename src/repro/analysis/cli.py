@@ -24,8 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Domain-aware static analysis for the repro mapping stack "
-            "(per-file rules RPR001-RPR007 and RPR011, call-graph rules "
-            "RPR008-RPR010)."
+            "(per-file rules RPR001-RPR006 and RPR011, call-graph rules "
+            "RPR008 and RPR010)."
         ),
     )
     parser.add_argument(

@@ -1,40 +1,30 @@
-"""Project-level rules: the RPR008/RPR009/RPR010 graph families.
+"""Project-level rules: the RPR008 and RPR010 call-graph rules.
 
 Per-file rules (:mod:`.rules`) see one AST at a time; the rules here see
 the whole project — a :class:`ProjectGraph` bundling the module
 summaries (:mod:`.project`), the symbol index, and the resolved call
-graph (:mod:`.callgraph`).  Each rule implements ``check_project`` and
-yields findings anchored at a source line inside a reachable function.
+graph (:mod:`.callgraph`).  Both rules walk every function reachable
+from one shared list of entry points, :data:`ENTRY_POINTS`, and yield
+findings anchored at a source line inside a reachable function.
 
-Rule families
--------------
+Rules
+-----
 RPR008 *unseeded-rng-reachable*
-    Functions reachable from the seeded public entry points —
-    ``Mapper.map``, the ``FaultSchedule`` constructors, the Monte-Carlo
-    samplers, the repair entry points — must not call module-level
+    Functions reachable from the entry points — ``Mapper.map``, the
+    ``FaultSchedule`` constructors, the Monte-Carlo samplers, the repair
+    entry points, ``Simulator.run`` — must not call module-level
     ``np.random.*``, the stdlib ``random`` module, or seed a generator
     from wall-clock time.  A seeded pipeline that reaches global RNG
     state is only deterministic until somebody imports it twice.
 
-RPR009 *shared-mutable-capture*
-    Workers handed to ``ThreadPoolExecutor.submit``/``map`` must not
-    capture mutable state that is also written on the other side of the
-    thread boundary: a closure that mutates a captured variable, a
-    closure reading a variable the enclosing function keeps rebinding,
-    or a method/function worker that writes ``self`` attributes or
-    module globals.  This is the race class any thread fan-out (the
-    fabric's stdout readers and heartbeat thread included) must stay
-    clear of.
-
 RPR010 *hot-path-dense-reachability*
-    ``dense_CG()``/``dense_AG()`` must not be *reachable* from
-    ``Mapper.map`` or ``Simulator.run``.  This re-founds RPR007 (a path
-    allowlist) as call-graph reachability: instead of asking "is this
-    file on the hot-path list", it asks "can the hot entry points
-    actually execute this call" — no allowlist at all.  Because dense
-    calls are matched on call *sites inside reachable functions* (not
-    on resolved edges), an unresolvable callee never hides a violation
-    inside a function the graph knows runs.
+    ``dense_CG()``/``dense_AG()`` must not be *reachable* from the same
+    entry points.  The question is "can a solver, a repair or the
+    simulator actually execute this call", not "which file is it in", so
+    there is no path allowlist.  Because dense calls are matched on call
+    *sites inside reachable functions* (not on resolved edges), an
+    unresolvable callee never hides a violation inside a function the
+    graph knows runs.
 """
 
 from __future__ import annotations
@@ -44,22 +34,23 @@ from typing import ClassVar, Iterable, Iterator, Sequence
 
 from .callgraph import CallGraph, ProjectIndex, build_call_graph
 from .findings import Finding
-from .project import FunctionSummary, ModuleSummary, SubmitSite
+from .project import FunctionSummary, ModuleSummary
 
 __all__ = [
+    "ENTRY_POINTS",
     "ProjectGraph",
     "ProjectRule",
     "RPR008UnseededRngReachable",
-    "RPR009SharedMutableCapture",
     "RPR010HotPathDenseReachability",
     "ALL_PROJECT_RULES",
     "default_project_rules",
     "build_project_graph",
 ]
 
-#: Entry points whose contract is seeded determinism.  ``Class.*``
-#: expands to every method the class defines (plus subclass overrides).
-SEEDED_ENTRY_POINTS: tuple[str, ...] = (
+#: Entry points both graph rules start from: the seeded public API and
+#: the simulator.  ``Class.*`` expands to every method the class defines
+#: (plus subclass overrides).
+ENTRY_POINTS: tuple[str, ...] = (
     "repro.core.mapping.Mapper.map",
     "repro.faults.schedule.FaultSchedule.*",
     "repro.faults.schedule.random_schedule",
@@ -68,11 +59,6 @@ SEEDED_ENTRY_POINTS: tuple[str, ...] = (
     "repro.baselines.montecarlo.best_of_k_curve",
     "repro.core.repair.repair_mapping",
     "repro.faults.repair.repair_after_faults",
-)
-
-#: Entry points defining the performance hot paths (RPR010).
-HOT_PATH_ENTRY_POINTS: tuple[str, ...] = (
-    "repro.core.mapping.Mapper.map",
     "repro.simmpi.engine.Simulator.run",
 )
 
@@ -109,13 +95,20 @@ class ProjectRule:
 
     Unlike :class:`.rules.Rule` (per-node callbacks during a file
     visit), a project rule runs once after every file is summarized and
-    walks the :class:`ProjectGraph`.  Suppression comments are honored
-    by the engine against each finding's module summary.
+    walks the :class:`ProjectGraph` from its entry points.  Suppression
+    comments are honored by the engine against each finding's module
+    summary.
     """
 
     id: ClassVar[str] = "RPR000"
     name: ClassVar[str] = ""
     rationale: ClassVar[str] = ""
+
+    def __init__(self, entry_points: Sequence[str] | None = None) -> None:
+        #: Overridable per instance so tests can point at fixture entries.
+        self.entry_points: tuple[str, ...] = (
+            ENTRY_POINTS if entry_points is None else tuple(entry_points)
+        )
 
     def check_project(self, project: ProjectGraph) -> Iterator[Finding]:
         raise NotImplementedError
@@ -148,6 +141,15 @@ def _in_module_symbol(module: ModuleSummary, node: str) -> str:
     return node[len(prefix):] if node.startswith(prefix) else node
 
 
+def _short_entry(pattern: str) -> str:
+    """``repro.core.mapping.Mapper.map`` -> ``Mapper.map``: from the class on."""
+    parts = pattern.split(".")
+    for i, part in enumerate(parts[:-1]):
+        if part[:1].isupper():
+            return ".".join(parts[i:])
+    return parts[-1]
+
+
 def _iter_reachable(
     project: ProjectGraph, patterns: Sequence[str]
 ) -> Iterator[tuple[str, FunctionSummary, ModuleSummary]]:
@@ -165,17 +167,11 @@ class RPR008UnseededRngReachable(ProjectRule):
     id: ClassVar[str] = "RPR008"
     name: ClassVar[str] = "unseeded-rng-reachable"
     rationale: ClassVar[str] = (
-        "Mapper.map, FaultSchedule, the samplers and repair are seeded "
-        "public entry points: every function they can reach must draw "
+        "Mapper.map, FaultSchedule, the samplers, repair and the simulator "
+        "are seeded entry points: every function they can reach must draw "
         "randomness from the passed-in Generator, never from np.random.* "
         "module state, the stdlib random module, or time-derived seeds."
     )
-
-    def __init__(self, entry_points: Sequence[str] | None = None) -> None:
-        #: Overridable per instance so tests can point at fixture entries.
-        self.entry_points: tuple[str, ...] = (
-            SEEDED_ENTRY_POINTS if entry_points is None else tuple(entry_points)
-        )
 
     _MESSAGES: ClassVar[dict[str, str]] = {
         "numpy-legacy": (
@@ -211,131 +207,20 @@ class RPR008UnseededRngReachable(ProjectRule):
                 )
 
 
-class RPR009SharedMutableCapture(ProjectRule):
-    """No shared mutable state across ``executor.submit``/``map``."""
-
-    id: ClassVar[str] = "RPR009"
-    name: ClassVar[str] = "shared-mutable-capture"
-    rationale: ClassVar[str] = (
-        "A worker submitted to a thread pool races with its enclosing "
-        "scope when it mutates captured state, reads state the enclosing "
-        "function keeps rebinding, or (for method workers) writes self "
-        "attributes / module globals.  Aggregate via return values and "
-        "futures instead."
-    )
-
-    _CAPTURE_MESSAGES: ClassVar[dict[str, str]] = {
-        "written-in-worker": (
-            "worker submitted to executor mutates captured variable "
-            "`{var}` shared with the enclosing scope — return a value "
-            "and aggregate over futures instead"
-        ),
-        "mutated-outside-worker": (
-            "worker submitted to executor reads captured variable "
-            "`{var}` that the enclosing function keeps mutating — "
-            "pass it as an argument at submit time to snapshot it"
-        ),
-    }
-
-    def check_project(self, project: ProjectGraph) -> Iterator[Finding]:
-        for mod in sorted(
-            project.index.modules.values(), key=lambda m: m.module
-        ):
-            for qual in sorted(mod.functions):
-                fs = mod.functions[qual]
-                caller = f"{mod.module}.{qual}"
-                for site in fs.submit_sites:
-                    yield from self._check_site(project, mod, caller, fs, site)
-
-    def _check_site(
-        self,
-        project: ProjectGraph,
-        mod: ModuleSummary,
-        caller: str,
-        fs: FunctionSummary,
-        site: SubmitSite,
-    ) -> Iterator[Finding]:
-        if site.worker_kind == "closure":
-            for issue in site.captures:
-                template = self._CAPTURE_MESSAGES.get(issue.reason)
-                if template is None:
-                    continue
-                yield self.finding(
-                    module=mod,
-                    node=caller,
-                    line=site.line,
-                    col=site.col,
-                    message=template.format(var=issue.var),
-                    snippet=site.snippet,
-                )
-            return
-        if site.worker_kind in ("self-method", "function"):
-            yield from self._check_ref_worker(project, mod, caller, fs, site)
-
-    def _check_ref_worker(
-        self,
-        project: ProjectGraph,
-        mod: ModuleSummary,
-        caller: str,
-        fs: FunctionSummary,
-        site: SubmitSite,
-    ) -> Iterator[Finding]:
-        """Method/function workers: flag writers of shared state."""
-        targets: list[str] = []
-        if site.worker_kind == "self-method" and fs.cls:
-            targets = project.index.method_targets(
-                f"{mod.module}.{fs.cls}", site.worker_ref[-1]
-            )
-        elif site.worker_kind == "function":
-            name = site.worker_ref[0]
-            if name in mod.functions:
-                targets = [f"{mod.module}.{name}"]
-            else:
-                imported = mod.imports.get(name)
-                if imported is not None:
-                    targets = project.index.resolve_symbol(
-                        tuple(imported.split("."))
-                    )
-        for target in targets:
-            worker_fs = project.function(target)
-            if worker_fs is None:
-                continue
-            shared = [f"self.{a}" for a in worker_fs.writes_self_attrs]
-            shared += [f"global {g}" for g in worker_fs.writes_globals]
-            if shared:
-                yield self.finding(
-                    module=mod,
-                    node=caller,
-                    line=site.line,
-                    col=site.col,
-                    message=(
-                        f"worker `{site.worker}` submitted to executor "
-                        f"writes shared state ({', '.join(sorted(shared))}) "
-                        "— concurrent submits race on it; return results "
-                        "and merge in the caller"
-                    ),
-                    snippet=site.snippet,
-                )
-
-
 class RPR010HotPathDenseReachability(ProjectRule):
-    """No dense materialization reachable from the hot entry points."""
+    """No dense materialization reachable from the entry points."""
 
     id: ClassVar[str] = "RPR010"
     name: ClassVar[str] = "hot-path-dense-reachability"
     rationale: ClassVar[str] = (
-        "dense_CG()/dense_AG() materialize O(N^2) matrices; RPR007 "
-        "banned them by file path, this rule bans them by call-graph "
-        "reachability from Mapper.map and Simulator.run — no allowlist, "
-        "just: can the hot path execute this call?"
+        "dense_CG()/dense_AG() materialize O(N^2) matrices; no function "
+        "reachable from Mapper.map, FaultSchedule, the samplers, repair "
+        "or Simulator.run may call them — no allowlist, just: can the "
+        "hot path execute this call?"
     )
 
-    def __init__(self, entry_points: Sequence[str] | None = None) -> None:
-        self.entry_points: tuple[str, ...] = (
-            HOT_PATH_ENTRY_POINTS if entry_points is None else tuple(entry_points)
-        )
-
     def check_project(self, project: ProjectGraph) -> Iterator[Finding]:
+        entries = ", ".join(_short_entry(p) for p in self.entry_points)
         for node, fs, mod in _iter_reachable(project, self.entry_points):
             for dense in fs.dense_calls:
                 yield self.finding(
@@ -344,10 +229,10 @@ class RPR010HotPathDenseReachability(ProjectRule):
                     line=dense.line,
                     col=dense.col,
                     message=(
-                        f"`{dense.name}()` is reachable from hot entry "
-                        "point(s) Mapper.map/Simulator.run — route through "
-                        "the CSR views (cg_csr/ag_csr) instead of "
-                        "materializing the dense matrix"
+                        f"`{dense.name}()` is reachable from entry point(s) "
+                        f"{entries} — route through the CSR views "
+                        "(cg_csr/ag_csr) instead of materializing the dense "
+                        "matrix"
                     ),
                     snippet=dense.snippet,
                 )
@@ -355,7 +240,6 @@ class RPR010HotPathDenseReachability(ProjectRule):
 
 ALL_PROJECT_RULES: tuple[type[ProjectRule], ...] = (
     RPR008UnseededRngReachable,
-    RPR009SharedMutableCapture,
     RPR010HotPathDenseReachability,
 )
 

@@ -1,4 +1,4 @@
-"""The domain-specific rule catalog (RPR001-RPR007).
+"""The domain-specific per-file rule catalog (RPR001-RPR006, RPR011).
 
 Each rule is a small stateless object: it declares the AST node types it
 wants to see, and the engine's single visitor pass calls
@@ -48,14 +48,6 @@ RPR006  no-direct-span-construction
     ``get_recorder().span(...)`` / ``SpanRecorder`` — as
     ``Simulator.run`` opens its ``simulate.run`` span.
 
-RPR007  no-dense-cg-in-hot-paths
-    ``dense_CG()``/``dense_AG()`` materialize O(N^2) float64 from a
-    sparse problem — gigabytes at the multilevel mapper's target scales.
-    Algorithm code in ``core/``, ``baselines/`` and ``faults/`` must go
-    through the cached CSR views (``cg_csr()``/``ag_csr()``) or operate
-    on the stored matrices directly; any genuinely-dense call site must
-    be explicitly allowlisted (the allowlist ships empty).
-
 RPR011  no-blocking-call-in-async
     ``async def`` bodies in ``repro.serve`` must never block the event
     loop: no ``time.sleep`` (use ``asyncio.sleep``), no synchronous
@@ -64,7 +56,7 @@ RPR011  no-blocking-call-in-async
     executor).  One stalled handler freezes every connection the daemon
     is serving.
 
-(RPR008-010 are project-pass rules over the call graph; see
+(RPR008 and RPR010 are project-pass rules over the call graph; see
 :mod:`repro.analysis.graph_rules`.)
 """
 
@@ -86,10 +78,8 @@ __all__ = [
     "NoBareAssertRule",
     "NoWallClockRule",
     "NoDirectSpanConstructionRule",
-    "NoDenseCgInHotPathsRule",
     "NoBlockingCallInAsyncRule",
     "ALL_RULES",
-    "DENSE_METHODS",
     "NEW_RNG_API",
     "WALL_CLOCKS",
     "default_rules",
@@ -513,58 +503,6 @@ class NoDirectSpanConstructionRule(Rule):
             )
 
 
-# --------------------------------------------------------------------- RPR007
-
-#: The densifying MappingProblem methods: RPR007 bans them from the
-#: algorithm packages, and the summarizer records them as RPR010's
-#: evidence.
-DENSE_METHODS = frozenset({"dense_CG", "dense_AG"})
-
-#: Packages whose modules are the cost/mapping hot paths.
-_HOT_PACKAGES = ("core", "baselines", "faults")
-
-
-class NoDenseCgInHotPathsRule(Rule):
-    """RPR007: hot-path code must not densify the sparse comm matrices."""
-
-    id = "RPR007"
-    name = "no-dense-cg-in-hot-paths"
-    rationale = (
-        "dense_CG()/dense_AG() allocate O(N^2) float64 from a sparse problem; "
-        "hot paths must use the cached CSR views (cg_csr()/ag_csr()) or the "
-        "stored matrices"
-    )
-    node_types = (ast.Call,)
-
-    #: ``"relpath::symbol"`` call sites allowed to densify anyway.  Kept
-    #: empty on purpose: every hot-path finding so far was fixable, and a
-    #: new entry should be a reviewed, deliberate exception.
-    allowlist: ClassVar[frozenset[str]] = frozenset()
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        parts = Path(ctx.relpath).parts
-        return ctx.in_src and any(pkg in parts for pkg in _HOT_PACKAGES)
-
-    def check(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        call = node
-        assert isinstance(call, ast.Call)  # repro-lint: disable=RPR004
-        func = call.func
-        if not isinstance(func, ast.Attribute) or func.attr not in DENSE_METHODS:
-            return
-        # problem.py itself defines (and self-references) these methods.
-        if Path(ctx.relpath).name == "problem.py" and "core" in Path(ctx.relpath).parts:
-            return
-        if f"{ctx.relpath}::{ctx.symbol}" in self.allowlist:
-            return
-        yield self.finding(
-            call,
-            ctx,
-            f"{func.attr}() in a hot path materializes an O(N^2) dense matrix; "
-            "use the cached CSR view (cg_csr()/ag_csr()) or the stored "
-            "CG/AG directly",
-        )
-
-
 # --------------------------------------------------------------------- RPR011
 
 #: Socket/file methods that block the calling thread until I/O completes.
@@ -634,7 +572,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     NoBareAssertRule,
     NoWallClockRule,
     NoDirectSpanConstructionRule,
-    NoDenseCgInHotPathsRule,
     NoBlockingCallInAsyncRule,
 )
 

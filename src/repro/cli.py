@@ -570,19 +570,25 @@ def _error_exit(exc: Exception) -> int:
 
 def _check_grid(
     *,
-    sites: int,
+    sites: int | None = None,
+    limit: int | None = None,
     processes: int | None = None,
     slack: float | None = None,
     constraint_ratio: float | None = None,
     scales: Sequence[int] = (),
     mappers: Sequence[str] = (),
 ) -> None:
-    """Raise ``ValueError`` unless every cell of a fig7 or robustness grid can run.
+    """Raise ``ValueError`` unless every cell of a sweep grid can run.
 
-    Otherwise the sweep would fork its workers and fail each cell.  The
-    paper's regions must host ``sites`` sites, each scale must be a
-    positive multiple of ``sites``, and every mapper must be registered.
+    Otherwise the sweep would fork its workers and fail each cell.  A
+    ``--limit`` must keep at least one cell, the paper's regions must
+    host ``sites`` sites, each scale must be a positive multiple of
+    ``sites``, and every mapper must be registered.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    if sites is None:
+        return
     from .cloud.regions import PAPER_EC2_REGIONS
     from .core.mapping import available_mappers
 
@@ -773,6 +779,7 @@ def _cmd_robustness(args) -> int:
     try:
         _check_grid(
             sites=args.sites,
+            limit=args.limit,
             processes=args.processes,
             slack=args.slack,
             constraint_ratio=args.constraint_ratio,
@@ -1121,6 +1128,7 @@ def _cmd_sweep(args) -> int:
     )
 
     try:
+        _check_grid(limit=args.limit)
         specs = None
         if args.grid == "demo":
             specs = demo_specs(args.tasks, seed=args.seed)
@@ -1259,12 +1267,21 @@ def _git_rev() -> str | None:
 
 
 def _cmd_serve(args) -> int:
+    import os
+
     from .obs import resolve_store_dir
     from .serve.daemon import run as run_daemon
     from .serve.engine import EngineConfig
 
     store_dir = resolve_store_dir(args.store)
     try:
+        # Checked before the daemon binds its unix socket: a port bind()
+        # rejects would otherwise fail after the socket file exists.
+        if args.http_port is not None and not 0 <= args.http_port <= 65535:
+            raise ValueError(f"http port must be in 0..65535, got {args.http_port}")
+        socket_dir = os.path.dirname(args.socket) or "."
+        if not os.path.isdir(socket_dir):
+            raise ValueError(f"socket directory {socket_dir} does not exist")
         config = EngineConfig(
             pool_workers=args.pool_workers,
             queue_limit=args.queue_limit,

@@ -195,6 +195,31 @@ def test_instance_method_call_resolves_constructor_chain():
     assert "pkg.base.Mapper.map" in graph.edges["pkg.a.entry"]
 
 
+def test_method_call_on_constructed_local_resolves_like_instance_call():
+    _, graph = graph_for(
+        {
+            "src/pkg/a.py": """
+            from pkg.impl import FastMapper
+
+            def entry(problem):
+                mapper = FastMapper()
+                return mapper.map(problem)
+
+            def rebound(problem, other):
+                mapper = FastMapper()
+                if problem:
+                    mapper = other
+                return mapper.map(problem)
+            """,
+            **METHOD_FILES,
+        }
+    )
+    assert "pkg.base.Mapper.map" in graph.edges["pkg.a.entry"]
+    # A local also bound some other way is not guessed at.
+    assert "pkg.base.Mapper.map" not in graph.edges["pkg.a.rebound"]
+    assert "dotted:mapper.map" in graph.unknown["pkg.a.rebound"]
+
+
 # ------------------------------------------------------------------- cycles
 
 

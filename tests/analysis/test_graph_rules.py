@@ -1,4 +1,4 @@
-"""Table-driven fixtures for the graph rule families RPR008/009/010."""
+"""Table-driven fixtures for the graph rules RPR008 and RPR010."""
 
 import textwrap
 
@@ -7,10 +7,8 @@ import pytest
 from repro.analysis import lint_sources
 from repro.analysis.graph_rules import (
     RPR008UnseededRngReachable,
-    RPR009SharedMutableCapture,
     RPR010HotPathDenseReachability,
 )
-from repro.analysis.rules import NoDenseCgInHotPathsRule
 
 ENTRY = ["pkg.entry.Mapper.map"]
 
@@ -148,139 +146,6 @@ def test_rpr008_finding_attributes_symbol_and_path():
     assert finding.path == "src/pkg/helper.py"
 
 
-# ----------------------------------------------------------------- RPR009
-
-RPR009_POSITIVE = {
-    "closure appends to captured list": {
-        "src/pkg/fan.py": """
-        from concurrent.futures import ThreadPoolExecutor
-
-        def fan_out(chunks):
-            results = []
-
-            def work(chunk):
-                results.append(chunk * 2)
-
-            with ThreadPoolExecutor() as ex:
-                for chunk in chunks:
-                    ex.submit(work, chunk)
-            return results
-        """,
-    },
-    "closure reads a variable the loop keeps rebinding": {
-        "src/pkg/fan.py": """
-        from concurrent.futures import ThreadPoolExecutor
-
-        def fan_out(chunks):
-            current = None
-            futures = []
-            with ThreadPoolExecutor() as ex:
-                for chunk in chunks:
-                    current = chunk
-                    futures.append(ex.submit(lambda: current * 2))
-            return [f.result() for f in futures]
-        """,
-    },
-    "nonlocal accumulator mutated in worker": {
-        "src/pkg/fan.py": """
-        from concurrent.futures import ThreadPoolExecutor
-
-        def fan_out(chunks):
-            total = 0
-
-            def work(chunk):
-                nonlocal total
-                total += chunk
-
-            with ThreadPoolExecutor() as ex:
-                ex.map(work, chunks)
-            return total
-        """,
-    },
-    "self-method worker writes self attributes": {
-        "src/pkg/fan.py": """
-        from concurrent.futures import ThreadPoolExecutor
-
-        class Runner:
-            def run(self, chunks):
-                with ThreadPoolExecutor() as ex:
-                    for chunk in chunks:
-                        ex.submit(self._work, chunk)
-
-            def _work(self, chunk):
-                self.best = chunk
-        """,
-    },
-}
-
-RPR009_NEGATIVE = {
-    "aggregate via future results": {
-        "src/pkg/fan.py": """
-        from concurrent.futures import ThreadPoolExecutor
-
-        def fan_out(chunks):
-            def work(chunk):
-                return chunk * 2
-
-            with ThreadPoolExecutor() as ex:
-                futures = [ex.submit(work, chunk) for chunk in chunks]
-            return [f.result() for f in futures]
-        """,
-    },
-    "worker reads a capture bound exactly once": {
-        "src/pkg/fan.py": """
-        from concurrent.futures import ThreadPoolExecutor
-
-        def fan_out(chunks, scale):
-            factor = scale + 1
-
-            def work(chunk):
-                return chunk * factor
-
-            with ThreadPoolExecutor() as ex:
-                futures = [ex.submit(work, chunk) for chunk in chunks]
-            return [f.result() for f in futures]
-        """,
-    },
-    "self-method worker returning values writes nothing shared": {
-        "src/pkg/fan.py": """
-        from concurrent.futures import ThreadPoolExecutor
-
-        class Runner:
-            def run(self, chunks):
-                with ThreadPoolExecutor() as ex:
-                    futures = [ex.submit(self._work, c) for c in chunks]
-                return [f.result() for f in futures]
-
-            def _work(self, chunk):
-                local = {"best": chunk}
-                return local
-        """,
-    },
-    "opaque parameter worker is never guessed at": {
-        "src/pkg/fan.py": """
-        from concurrent.futures import ThreadPoolExecutor
-
-        def run_with(thunk):
-            with ThreadPoolExecutor(max_workers=1) as ex:
-                return ex.submit(thunk).result()
-        """,
-    },
-}
-
-
-@pytest.mark.parametrize("files", RPR009_POSITIVE.values(), ids=RPR009_POSITIVE)
-def test_rpr009_positive(files):
-    result = lint(files, [RPR009SharedMutableCapture()])
-    assert "RPR009" in rule_ids(result)
-
-
-@pytest.mark.parametrize("files", RPR009_NEGATIVE.values(), ids=RPR009_NEGATIVE)
-def test_rpr009_negative(files):
-    result = lint(files, [RPR009SharedMutableCapture()])
-    assert result.findings == []
-
-
 # ----------------------------------------------------------------- RPR010
 
 RPR010_POSITIVE = {
@@ -376,10 +241,9 @@ def test_rpr010_negative(files):
 
 
 def test_rpr010_reproduces_rpr007_sites_without_allowlist():
-    """Every site the per-file RPR007 rule flags on a hot-path file is
-    also found by RPR010 via reachability — with no path allowlist."""
-    # Paths live under the real hot-path package so the per-file rule
-    # applies; the graph rule gets no path information at all.
+    """RPR010 flags every dense call site in a reachable solver module,
+    from reachability alone: the rule gets no path information and keeps
+    no allowlist."""
     files = {
         "src/repro/core/entry.py": """
         from repro.core.cost2 import total
@@ -395,17 +259,57 @@ def test_rpr010_reproduces_rpr007_sites_without_allowlist():
             return (CG * AG).sum()
         """,
     }
-    via_graph = lint(
+    result = lint(
         files, [RPR010HotPathDenseReachability(["repro.core.entry.Mapper.map"])]
     )
-    via_file = lint(files, [], rules=[NoDenseCgInHotPathsRule()])
-    graph_sites = {(f.path, f.line) for f in via_graph.findings}
-    file_sites = {
-        (f.path, f.line) for f in via_file.findings if f.rule_id == "RPR007"
-    }
-    assert file_sites  # RPR007 fired on the fixture at all
-    assert file_sites <= graph_sites
+    assert [(f.rule_id, f.path, f.line, f.symbol) for f in result.findings] == [
+        ("RPR010", "src/repro/core/cost2.py", 3, "total"),
+        ("RPR010", "src/repro/core/cost2.py", 4, "total"),
+    ]
     assert not RPR010HotPathDenseReachability.__dict__.get("allowlist")
+
+
+REPAIR_ENTRIES = {
+    "core.repair.repair_mapping": {
+        "src/repro/core/repair.py": """
+        def repair_mapping(problem, partial):
+            return problem.dense_AG() @ partial
+        """,
+    },
+    "faults.repair.repair_after_faults": {
+        "src/repro/faults/repair.py": """
+        def repair_after_faults(problem, assignment, schedule):
+            return problem.dense_CG().sum()
+        """,
+    },
+}
+
+
+@pytest.mark.parametrize("files", REPAIR_ENTRIES.values(), ids=REPAIR_ENTRIES)
+def test_rpr010_default_entries_cover_repair(files):
+    """The default entry list is RPR008's seeded entries plus the
+    simulator, so a dense call under either repair entry is flagged."""
+    result = lint(files, [RPR010HotPathDenseReachability()])
+    assert rule_ids(result) == ["RPR010"]
+
+
+def test_rpr010_message_names_the_given_entry_points():
+    files = {
+        "src/pkg/entry.py": """
+        class Mapper:
+            def map(self, problem):
+                return problem.dense_CG()
+
+        def solve(problem):
+            return 0
+        """,
+    }
+    result = lint(
+        files,
+        [RPR010HotPathDenseReachability(["pkg.entry.Mapper.map", "pkg.entry.solve"])],
+    )
+    (finding,) = result.findings
+    assert "entry point(s) Mapper.map, solve " in finding.message
 
 
 # ---------------------------------------------------------------- suppression

@@ -6,7 +6,6 @@ from repro.analysis import lint_source
 from repro.analysis.rules import (
     NoBareAssertRule,
     NoBlockingCallInAsyncRule,
-    NoDenseCgInHotPathsRule,
     NoDirectSpanConstructionRule,
     NoFrozenViewRule,
     NoLegacyRngRule,
@@ -366,57 +365,6 @@ def test_rpr006_ignores_unrelated_span_names():
     assert result.findings == []
 
 
-# ----------------------------------------------------------------- RPR007
-
-
-def test_rpr007_flags_dense_calls_in_hot_packages():
-    source = """
-        def solve(problem):
-            cg = problem.dense_CG()
-            ag = problem.dense_AG()
-            return cg + ag
-        """
-    for relpath in (
-        "src/repro/core/example.py",
-        "src/repro/baselines/example.py",
-        "src/repro/faults/example.py",
-    ):
-        result = lint(source, relpath=relpath, rules=[NoDenseCgInHotPathsRule()])
-        assert rule_ids(result) == ["RPR007", "RPR007"], relpath
-    assert "cg_csr()" in result.findings[0].message
-
-
-def test_rpr007_scope_excludes_problem_py_and_cold_code():
-    source = "def f(problem):\n    return problem.dense_CG()\n"
-    quiet = [
-        "src/repro/core/problem.py",  # defines the guarded methods
-        "src/repro/exp/example.py",  # not a hot package
-        "benchmarks/bench_example.py",  # outside src entirely
-        "tests/core/test_example.py",
-    ]
-    for relpath in quiet:
-        assert (
-            lint(source, relpath=relpath, rules=[NoDenseCgInHotPathsRule()]).findings
-            == []
-        ), relpath
-
-
-def test_rpr007_allows_csr_views_and_stored_matrices():
-    result = lint(
-        """
-        def solve(problem):
-            view = problem.cg_csr()
-            return view.data @ problem.CG.data
-        """,
-        rules=[NoDenseCgInHotPathsRule()],
-    )
-    assert result.findings == []
-
-
-def test_rpr007_allowlist_ships_empty():
-    assert NoDenseCgInHotPathsRule.allowlist == frozenset()
-
-
 # ----------------------------------------------------------------- RPR011
 
 SERVE = "src/repro/serve/example.py"
@@ -650,7 +598,6 @@ def test_default_rules_select_and_unknown():
         "RPR004",
         "RPR005",
         "RPR006",
-        "RPR007",
         "RPR011",
     }
     assert [r.id for r in default_rules(["rpr004"])] == ["RPR004"]

@@ -113,10 +113,16 @@ def test_bad_arguments_exit_2_with_an_error_line(argv, message, capsys):
          "sites must be in 1..4, got 5"),
         (["sweep", "--grid", "fig7", "--scales", "8", "--mappers", "greedy", "nonsense"],
          "unknown mappers ['nonsense']; available: ['baseline', "),
+        (["sweep", "--grid", "demo", "--tasks", "3", "--limit", "0"],
+         "limit must be >= 1, got 0"),
+        (["sweep", "--grid", "demo", "--tasks", "3", "--limit", "-1"],
+         "limit must be >= 1, got -1"),
+        (["robustness", "--limit", "0"], "limit must be >= 1, got 0"),
     ],
     ids=["robustness-processes-0", "robustness-slack-0", "robustness-sites-5",
          "sweep-processes-0", "sweep-slack-0", "sweep-scales-0",
-         "sweep-scales-uneven", "sweep-sites-5", "sweep-unknown-mapper"],
+         "sweep-scales-uneven", "sweep-sites-5", "sweep-unknown-mapper",
+         "sweep-limit-0", "sweep-limit-negative", "robustness-limit-0"],
 )
 def test_bad_sweep_arguments_exit_2_before_any_cell_runs(
     argv, message, tmp_path, capsys, monkeypatch
@@ -592,6 +598,34 @@ def test_serve_rejects_non_positive_sizes_before_binding(tmp_path, capsys, flag)
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "must be >= 1" in err
+    assert not socket_path.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--http-port", "70000"], "http port must be in 0..65535, got 70000"),
+        (["--http-port", "-1"], "http port must be in 0..65535, got -1"),
+        (["--socket", "{tmp}/missing/placement.sock"],
+         "socket directory {tmp}/missing does not exist"),
+    ],
+    ids=["port-70000", "port-negative", "socket-dir-missing"],
+)
+def test_serve_rejects_bad_address_before_binding(
+    flags, message, tmp_path, capsys, monkeypatch
+):
+    from repro.serve import daemon
+
+    def no_daemon(*args, **kwargs):
+        raise AssertionError("the daemon started before its arguments were checked")
+
+    monkeypatch.setattr(daemon, "run", no_daemon)
+    socket_path = tmp_path / "placement.sock"
+    argv = ["serve", "--socket", str(socket_path)]
+    argv += [flag.format(tmp=tmp_path) for flag in flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message.format(tmp=tmp_path)}\n"
     assert not socket_path.exists()
 
 
