@@ -431,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stitch-trace",
         default=None,
         metavar="OUT",
-        help="merge per-process span files into one single-rooted trace JSON",
+        help="copy the sweep's trace (task spans under fabric.sweep) to OUT",
     )
 
     p_serve = sub.add_parser(
@@ -1118,14 +1118,17 @@ def _cmd_sweep(args) -> int:
         ChaosConfig,
         FabricConfig,
         FabricError,
+        SweepLayout,
+        atomic_write_json,
         demo_specs,
         diff_results,
         fig7_specs,
         merge_shards,
+        read_json,
         results_equivalent,
         robustness_specs,
-        stitch_worker_traces,
     )
+    from .obs import validate_trace
 
     try:
         _check_grid(limit=args.limit)
@@ -1180,17 +1183,24 @@ def _cmd_sweep(args) -> int:
     except (FabricError, ValueError) as exc:
         return _error_exit(exc)
 
-    stitched = None
+    trace = read_json(SweepLayout(args.sweep_dir).trace_path)
+    try:
+        (root,) = validate_trace(trace)
+    except ValueError:  # absent, unreadable, or not one sweep span
+        trace = root = None
     if args.stitch_trace:
-        stitched = stitch_worker_traces(args.sweep_dir, out=args.stitch_trace)
-        skipped = stitched.get("skipped_sources", [])
-        print(
-            f"stitched {len(stitched['spans'])} root span(s) from "
-            f"{len(stitched['sources'])} trace files "
-            f"({len(skipped)} skipped) to {args.stitch_trace}"
-        )
+        if root is None:
+            print(f"no sweep trace in {args.sweep_dir}", file=sys.stderr)
+        else:
+            atomic_write_json(args.stitch_trace, trace)
+            tasks = sum(c.name == "fabric.task" for c in root.children)
+            print(
+                f"trace: {tasks} task span(s), "
+                f"{root.attrs.get('dropped_traces', 0)} dropped, "
+                f"written to {args.stitch_trace}"
+            )
 
-    _record_sweep(args, report, stitched)
+    _record_sweep(args, report, trace)
 
     code = 0
     bad = [r for r in merged.rows if r["status"] != "ok"]
@@ -1212,18 +1222,14 @@ def _cmd_sweep(args) -> int:
     return code
 
 
-def _record_sweep(args, report, stitched) -> None:
-    """Append the sweep's run record (and stitched trace) to the store."""
+def _record_sweep(args, report, trace) -> None:
+    """Append the sweep's run record (and its trace) to the store."""
     from .obs import StoreError, TelemetryStore, resolve_store_dir
 
     store_dir = resolve_store_dir(getattr(args, "store", None))
     if store_dir is None or report is None:
         return
-    from .exp.fabric.io import read_json
-    from .exp.fabric.spec import SweepLayout
-
-    ctx = read_json(SweepLayout(args.sweep_dir).trace_context_path)
-    trace_id = ctx.get("trace_id") if isinstance(ctx, dict) else None
+    trace_id = trace.get("trace_id") if trace is not None else None
     record = {
         "kind": "sweep",
         "bench": "sweep",
@@ -1243,8 +1249,8 @@ def _record_sweep(args, report, stitched) -> None:
     try:
         store = TelemetryStore(store_dir)
         store.append(record)
-        if stitched is not None and isinstance(stitched.get("trace_id"), str):
-            store.save_trace(stitched)
+        if isinstance(trace_id, str):
+            store.save_trace(trace)
     except (OSError, StoreError):
         pass  # telemetry must never fail the sweep
 
@@ -1296,7 +1302,10 @@ def _cmd_serve(args) -> int:
     if args.http_port is not None:
         where += f" and http://127.0.0.1:{args.http_port}"
     print(f"placement daemon listening on {where}", file=sys.stderr)
-    run_daemon(args.socket, http_port=args.http_port, config=config)
+    try:
+        run_daemon(args.socket, http_port=args.http_port, config=config)
+    except OSError as exc:
+        return _error_exit(exc)
     return 0
 
 
@@ -1346,7 +1355,7 @@ def _append_run_record(store_dir, args, rec, code: int, elapsed: float) -> None:
         store = TelemetryStore(store_dir)
         store.append(record)
         # A command may have stored a richer document under this id
-        # already (a sweep's stitched trace); never clobber it.
+        # already (a sweep's trace); never clobber it.
         if rec.roots and not store.trace_path(rec.trace_id).exists():
             store.save_trace(
                 trace_to_dict(

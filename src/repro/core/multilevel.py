@@ -29,9 +29,9 @@ Pipeline of :class:`MultilevelMapper`:
    site, so every super-vertex is either fully unpinned or entirely
    pinned to one site — pins survive contraction exactly and the pinned
    node-load per site never exceeds the fine problem's.
-2. **Solve** — map the coarsest graph with an injectable inner mapper
-   (default :class:`~repro.core.geodist.GeoDistributedMapper`, falling
-   back to the Greedy baseline above ``inner_fallback_size``).  The
+2. **Solve** — map the coarsest graph with
+   :class:`~repro.core.geodist.GeoDistributedMapper`, falling back to
+   the Greedy baseline above ``INNER_FALLBACK_SIZE`` vertices.  The
    inner mapper sees vertex-unit capacities scaled as
    ``max(ceil(cap * N_c / N), pinned_vertices)`` — feasible by
    construction; the node-unit capacities are enforced afterwards by
@@ -72,6 +72,10 @@ __all__ = ["Level", "MultilevelMapper", "heavy_edge_matching", "contract"]
 
 #: Gain threshold mirroring repair's: strict improvement beyond float noise.
 _EPS = -1e-12
+
+#: Largest coarsest graph the inner geodist solve is trusted with; a
+#: larger one is mapped by the Greedy baseline.
+INNER_FALLBACK_SIZE = 4096
 
 
 class Level:
@@ -258,8 +262,7 @@ class MultilevelMapper(Mapper):
     Parameters
     ----------
     kappa:
-        Group count handed to the default inner
-        :class:`GeoDistributedMapper`.
+        Group count handed to the inner :class:`GeoDistributedMapper`.
     coarsest_size:
         Stop coarsening once the graph has at most this many vertices.
     max_levels:
@@ -277,15 +280,8 @@ class MultilevelMapper(Mapper):
         Gain-based refinement rounds per uncoarsening step; each round
         is one ``move_delta_matrix`` plus exact re-verification of the
         accepted moves.  0 disables refinement.
-    inner_mapper:
-        Mapper instance for the coarsest graph.  ``None`` selects
-        :class:`GeoDistributedMapper` (or the Greedy baseline when the
-        coarsest graph still exceeds ``inner_fallback_size``).
-    inner_fallback_size:
-        Largest coarsest-graph size the default geodist inner solve is
-        trusted with before falling back to Greedy.
     grouping_seed:
-        Forwarded to the default inner geodist mapper's site grouping.
+        Forwarded to the inner geodist mapper's site grouping.
     """
 
     name = "multilevel"
@@ -299,8 +295,6 @@ class MultilevelMapper(Mapper):
         min_shrink: float = 0.05,
         match_rounds: int = 16,
         refine_rounds: int = 2,
-        inner_mapper: Mapper | None = None,
-        inner_fallback_size: int = 4096,
         grouping_seed: int = 0,
     ) -> None:
         self.kappa = check_positive_int(kappa, "kappa")
@@ -311,10 +305,6 @@ class MultilevelMapper(Mapper):
         self.min_shrink = float(min_shrink)
         self.match_rounds = check_positive_int(match_rounds, "match_rounds")
         self.refine_rounds = check_nonnegative_int(refine_rounds, "refine_rounds")
-        self.inner_mapper = inner_mapper
-        self.inner_fallback_size = check_positive_int(
-            inner_fallback_size, "inner_fallback_size"
-        )
         self.grouping_seed = grouping_seed
 
     # ----------------------------------------------------------------- solve
@@ -416,9 +406,7 @@ class MultilevelMapper(Mapper):
     # ---------------------------------------------------------- coarse solve
 
     def _inner_for(self, coarse: MappingProblem) -> Mapper:
-        if self.inner_mapper is not None:
-            return self.inner_mapper
-        if coarse.num_processes > self.inner_fallback_size:
+        if coarse.num_processes > INNER_FALLBACK_SIZE:
             from ..baselines.greedy import GreedyMapper
 
             return GreedyMapper()

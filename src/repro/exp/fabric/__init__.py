@@ -27,7 +27,6 @@ from .merge import (
     diff_results,
     merge_shards,
     results_equivalent,
-    stitch_worker_traces,
 )
 from .spec import (
     SHARD_STATUSES,
@@ -77,7 +76,6 @@ __all__ = [
     "register_task",
     "results_equivalent",
     "robustness_specs",
-    "stitch_worker_traces",
     "sweep_stale_tmp",
     "write_shard",
     "write_sweep",

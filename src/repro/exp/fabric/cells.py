@@ -21,7 +21,6 @@ from ...apps import make_paper_app
 from ...core import get_mapper
 from ...faults.suite import standard_fault_suite
 from ..robustness import evaluate_robustness, robustness_scenario
-from ..runner import simulate_mapping
 from ..scenarios import PAPER_CONSTRAINT_RATIO, scale_app, scale_scenario
 from .tasks import _shared_app, register_task
 
@@ -42,8 +41,7 @@ def map_cell_task(params: dict[str, Any]) -> dict[str, Any]:
 
     Params: ``app``, ``machines``, ``sites`` (default 4),
     ``constraint_ratio`` (default 0.2), ``seed``, ``mapper``, optional
-    ``kappa``, optional ``simulate`` (simulated times are deterministic
-    — they come from the discrete-event clock, not the wall clock).
+    ``kappa``.
     """
     machines = int(params["machines"])
     scenario = scale_scenario(
@@ -57,7 +55,7 @@ def map_cell_task(params: dict[str, Any]) -> dict[str, Any]:
     )
     mapper = _mapper_from_params(params)
     mapping = mapper.map(scenario.problem, seed=int(params.get("seed", 0)))
-    row: dict[str, Any] = {
+    return {
         "app": scenario.app.name,
         "machines": machines,
         "mapper": mapping.mapper,
@@ -67,12 +65,6 @@ def map_cell_task(params: dict[str, Any]) -> dict[str, Any]:
         ).hexdigest(),
         "timing": {"map_elapsed_s": float(mapping.elapsed_s)},
     }
-    if params.get("simulate"):
-        sim = simulate_mapping(
-            scenario.app, scenario.problem, mapping.assignment, mode="comm"
-        )
-        row["comm_time_s"] = float(sim.makespan_s)
-    return row
 
 
 @register_task("robustness-cell")

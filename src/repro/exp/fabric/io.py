@@ -1,9 +1,10 @@
 """Crash-proof JSON file IO for the sweep fabric.
 
-Every file the fabric writes — spec, shard, manifest, merged result —
-goes through :func:`atomic_write_json`: serialize fully in memory, write
-to a temp file in the destination directory, fsync it, ``os.replace``
-onto the target, fsync the directory.  A SIGKILL at *any* point leaves
+Every file the fabric writes — spec, shard, manifest, merged result,
+sweep trace — goes through :func:`atomic_write_text` (most of them as
+:func:`atomic_write_json`): serialize fully in memory, write to a temp
+file in the destination directory, fsync it, ``os.replace`` onto the
+target, fsync the directory.  A SIGKILL at *any* point leaves
 either the old file or the new one, never a truncated hybrid; the only
 possible litter is an orphaned ``*.tmp`` file, which
 :func:`sweep_stale_tmp` clears on the next run.
@@ -32,6 +33,7 @@ __all__ = [
     "FabricError",
     "PathLock",
     "atomic_write_json",
+    "atomic_write_text",
     "fsync_dir",
     "read_json",
     "sweep_stale_tmp",
@@ -172,22 +174,37 @@ def atomic_write_json(
     *,
     before_replace: Callable[[], None] | None = None,
 ) -> Path:
-    """Atomically (and durably) write ``obj`` as JSON to ``path``.
+    """Atomically (and durably) write ``obj`` as indented JSON to ``path``.
 
     Serialization happens before any byte hits disk, so an
-    unserializable object cannot damage an existing file.  With
-    ``before_replace`` given, the callback runs between the temp-file
-    fsync and the rename — the chaos injection point.
+    unserializable object cannot damage an existing file.
+    """
+    return atomic_write_text(
+        path,
+        json.dumps(obj, indent=2, sort_keys=True),
+        before_replace=before_replace,
+    )
+
+
+def atomic_write_text(
+    path: str | Path,
+    text: str,
+    *,
+    before_replace: Callable[[], None] | None = None,
+) -> Path:
+    """Atomically (and durably) write ``text`` to ``path``.
+
+    With ``before_replace`` given, the callback runs between the
+    temp-file fsync and the rename — the chaos injection point.
     """
     path = Path(path)
-    payload = json.dumps(obj, indent=2, sort_keys=True)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=path.name + ".", suffix=TMP_SUFFIX
     )
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+            fh.write(text)
             fh.flush()
             os.fsync(fh.fileno())
         if before_replace is not None:

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, Sequence
 
-from .io import atomic_write_json, read_json
+from .io import atomic_write_json
 from .spec import (
     RESULT_FORMAT,
     FabricError,
@@ -35,7 +35,6 @@ __all__ = [
     "comparable_rows",
     "results_equivalent",
     "diff_results",
-    "stitch_worker_traces",
 ]
 
 #: Envelope fields on each shard row that scheduling/chaos may change.
@@ -160,122 +159,3 @@ def diff_results(
                 f"{json.dumps(right[key], sort_keys=True)[:120]})"
             )
     return out
-
-
-def stitch_worker_traces(
-    root: str | Path, out: str | Path | None = None
-) -> dict[str, Any]:
-    """Merge per-process span files into one single-rooted trace document.
-
-    Workers write their traces independently (shared-nothing), so the
-    sweep's execution history is scattered across
-    ``traces/<worker>.<seq>.trace.json`` files (one per finished task)
-    plus the supervisor's own
-    ``traces/supervisor.trace.json`` (the ``fabric.sweep`` root span).
-    Stitching walks them in filename order (stable across runs) and:
-
-    * validates every file against the trace schema — truncated or
-      malformed files (killed workers) are counted in the returned
-      document's ``skipped_sources`` instead of being silently dropped;
-    * rebases each worker's ``perf_counter`` timestamps onto the
-      supervisor's clock via the documents' :class:`ClockAnchor` pairs;
-    * parents each worker root span under the supervisor's sweep span
-      using its propagated ``parent_span_id``.  Spans that cannot be
-      causally attached (pre-context traces, or a worker that lost its
-      context) are still kept, attached under the root with a
-      ``stitch_orphan`` attribute.
-
-    The result is one causally-parented tree carrying the sweep's
-    ``trace_id`` and anchor — :func:`repro.obs.validate_causal_trace`
-    material, not a concatenation.  When the supervisor document is
-    missing (a pre-upgrade sweep directory), the worker spans are merged
-    flat, without rebasing, exactly as before.
-    """
-    from ...obs import (
-        Span,
-        TraceSchemaError,
-        shift_spans,
-        span_from_dict,
-        trace_anchor,
-        trace_to_dict,
-        validate_trace,
-    )
-
-    layout = SweepLayout(root)
-    sources: list[str] = []
-    skipped: list[str] = []
-
-    def _load(path: Path) -> tuple[list[Span], Any] | None:
-        """(spans, anchor) from one trace file, or None when invalid."""
-        data = read_json(path)
-        if not isinstance(data, dict):
-            return None
-        try:
-            validate_trace(data)
-            spans = [span_from_dict(s) for s in data.get("spans", [])]
-        except (TraceSchemaError, ValueError, TypeError):
-            return None
-        return spans, trace_anchor(data)
-
-    # The supervisor document roots the tree and fixes the target clock.
-    sup_root: Span | None = None
-    trace_id: str | None = None
-    base_anchor = None
-    sup_path = layout.supervisor_trace_path
-    if sup_path.exists():
-        loaded = _load(sup_path)
-        sup_doc = read_json(sup_path) if loaded is not None else None
-        if (
-            loaded is not None
-            and len(loaded[0]) == 1
-            and loaded[1] is not None
-            and isinstance(sup_doc, dict)
-            and isinstance(sup_doc.get("trace_id"), str)
-        ):
-            sup_root = loaded[0][0]
-            base_anchor = loaded[1]
-            trace_id = sup_doc["trace_id"]
-            sources.append(sup_path.name)
-        else:
-            skipped.append(sup_path.name)
-
-    worker_spans: list[Span] = []
-    if layout.traces_dir.is_dir():
-        for path in sorted(layout.traces_dir.glob("*.trace.json")):
-            if path.name == sup_path.name:
-                continue
-            loaded = _load(path)
-            if loaded is None:
-                skipped.append(path.name)
-                continue
-            spans, anchor = loaded
-            if sup_root is not None:
-                if anchor is None:
-                    # No anchor means no way to place these spans on the
-                    # supervisor's clock — unusable in a rooted trace.
-                    skipped.append(path.name)
-                    continue
-                shift_spans(spans, anchor.offset_to(base_anchor))
-            sources.append(path.name)
-            worker_spans.extend(spans)
-
-    if sup_root is not None:
-        for span in worker_spans:
-            if span.parent_span_id != sup_root.span_id:
-                # Keep the span (it happened) but mark the broken edge.
-                span.attrs["stitch_orphan"] = True
-                if span.parent_span_id is not None:
-                    span.attrs["stitch_orphan_parent"] = span.parent_span_id
-                span.parent_span_id = sup_root.span_id
-        sup_root.children.extend(worker_spans)
-        sup_root.children.sort(key=lambda s: s.t_start)
-        roots = [sup_root]
-    else:
-        roots = sorted(worker_spans, key=lambda s: s.t_start)
-
-    doc = trace_to_dict(roots, trace_id=trace_id, anchor=base_anchor)
-    doc["sources"] = sources
-    doc["skipped_sources"] = skipped
-    if out is not None:
-        atomic_write_json(out, doc)
-    return doc

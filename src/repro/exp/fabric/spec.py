@@ -7,8 +7,8 @@ A sweep lives entirely inside one directory::
       specs/<key>.json     one TaskSpec per scenario            (input)
       shards/<key>.json    one result shard per scenario        (output)
       hb/<slot>.hb         worker heartbeat files
-      traces/<worker>.<seq>.trace.json   one span document per task
       logs/<worker>.log    worker stdout and stderr
+      trace.json           the last run's sweep span, acked task spans under it
       result.json          merged, input-ordered result table
       sweep.lock           exclusive PathLock while a supervisor runs
 
@@ -168,10 +168,6 @@ class SweepLayout:
         return self.root / "hb"
 
     @property
-    def traces_dir(self) -> Path:
-        return self.root / "traces"
-
-    @property
     def logs_dir(self) -> Path:
         return self.root / "logs"
 
@@ -184,14 +180,9 @@ class SweepLayout:
         return self.root / "sweep.lock"
 
     @property
-    def supervisor_trace_path(self) -> Path:
-        """The supervisor's own trace document (the sweep's root span)."""
-        return self.traces_dir / "supervisor.trace.json"
-
-    @property
-    def trace_context_path(self) -> Path:
-        """The sweep's distributed-trace identity (trace id + anchor)."""
-        return self.root / "trace_context.json"
+    def trace_path(self) -> Path:
+        """The sweep's trace: its span with the task spans grafted."""
+        return self.root / "trace.json"
 
     def spec_path(self, key: str) -> Path:
         return self.specs_dir / _key_filename(key)

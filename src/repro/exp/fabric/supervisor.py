@@ -7,8 +7,8 @@ The fabric owns real OS processes and therefore a real robustness loop:
 * **crash isolation** — a segfaulting or OOM-killed worker fails one
   attempt of one task, never the sweep;
 * **bounded deterministic backoff** — attempt ``k`` waits
-  ``backoff_base_s * backoff_factor**k`` before retrying, with a hard
-  retry budget, scheduled without blocking the assignment loop;
+  ``backoff_base_s * 2**k`` before retrying, with a hard retry budget,
+  scheduled without blocking the assignment loop;
 * **poison-task quarantine** — a task whose attempts kill
   ``quarantine_after`` workers in a row becomes a structured
   ``quarantined`` shard instead of an infinite crash loop;
@@ -22,6 +22,14 @@ The fabric owns real OS processes and therefore a real robustness loop:
 * **crash-proof results** — every result is an atomic shard file; the
   supervisor holds no result state that is not also on disk, so a
   killed sweep resumes from the shards alone.
+
+Each worker acks a task with that task's spans, which the supervisor
+grafts under its ``fabric.sweep`` span with :func:`repro.obs.graft_trace`
+as the ack arrives; when the sweep ends it writes the tree to the sweep
+directory's ``trace.json``.  The sweep span lives in the ambient
+recorder when there is one, so a traced run (``--trace``) holds every
+task's spans too.  Spans are diagnostics: a supervisor killed mid-sweep
+loses them, and resuming from the shards needs none.
 
 Workers are forked from the supervisor's own process (see
 :mod:`repro.exp.fabric.worker`) and inherit its imported modules.
@@ -39,6 +47,7 @@ time is in the caller's ``RUSAGE_CHILDREN``.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
@@ -50,9 +59,16 @@ from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Any, Sequence
 
-from ...obs import SpanRecorder, TraceContext, get_recorder, trace_to_dict
+from ...obs import (
+    Span,
+    SpanRecorder,
+    TraceContext,
+    get_recorder,
+    graft_trace,
+    trace_to_dict,
+)
 from .chaos import ChaosConfig, ChaosInjector
-from .io import PathLock, atomic_write_json, sweep_stale_tmp
+from .io import PathLock, atomic_write_text, sweep_stale_tmp
 from .spec import (
     FabricError,
     SweepLayout,
@@ -73,6 +89,14 @@ _FORK = multiprocessing.get_context("fork")
 #: broken, and respawning forever would spin silently.
 _MAX_BOOT_FAILURES = 3
 
+#: After failed attempt ``k`` the retry waits
+#: ``backoff_base_s * _BACKOFF_FACTOR**k``.
+_BACKOFF_FACTOR = 2.0
+#: Seconds a forked worker has to send "ready".
+_BOOT_TIMEOUT_S = 60.0
+#: Longest wait for worker messages before the liveness checks run.
+_TICK_S = 0.02
+
 
 @dataclass(frozen=True)
 class FabricConfig:
@@ -82,13 +106,10 @@ class FabricConfig:
     timeout_s: float | None = None
     max_retries: int = 2
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
     quarantine_after: int = 3
     degrade_after_timeouts: int | None = None
     heartbeat_interval_s: float = 0.2
     heartbeat_timeout_s: float = 10.0
-    boot_timeout_s: float = 60.0
-    tick_s: float = 0.02
     chaos: ChaosConfig | None = None
 
     def __post_init__(self) -> None:
@@ -98,16 +119,15 @@ class FabricConfig:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0 or self.backoff_factor < 0:
-            raise ValueError("backoff parameters must be non-negative")
+        if self.backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be non-negative")
         if self.quarantine_after < 1:
             raise ValueError(
                 f"quarantine_after must be >= 1, got {self.quarantine_after}"
             )
         if self.degrade_after_timeouts is not None and self.degrade_after_timeouts < 1:
             raise ValueError("degrade_after_timeouts must be >= 1 when set")
-        for name in ("heartbeat_interval_s", "heartbeat_timeout_s",
-                     "boot_timeout_s", "tick_s"):
+        for name in ("heartbeat_interval_s", "heartbeat_timeout_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
@@ -252,11 +272,12 @@ class SweepFabric:
         # recorder is already a SpanRecorder (the CLI's --trace) the
         # sweep span nests into the caller's trace; otherwise a local
         # recorder mints the sweep its own trace identity.  Either way
-        # workers are handed the sweep span's context, which is what
-        # lets stitch_worker_traces build one causally-parented tree.
+        # workers are handed the sweep span's context, so the task spans
+        # they ack are parented under the sweep span.
         recorder = obs if isinstance(obs, SpanRecorder) else SpanRecorder()
         self._recorder = recorder
         self._sweep_context: TraceContext | None = None
+        self._dropped_traces = 0
         start = time.monotonic()
         with PathLock(self.layout.lock_path):
             sweep_stale_tmp(self.layout.shards_dir)
@@ -301,16 +322,20 @@ class SweepFabric:
                 resume=resume,
                 chaos=self.config.chaos is not None,
             ) as span:
+                self._sweep_span = span
                 if span.span_id is not None:
                     self._sweep_context = TraceContext(
                         trace_id=recorder.trace_id, span_id=span.span_id
                     )
                 if pending_keys:
                     self._execute(pending_keys)
+                # Acks arrive in finishing order.
+                span.children.sort(key=lambda s: s.t_start)
                 span.set(
                     adopted=self._adopted,
                     retries=self._retries,
                     worker_restarts=self._restarts,
+                    dropped_traces=self._dropped_traces,
                 )
             self._write_sweep_trace(span)
         report = FabricReport(
@@ -323,38 +348,18 @@ class SweepFabric:
         )
         return report
 
-    def _write_sweep_trace(self, span: Any) -> None:
-        """Persist the sweep's root span and trace identity.
+    def _write_sweep_trace(self, span: Span) -> None:
+        """Write the sweep span, task spans grafted, to ``trace.json``.
 
-        ``traces/supervisor.trace.json`` is the document the stitcher
-        roots the merged tree under; ``trace_context.json`` records the
-        sweep's trace id, the traceparent handed to workers, and the
-        supervisor's clock anchor so late tooling can join the trace.
         Best-effort: a sweep must not fail because its trace could not
         be written.
         """
         recorder = self._recorder
+        doc = trace_to_dict([span], trace_id=recorder.trace_id, anchor=recorder.anchor)
         try:
-            self.layout.traces_dir.mkdir(parents=True, exist_ok=True)
-            anchor = recorder.anchor
-            atomic_write_json(
-                self.layout.supervisor_trace_path,
-                trace_to_dict(
-                    [span], trace_id=recorder.trace_id, anchor=anchor
-                ),
-            )
-            atomic_write_json(
-                self.layout.trace_context_path,
-                {
-                    "trace_id": recorder.trace_id,
-                    "traceparent": (
-                        self._sweep_context.to_traceparent()
-                        if self._sweep_context is not None
-                        else None
-                    ),
-                    "anchor": anchor.to_dict(),
-                },
-            )
+            # Compact: with an indent, json encodes in Python, several
+            # times slower on a sweep's thousand-odd spans.
+            atomic_write_text(self.layout.trace_path, json.dumps(doc))
         except OSError:
             pass
 
@@ -362,7 +367,7 @@ class SweepFabric:
 
     def _execute(self, pending_keys: list[str]) -> None:
         for d in (self.layout.shards_dir, self.layout.hb_dir,
-                  self.layout.traces_dir, self.layout.logs_dir):
+                  self.layout.logs_dir):
             d.mkdir(parents=True, exist_ok=True)
         self._tasks = {key: _Task(key=key) for key in pending_keys}
         self._pending: deque[_Task] = deque(self._tasks.values())
@@ -405,7 +410,6 @@ class SweepFabric:
                 name=name,
                 hb_path=hb_path,
                 log_path=log_path,
-                traces_dir=self.layout.traces_dir,
                 heartbeat_interval_s=self.config.heartbeat_interval_s,
                 context=self._sweep_context,
                 inherited=[ours] + [w.conn for w in live],
@@ -427,7 +431,7 @@ class SweepFabric:
             conn=ours,
             hb_path=hb_path,
             log_path=log_path,
-            boot_deadline=now + self.config.boot_timeout_s,
+            boot_deadline=now + _BOOT_TIMEOUT_S,
             hb_changed_at=now,
         )
         self._workers[name] = worker
@@ -513,7 +517,7 @@ class SweepFabric:
         for worker in self._workers.values():
             by_handle[worker.conn] = worker
             by_handle[worker.proc.sentinel] = worker
-        for handle in wait(list(by_handle), timeout=self.config.tick_s):
+        for handle in wait(list(by_handle), timeout=_TICK_S):
             worker = by_handle[handle]
             if worker.name in self._retired or handle is not worker.conn:
                 continue  # sentinels are left to _check_exits
@@ -535,6 +539,8 @@ class SweepFabric:
             self._on_done(worker, msg)
 
     def _on_done(self, worker: _Worker, msg: dict[str, Any]) -> None:
+        if not graft_trace(self._sweep_span, msg.get("trace"), self._recorder.anchor):
+            self._dropped_traces += 1
         task = worker.task
         worker.task = None
         worker.state = "idle"
@@ -699,10 +705,7 @@ class SweepFabric:
         if task.attempts >= max_attempts:
             self._write_terminal_shard(task, status, error)
             return
-        backoff = (
-            self.config.backoff_base_s
-            * self.config.backoff_factor ** (task.attempts - 1)
-        )
+        backoff = self.config.backoff_base_s * _BACKOFF_FACTOR ** (task.attempts - 1)
         task.not_before = time.monotonic() + backoff
         self._retries += 1
         self._pending.append(task)

@@ -14,8 +14,8 @@ Built-in kinds:
     (``sleep_s``, ``explode``, ``die_signal``) — the substrate for the
     fabric's own tests, benchmarks, and the CI chaos smoke.
 ``map-cell``
-    Map one Fig. 7-style scale scenario with one mapper; optionally
-    simulate.  Degrades to the Greedy mapper.
+    Map one Fig. 7-style scale scenario with one mapper.  Degrades to
+    the Greedy mapper.
 ``robustness-cell``
     One (fault x mapper) cell of the robustness harness; every cell of
     ``python -m repro robustness`` runs as one.  Degrades to Greedy.
@@ -194,7 +194,6 @@ def fig7_specs(
     mappers: Sequence[str] = ("greedy", "geo-distributed"),
     seeds: Iterable[int] = (0,),
     sites: int = 4,
-    simulate: bool = False,
 ) -> list[TaskSpec]:
     """The Fig. 7 scalability grid as fabric specs.
 
@@ -211,7 +210,6 @@ def fig7_specs(
                 "sites": sites,
                 "mapper": mapper,
                 "seed": seed,
-                "simulate": simulate,
             },
             degraded_params={"mapper": "greedy"},
         )

@@ -9,25 +9,26 @@ registered in the supervisor's process when it forked (see
 command line.
 
 The protocol runs over one duplex :func:`multiprocessing.Pipe`; each
-message is one small dict:
+message is one dict:
 
 * supervisor -> worker: ``{"cmd": "task", "key": ..., "attempt": n,
   "degraded": bool, "chaos": {...}|None}`` or ``{"cmd": "shutdown"}``;
 * worker -> supervisor: ``{"event": "ready"}`` once at start, then
-  ``{"event": "done", "key": ..., "status": "ok"|"failed", ...}`` after
-  each task.
+  ``{"event": "done", "key": ..., "status": "ok"|"failed", ...,
+  "trace": {...}}`` after each task.
 
 The worker loads each spec from the sweep directory itself (shared-
-nothing: the only state that crosses the process boundary after the
-fork is files and the tiny control messages), runs the task function
-under a span recorder, writes the result shard atomically, writes the
-task's spans as their own trace document, and only then acks.
-Everything of value is on disk before the ack, so a worker killed at
-any instant loses at most the task in flight, which the supervisor
-retries.  A worker whose supervisor dies exits within a heartbeat
-interval, even in the middle of a task that never returns: the
-heartbeat thread sees the worker reparented and ends the process.
-Between tasks the main loop also sees the pipe close.
+nothing: after the fork, results cross the process boundary only as
+files), runs the task function under a span recorder, writes the result
+shard atomically, and only then acks.  The ack carries the task's spans
+as a trace document (this process's clock anchor included), which the
+supervisor grafts under its sweep span.  Every result is on disk before
+the ack, so a worker killed at any instant loses at most the task in
+flight, which the supervisor retries, and that task's spans.  A worker
+whose supervisor dies exits within a heartbeat interval, even in the
+middle of a task that never returns: the heartbeat thread sees the
+worker reparented and ends the process.  Between tasks the main loop
+also sees the pipe close.
 
 A daemon heartbeat thread bumps a counter file every
 ``heartbeat_interval_s`` seconds.  It keeps beating while a task spins
@@ -54,7 +55,6 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from ...obs import SpanRecorder, TraceContext, set_recorder, trace_to_dict
-from .io import atomic_write_json
 from .spec import load_spec, write_shard
 from .tasks import get_task
 
@@ -190,13 +190,11 @@ def _serve(
     *,
     sweep_dir: Path,
     name: str,
-    traces_dir: Path,
     context: TraceContext | None,
 ) -> None:
     """The worker loop: receive tasks until shutdown or a closed pipe."""
     recorder = SpanRecorder(context=context)
     set_recorder(recorder)
-    seq = 0
     try:
         conn.send({"event": "ready"})
         while True:
@@ -204,24 +202,12 @@ def _serve(
             if msg["cmd"] == "shutdown":
                 return
             event = _run_task(sweep_dir, name, msg, recorder)
-            # Write the spans recorded since the last write as their own
-            # document: the work per task stays constant, and a later
-            # SIGKILL loses at most the spans of the task in flight.
-            # The doc carries the trace id and this process's clock
-            # anchor so the stitcher can parent and rebase the spans.
-            try:
-                atomic_write_json(
-                    traces_dir / f"{name}.{seq:06d}.trace.json",
-                    trace_to_dict(
-                        recorder.roots,
-                        trace_id=recorder.trace_id,
-                        anchor=recorder.anchor,
-                    ),
-                )
-                recorder.trim(0)
-                seq += 1
-            except Exception:
-                pass  # kept for the next document
+            # The ack carries the spans recorded since the last ack, so
+            # the work per task stays constant.
+            event["trace"] = trace_to_dict(
+                recorder.roots, trace_id=recorder.trace_id, anchor=recorder.anchor
+            )
+            recorder.trim(0)
             conn.send(event)
     except (EOFError, OSError):
         return  # the supervisor is gone
@@ -234,7 +220,6 @@ def run_worker(
     name: str,
     hb_path: Path,
     log_path: Path,
-    traces_dir: Path,
     heartbeat_interval_s: float,
     context: TraceContext | None,
     inherited: Sequence[Connection] = (),
@@ -275,6 +260,5 @@ def run_worker(
         conn,
         sweep_dir=sweep_dir,
         name=name,
-        traces_dir=traces_dir,
         context=context,
     )

@@ -44,8 +44,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".export": (
         "TRACE_VERSION", "SUPPORTED_TRACE_VERSIONS", "TraceSchemaError",
         "span_to_dict", "span_from_dict", "trace_to_dict", "validate_trace",
-        "trace_anchor", "causal_violations", "validate_causal_trace", "write_trace",
-        "load_trace", "render_trace",
+        "trace_anchor", "graft_trace", "causal_violations", "validate_causal_trace",
+        "write_trace", "load_trace", "render_trace",
     ),
     ".tracectx": (
         "TRACEPARENT_KEY", "ClockAnchor", "TraceContext", "new_trace_id",
@@ -96,6 +96,7 @@ if TYPE_CHECKING:
         TRACE_VERSION,
         TraceSchemaError,
         causal_violations,
+        graft_trace,
         load_trace,
         render_trace,
         span_from_dict,

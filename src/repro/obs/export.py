@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from .spans import Span, SpanEvent
-from .tracectx import ClockAnchor
+from .tracectx import ClockAnchor, shift_spans
 
 __all__ = [
     "TRACE_VERSION",
@@ -60,6 +60,7 @@ __all__ = [
     "trace_to_dict",
     "validate_trace",
     "trace_anchor",
+    "graft_trace",
     "causal_violations",
     "validate_causal_trace",
     "write_trace",
@@ -336,6 +337,27 @@ def trace_anchor(obj: Any) -> ClockAnchor | None:
         raise TraceSchemaError(f"trace: {exc}") from exc
 
 
+def graft_trace(parent: Span, doc: Any, anchor: ClockAnchor) -> bool:
+    """Attach another process's trace document under ``parent``.
+
+    The document's spans were recorded on that process's clock; its
+    anchor rebases them onto the clock of ``anchor`` before they join
+    ``parent.children``.  A document that fails :func:`validate_trace`,
+    or has no anchor to rebase by, attaches nothing and returns
+    ``False`` for the caller to count: a trace never fails the work it
+    describes.
+    """
+    try:
+        spans = validate_trace(doc)
+        theirs = trace_anchor(doc)
+    except TraceSchemaError:
+        return False
+    if theirs is None:
+        return False
+    parent.children.extend(shift_spans(spans, theirs.offset_to(anchor)))
+    return True
+
+
 # ------------------------------------------------------------- causal checks
 
 
@@ -345,7 +367,7 @@ def causal_violations(
     """Why the given forest is *not* one causally-parented trace tree.
 
     Returns an empty list when the forest satisfies the distributed
-    contract the stitcher and the serve engine promise:
+    contract the fabric supervisor and the serve engine promise:
 
     * exactly one root span;
     * every identified span's ``parent_span_id`` resolves to the id of

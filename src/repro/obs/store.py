@@ -17,8 +17,8 @@ Layout::
 record — concurrent writers (a sweep's supervisor and a serve daemon,
 say) interleave at line granularity without locking.  Readers tolerate
 torn or corrupt lines (a crash mid-write) by skipping them and
-*counting* the skips, mirroring the ``skipped_sources`` contract of the
-trace stitcher: data loss is reported, never silent.
+*counting* the skips, as the sweep supervisor counts the worker trace
+documents it cannot graft: data loss is reported, never silent.
 
 Every record carries ``schema`` (:data:`STORE_SCHEMA`), a wall-clock
 ``ts``, and a ``kind`` (``"bench"``, ``"serve"``, ``"sweep"``,

@@ -3,7 +3,7 @@
 The repo spans four process boundaries — CLI -> serve daemon -> warm
 pool workers, and fabric supervisor -> sweep workers — and each process
 records spans on its *own* ``perf_counter`` clock.  Two pieces of shared
-state make those per-process forests stitchable into one causal tree:
+state let those per-process forests graft into one causal tree:
 
 * a :class:`TraceContext` — the 32-hex ``trace_id`` every participant
   stamps on its trace documents, plus the 16-hex ``span_id`` of the
@@ -23,7 +23,7 @@ state make those per-process forests stitchable into one causal tree:
 
   The residual error is the wall-clock read jitter at the two anchor
   points (microseconds on one host), far below the span durations the
-  stitched tree is used to explain.
+  grafted tree is used to explain.
 
 Nothing here imports the recorder — the recorder imports this module
 and owns the ambient-context integration
@@ -189,8 +189,8 @@ class TraceContext:
 def shift_spans(spans: list[Span], offset: float) -> list[Span]:
     """Shift every timestamp in the given span trees by ``offset`` seconds.
 
-    Mutates in place (the stitcher works on freshly parsed trees) and
-    returns the list for chaining.  Combined with
+    Mutates in place (:func:`repro.obs.graft_trace` works on freshly
+    parsed trees) and returns the list for chaining.  Combined with
     :meth:`ClockAnchor.offset_to`, this rebases one process's spans onto
     another process's clock.
     """

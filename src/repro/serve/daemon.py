@@ -271,14 +271,16 @@ def run(
 
     async def _amain() -> None:
         daemon = PlacementDaemon(socket_path, http_port=http_port, config=config)
-        await daemon.start()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, daemon.request_shutdown)
-            except NotImplementedError:  # platforms without signal support
-                pass
         try:
+            # A failed bind (say, the HTTP port is taken) still removes
+            # the unix socket and joins the pool on the way out.
+            await daemon.start()
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    loop.add_signal_handler(sig, daemon.request_shutdown)
+                except NotImplementedError:  # platforms without signal support
+                    pass
             await daemon.serve_forever()
         finally:
             await daemon.stop()

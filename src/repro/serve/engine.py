@@ -51,12 +51,9 @@ from ..obs import (
     SpanRecorder,
     TelemetryStore,
     TraceContext,
-    TraceSchemaError,
+    graft_trace,
     new_trace_id,
-    shift_spans,
-    trace_anchor,
     trace_to_dict,
-    validate_trace,
 )
 from .cache import ResultCache
 from .protocol import (
@@ -402,26 +399,6 @@ class PlacementEngine:
             return None
         return ctx.to_traceparent()
 
-    def _graft_worker_trace(self, doc: Any) -> None:
-        """Attach a pool worker's trace under the open request span.
-
-        The worker recorded on its own ``perf_counter`` clock; its
-        anchor rebases every timestamp onto this process's clock before
-        the spans join the request tree.  Malformed documents are
-        dropped — tracing must never fail a request.
-        """
-        parent = self.recorder.current_span()
-        if parent is None:
-            return
-        try:
-            spans = validate_trace(doc)
-            anchor = trace_anchor(doc)
-        except TraceSchemaError:
-            return
-        if anchor is not None:
-            shift_spans(spans, anchor.offset_to(self.recorder.anchor))
-        parent.children.extend(spans)
-
     def _retain_trace(
         self,
         trace_id: str,
@@ -522,7 +499,11 @@ class PlacementEngine:
         elif row.get("trace") is not None:
             # Only the leader grafts — coalesced followers share the same
             # row and their request spans did not cause the solve.
-            self._graft_worker_trace(row["trace"])
+            # A malformed document is dropped: tracing must never fail a
+            # request.
+            parent = self.recorder.current_span()
+            if parent is not None:
+                graft_trace(parent, row["trace"], self.recorder.anchor)
         if not row.get("ok"):
             return error_response(
                 request_id, int(row.get("code", 500)), str(row.get("error"))

@@ -31,7 +31,6 @@ from repro.exp.fabric import (
     read_json,
     register_task,
     results_equivalent,
-    stitch_worker_traces,
     write_sweep,
 )
 from repro.exp.fabric.io import PathLock
@@ -81,6 +80,13 @@ def _fabric(tmp_path, **kw):
     return SweepFabric(tmp_path, config=FabricConfig(**merged))
 
 
+def _sweep_trace(root):
+    """The root spans of the trace a sweep wrote to its directory."""
+    from repro.obs import validate_trace
+
+    return validate_trace(read_json(SweepLayout(root).trace_path))
+
+
 class TestHappyPath:
     def test_all_ok_and_merge(self, tmp_path):
         write_sweep(tmp_path, demo_specs(6, work=2))
@@ -105,9 +111,9 @@ class TestHappyPath:
     def test_trace_stitching(self, tmp_path):
         write_sweep(tmp_path, demo_specs(3, work=2))
         _fabric(tmp_path, workers=2).run()
-        doc = stitch_worker_traces(tmp_path, out=tmp_path / "trace.json")
+        doc = json.loads(SweepLayout(tmp_path).trace_path.read_text())
         # One causally-parented tree: the sweep span roots the document
-        # and every task span hangs under it.
+        # and every task span, acked by its worker, hangs under it.
         assert len(doc["spans"]) == 1
         root = doc["spans"][0]
         assert root["name"] == "fabric.sweep"
@@ -115,8 +121,9 @@ class TestHappyPath:
         assert len(tasks) == 3
         assert all(t["parent_span_id"] == root["span_id"] for t in tasks)
         assert doc["trace_id"]  # the sweep's 32-hex identity survived
-        assert doc["skipped_sources"] == []
-        assert json.loads((tmp_path / "trace.json").read_text())["spans"]
+        assert root["attrs"]["dropped_traces"] == 0
+        # The trace is the sweep directory's only trace file.
+        assert sorted(p.name for p in tmp_path.rglob("*trace*")) == ["trace.json"]
 
     def test_unknown_keys_rejected(self, tmp_path):
         write_sweep(tmp_path, demo_specs(2, work=2))
@@ -259,15 +266,15 @@ class TestChaosEndToEnd:
         assert chaotic.worker_restarts > 0
 
     def test_chaotic_sweep_stitches_one_causal_trace(self, tmp_path):
-        """Even under kill chaos the stitched trace is one causal tree.
+        """Even under kill chaos the sweep trace is one causal tree.
 
-        Workers SIGKILLed mid-task never write their trace file, so
-        some incarnations' spans are simply absent — but everything
-        that *was* recorded must still stitch into a single root with
-        resolved parent ids and monotone sibling intervals, and any
-        unreadable file must be reported in ``skipped_sources``.
+        Workers SIGKILLed mid-task never ack, so those attempts' spans
+        are simply absent — but every acked attempt's spans must graft
+        into a single root with resolved parent ids and monotone
+        sibling intervals, and a worker document the supervisor could
+        not graft must be counted on the sweep span.
         """
-        from repro.obs import validate_causal_trace, validate_trace
+        from repro.obs import validate_causal_trace
 
         write_sweep(tmp_path, demo_specs(12, work=2))
         chaos = ChaosConfig(
@@ -279,8 +286,7 @@ class TestChaosEndToEnd:
         assert report.ok, report.statuses
         assert report.worker_restarts > 0  # the chaos actually fired
 
-        doc = stitch_worker_traces(tmp_path)
-        spans = validate_trace(doc)  # schema v2, strict
+        spans = _sweep_trace(tmp_path)  # schema v2, strict
         assert len(spans) == 1
         root = spans[0]
         assert root.name == "fabric.sweep"
@@ -289,9 +295,7 @@ class TestChaosEndToEnd:
         tasks = [c for c in root.children if c.name == "fabric.task"]
         assert tasks, "no surviving worker recorded any task span"
         assert all(t.parent_span_id == root.span_id for t in tasks)
-        # Losses are accounted for, never silent.
-        assert isinstance(doc["skipped_sources"], list)
-        assert set(doc["sources"]).isdisjoint(doc["skipped_sources"])
+        assert root.attrs["dropped_traces"] == 0
 
     def test_comparable_rows_strip_envelope(self, tmp_path):
         rows = [
@@ -340,7 +344,6 @@ class TestConfigValidation:
             {"quarantine_after": 0},
             {"degrade_after_timeouts": 0},
             {"heartbeat_timeout_s": 0.1, "heartbeat_interval_s": 0.2},
-            {"tick_s": 0},
         ],
     )
     def test_bad_config_rejected(self, kw):
@@ -526,7 +529,7 @@ class TestForkedWorkers:
 
 class TestPerTaskTraces:
     def test_one_task_span_per_acked_attempt(self, tmp_path, monkeypatch):
-        from repro.obs import validate_causal_trace, validate_trace
+        from repro.obs import validate_causal_trace
 
         acked = []
         on_done = SweepFabric._on_done
@@ -548,26 +551,18 @@ class TestPerTaskTraces:
         assert report.ok, report.statuses
         assert report.worker_restarts > 0
 
-        layout = SweepLayout(tmp_path)
-        for path in layout.traces_dir.glob("*.trace.json"):
-            validate_trace(read_json(path))
-        doc = stitch_worker_traces(tmp_path)
-        assert doc["skipped_sources"] == []
-        roots = validate_trace(doc)
+        roots = _sweep_trace(tmp_path)
+        assert roots[0].attrs["dropped_traces"] == 0
         validate_causal_trace(roots, epsilon=0.05)
         spans = Counter(
             (t.attrs["key"], t.attrs["attempt"])
             for t in roots[0].children
             if t.name == "fabric.task"
         )
-        assert max(spans.values()) == 1  # no span in two documents
+        assert max(spans.values()) == 1  # no span in two acks
         assert sorted(spans) == sorted(acked)
 
-    def test_killed_worker_leaves_one_document_per_finished_task(
-        self, tmp_path
-    ):
-        from repro.obs import validate_trace
-
+    def test_killed_worker_keeps_one_span_per_finished_task(self, tmp_path):
         k = 3
         specs = demo_specs(k, work=2) + [
             TaskSpec(key="die", kind="demo", params={"die_signal": 9})
@@ -577,10 +572,8 @@ class TestPerTaskTraces:
             tmp_path, workers=1, max_retries=0, quarantine_after=1
         ).run()
         assert report.statuses["die"] == "quarantined"
-        docs = sorted(SweepLayout(tmp_path).traces_dir.glob("w0-0.*.trace.json"))
-        assert len(docs) == k
-        keys = []
-        for path in docs:
-            (span,) = validate_trace(read_json(path))
-            keys.append(span.attrs["key"])
-        assert keys == [s.key for s in specs[:k]]
+        (root,) = _sweep_trace(tmp_path)
+        tasks = [c for c in root.children if c.name == "fabric.task"]
+        assert [t.attrs["key"] for t in tasks] == [s.key for s in specs[:k]]
+        assert {t.attrs["worker"] for t in tasks} == {"w0-0"}
+        assert root.attrs["dropped_traces"] == 0

@@ -16,13 +16,14 @@ from repro.apps.base import Application
 from repro.exp.fabric import (
     FabricConfig,
     SweepFabric,
+    SweepLayout,
     comparable_rows,
     diff_results,
     get_task,
     merge_shards,
+    read_json,
     results_equivalent,
     robustness_specs,
-    stitch_worker_traces,
     write_shard,
     write_sweep,
 )
@@ -128,7 +129,7 @@ def test_forked_worker_starts_with_an_empty_memo(tmp_path, profiles):
 
     cached = [
         s["attrs"]["profile_cached"]
-        for s in walk(stitch_worker_traces(tmp_path)["spans"])
+        for s in walk(read_json(SweepLayout(tmp_path).trace_path)["spans"])
         if s["name"] == "build_problem"
     ]
     assert cached == [False, True]  # the worker's own first cell profiles

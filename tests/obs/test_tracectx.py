@@ -118,3 +118,26 @@ def test_shift_spans_rebases_whole_trees():
     open_span = Span(name="o", t_start=4.0)
     shift_spans([open_span], -1.0)
     assert open_span.t_start == 3.0 and open_span.t_end is None
+
+
+def test_graft_trace_rebases_the_clock_and_rejects_what_it_cannot_place():
+    from repro.obs import graft_trace, trace_to_dict
+
+    # The worker's clock reads 100 where the parent's reads 5.
+    worker = ClockAnchor(monotonic=100.0, unix=1000.0)
+    here = ClockAnchor(monotonic=5.0, unix=1000.0)
+    task = Span(name="task", t_start=101.0, t_end=102.0,
+                children=[Span(name="solve", t_start=101.25, t_end=101.5)])
+    doc = trace_to_dict([task], anchor=worker)
+    parent = Span(name="sweep", t_start=5.0, t_end=8.0)
+
+    assert graft_trace(parent, doc, here)
+    (grafted,) = parent.children
+    assert (grafted.t_start, grafted.t_end) == pytest.approx((6.0, 7.0))
+    assert grafted.children[0].t_start == pytest.approx(6.25)
+
+    broken = {**doc, "spans": [{"name": "task"}]}  # no t_start
+    unanchored = trace_to_dict([task])
+    for bad in (broken, unanchored, None, "not a trace"):
+        assert not graft_trace(parent, bad, here)
+    assert len(parent.children) == 1

@@ -224,6 +224,28 @@ def test_map_trace_round_trips(tmp_path, capsys):
     assert root.attrs["mapper"] == "geo-distributed"
 
 
+def test_robustness_trace_holds_every_cell_under_the_sweep(tmp_path, capsys):
+    """The cells run in fabric workers; their spans join the --trace."""
+    from repro.obs import load_trace, validate_causal_trace
+
+    trace = tmp_path / "trace.json"
+    rc = main(
+        ["robustness", "--app", "LU", "--processes", "16", "--sites", "4",
+         "--faults", "outage", "--trace", str(trace)]
+    )
+    assert rc == 0
+    assert "3 cells" in capsys.readouterr().out
+    spans = load_trace(trace)
+    validate_causal_trace(spans, epsilon=0.05)
+    (sweep,) = spans
+    assert sweep.name == "fabric.sweep"
+    tasks = [c for c in sweep.children if c.name == "fabric.task"]
+    assert sorted(t.attrs["key"] for t in tasks) == [
+        f"robustness/outage/{m}" for m in ("baseline", "geo-distributed", "greedy")
+    ]
+    assert all(t.find("mapper.map") is not None for t in tasks)
+
+
 def test_compare_trace_and_report(tmp_path, capsys):
     trace = tmp_path / "trace.json"
     rc = main(
@@ -629,6 +651,25 @@ def test_serve_rejects_bad_address_before_binding(
     assert not socket_path.exists()
 
 
+def test_serve_reports_a_taken_port_and_leaves_nothing_behind(tmp_path, capsys):
+    import multiprocessing
+    import socket
+
+    before = {p.pid for p in multiprocessing.active_children()}
+    socket_path = tmp_path / "placement.sock"
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen(1)
+        port = held.getsockname()[1]
+        rc = main(["serve", "--socket", str(socket_path), "--http-port", str(port),
+                   "--pool-workers", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "address already in use" in err
+    assert not socket_path.exists()
+    assert {p.pid for p in multiprocessing.active_children()} <= before
+
+
 # ---------------------------------------------------------------------- obs
 
 
@@ -644,8 +685,7 @@ def test_sweep_with_store_feeds_obs_query_and_show(tmp_path, capsys):
     )
     assert rc == 0
     out = capsys.readouterr().out
-    assert "stitched 1 root span(s)" in out
-    assert "(0 skipped)" in out
+    assert "trace: 4 task span(s), 0 dropped" in out
 
     # The sweep appended a queryable record carrying its trace id.
     assert main(
@@ -657,7 +697,7 @@ def test_sweep_with_store_feeds_obs_query_and_show(tmp_path, capsys):
     assert rec["tasks"] == 4 and rec["ok"] == 4
     trace_id = rec["trace_id"]
 
-    # ...and persisted the stitched trace under that id for obs show.
+    # ...and persisted the sweep's trace under that id for obs show.
     assert main(["obs", "show", "--store", store, trace_id]) == 0
     out = capsys.readouterr().out
     assert f"trace {trace_id}" in out
