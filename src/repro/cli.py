@@ -388,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--heartbeat-timeout-s",
         type=float,
         default=10.0,
-        help="kill a worker whose heartbeat file stalls this long",
+        help="kill a worker whose heartbeat stalls this long",
     )
     p_sweep.add_argument(
         "--degrade-after-timeouts",
@@ -426,12 +426,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="another sweep dir whose merged payload this one must match",
-    )
-    p_sweep.add_argument(
-        "--stitch-trace",
-        default=None,
-        metavar="OUT",
-        help="copy the sweep's trace (task spans under fabric.sweep) to OUT",
     )
 
     p_serve = sub.add_parser(
@@ -1075,33 +1069,34 @@ def _run_sweep(sweep_dir, specs, config, *, resume, limit, merge_only=False):
     from .exp.fabric import (
         FabricError,
         SweepFabric,
+        SweepLayout,
         load_manifest,
-        load_spec,
         merge_shards,
         write_sweep,
     )
 
-    try:
-        keys = load_manifest(sweep_dir)
-    except FabricError:
-        if specs is None:
+    if SweepLayout(sweep_dir).manifest_path.exists():
+        held = load_manifest(sweep_dir)
+        if specs is not None and held != list(specs):
+            differing = next(
+                a or b for a, b in zip_longest(held, specs) if a != b
+            ).key
             raise FabricError(
-                "sweep dir has no manifest; pass --grid to initialize it "
-                "(demo | fig7 | robustness)"
-            ) from None
-        write_sweep(sweep_dir, specs)
-        keys = [s.key for s in specs]
-        print(f"initialized sweep: {len(keys)} specs")
+                f"{sweep_dir} holds a sweep built from other arguments: "
+                f"spec {differing!r} differs; use a fresh sweep dir"
+            )
+    elif specs is None:
+        raise FabricError(
+            "sweep dir has no manifest; pass --grid to initialize it "
+            "(demo | fig7 | robustness)"
+        )
     else:
-        for key, spec in zip_longest(keys, specs) if specs is not None else ():
-            if spec is None or key != spec.key or load_spec(sweep_dir, key) != spec:
-                differing = spec.key if key is None else key
-                raise FabricError(
-                    f"{sweep_dir} holds a sweep built from other arguments: "
-                    f"spec {differing!r} differs; use a fresh sweep dir"
-                )
+        write_sweep(sweep_dir, specs)
+        held = list(specs)
+        print(f"initialized sweep: {len(held)} specs")
     report = None
     if not merge_only:
+        keys = [spec.key for spec in held]
         selected = keys[:limit] if limit is not None else None
         report = SweepFabric(sweep_dir, config=config).run(
             resume=resume, keys=selected
@@ -1119,7 +1114,6 @@ def _cmd_sweep(args) -> int:
         FabricConfig,
         FabricError,
         SweepLayout,
-        atomic_write_json,
         demo_specs,
         diff_results,
         fig7_specs,
@@ -1188,17 +1182,12 @@ def _cmd_sweep(args) -> int:
         (root,) = validate_trace(trace)
     except ValueError:  # absent, unreadable, or not one sweep span
         trace = root = None
-    if args.stitch_trace:
-        if root is None:
-            print(f"no sweep trace in {args.sweep_dir}", file=sys.stderr)
-        else:
-            atomic_write_json(args.stitch_trace, trace)
-            tasks = sum(c.name == "fabric.task" for c in root.children)
-            print(
-                f"trace: {tasks} task span(s), "
-                f"{root.attrs.get('dropped_traces', 0)} dropped, "
-                f"written to {args.stitch_trace}"
-            )
+    if root is not None:
+        tasks = sum(c.name == "fabric.task" for c in root.children)
+        print(
+            f"trace: {tasks} task span(s), "
+            f"{root.attrs.get('dropped_traces', 0)} dropped"
+        )
 
     _record_sweep(args, report, trace)
 
@@ -1298,10 +1287,6 @@ def _cmd_serve(args) -> int:
         )
     except ValueError as exc:
         return _error_exit(exc)
-    where = f"unix://{args.socket}"
-    if args.http_port is not None:
-        where += f" and http://127.0.0.1:{args.http_port}"
-    print(f"placement daemon listening on {where}", file=sys.stderr)
     try:
         run_daemon(args.socket, http_port=args.http_port, config=config)
     except OSError as exc:

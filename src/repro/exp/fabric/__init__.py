@@ -1,7 +1,7 @@
 """Process-isolated sweep fabric: crash-proof shared-nothing fan-out.
 
-Each scenario is a 1:1 map from a JSON spec file to a result-shard
-file, executed by a supervised pool of worker *processes*.  The
+Each scenario is a 1:1 map from a spec in the sweep's manifest to a
+result-shard file, executed by a supervised pool of worker *processes*.  The
 supervisor (:class:`SweepFabric`) owns deadlines, crash isolation,
 deterministic backoff, poison-task quarantine, heartbeat liveness,
 graceful degradation, and atomic shards; :func:`merge_shards` folds the
@@ -35,7 +35,6 @@ from .spec import (
     TaskSpec,
     load_manifest,
     load_shard,
-    load_spec,
     write_shard,
     write_sweep,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "get_task",
     "load_manifest",
     "load_shard",
-    "load_spec",
     "merge_shards",
     "read_json",
     "register_task",

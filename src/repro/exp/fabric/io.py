@@ -1,7 +1,7 @@
 """Crash-proof JSON file IO for the sweep fabric.
 
-Every file the fabric writes — spec, shard, manifest, merged result,
-sweep trace — goes through :func:`atomic_write_text` (most of them as
+Every file the fabric writes — manifest, shard, merged result, sweep
+trace — goes through :func:`atomic_write_text` (most of them as
 :func:`atomic_write_json`): serialize fully in memory, write to a temp
 file in the destination directory, fsync it, ``os.replace`` onto the
 target, fsync the directory.  A SIGKILL at *any* point leaves

@@ -85,7 +85,7 @@ def merge_shards(
     at a sweep that is still running or partially lost.
     """
     layout = SweepLayout(root)
-    keys = load_manifest(root)
+    keys = [spec.key for spec in load_manifest(root)]
     rows: list[dict[str, Any]] = []
     missing: list[str] = []
     corrupt: list[str] = []

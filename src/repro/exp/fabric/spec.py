@@ -1,23 +1,24 @@
-"""Sweep directory layout: specs in, shards out, one file per scenario.
+"""Sweep directory layout: one manifest in, one shard per scenario out.
 
 A sweep lives entirely inside one directory::
 
     sweep/
-      manifest.json        ordered task keys + format marker (written once)
-      specs/<key>.json     one TaskSpec per scenario            (input)
+      manifest.json        the ordered TaskSpecs + format marker (written once)
       shards/<key>.json    one result shard per scenario        (output)
-      hb/<slot>.hb         worker heartbeat files
       logs/<worker>.log    worker stdout and stderr
       trace.json           the last run's sweep span, acked task spans under it
       result.json          merged, input-ordered result table
       sweep.lock           exclusive PathLock while a supervisor runs
 
-Every scenario is a 1:1 map from its spec file to its shard file; the
-supervisor never holds results in memory that are not also on disk, so a
-killed sweep resumes from the shards alone.  Keys may contain any
-characters (``outage/Greedy`` is a fine key); filenames are the
-percent-quoted key, and the key is also stored *inside* each file so a
-renamed file can never masquerade as a different scenario.
+The manifest is the sweep's only input: the supervisor reads it once per
+run and hands each worker its task's kind and params with the task
+message.  Every scenario is a 1:1 map from its manifest entry to its
+shard file; the supervisor never holds results in memory that are not
+also on disk, so a killed sweep resumes from the shards alone.  Keys may
+contain any characters (``outage/Greedy`` is a fine key); shard
+filenames are the percent-quoted key, and the key is also stored
+*inside* each shard so a renamed file can never masquerade as a
+different scenario.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from urllib.parse import quote
 from .io import FabricError, atomic_write_json, read_json
 
 __all__ = [
-    "SPEC_FORMAT",
     "MANIFEST_FORMAT",
     "SHARD_FORMAT",
     "RESULT_FORMAT",
@@ -40,13 +40,13 @@ __all__ = [
     "SweepLayout",
     "write_sweep",
     "load_manifest",
-    "load_spec",
     "load_shard",
     "write_shard",
 ]
 
-SPEC_FORMAT = "repro-fabric-spec-v1"
-MANIFEST_FORMAT = "repro-fabric-manifest-v1"
+MANIFEST_FORMAT = "repro-fabric-manifest-v2"
+#: The format of sweep dirs that kept one spec file per task.
+_V1_MANIFEST_FORMAT = "repro-fabric-manifest-v1"
 SHARD_FORMAT = "repro-fabric-shard-v1"
 RESULT_FORMAT = "repro-fabric-result-v1"
 
@@ -61,8 +61,8 @@ class TaskSpec:
 
     ``degraded_params`` is the graceful-degradation override: when the
     supervisor decides a task should retry degraded (repeated timeouts),
-    the worker runs the task with ``params | degraded_params`` and the
-    shard is tagged ``degraded: true``.
+    it sends the worker ``params | degraded_params`` and the shard is
+    tagged ``degraded: true``.
     """
 
     key: str
@@ -90,7 +90,6 @@ class TaskSpec:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "format": SPEC_FORMAT,
             "key": self.key,
             "kind": self.kind,
             "params": dict(self.params),
@@ -102,19 +101,15 @@ class TaskSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Any, *, source: str | Path = "spec") -> "TaskSpec":
-        """Parse a spec document; ``source`` names it in errors.
+    def from_dict(cls, data: Any, *, source: str = "spec") -> "TaskSpec":
+        """Parse one manifest entry; ``source`` names it in errors.
 
-        A malformed body raises :class:`FabricError` naming the field.
+        A malformed entry raises :class:`FabricError` naming the field.
         """
         if not isinstance(data, Mapping):
             raise FabricError(
                 f"{source}: a spec must be a JSON object, "
                 f"got {type(data).__name__}"
-            )
-        if data.get("format") != SPEC_FORMAT:
-            raise ValueError(
-                f"not a {SPEC_FORMAT} document (format={data.get('format')!r})"
             )
         for name in ("key", "kind"):
             if not isinstance(data.get(name), str):
@@ -128,16 +123,19 @@ class TaskSpec:
                     f"{source}: field {name!r} must be an object or null, "
                     f"got {data.get(name)!r}"
                 )
-        return cls(
-            key=data["key"],
-            kind=data["kind"],
-            params=dict(data.get("params") or {}),
-            degraded_params=(
-                dict(data["degraded_params"])
-                if data.get("degraded_params")
-                else None
-            ),
-        )
+        try:
+            return cls(
+                key=data["key"],
+                kind=data["kind"],
+                params=dict(data.get("params") or {}),
+                degraded_params=(
+                    dict(data["degraded_params"])
+                    if data.get("degraded_params")
+                    else None
+                ),
+            )
+        except ValueError as exc:  # an empty key or kind
+            raise FabricError(f"{source}: {exc}") from None
 
 
 def _key_filename(key: str) -> str:
@@ -156,16 +154,8 @@ class SweepLayout:
         return self.root / "manifest.json"
 
     @property
-    def specs_dir(self) -> Path:
-        return self.root / "specs"
-
-    @property
     def shards_dir(self) -> Path:
         return self.root / "shards"
-
-    @property
-    def hb_dir(self) -> Path:
-        return self.root / "hb"
 
     @property
     def logs_dir(self) -> Path:
@@ -184,9 +174,6 @@ class SweepLayout:
         """The sweep's trace: its span with the task spans grafted."""
         return self.root / "trace.json"
 
-    def spec_path(self, key: str) -> Path:
-        return self.specs_dir / _key_filename(key)
-
     def shard_path(self, key: str) -> Path:
         return self.shards_dir / _key_filename(key)
 
@@ -197,60 +184,59 @@ def write_sweep(
     *,
     overwrite: bool = False,
 ) -> SweepLayout:
-    """Materialize a sweep: one spec file per task, then the manifest.
+    """Materialize a sweep: one manifest holding every spec, in order.
 
-    The manifest is written *last*, so a half-written sweep (killed
-    mid-generation) has no manifest and reads as "not initialized"
-    rather than as a truncated task list.  Duplicate keys are rejected —
-    the 1:1 spec->shard contract needs unique keys.
+    The manifest is written atomically, so a sweep killed while it is
+    being created has either no manifest or a whole one.  Duplicate keys
+    are rejected — the 1:1 spec->shard contract needs unique keys.
     """
     layout = SweepLayout(root)
-    keys = [s.key for s in specs]
-    if len(set(keys)) != len(keys):
-        dupes = sorted({k for k in keys if keys.count(k) > 1})
-        raise FabricError(f"duplicate task keys in sweep: {dupes}")
     if not specs:
         raise FabricError("a sweep needs at least one task spec")
+    _check_unique([s.key for s in specs], "sweep")
     if layout.manifest_path.exists() and not overwrite:
         raise FabricError(
             f"{layout.manifest_path} already exists; pass overwrite=True "
             "or use a fresh sweep directory"
         )
-    layout.specs_dir.mkdir(parents=True, exist_ok=True)
-    for spec in specs:
-        atomic_write_json(layout.spec_path(spec.key), spec.to_dict())
     atomic_write_json(
-        layout.manifest_path, {"format": MANIFEST_FORMAT, "keys": keys}
+        layout.manifest_path,
+        {"format": MANIFEST_FORMAT, "tasks": [s.to_dict() for s in specs]},
     )
     return layout
 
 
-def load_manifest(root: str | Path) -> list[str]:
-    """The sweep's ordered task keys; raises FabricError when absent."""
-    layout = SweepLayout(root)
-    data = read_json(layout.manifest_path)
+def load_manifest(root: str | Path) -> list[TaskSpec]:
+    """The sweep's ordered task specs; raises FabricError when absent
+    or malformed."""
+    path = SweepLayout(root).manifest_path
+    data = read_json(path)
+    if isinstance(data, dict) and data.get("format") == _V1_MANIFEST_FORMAT:
+        raise FabricError(
+            f"{path} is a {_V1_MANIFEST_FORMAT} sweep, with one spec file "
+            f"per task; this version reads only {MANIFEST_FORMAT} — create "
+            "the sweep again in a fresh directory"
+        )
     if not isinstance(data, dict) or data.get("format") != MANIFEST_FORMAT:
         raise FabricError(
-            f"{layout.manifest_path} is missing or not a "
-            f"{MANIFEST_FORMAT} document — initialize the sweep first"
+            f"{path} is missing or not a {MANIFEST_FORMAT} document — "
+            "initialize the sweep first"
         )
-    keys = data.get("keys")
-    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
-        raise FabricError(f"{layout.manifest_path} has a malformed key list")
-    return list(keys)
+    entries = data.get("tasks")
+    if not isinstance(entries, list) or not entries:
+        raise FabricError(f"{path}: 'tasks' must be a non-empty list")
+    specs = [
+        TaskSpec.from_dict(entry, source=f"{path}: tasks[{i}]")
+        for i, entry in enumerate(entries)
+    ]
+    _check_unique([s.key for s in specs], str(path))
+    return specs
 
 
-def load_spec(root: str | Path, key: str) -> TaskSpec:
-    layout = SweepLayout(root)
-    data = read_json(layout.spec_path(key))
-    if data is None:
-        raise FabricError(f"spec file for task {key!r} is missing or corrupt")
-    spec = TaskSpec.from_dict(data, source=layout.spec_path(key))
-    if spec.key != key:
-        raise FabricError(
-            f"spec file {layout.spec_path(key)} claims key {spec.key!r}"
-        )
-    return spec
+def _check_unique(keys: list[str], where: str) -> None:
+    if len(set(keys)) != len(keys):
+        dupes = sorted({k for k in keys if keys.count(k) > 1})
+        raise FabricError(f"duplicate task keys in {where}: {dupes}")
 
 
 def load_shard(root: str | Path, key: str) -> dict[str, Any] | None:

@@ -12,9 +12,9 @@ The fabric owns real OS processes and therefore a real robustness loop:
 * **poison-task quarantine** — a task whose attempts kill
   ``quarantine_after`` workers in a row becomes a structured
   ``quarantined`` shard instead of an infinite crash loop;
-* **heartbeat liveness** — a worker whose heartbeat file stops changing
-  (frozen, swapped to death, SIGSTOPped) is killed and replaced even
-  when no deadline is set;
+* **heartbeat liveness** — a worker whose heartbeat counter stops
+  changing (frozen, swapped to death, SIGSTOPped) is killed and replaced
+  even when no deadline is set;
 * **graceful degradation** — after ``degrade_after_timeouts`` timed-out
   attempts, a task that declares ``degraded_params`` retries with them
   (e.g. the cheap Greedy mapper) and its shard is tagged
@@ -31,12 +31,17 @@ recorder when there is one, so a traced run (``--trace``) holds every
 task's spans too.  Spans are diagnostics: a supervisor killed mid-sweep
 loses them, and resuming from the shards needs none.
 
+Each run reads the sweep's manifest once and sends every task's kind and
+effective params with its task message; no worker reads an input file.
 Workers are forked from the supervisor's own process (see
 :mod:`repro.exp.fabric.worker`) and inherit its imported modules.
 Before it forks, the supervisor resolves the task kind of every spec it
 is about to run, which imports the kind's module and what that module
-imports, so no worker imports the solver stack on its own.  The
-supervisor is single-threaded: one loop waits on the
+imports, so no worker imports the solver stack on its own.  Before each
+fork it also maps an anonymous shared memory page for the new worker's
+heartbeat counter, which the worker bumps and the supervisor compares,
+every tick, with the value it last saw; heartbeats never touch the
+disk.  The supervisor is single-threaded: one loop waits on the
 workers' pipes and process sentinels with
 :func:`multiprocessing.connection.wait` and makes every decision, which
 keeps the state machine auditable and means no fork ever happens while
@@ -48,6 +53,7 @@ time is in the caller's ``RUSAGE_CHILDREN``.
 from __future__ import annotations
 
 import json
+import mmap
 import multiprocessing
 import os
 import signal
@@ -72,9 +78,9 @@ from .io import PathLock, atomic_write_text, sweep_stale_tmp
 from .spec import (
     FabricError,
     SweepLayout,
+    TaskSpec,
     load_manifest,
     load_shard,
-    load_spec,
     write_shard,
 )
 from .tasks import get_task
@@ -140,7 +146,7 @@ class FabricConfig:
 class _Task:
     """Supervisor-side state for one scenario."""
 
-    key: str
+    spec: TaskSpec
     attempts: int = 0          # attempts actually dispatched
     timeouts: int = 0          # attempts that hit the deadline
     worker_deaths: int = 0     # consecutive attempts that killed a worker
@@ -149,6 +155,10 @@ class _Task:
     last_started: float = 0.0
     last_error: str | None = None
     last_status: str = "failed"
+
+    @property
+    def key(self) -> str:
+        return self.spec.key
 
 
 @dataclass
@@ -159,7 +169,7 @@ class _Worker:
     name: str
     proc: BaseProcess
     conn: Connection
-    hb_path: Path
+    beat: mmap.mmap            # shared page holding the heartbeat counter
     log_path: Path
     state: str = "booting"     # booting | idle | busy
     task: _Task | None = None
@@ -226,7 +236,7 @@ class SweepFabric:
     ----------
     sweep_dir:
         A directory prepared by :func:`~repro.exp.fabric.spec.write_sweep`
-        (manifest + spec files).
+        (its manifest holds the task specs).
     config:
         The :class:`FabricConfig` supervision policy.
 
@@ -257,15 +267,15 @@ class SweepFabric:
         timed out, quarantined, corrupt, half-written) is re-run —
         resuming is how a sweep heals.
         """
-        manifest = load_manifest(self.layout.root)
+        specs = {spec.key: spec for spec in load_manifest(self.layout.root)}
         if keys is None:
-            selected = list(manifest)
+            selected = list(specs)
         else:
-            unknown = sorted(set(keys) - set(manifest))
+            unknown = sorted(set(keys) - set(specs))
             if unknown:
                 raise FabricError(f"keys not in manifest: {unknown}")
             wanted = set(keys)
-            selected = [k for k in manifest if k in wanted]
+            selected = [k for k in specs if k in wanted]
 
         obs = get_recorder()
         # The sweep always records a real trace: when the ambient
@@ -287,7 +297,7 @@ class SweepFabric:
             self._restarts = 0
             self._degraded_done = 0
             self._boot_failures = 0
-            pending_keys: list[str] = []
+            pending: list[TaskSpec] = []
             for key in selected:
                 row = load_shard(self.layout.root, key)
                 if row is not None and row["status"] == "ok":
@@ -312,12 +322,12 @@ class SweepFabric:
                         self.layout.shard_path(key).unlink()
                     except OSError:
                         pass
-                pending_keys.append(key)
+                pending.append(specs[key])
 
             with recorder.span(
                 "fabric.sweep",
                 num_tasks=len(selected),
-                pending=len(pending_keys),
+                pending=len(pending),
                 workers=self.config.workers,
                 resume=resume,
                 chaos=self.config.chaos is not None,
@@ -327,8 +337,8 @@ class SweepFabric:
                     self._sweep_context = TraceContext(
                         trace_id=recorder.trace_id, span_id=span.span_id
                     )
-                if pending_keys:
-                    self._execute(pending_keys)
+                if pending:
+                    self._execute(pending)
                 # Acks arrive in finishing order.
                 span.children.sort(key=lambda s: s.t_start)
                 span.set(
@@ -365,19 +375,18 @@ class SweepFabric:
 
     # ------------------------------------------------------------ main loop
 
-    def _execute(self, pending_keys: list[str]) -> None:
-        for d in (self.layout.shards_dir, self.layout.hb_dir,
-                  self.layout.logs_dir):
+    def _execute(self, pending: list[TaskSpec]) -> None:
+        for d in (self.layout.shards_dir, self.layout.logs_dir):
             d.mkdir(parents=True, exist_ok=True)
-        self._tasks = {key: _Task(key=key) for key in pending_keys}
+        self._tasks = {spec.key: _Task(spec) for spec in pending}
         self._pending: deque[_Task] = deque(self._tasks.values())
         self._workers: dict[str, _Worker] = {}
         self._retired: set[str] = set()
         self._incarnations = [0] * self.config.workers
-        self._unsettled = set(pending_keys)
-        _resolve_kinds(self.layout.root, pending_keys)
+        self._unsettled = set(self._tasks)
+        _resolve_kinds(pending)
         try:
-            for slot in range(min(self.config.workers, len(pending_keys))):
+            for slot in range(min(self.config.workers, len(pending))):
                 self._spawn(slot)
             while self._unsettled:
                 now = time.monotonic()
@@ -397,9 +406,9 @@ class SweepFabric:
         incarnation = self._incarnations[slot]
         self._incarnations[slot] += 1
         name = f"w{slot}-{incarnation}"
-        hb_path = self.layout.hb_dir / f"{slot}.hb"
         log_path = self.layout.logs_dir / f"{name}.log"
         ours, theirs = _FORK.Pipe()
+        beat = mmap.mmap(-1, 8)  # the worker's heartbeat counter
         live = list(self._workers.values())
         proc = _FORK.Process(
             target=run_worker,
@@ -408,7 +417,7 @@ class SweepFabric:
             kwargs=dict(
                 sweep_dir=self.layout.root,
                 name=name,
-                hb_path=hb_path,
+                beat=beat,
                 log_path=log_path,
                 heartbeat_interval_s=self.config.heartbeat_interval_s,
                 context=self._sweep_context,
@@ -420,6 +429,7 @@ class SweepFabric:
             proc.start()
         except BaseException:
             ours.close()
+            beat.close()
             raise
         finally:
             theirs.close()  # the child holds its own end now
@@ -429,7 +439,7 @@ class SweepFabric:
             name=name,
             proc=proc,
             conn=ours,
-            hb_path=hb_path,
+            beat=beat,
             log_path=log_path,
             boot_deadline=now + _BOOT_TIMEOUT_S,
             hb_changed_at=now,
@@ -485,6 +495,8 @@ class SweepFabric:
         msg = {
             "cmd": "task",
             "key": task.key,
+            "kind": task.spec.kind,
+            "params": task.spec.effective_params(degraded=task.degraded),
             "attempt": attempt,
             "degraded": task.degraded,
             "chaos": chaos,
@@ -595,10 +607,7 @@ class SweepFabric:
                     self._kill(worker)
                     self._note_boot_failure(worker, "boot timeout")
                 continue
-            try:
-                beat = worker.hb_path.read_bytes()
-            except OSError:
-                beat = worker.hb_last
+            beat = worker.beat[:]
             if beat != worker.hb_last:
                 worker.hb_last = beat
                 worker.hb_changed_at = now
@@ -714,11 +723,7 @@ class SweepFabric:
         limit = self.config.degrade_after_timeouts
         if limit is None or task.degraded or task.timeouts < limit:
             return
-        try:
-            spec = load_spec(self.layout.root, task.key)
-        except FabricError:
-            return
-        if not spec.degraded_params:
+        if not task.spec.degraded_params:
             return
         task.degraded = True
         get_recorder().event(
@@ -779,20 +784,14 @@ class SweepFabric:
         self._workers.clear()
 
 
-def _resolve_kinds(root: Path, keys: Sequence[str]) -> None:
-    """Look up the task kind of each key's spec in this process.
+def _resolve_kinds(specs: Sequence[TaskSpec]) -> None:
+    """Look up the task kind of each spec in this process.
 
     Workers forked afterwards inherit every module the lookups import.
-    A spec or kind that does not resolve is skipped here: the worker
-    that runs it fails that attempt with the error.
+    A kind that does not resolve is skipped here: the worker that runs
+    it fails that attempt with the error.
     """
-    kinds = set()
-    for key in keys:
-        try:
-            kinds.add(load_spec(root, key).kind)
-        except (FabricError, ValueError):
-            continue
-    for kind in sorted(kinds):
+    for kind in sorted({spec.kind for spec in specs}):
         try:
             get_task(kind)
         except KeyError:
@@ -823,6 +822,7 @@ def _reap(worker: _Worker) -> int | None:
         proc.join(timeout=10)
     rc = proc.exitcode
     worker.conn.close()
+    worker.beat.close()
     try:
         proc.close()
     except ValueError:

@@ -2,7 +2,8 @@
 
 Workers are shared-nothing processes, so a task cannot be a closure —
 it is a *kind* (a name in this registry) plus a JSON ``params`` dict,
-both carried by the spec file.  Task functions must be deterministic in
+both held by the sweep's manifest and sent to the worker with each
+task.  Task functions must be deterministic in
 their params (seeds travel inside ``params``); any timing they want to
 report goes under a ``"timing"`` sub-dict, which the merge layer strips
 when comparing chaotic and fault-free sweeps for payload identity.

@@ -11,16 +11,18 @@ command line.
 The protocol runs over one duplex :func:`multiprocessing.Pipe`; each
 message is one dict:
 
-* supervisor -> worker: ``{"cmd": "task", "key": ..., "attempt": n,
-  "degraded": bool, "chaos": {...}|None}`` or ``{"cmd": "shutdown"}``;
+* supervisor -> worker: ``{"cmd": "task", "key": ..., "kind": ...,
+  "params": {...}, "attempt": n, "degraded": bool, "chaos": {...}|None}``
+  or ``{"cmd": "shutdown"}``;
 * worker -> supervisor: ``{"event": "ready"}`` once at start, then
   ``{"event": "done", "key": ..., "status": "ok"|"failed", ...,
   "trace": {...}}`` after each task.
 
-The worker loads each spec from the sweep directory itself (shared-
-nothing: after the fork, results cross the process boundary only as
-files), runs the task function under a span recorder, writes the result
-shard atomically, and only then acks.  The ack carries the task's spans
+The task message carries the task's kind and its effective params (the
+supervisor has already merged ``degraded_params`` in when the attempt
+is degraded).  The worker runs the task function under a span recorder,
+writes the result shard atomically, and only then acks: results cross
+the process boundary only as files.  The ack carries the task's spans
 as a trace document (this process's clock anchor included), which the
 supervisor grafts under its sweep span.  Every result is on disk before
 the ack, so a worker killed at any instant loses at most the task in
@@ -30,7 +32,8 @@ middle of a task that never returns: the heartbeat thread sees the
 worker reparented and ends the process.  Between tasks the main loop
 also sees the pipe close.
 
-A daemon heartbeat thread bumps a counter file every
+A daemon heartbeat thread bumps a counter in an anonymous shared memory
+page, which the supervisor mapped before the fork, every
 ``heartbeat_interval_s`` seconds.  It keeps beating while a task spins
 in native code (hang detection stays with the *deadline*); it stops only
 when the process itself is dead or frozen (SIGSTOP/livelock), which is
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import contextvars
 import gc
+import mmap
 import os
 import signal
 import sys
@@ -55,13 +59,13 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from ...obs import SpanRecorder, TraceContext, set_recorder, trace_to_dict
-from .spec import load_spec, write_shard
+from .spec import write_shard
 from .tasks import get_task
 
 __all__ = ["run_worker"]
 
 
-def _heartbeat_loop(path: Path, interval_s: float) -> None:
+def _heartbeat_loop(beat: mmap.mmap, interval_s: float) -> None:
     supervisor = os.getppid()
     counter = 0
     while True:
@@ -71,12 +75,7 @@ def _heartbeat_loop(path: Path, interval_s: float) -> None:
             # written atomically, so ending here loses at most that task.
             os._exit(1)
         counter += 1
-        try:
-            with open(path, "w") as fh:
-                fh.write(str(counter))
-                fh.flush()
-        except OSError:
-            pass
+        beat[:] = counter.to_bytes(len(beat), "little")
         time.sleep(interval_s)
 
 
@@ -115,7 +114,7 @@ def _run_task(
     sweep_dir: Path, name: str, msg: dict[str, Any], recorder: SpanRecorder
 ) -> dict[str, Any]:
     """Execute one task message; returns the ack event dict."""
-    key = str(msg["key"])
+    key, kind = str(msg["key"]), msg["kind"]
     attempt = int(msg.get("attempt", 0))
     degraded = bool(msg.get("degraded", False))
     chaos = msg.get("chaos")
@@ -130,12 +129,10 @@ def _run_task(
         degraded=degraded,
     ) as span:
         try:
-            spec = load_spec(sweep_dir, key)
-            params = spec.effective_params(degraded=degraded)
-            result = get_task(spec.kind)(params)
+            result = get_task(kind)(msg["params"])
             if not isinstance(result, dict):
                 raise TypeError(
-                    f"task {spec.kind!r} returned {type(result).__name__}, "
+                    f"task {kind!r} returned {type(result).__name__}, "
                     "expected a JSON-friendly dict"
                 )
         except Exception as exc:
@@ -218,7 +215,7 @@ def run_worker(
     *,
     sweep_dir: Path,
     name: str,
-    hb_path: Path,
+    beat: mmap.mmap,
     log_path: Path,
     heartbeat_interval_s: float,
     context: TraceContext | None,
@@ -227,6 +224,8 @@ def run_worker(
 ) -> None:
     """Body of a freshly forked worker process.
 
+    ``beat`` is the shared memory page the supervisor mapped for this
+    worker before the fork; the heartbeat thread keeps a counter in it.
     ``inherited`` and ``inherited_fds`` are the supervisor's descriptors
     that the fork copied into this process: its ends of every worker's
     pipe (this one's included) and multiprocessing's per-child sentinel
@@ -251,7 +250,7 @@ def run_worker(
     _redirect_output(log_path)
     threading.Thread(
         target=_heartbeat_loop,
-        args=(hb_path, heartbeat_interval_s),
+        args=(beat, heartbeat_interval_s),
         daemon=True,
         name="fabric-heartbeat",
     ).start()

@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import sys
 from typing import Any
 
 from .engine import EngineConfig, PlacementEngine
@@ -265,7 +266,8 @@ def run(
 ) -> None:
     """Run a daemon until SIGTERM/SIGINT or a ``shutdown`` op (blocking).
 
-    The CLI's ``python -m repro serve`` lands here.
+    The CLI's ``python -m repro serve`` lands here.  The "listening"
+    line goes to stderr only once both sockets are bound.
     """
     import signal
 
@@ -275,6 +277,10 @@ def run(
             # A failed bind (say, the HTTP port is taken) still removes
             # the unix socket and joins the pool on the way out.
             await daemon.start()
+            where = f"unix://{socket_path}"
+            if http_port is not None:
+                where += f" and http://127.0.0.1:{http_port}"
+            print(f"placement daemon listening on {where}", file=sys.stderr)
             loop = asyncio.get_running_loop()
             for sig in (signal.SIGINT, signal.SIGTERM):
                 try:

@@ -80,6 +80,27 @@ def _fabric(tmp_path, **kw):
     return SweepFabric(tmp_path, config=FabricConfig(**merged))
 
 
+def _booted_workers(supervisor, *, min_age_s):
+    """How many children of ``supervisor`` run a second (heartbeat)
+    thread and started at least ``min_age_s`` ago, read from /proc."""
+    with open("/proc/uptime") as fh:
+        uptime = float(fh.read().split()[0])
+    tick = os.sysconf("SC_CLK_TCK")
+    booted = 0
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        # fields[1] is the ppid, [17] the thread count, [19] the start
+        # time in clock ticks since boot.
+        if int(fields[1]) != supervisor or int(fields[17]) < 2:
+            continue
+        booted += uptime - int(fields[19]) / tick >= min_age_s
+    return booted
+
+
 def _sweep_trace(root):
     """The root spans of the trace a sweep wrote to its directory."""
     from repro.obs import validate_trace
@@ -98,6 +119,11 @@ class TestHappyPath:
         assert merged.complete
         assert [r["key"] for r in merged.rows] == [
             f"demo/{i:04d}" for i in range(6)
+        ]
+        # Specs live in the manifest and heartbeats in memory: the
+        # sweep dir keeps only its input, outputs, logs and trace.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "logs", "manifest.json", "result.json", "shards", "trace.json",
         ]
 
     def test_result_rows_carry_payload(self, tmp_path):
@@ -204,6 +230,28 @@ class TestDeadlines:
         assert report.degraded == 1
         shard = load_shard(tmp_path, "d")
         assert shard["degraded"] is True
+
+
+class TestHeartbeatLiveness:
+    def test_frozen_workers_are_replaced(self, tmp_path):
+        """SIGSTOPped workers stop beating and the heartbeat check
+        reclaims them long before the backstop deadline would."""
+        from repro.obs import recording
+
+        write_sweep(tmp_path, demo_specs(8, work=2))
+        with recording() as rec:
+            report = _fabric(
+                tmp_path, workers=2, max_retries=3, timeout_s=60.0,
+                heartbeat_timeout_s=1.0, chaos=ChaosConfig(seed=11, freeze=0.3),
+            ).run()
+        assert report.ok, report.statuses
+        assert report.worker_restarts >= 1
+        (sweep,) = rec.roots
+        errors = [
+            e.attrs["error"] for e in sweep.events
+            if e.name == "fabric.attempt_failed"
+        ]
+        assert errors and all("unresponsive" in e for e in errors), errors
 
 
 class TestResume:
@@ -460,16 +508,15 @@ class TestForkedWorkers:
             # Killed between tasks: two shards are already written.
             (
                 "seed=1,delay=1.0,delay-s=0.2",
-                lambda sweep: len(list(sweep.glob("shards/*.json"))) >= 2,
+                lambda sweep, pid: len(list(sweep.glob("shards/*.json"))) >= 2,
             ),
             # Killed while every worker is stuck in a task that never
-            # returns: both have beaten for a few intervals since taking
-            # their first task.
+            # returns: a worker takes its first task within a supervisor
+            # tick of booting, so two that have run their heartbeat
+            # thread for three intervals are both inside that task.
             (
                 "seed=1,hang=1.0",
-                lambda sweep: sum(
-                    int(hb.read_text() or 0) >= 3 for hb in sweep.glob("hb/*.hb")
-                ) >= 2,
+                lambda sweep, pid: _booted_workers(pid, min_age_s=0.6) >= 2,
             ),
         ],
         ids=["delay", "hang"],
@@ -493,7 +540,7 @@ class TestForkedWorkers:
         )
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline and proc.poll() is None:
-            if started(killed):
+            if started(killed, proc.pid):
                 break
             time.sleep(0.05)
         proc.send_signal(signal.SIGKILL)

@@ -1,4 +1,4 @@
-"""Sweep layout: specs, shards, manifests, and atomic IO."""
+"""Sweep layout: the manifest, shards, and atomic IO."""
 
 from __future__ import annotations
 
@@ -13,12 +13,19 @@ from repro.exp.fabric import (
     TaskSpec,
     load_manifest,
     load_shard,
-    load_spec,
     write_shard,
     write_sweep,
 )
 from repro.exp.fabric.io import atomic_write_json, read_json, sweep_stale_tmp
-from repro.exp.fabric.spec import SPEC_FORMAT
+from repro.exp.fabric.spec import MANIFEST_FORMAT
+
+
+def _write_manifest(root, tasks):
+    """Write a hand-edited manifest, bypassing write_sweep's checks."""
+    atomic_write_json(
+        SweepLayout(root).manifest_path,
+        {"format": MANIFEST_FORMAT, "tasks": tasks},
+    )
 
 
 class TestTaskSpec:
@@ -27,7 +34,7 @@ class TestTaskSpec:
             key="a/b", kind="demo", params={"x": 1},
             degraded_params={"x": 0},
         )
-        again = TaskSpec.from_dict(spec.to_dict())
+        again = TaskSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
 
     def test_effective_params_merges_degraded(self):
@@ -48,22 +55,18 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             TaskSpec(key="k", kind="")
 
-    def test_from_dict_rejects_wrong_format(self):
-        with pytest.raises(ValueError, match="format"):
-            TaskSpec.from_dict({"format": "nope", "key": "k", "kind": "demo"})
-
 
 class TestSweepLayout:
     def test_keys_with_slashes_stay_flat(self, tmp_path):
         layout = SweepLayout(tmp_path)
-        p = layout.spec_path("fig7/LU/n64/greedy/s0")
-        assert p.parent == layout.specs_dir  # no nested directories
+        p = layout.shard_path("fig7/LU/n64/greedy/s0")
+        assert p.parent == layout.shards_dir  # no nested directories
         assert "/" not in p.name.replace("%2F", "")
 
     def test_distinct_keys_distinct_files(self, tmp_path):
         layout = SweepLayout(tmp_path)
         keys = ["a/b", "a%2Fb", "a b", "a+b", "a.b", "a"]
-        paths = {layout.spec_path(k) for k in keys}
+        paths = {layout.shard_path(k) for k in keys}
         assert len(paths) == len(keys)
 
 
@@ -74,8 +77,9 @@ class TestWriteSweep:
             for i in range(4)
         ]
         write_sweep(tmp_path, specs)
-        assert load_manifest(tmp_path) == [s.key for s in specs]
-        assert load_spec(tmp_path, "t/2").params == {"i": 2}
+        assert load_manifest(tmp_path) == specs
+        # The manifest is the sweep's only input file.
+        assert sorted(os.listdir(tmp_path)) == ["manifest.json"]
 
     def test_duplicate_keys_rejected(self, tmp_path):
         specs = [TaskSpec(key="x", kind="demo")] * 2
@@ -103,27 +107,45 @@ class TestWriteSweep:
             ({"kind": "demo"}, "'key'"),
             ({"key": "good", "kind": "demo", "params": [1, 2]}, "'params'"),
             ([1, 2, 3], "JSON object"),
+            ({"key": "", "kind": "demo"}, "key must be non-empty"),
         ],
-        ids=["missing-key", "list-params", "non-dict"],
+        ids=["missing-key", "list-params", "non-dict", "empty-key"],
     )
     def test_malformed_spec_body_is_a_fabric_error(self, tmp_path, body, field):
-        write_sweep(tmp_path, [TaskSpec(key="good", kind="demo")])
-        path = SweepLayout(tmp_path).spec_path("good")
-        if isinstance(body, dict):
-            body = {"format": SPEC_FORMAT, **body}
-        path.write_text(json.dumps(body))
+        _write_manifest(tmp_path, [{"key": "good", "kind": "demo"}, body])
         with pytest.raises(FabricError, match=field) as info:
-            load_spec(tmp_path, "good")
-        assert str(path) in str(info.value)
+            load_manifest(tmp_path)
+        assert "tasks[1]" in str(info.value)
 
-    def test_spec_key_mismatch_detected(self, tmp_path):
-        write_sweep(tmp_path, [TaskSpec(key="good", kind="demo")])
+
+class TestManifest:
+    def test_duplicate_keys_rejected_when_loaded(self, tmp_path):
+        entry = TaskSpec(key="twice", kind="demo").to_dict()
+        _write_manifest(tmp_path, [entry, entry])
+        with pytest.raises(FabricError, match="duplicate.*'twice'"):
+            load_manifest(tmp_path)
+
+    def test_v1_sweep_dir_is_refused_by_name(self, tmp_path, capsys):
+        from repro.cli import main
+
         layout = SweepLayout(tmp_path)
-        data = json.loads(layout.spec_path("good").read_text())
-        data["key"] = "evil"
-        layout.spec_path("good").write_text(json.dumps(data))
-        with pytest.raises(FabricError, match="claims key"):
-            load_spec(tmp_path, "good")
+        atomic_write_json(
+            layout.manifest_path,
+            {"format": "repro-fabric-manifest-v1", "keys": ["demo/0000"]},
+        )
+        with pytest.raises(FabricError, match="repro-fabric-manifest-v1"):
+            load_manifest(tmp_path)
+        rc = main(["sweep", "--sweep-dir", str(tmp_path), "--resume"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "repro-fabric-manifest-v1" in err
+        assert not layout.shards_dir.exists()
+
+    def test_empty_task_list_rejected(self, tmp_path):
+        _write_manifest(tmp_path, [])
+        with pytest.raises(FabricError, match="'tasks'"):
+            load_manifest(tmp_path)
 
 
 class TestShards:

@@ -666,6 +666,7 @@ def test_serve_reports_a_taken_port_and_leaves_nothing_behind(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "address already in use" in err
+    assert "listening" not in err
     assert not socket_path.exists()
     assert {p.pid for p in multiprocessing.active_children()} <= before
 
@@ -678,10 +679,9 @@ def test_sweep_with_store_feeds_obs_query_and_show(tmp_path, capsys):
 
     d = str(tmp_path / "sweep")
     store = str(tmp_path / "store")
-    trace = str(tmp_path / "stitched.json")
     rc = main(
         ["sweep", "--sweep-dir", d, "--grid", "demo", "--tasks", "4",
-         "--workers", "2", "--stitch-trace", trace, "--store", store]
+         "--workers", "2", "--store", store]
     )
     assert rc == 0
     out = capsys.readouterr().out
