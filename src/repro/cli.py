@@ -331,7 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "per-task deadlines, crash isolation, retry/backoff, "
             "quarantine, heartbeat liveness, and atomic result shards. "
             "A sweep directory without a manifest is initialized from "
-            "--grid first; an existing one is simply (re)run."
+            "--grid first; an existing one is simply (re)run. "
+            "The run is traced only with --store (or $REPRO_STORE): then "
+            "the sweep directory's trace.json holds its span tree, "
+            "otherwise no spans are recorded and no trace.json is left."
         ),
     )
     p_sweep.add_argument(
@@ -1177,11 +1180,15 @@ def _cmd_sweep(args) -> int:
     except (FabricError, ValueError) as exc:
         return _error_exit(exc)
 
-    trace = read_json(SweepLayout(args.sweep_dir).trace_path)
-    try:
-        (root,) = validate_trace(trace)
-    except ValueError:  # absent, unreadable, or not one sweep span
-        trace = root = None
+    # A run leaves trace.json only when it was traced (--store), so the
+    # file, if any, is this run's; --merge-only ran nothing.
+    trace = root = None
+    if report is not None:
+        trace = read_json(SweepLayout(args.sweep_dir).trace_path)
+        try:
+            (root,) = validate_trace(trace)
+        except ValueError:  # absent, unreadable, or not one sweep span
+            trace = root = None
     if root is not None:
         tasks = sum(c.name == "fabric.task" for c in root.children)
         print(

@@ -122,6 +122,17 @@ def _check_comm_matrix(mat, name: str, size: int | None):
     must be zero: a process does not pay network cost to talk to itself.
     """
     if sp.issparse(mat):
+        if hasattr(mat, "check_format"):
+            # Compressed input is trusted by scipy's C++ kernels: an index
+            # out of range or a decreasing indptr would make tocsr,
+            # sum_duplicates and sort_indices read and write out of bounds.
+            try:
+                mat.check_format(full_check=True)
+                # check_format skips this when indptr ends at 0.
+                if np.any(np.diff(mat.indptr) < 0):
+                    raise ValueError("indptr must be a non-decreasing sequence")
+            except ValueError as exc:
+                raise ValueError(f"{name} is not a valid sparse matrix: {exc}") from exc
         m = mat.tocsr().astype(np.float64)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"{name} must be square, got shape {m.shape}")

@@ -7,6 +7,7 @@ A sweep lives entirely inside one directory::
       shards/<key>.json    one result shard per scenario        (output)
       logs/<worker>.log    worker stdout and stderr
       trace.json           the last run's sweep span, acked task spans under it
+                           (only when that run was traced)
       result.json          merged, input-ordered result table
       sweep.lock           exclusive PathLock while a supervisor runs
 

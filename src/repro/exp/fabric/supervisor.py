@@ -23,12 +23,16 @@ The fabric owns real OS processes and therefore a real robustness loop:
   supervisor holds no result state that is not also on disk, so a
   killed sweep resumes from the shards alone.
 
-Each worker acks a task with that task's spans, which the supervisor
-grafts under its ``fabric.sweep`` span with :func:`repro.obs.graft_trace`
-as the ack arrives; when the sweep ends it writes the tree to the sweep
-directory's ``trace.json``.  The sweep span lives in the ambient
-recorder when there is one, so a traced run (``--trace``) holds every
-task's spans too.  Spans are diagnostics: a supervisor killed mid-sweep
+The fabric follows the ambient recorder.  When tracing is on (a
+:class:`~repro.obs.SpanRecorder`, as under ``--trace`` or ``--store``),
+the sweep opens its ``fabric.sweep`` span there and hands workers that
+span's trace context; each worker acks a task with that task's spans,
+which the supervisor grafts under the sweep span with
+:func:`repro.obs.graft_trace` as the ack arrives, and when the sweep ends
+it writes the tree to the sweep directory's ``trace.json``.  When tracing
+is off, neither side records a span, acks carry no trace, and the run
+removes any ``trace.json`` an earlier run left, so the file is only ever
+this run's trace.  Spans are diagnostics: a supervisor killed mid-sweep
 loses them, and resuming from the shards needs none.
 
 Each run reads the sweep's manifest once and sends every task's kind and
@@ -66,6 +70,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from ...obs import (
+    NullSpan,
     Span,
     SpanRecorder,
     TraceContext,
@@ -278,14 +283,11 @@ class SweepFabric:
             selected = [k for k in specs if k in wanted]
 
         obs = get_recorder()
-        # The sweep always records a real trace: when the ambient
-        # recorder is already a SpanRecorder (the CLI's --trace) the
-        # sweep span nests into the caller's trace; otherwise a local
-        # recorder mints the sweep its own trace identity.  Either way
-        # workers are handed the sweep span's context, so the task spans
-        # they ack are parented under the sweep span.
-        recorder = obs if isinstance(obs, SpanRecorder) else SpanRecorder()
-        self._recorder = recorder
+        # Spans only when tracing is on: the sweep span then nests into
+        # the caller's trace, and workers are handed its context so the
+        # task spans they ack are parented under it.  Untraced, workers
+        # get no context and record nothing.
+        self._recorder = obs if isinstance(obs, SpanRecorder) else None
         self._sweep_context: TraceContext | None = None
         self._dropped_traces = 0
         start = time.monotonic()
@@ -324,7 +326,7 @@ class SweepFabric:
                         pass
                 pending.append(specs[key])
 
-            with recorder.span(
+            with obs.span(
                 "fabric.sweep",
                 num_tasks=len(selected),
                 pending=len(pending),
@@ -333,14 +335,12 @@ class SweepFabric:
                 chaos=self.config.chaos is not None,
             ) as span:
                 self._sweep_span = span
-                if span.span_id is not None:
+                if self._recorder is not None:
                     self._sweep_context = TraceContext(
-                        trace_id=recorder.trace_id, span_id=span.span_id
+                        trace_id=self._recorder.trace_id, span_id=span.span_id
                     )
                 if pending:
                     self._execute(pending)
-                # Acks arrive in finishing order.
-                span.children.sort(key=lambda s: s.t_start)
                 span.set(
                     adopted=self._adopted,
                     retries=self._retries,
@@ -358,18 +358,25 @@ class SweepFabric:
         )
         return report
 
-    def _write_sweep_trace(self, span: Span) -> None:
-        """Write the sweep span, task spans grafted, to ``trace.json``.
+    def _write_sweep_trace(self, span: Span | NullSpan) -> None:
+        """Leave this run's trace in ``trace.json``: the sweep span with
+        the task spans grafted when tracing is on, no file when it is off.
 
         Best-effort: a sweep must not fail because its trace could not
         be written.
         """
         recorder = self._recorder
-        doc = trace_to_dict([span], trace_id=recorder.trace_id, anchor=recorder.anchor)
+        path = self.layout.trace_path
         try:
+            if recorder is None:
+                path.unlink(missing_ok=True)
+                return
+            # Acks arrive in finishing order.
+            span.children.sort(key=lambda s: s.t_start)
+            doc = trace_to_dict([span], trace_id=recorder.trace_id, anchor=recorder.anchor)
             # Compact: with an indent, json encodes in Python, several
             # times slower on a sweep's thousand-odd spans.
-            atomic_write_text(self.layout.trace_path, json.dumps(doc))
+            atomic_write_text(path, json.dumps(doc))
         except OSError:
             pass
 
@@ -551,7 +558,9 @@ class SweepFabric:
             self._on_done(worker, msg)
 
     def _on_done(self, worker: _Worker, msg: dict[str, Any]) -> None:
-        if not graft_trace(self._sweep_span, msg.get("trace"), self._recorder.anchor):
+        if self._recorder is not None and not graft_trace(
+            self._sweep_span, msg.get("trace"), self._recorder.anchor
+        ):
             self._dropped_traces += 1
         task = worker.task
         worker.task = None

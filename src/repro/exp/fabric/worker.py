@@ -15,22 +15,26 @@ message is one dict:
   "params": {...}, "attempt": n, "degraded": bool, "chaos": {...}|None}``
   or ``{"cmd": "shutdown"}``;
 * worker -> supervisor: ``{"event": "ready"}`` once at start, then
-  ``{"event": "done", "key": ..., "status": "ok"|"failed", ...,
-  "trace": {...}}`` after each task.
+  ``{"event": "done", "key": ..., "status": "ok"|"failed", ...}`` after
+  each task, with a ``"trace": {...}`` entry only when the sweep is
+  traced.
 
 The task message carries the task's kind and its effective params (the
 supervisor has already merged ``degraded_params`` in when the attempt
-is degraded).  The worker runs the task function under a span recorder,
-writes the result shard atomically, and only then acks: results cross
-the process boundary only as files.  The ack carries the task's spans
-as a trace document (this process's clock anchor included), which the
-supervisor grafts under its sweep span.  Every result is on disk before
-the ack, so a worker killed at any instant loses at most the task in
-flight, which the supervisor retries, and that task's spans.  A worker
-whose supervisor dies exits within a heartbeat interval, even in the
-middle of a task that never returns: the heartbeat thread sees the
-worker reparented and ends the process.  Between tasks the main loop
-also sees the pipe close.
+is degraded).  The worker runs the task function, writes the result
+shard atomically, and only then acks: results cross the process
+boundary only as files.  When the supervisor hands the worker a trace
+context (the sweep is traced), the worker records each task under a
+span recorder parented there, and the ack carries the task's spans as a
+trace document (this process's clock anchor included), which the
+supervisor grafts under its sweep span; without a context the worker
+runs under the null recorder and records nothing.  Every result is on
+disk before the ack, so a worker killed at any instant loses at most
+the task in flight, which the supervisor retries, and that task's
+spans.  A worker whose supervisor dies exits within a heartbeat
+interval, even in the middle of a task that never returns: the
+heartbeat thread sees the worker reparented and ends the process.
+Between tasks the main loop also sees the pipe close.
 
 A daemon heartbeat thread bumps a counter in an anonymous shared memory
 page, which the supervisor mapped before the fork, every
@@ -58,7 +62,13 @@ from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Any, Sequence
 
-from ...obs import SpanRecorder, TraceContext, set_recorder, trace_to_dict
+from ...obs import (
+    SpanRecorder,
+    TraceContext,
+    get_recorder,
+    set_recorder,
+    trace_to_dict,
+)
 from .spec import write_shard
 from .tasks import get_task
 
@@ -110,9 +120,7 @@ def _post_write_chaos_hook(chaos: dict[str, Any] | None, *, mid_write: bool):
     return die
 
 
-def _run_task(
-    sweep_dir: Path, name: str, msg: dict[str, Any], recorder: SpanRecorder
-) -> dict[str, Any]:
+def _run_task(sweep_dir: Path, name: str, msg: dict[str, Any]) -> dict[str, Any]:
     """Execute one task message; returns the ack event dict."""
     key, kind = str(msg["key"]), msg["kind"]
     attempt = int(msg.get("attempt", 0))
@@ -121,7 +129,7 @@ def _run_task(
     _apply_pre_chaos(chaos)
     start = time.perf_counter()
     status, error, result = "ok", None, None
-    with recorder.span(
+    with get_recorder().span(
         "fabric.task",
         key=key,
         attempt=attempt,
@@ -189,22 +197,27 @@ def _serve(
     name: str,
     context: TraceContext | None,
 ) -> None:
-    """The worker loop: receive tasks until shutdown or a closed pipe."""
-    recorder = SpanRecorder(context=context)
-    set_recorder(recorder)
+    """The worker loop: receive tasks until shutdown or a closed pipe.
+
+    Spans are recorded only under a trace context (a traced sweep).
+    """
+    recorder = SpanRecorder(context=context) if context is not None else None
+    if recorder is not None:
+        set_recorder(recorder)
     try:
         conn.send({"event": "ready"})
         while True:
             msg = conn.recv()
             if msg["cmd"] == "shutdown":
                 return
-            event = _run_task(sweep_dir, name, msg, recorder)
-            # The ack carries the spans recorded since the last ack, so
-            # the work per task stays constant.
-            event["trace"] = trace_to_dict(
-                recorder.roots, trace_id=recorder.trace_id, anchor=recorder.anchor
-            )
-            recorder.trim(0)
+            event = _run_task(sweep_dir, name, msg)
+            if recorder is not None:
+                # The ack carries the spans recorded since the last ack,
+                # so the work per task stays constant.
+                event["trace"] = trace_to_dict(
+                    recorder.roots, trace_id=recorder.trace_id, anchor=recorder.anchor
+                )
+                recorder.trim(0)
             conn.send(event)
     except (EOFError, OSError):
         return  # the supervisor is gone
@@ -233,8 +246,9 @@ def run_worker(
     many workers were forked before it, and lets a worker see EOF when
     the supervisor dies.  The loop runs in an empty
     :class:`contextvars.Context`: the fork copied the supervisor's open
-    ``fabric.sweep`` span as the current span, and task spans must be
-    roots of this worker's recorder, not children of that copy.
+    ``fabric.sweep`` span and the ambient recorder as current, and task
+    spans must be roots of this worker's own recorder (or, untraced, go
+    to the null recorder), not children of that copy.
     """
     # The worker never frees what it inherited; freezing those objects
     # keeps the collector from walking them, which would copy every

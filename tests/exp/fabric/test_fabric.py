@@ -110,8 +110,11 @@ def _sweep_trace(root):
 
 class TestHappyPath:
     def test_all_ok_and_merge(self, tmp_path):
+        from repro.obs import recording
+
         write_sweep(tmp_path, demo_specs(6, work=2))
-        report = _fabric(tmp_path, workers=2).run()
+        with recording():
+            report = _fabric(tmp_path, workers=2).run()
         assert report.ok
         assert report.total == 6
         assert report.worker_restarts == 0
@@ -135,8 +138,11 @@ class TestHappyPath:
             assert "digest" in row["result"]
 
     def test_trace_stitching(self, tmp_path):
+        from repro.obs import recording
+
         write_sweep(tmp_path, demo_specs(3, work=2))
-        _fabric(tmp_path, workers=2).run()
+        with recording():
+            _fabric(tmp_path, workers=2).run()
         doc = json.loads(SweepLayout(tmp_path).trace_path.read_text())
         # One causally-parented tree: the sweep span roots the document
         # and every task span, acked by its worker, hangs under it.
@@ -322,15 +328,16 @@ class TestChaosEndToEnd:
         sibling intervals, and a worker document the supervisor could
         not graft must be counted on the sweep span.
         """
-        from repro.obs import validate_causal_trace
+        from repro.obs import recording, validate_causal_trace
 
         write_sweep(tmp_path, demo_specs(12, work=2))
         chaos = ChaosConfig(
             seed=13, kill=0.2, kill_mid_write=0.1, delay=0.1, delay_s=0.01
         )
-        report = _fabric(
-            tmp_path, workers=3, max_retries=3, timeout_s=10.0, chaos=chaos
-        ).run()
+        with recording():
+            report = _fabric(
+                tmp_path, workers=3, max_retries=3, timeout_s=10.0, chaos=chaos
+            ).run()
         assert report.ok, report.statuses
         assert report.worker_restarts > 0  # the chaos actually fired
 
@@ -576,6 +583,7 @@ class TestForkedWorkers:
 
 class TestPerTaskTraces:
     def test_one_task_span_per_acked_attempt(self, tmp_path, monkeypatch):
+        from repro import obs
         from repro.obs import validate_causal_trace
 
         acked = []
@@ -592,9 +600,10 @@ class TestPerTaskTraces:
             seed=7, kill=0.2, kill_mid_write=0.1, kill_after_write=0.1,
             delay=0.1, delay_s=0.01,
         )
-        report = _fabric(
-            tmp_path, workers=3, max_retries=3, timeout_s=10.0, chaos=chaos
-        ).run()
+        with obs.recording():
+            report = _fabric(
+                tmp_path, workers=3, max_retries=3, timeout_s=10.0, chaos=chaos
+            ).run()
         assert report.ok, report.statuses
         assert report.worker_restarts > 0
 
@@ -610,17 +619,60 @@ class TestPerTaskTraces:
         assert sorted(spans) == sorted(acked)
 
     def test_killed_worker_keeps_one_span_per_finished_task(self, tmp_path):
+        from repro.obs import recording
+
         k = 3
         specs = demo_specs(k, work=2) + [
             TaskSpec(key="die", kind="demo", params={"die_signal": 9})
         ]
         write_sweep(tmp_path, specs)
-        report = _fabric(
-            tmp_path, workers=1, max_retries=0, quarantine_after=1
-        ).run()
+        with recording():
+            report = _fabric(
+                tmp_path, workers=1, max_retries=0, quarantine_after=1
+            ).run()
         assert report.statuses["die"] == "quarantined"
         (root,) = _sweep_trace(tmp_path)
         tasks = [c for c in root.children if c.name == "fabric.task"]
         assert [t.attrs["key"] for t in tasks] == [s.key for s in specs[:k]]
         assert {t.attrs["worker"] for t in tasks} == {"w0-0"}
         assert root.attrs["dropped_traces"] == 0
+
+    def test_traced_sweep_joins_the_ambient_trace(self, tmp_path):
+        from repro.obs import recording, validate_causal_trace
+
+        write_sweep(tmp_path, demo_specs(4, work=2))
+        with recording() as rec:
+            assert _fabric(tmp_path, workers=2).run().ok
+        doc = read_json(SweepLayout(tmp_path).trace_path)
+        assert doc["trace_id"] == rec.trace_id
+        (sweep,) = rec.roots
+        assert sweep.name == "fabric.sweep"
+        assert len(sweep.find_all("fabric.task")) == 4
+        validate_causal_trace(_sweep_trace(tmp_path), epsilon=0.05)
+
+
+class TestUntraced:
+    """With the null recorder ambient, the fabric records no spans."""
+
+    def test_no_trace_file_and_a_stale_one_is_removed(self, tmp_path):
+        write_sweep(tmp_path, demo_specs(4, work=2))
+        SweepLayout(tmp_path).trace_path.write_text("{}")  # an earlier run's
+        assert _fabric(tmp_path, workers=2).run().ok
+        assert not SweepLayout(tmp_path).trace_path.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "logs", "manifest.json", "shards",
+        ]
+
+    def test_acks_carry_no_trace(self, tmp_path, monkeypatch):
+        acks = []
+        on_done = SweepFabric._on_done
+
+        def spy(self, worker, msg):
+            acks.append(msg)
+            on_done(self, worker, msg)
+
+        monkeypatch.setattr(SweepFabric, "_on_done", spy)
+        write_sweep(tmp_path, demo_specs(4, work=2))
+        assert _fabric(tmp_path, workers=2).run().ok
+        assert sorted(a["key"] for a in acks) == [f"demo/{i:04d}" for i in range(4)]
+        assert all("trace" not in a for a in acks)

@@ -30,6 +30,7 @@ from repro.exp.fabric import (
 from repro.exp.fabric import tasks
 from repro.exp.robustness import robustness_scenario
 from repro.exp.scenarios import scale_scenario
+from repro.obs import recording
 
 #: sha256 of the canonical payload (``comparable_rows``, timing
 #: stripped) of ``robustness_specs(processes=32)`` merged, as computed
@@ -120,7 +121,8 @@ def test_forked_worker_starts_with_an_empty_memo(tmp_path, profiles):
     write_sweep(tmp_path, robustness_specs(
         processes=16, faults=("outage", "brownout"), mappers=("greedy",)
     ))
-    assert SweepFabric(tmp_path, config=FabricConfig(workers=1)).run().ok
+    with recording():
+        assert SweepFabric(tmp_path, config=FabricConfig(workers=1)).run().ok
 
     def walk(spans):
         for span in spans:

@@ -276,6 +276,28 @@ def test_malformed_problem_is_400():
     assert not response["ok"] and response["code"] == 400
 
 
+def test_malformed_csr_is_400_and_the_engine_keeps_solving(problem):
+    n = problem.CG.shape[0]
+    bad = []
+    for rid, index in enumerate((-1, 99)):
+        request = map_request(problem, rid=rid)
+        csr = {"format": "csr", "shape": n, "indptr": [0] + [1] * n,
+               "indices": [index], "data": [1.0]}
+        request["problem"].update(CG=csr, AG=csr)
+        bad.append(request)
+
+    async def scenario(engine):
+        replies = [await engine.handle(request) for request in bad]
+        return replies, await engine.handle(map_request(problem, rid=2))
+
+    rejected, solved = run_with_engine(EngineConfig(pool_workers=1), scenario)
+    for reply in rejected:
+        assert not reply["ok"] and reply["code"] == 400, reply
+        assert "CG is not a valid sparse matrix" in reply["error"]
+    assert solved["ok"], solved
+    assert solved["result"]["cost"] == get_mapper("greedy").map(problem, seed=0).cost
+
+
 @pytest.mark.parametrize("sleep_s", [float("inf"), float("nan"), -1.0])
 def test_bad_sleep_s_is_400(problem, sleep_s):
     async def scenario(engine):

@@ -711,6 +711,23 @@ def test_sweep_with_store_feeds_obs_query_and_show(tmp_path, capsys):
     assert run_rec["command"] == "sweep" and run_rec["status"] == 0
 
 
+def test_sweep_without_store_records_no_trace(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_STORE", raising=False)
+    d = tmp_path / "sweep"
+    args = ["sweep", "--sweep-dir", str(d), "--grid", "demo", "--tasks", "4",
+            "--workers", "2"]
+    # A stored run leaves its trace; an untraced rerun removes it.
+    assert main(args + ["--store", str(tmp_path / "store")]) == 0
+    assert "trace: 4 task span(s)" in capsys.readouterr().out
+    assert (d / "trace.json").exists()
+    # --merge-only runs nothing, so it reports no (earlier) trace.
+    assert main(["sweep", "--sweep-dir", str(d), "--merge-only"]) == 0
+    assert "trace:" not in capsys.readouterr().out
+    assert main(args + ["--resume"]) == 0
+    assert "trace:" not in capsys.readouterr().out
+    assert not (d / "trace.json").exists()
+
+
 def test_obs_query_empty_store_and_bad_show(tmp_path, capsys):
     store = str(tmp_path / "store")
     assert main(["obs", "query", "--store", store]) == 1
