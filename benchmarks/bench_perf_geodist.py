@@ -21,6 +21,7 @@ from itertools import permutations
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -30,7 +31,7 @@ from bench_perf_core import make_bench_problem  # noqa: E402
 
 from repro.core import GeoDistributedMapper, MappingProblem  # noqa: E402
 from repro.core.constraints import constrained_sites_available  # noqa: E402
-from repro.core.geodist import _affinity_row, _symmetric_traffic  # noqa: E402
+from repro.core.geodist import _symmetric_traffic  # noqa: E402
 from repro.core.problem import UNCONSTRAINED  # noqa: E402
 
 
@@ -58,6 +59,16 @@ def _seed_total_cost(problem: MappingProblem, P: np.ndarray) -> float:
         np.add.at(vol.T, P, rows_v.T)
         np.add.at(cnt.T, P, rows_c.T)
     return float(np.sum(cnt * problem.LT) + np.sum(vol / problem.BT))
+
+
+def _affinity_row(sym, proc: int) -> np.ndarray:
+    """Row ``proc`` of the symmetric traffic matrix as a dense vector."""
+    if sp.issparse(sym):
+        out = np.zeros(sym.shape[1])
+        start, end = sym.indptr[proc], sym.indptr[proc + 1]
+        out[sym.indices[start:end]] = sym.data[start:end]
+        return out
+    return sym[proc, :]
 
 
 class SeedGeoDistributedMapper(GeoDistributedMapper):

@@ -24,9 +24,10 @@ algorithm closes.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..core.constraints import constrained_sites_available
-from ..core.geodist import _affinity_row, _symmetric_traffic
+from ..core.geodist import _symmetric_traffic
 from ..core.mapping import Mapper, register_mapper
 from ..core.problem import UNCONSTRAINED, MappingProblem
 
@@ -71,49 +72,71 @@ class GreedyMapper(Mapper):
         n = problem.num_processes
         P = problem.constraints.copy()
         selected = P != UNCONSTRAINED
-        avail = constrained_sites_available(problem.constraints, problem.capacities).copy()
-
-        score = site_total_bandwidth(problem)
-        quantity = problem.communication_quantity()
-        neg_inf = -np.inf
+        avail = constrained_sites_available(problem.constraints, problem.capacities)
+        # Stable descending orders keep ties in index order, as argmax
+        # does; scores and quantities are finite sums of non-negative
+        # entries, so negating them keeps their order, ties included.
+        # The site choice ignores which process is placed, so the k-th
+        # placement takes the k-th free slot with sites in that order:
+        # the first open site of maximal score at every pick.
+        by_score = np.argsort(-site_total_bandwidth(problem), kind="stable")
+        slots = np.repeat(by_score, avail[by_score])
+        by_quantity = np.argsort(-problem.communication_quantity(), kind="stable")
 
         if not self.affinity_growth:
-            # Static order: heaviest volume first, ties by rank index
-            # (np.argsort on -quantity is stable).
-            placed = 0
-            order = np.argsort(-quantity, kind="stable")
-            for t in order:
-                if selected[t]:
-                    continue
-                open_sites = np.flatnonzero(avail > 0)
-                site = int(open_sites[np.argmax(score[open_sites])])
-                P[t] = site
-                selected[t] = True
-                avail[site] -= 1
-                placed += 1
-            return P, {"variant": "static-volume", "placed": placed}
+            # Static order: heaviest volume first, ties by rank index.
+            order = by_quantity[~selected[by_quantity]]
+            P[order] = slots[: order.size]
+            return P, {"variant": "static-volume", "placed": int(order.size)}
 
         # Affinity-growth variant: seed from the constrained set, then
         # repeatedly pull in the process most connected to what is placed.
+        # ``masked`` is the affinity of every unselected process and -inf
+        # for the selected ones, which further row additions cannot
+        # revive, so each pick is one argmax plus one row addition.
         sym = _symmetric_traffic(problem)
-        affinity = np.zeros(n)
-        for res in np.flatnonzero(selected):
-            affinity += _affinity_row(sym, int(res))
-        affinity_picks = fallback_picks = 0
-        for _ in range(n - int(selected.sum())):
-            masked = np.where(selected, neg_inf, affinity)
-            t = int(np.argmax(masked))
+        masked = np.zeros(n)
+        if sp.issparse(sym):
+            # Each row is read once, so it is sliced from the CSR arrays
+            # when its process is placed; building all N row views up
+            # front measured about 10% slower.
+            indices, data = sym.indices.astype(np.intp), sym.data
+            bounds = sym.indptr.tolist()
+
+            def add_row(t: int) -> None:
+                start, end = bounds[t], bounds[t + 1]
+                masked[indices[start:end]] += data[start:end]
+        else:
+
+            def add_row(t: int) -> None:
+                np.add(masked, sym[t], out=masked)
+
+        # Residents seed the affinity in ascending index order.
+        pinned = np.flatnonzero(selected).tolist()
+        for t in pinned:
+            add_row(t)
+        neg_inf = -np.inf
+        masked[selected] = neg_inf
+        # The heaviest unselected process is the first unselected one
+        # from cursor ``q`` on; ``selected`` only grows, so ``q`` only
+        # moves forward.
+        heaviest = by_quantity.tolist()
+        q = affinity_picks = fallback_picks = 0
+        picks = []
+        for _ in range(n - len(pinned)):
+            t = int(masked.argmax())
             if masked[t] <= 0.0:
-                t = int(np.argmax(np.where(selected, neg_inf, quantity)))
+                while selected[heaviest[q]]:
+                    q += 1
+                t = heaviest[q]
                 fallback_picks += 1
             else:
                 affinity_picks += 1
-            open_sites = np.flatnonzero(avail > 0)
-            site = int(open_sites[np.argmax(score[open_sites])])
-            P[t] = site
+            picks.append(t)
             selected[t] = True
-            avail[site] -= 1
-            affinity += _affinity_row(sym, t)
+            masked[t] = neg_inf
+            add_row(t)
+        P[picks] = slots[: len(picks)]
         meta = {
             "variant": "affinity-growth",
             "affinity_picks": affinity_picks,

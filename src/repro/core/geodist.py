@@ -56,23 +56,12 @@ def _symmetric_traffic(problem: MappingProblem):
     return cg + cg.T
 
 
-def _affinity_row(sym, proc: int) -> np.ndarray:
-    """Row ``proc`` of the symmetric traffic matrix as a dense vector."""
-    if sp.issparse(sym):
-        out = np.zeros(sym.shape[1])
-        start, end = sym.indptr[proc], sym.indptr[proc + 1]
-        out[sym.indices[start:end]] = sym.data[start:end]
-        return out
-    return sym[proc, :]
-
-
 def _affinity_rows_sum(sym, procs: np.ndarray) -> np.ndarray:
     """Summed affinity rows of ``procs`` in one gather + bincount.
 
-    Replaces the seed implementation's per-resident ``_affinity_row``
-    accumulation loop when a site is (re)opened.  The sparse path slices
-    the CSR arrays directly — no intermediate ``sym[procs]`` matrix is
-    constructed.
+    Replaces a per-resident loop of densified row additions when a site
+    is (re)opened.  The sparse path slices the CSR arrays directly — no
+    intermediate ``sym[procs]`` matrix is constructed.
     """
     if sp.issparse(sym):
         procs = np.asarray(procs, dtype=np.int64)
