@@ -48,6 +48,7 @@ __version__ = "1.0.0"
 # Every re-export loads on first use: ``import repro`` alone imports no
 # submodule, and so neither numpy nor scipy.
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "._validation": ("InputError",),
     ".apps": ("apps", "PAPER_APPS", "make_paper_app"),
     ".baselines": (
         "baselines", "GreedyMapper", "MonteCarloMapper", "MPIPPMapper", "RandomMapper",
@@ -72,6 +73,7 @@ __all__ += ["__version__"]
 # ruff: noqa: F401
 if TYPE_CHECKING:
     from . import apps, baselines, cloud, core, exp, simmpi
+    from ._validation import InputError
     from .apps import PAPER_APPS, make_paper_app
     from .baselines import GreedyMapper, MonteCarloMapper, MPIPPMapper, RandomMapper
     from .cloud import CloudTopology, NetworkModel, paper_topology

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from .._validation import InputError
 from . import PAPER_APPS
 from .base import Application
 from .dnn import DNNApp
@@ -17,10 +18,6 @@ _FACTORIES = dict(zip(PAPER_APPS, (BTApp, SPApp, LUApp, KMeansApp, DNNApp)))
 
 def make_paper_app(name: str, num_ranks: int = 64, **kwargs: Any) -> Application:
     """Instantiate one of the paper's five applications by name."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown paper app {name!r}; choose from {sorted(_FACTORIES)}"
-        ) from None
-    return factory(num_ranks, **kwargs)
+    if name not in _FACTORIES:
+        raise InputError(f"unknown paper app {name!r}; choose from {sorted(_FACTORIES)}")
+    return _FACTORIES[name](num_ranks, **kwargs)

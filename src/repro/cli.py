@@ -45,7 +45,9 @@ Commands
     TRACE_ID`` renders a stored trace document.
 
 Bad arguments (an unknown region or mapper, ``--nodes 0``, a ratio
-outside [0, 1]) print ``error: <message>`` on stderr and exit 2.
+outside [0, 1]: anything that raises :class:`~repro.InputError`) print
+``error: <message>`` on stderr and exit 2; any other exception is a bug
+and ends in a traceback.
 
 ``map``, ``compare``, and ``robustness`` accept ``--trace out.json``:
 the whole command runs under a span recorder and the trace forest is
@@ -81,8 +83,9 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Sequence
 
-# Both are stdlib-only.  Each command imports the rest of what it runs,
-# so building the parser, `repro obs` and `repro sweep` load no numpy.
+# All three are stdlib-only.  Each command imports the rest of what it
+# runs, so building the parser, `repro obs` and `repro sweep` load no numpy.
+from ._validation import InputError
 from .apps import PAPER_APPS
 from .exp.report import format_table
 
@@ -468,14 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="PENDING",
-        help="pending depth at which requests step down the mapper ladder",
-    )
-    p_serve.add_argument(
-        "--degrade-hard-at",
-        type=int,
-        default=None,
-        metavar="PENDING",
-        help="pending depth at which requests drop straight to Greedy",
+        help="pending depth at which geo-distributed and multilevel requests get Greedy",
     )
 
     p_obs = sub.add_parser(
@@ -559,10 +555,16 @@ def _topology(args) -> CloudTopology:
 
 def _error_exit(exc: Exception) -> int:
     """Print ``error: <exc>`` on stderr; returns exit code 2."""
-    # A KeyError's str() is the repr of its message, quotes and all.
-    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-    print(f"error: {message}", file=sys.stderr)
+    print(f"error: {exc}", file=sys.stderr)
     return 2
+
+
+def _run(handler, args) -> int:
+    """``handler(args)``; bad input (an :class:`InputError`) exits 2 with ``error:``."""
+    try:
+        return handler(args)
+    except InputError as exc:
+        return _error_exit(exc)
 
 
 def _check_grid(
@@ -575,7 +577,7 @@ def _check_grid(
     scales: Sequence[int] = (),
     mappers: Sequence[str] = (),
 ) -> None:
-    """Raise ``ValueError`` unless every cell of a sweep grid can run.
+    """Raise :class:`InputError` unless every cell of a sweep grid can run.
 
     Otherwise the sweep would fork its workers and fail each cell.  A
     ``--limit`` must keep at least one cell, the paper's regions must
@@ -583,32 +585,32 @@ def _check_grid(
     ``sites``, and every mapper must be registered.
     """
     if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+        raise InputError(f"limit must be >= 1, got {limit}")
     if sites is None:
         return
     from .cloud.regions import PAPER_EC2_REGIONS
     from .core.mapping import available_mappers
 
     if not 1 <= sites <= len(PAPER_EC2_REGIONS):
-        raise ValueError(
+        raise InputError(
             f"sites must be in 1..{len(PAPER_EC2_REGIONS)}, got {sites}"
         )
     if processes is not None and processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
+        raise InputError(f"processes must be >= 1, got {processes}")
     if slack is not None and not slack >= 1.0:
-        raise ValueError(f"slack must be >= 1, got {slack}")
+        raise InputError(f"slack must be >= 1, got {slack}")
     if constraint_ratio is not None and not 0.0 <= constraint_ratio <= 1.0:
-        raise ValueError(
+        raise InputError(
             f"constraint_ratio must be in [0, 1], got {constraint_ratio}"
         )
     for n in scales:
         if n < 1 or n % sites:
-            raise ValueError(
+            raise InputError(
                 f"scales must be positive multiples of sites ({sites}), got {n}"
             )
     unknown = sorted(set(mappers) - set(available_mappers()))
     if unknown:
-        raise ValueError(f"unknown mappers {unknown}; available: {available_mappers()}")
+        raise InputError(f"unknown mappers {unknown}; available: {available_mappers()}")
 
 
 def _pose(args):
@@ -639,10 +641,7 @@ def _cmd_regions(args) -> int:
 def _cmd_calibrate(args) -> int:
     import numpy as np
 
-    try:
-        topo = _topology(args)
-    except (KeyError, ValueError) as exc:
-        return _error_exit(exc)
+    topo = _topology(args)
     keys = [s.region.key for s in topo.sites]
     lat_rows = [[keys[i]] + list(np.round(topo.latency_s[i] * 1e3, 3)) for i in range(topo.num_sites)]
     bw_rows = [[keys[i]] + list(np.round(topo.bandwidth_mbs[i], 1)) for i in range(topo.num_sites)]
@@ -678,11 +677,8 @@ def _cmd_map(args) -> int:
     from .core import get_mapper
 
     mapper_name = "multilevel" if args.multilevel else args.mapper
-    try:
-        mapper = get_mapper(mapper_name)
-        topo, app, problem = _pose(args)
-    except (KeyError, ValueError) as exc:
-        return _error_exit(exc)
+    mapper = get_mapper(mapper_name)
+    topo, app, problem = _pose(args)
     if args.remote:
         return _remote_map(args, problem, mapper_name)
     mapping = mapper.map(problem, seed=args.seed)
@@ -729,10 +725,7 @@ def _cmd_compare(args) -> int:
     from .exp.runner import run_comparison
     from .exp.scenarios import default_mappers
 
-    try:
-        topo, app, problem = _pose(args)
-    except (KeyError, ValueError) as exc:
-        return _error_exit(exc)
+    topo, app, problem = _pose(args)
     if args.remote:
         names = ["baseline", "greedy", "geo-distributed"]
         if args.multilevel:
@@ -771,27 +764,19 @@ def _cmd_robustness(args) -> int:
     from .faults import standard_fault_suite
 
     if args.resume and not args.sweep_dir:
-        print("error: --resume requires --sweep-dir", file=sys.stderr)
-        return 2
-    try:
-        _check_grid(
-            sites=args.sites,
-            limit=args.limit,
-            processes=args.processes,
-            slack=args.slack,
-            constraint_ratio=args.constraint_ratio,
-        )
-        suite = standard_fault_suite(args.sites)
-    except ValueError as exc:
-        return _error_exit(exc)
+        raise InputError("--resume requires --sweep-dir")
+    _check_grid(
+        sites=args.sites,
+        limit=args.limit,
+        processes=args.processes,
+        slack=args.slack,
+        constraint_ratio=args.constraint_ratio,
+    )
+    suite = standard_fault_suite(args.sites)
     faults = args.faults or list(suite)
     unknown = sorted(set(faults) - set(suite))
     if unknown:
-        print(
-            f"error: unknown faults {unknown}; available: {sorted(suite)}",
-            file=sys.stderr,
-        )
-        return 2
+        raise InputError(f"unknown faults {unknown}; available: {sorted(suite)}")
     mappers = ["baseline", "greedy"]
     if args.mpipp:
         mappers.append("mpipp")
@@ -816,7 +801,7 @@ def _cmd_robustness(args) -> int:
                 resume=args.resume,
                 limit=args.limit,
             )
-        except (FabricError, ValueError) as exc:
+        except FabricError as exc:
             return _error_exit(exc)
     rows = [row for row in merged.rows if row["key"] in report.statuses]
     cells = [RobustnessCell(**row["result"]) for row in rows if row["status"] == "ok"]
@@ -833,14 +818,10 @@ def _cmd_robustness(args) -> int:
 
 
 def _cmd_trace_report(args) -> int:
-    from .obs import TraceSchemaError, load_trace, render_trace
+    from .obs import render_trace
 
-    try:
-        spans = load_trace(args.trace_file)
-    except (OSError, ValueError) as exc:
-        # TraceSchemaError is a ValueError; OSError covers missing files.
-        kind = "invalid trace" if isinstance(exc, TraceSchemaError) else "error"
-        print(f"{kind}: {exc}", file=sys.stderr)
+    spans = _load_trace_or_none(args.trace_file)
+    if spans is None:
         return 2
     print(
         render_trace(
@@ -856,7 +837,7 @@ def _load_trace_or_none(path: str):
 
     try:
         return load_trace(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, TraceSchemaError) as exc:
         kind = "invalid trace" if isinstance(exc, TraceSchemaError) else "error"
         print(f"{kind}: {path}: {exc}", file=sys.stderr)
         return None
@@ -923,10 +904,7 @@ def _cmd_trace_export(args) -> int:
     from .obs import write_chrome_trace
 
     if not args.chrome:
-        print(
-            "error: pick an output format (currently: --chrome)", file=sys.stderr
-        )
-        return 2
+        raise InputError("pick an output format (currently: --chrome)")
     spans = _load_trace_or_none(args.trace_file)
     if spans is None:
         return 2
@@ -1001,18 +979,15 @@ def _cmd_obs_query(args) -> int:
     import json
 
     store = _obs_store(args)
-    try:
-        result = store.query(
-            kind=args.kind,
-            bench=args.bench,
-            op=args.op,
-            trace_id=args.trace_id,
-            since=args.since,
-            until=args.until,
-            limit=args.limit,
-        )
-    except ValueError as exc:
-        return _error_exit(exc)
+    result = store.query(
+        kind=args.kind,
+        bench=args.bench,
+        op=args.op,
+        trace_id=args.trace_id,
+        since=args.since,
+        until=args.until,
+        limit=args.limit,
+    )
     if args.json:
         for row in result.rows:
             print(json.dumps(row, sort_keys=True))
@@ -1029,21 +1004,12 @@ def _cmd_obs_query(args) -> int:
 
 
 def _cmd_obs_show(args) -> int:
-    from .obs import (
-        StoreError,
-        TraceSchemaError,
-        render_trace,
-        span_from_dict,
-        validate_trace,
-    )
+    from .obs import render_trace, span_from_dict, validate_trace
 
     store = _obs_store(args)
-    try:
-        doc = store.load_trace_doc(args.trace_id)
-        validate_trace(doc)
-        spans = [span_from_dict(s) for s in doc.get("spans", [])]
-    except (StoreError, TraceSchemaError) as exc:
-        return _error_exit(exc)
+    doc = store.load_trace_doc(args.trace_id)
+    validate_trace(doc)
+    spans = [span_from_dict(s) for s in doc.get("spans", [])]
     print(f"trace {args.trace_id} (version {doc.get('version')})")
     print(render_trace(spans, max_depth=args.max_depth))
     return 0
@@ -1177,7 +1143,7 @@ def _cmd_sweep(args) -> int:
         if report is not None:
             print(f"ok={report.count('ok')}")
         print(merged.summary())
-    except (FabricError, ValueError) as exc:
+    except FabricError as exc:
         return _error_exit(exc)
 
     # A run leaves trace.json only when it was traced (--store), so the
@@ -1276,24 +1242,20 @@ def _cmd_serve(args) -> int:
     from .serve.engine import EngineConfig
 
     store_dir = resolve_store_dir(args.store)
-    try:
-        # Checked before the daemon binds its unix socket: a port bind()
-        # rejects would otherwise fail after the socket file exists.
-        if args.http_port is not None and not 0 <= args.http_port <= 65535:
-            raise ValueError(f"http port must be in 0..65535, got {args.http_port}")
-        socket_dir = os.path.dirname(args.socket) or "."
-        if not os.path.isdir(socket_dir):
-            raise ValueError(f"socket directory {socket_dir} does not exist")
-        config = EngineConfig(
-            pool_workers=args.pool_workers,
-            queue_limit=args.queue_limit,
-            cache_size=args.cache_size,
-            degrade_at=args.degrade_at,
-            degrade_hard_at=args.degrade_hard_at,
-            store_dir=str(store_dir) if store_dir is not None else None,
-        )
-    except ValueError as exc:
-        return _error_exit(exc)
+    # Checked before the daemon binds its unix socket: a port bind()
+    # rejects would otherwise fail after the socket file exists.
+    if args.http_port is not None and not 0 <= args.http_port <= 65535:
+        raise InputError(f"http port must be in 0..65535, got {args.http_port}")
+    socket_dir = os.path.dirname(args.socket) or "."
+    if not os.path.isdir(socket_dir):
+        raise InputError(f"socket directory {socket_dir} does not exist")
+    config = EngineConfig(
+        pool_workers=args.pool_workers,
+        queue_limit=args.queue_limit,
+        cache_size=args.cache_size,
+        degrade_at=args.degrade_at,
+        store_dir=str(store_dir) if store_dir is not None else None,
+    )
     try:
         run_daemon(args.socket, http_port=args.http_port, config=config)
     except OSError as exc:
@@ -1369,14 +1331,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         store_dir = resolve_store_dir(getattr(args, "store", None))
     if not trace_path and store_dir is None:
-        return handler(args)
+        return _run(handler, args)
     import time
 
     from .obs import recording, write_trace
 
     start = time.perf_counter()
     with recording() as rec:
-        code = handler(args)
+        code = _run(handler, args)
     elapsed = time.perf_counter() - start
     if trace_path:
         write_trace(

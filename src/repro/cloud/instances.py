@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._validation import InputError
+
 __all__ = ["InstanceType", "INSTANCE_TYPES", "get_instance_type", "PAPER_INSTANCE_TYPE"]
 
 
@@ -83,12 +85,9 @@ def get_instance_type(name: str) -> InstanceType:
 
     Raises
     ------
-    KeyError
+    InputError
         If the SKU is unknown; the message lists valid names.
     """
-    try:
-        return INSTANCE_TYPES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown instance type {name!r}; choose from {sorted(INSTANCE_TYPES)}"
-        ) from None
+    if name not in INSTANCE_TYPES:
+        raise InputError(f"unknown instance type {name!r}; choose from {sorted(INSTANCE_TYPES)}")
+    return INSTANCE_TYPES[name]

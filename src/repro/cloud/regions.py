@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._validation import InputError
 from .geo import GeoCoordinate
 
 __all__ = [
@@ -108,24 +109,22 @@ def get_region(key: str, provider: str = "ec2") -> Region:
 
     Raises
     ------
-    KeyError
+    InputError
         If the provider or region key is unknown; the message lists the
         valid keys to ease debugging.
     """
-    try:
-        catalog = _CATALOGS[provider]
-    except KeyError:
-        raise KeyError(f"unknown provider {provider!r}; choose from {sorted(_CATALOGS)}") from None
-    try:
-        return catalog[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown {provider} region {key!r}; choose from {sorted(catalog)}"
-        ) from None
+    catalog = _catalog(provider)
+    if key not in catalog:
+        raise InputError(f"unknown {provider} region {key!r}; choose from {sorted(catalog)}")
+    return catalog[key]
 
 
 def list_regions(provider: str = "ec2") -> list[Region]:
     """All regions of a provider, in catalog order."""
+    return list(_catalog(provider).values())
+
+
+def _catalog(provider: str) -> dict[str, Region]:
     if provider not in _CATALOGS:
-        raise KeyError(f"unknown provider {provider!r}; choose from {sorted(_CATALOGS)}")
-    return list(_CATALOGS[provider].values())
+        raise InputError(f"unknown provider {provider!r}; choose from {sorted(_CATALOGS)}")
+    return _CATALOGS[provider]

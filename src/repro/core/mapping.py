@@ -19,12 +19,14 @@ metadata alongside the assignment; it lands in :attr:`Mapping.meta`.
 from __future__ import annotations
 
 import abc
+import inspect
 import time
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .._validation import InputError
 from .problem import UNCONSTRAINED, MappingProblem
 
 __all__ = [
@@ -44,7 +46,7 @@ __all__ = [
 SolveResult = np.ndarray | tuple[np.ndarray, dict]
 
 
-class FeasibilityError(ValueError):
+class FeasibilityError(InputError):
     """Raised when an assignment violates capacities or constraints."""
 
 
@@ -52,7 +54,7 @@ def validate_assignment(problem: MappingProblem, assignment: np.ndarray) -> np.n
     """Check P against Formula (5)'s two constraint families.
 
     This function *is* a validator (raising :class:`FeasibilityError`,
-    not ValueError), hence the RPR003 suppression.
+    an :class:`InputError`), hence the RPR003 suppression.
 
     1. pinned processes sit on their required site:
        ``(P - C) .* C == 0`` in the paper's component-wise notation;
@@ -197,7 +199,12 @@ class Mapper(abc.ABC):
             else:
                 assignment, meta = solved, {}
             with obs.span("validate"):
-                P = validate_assignment(problem, assignment)
+                try:
+                    P = validate_assignment(problem, assignment)
+                except FeasibilityError as exc:  # this mapper's bug, not bad input
+                    raise RuntimeError(
+                        f"mapper {self.name!r} returned an infeasible assignment: {exc}"
+                    ) from exc
             with obs.span("cost"):
                 cost = total_cost(problem, P)
             root.set(cost=cost, elapsed_s=elapsed)
@@ -237,15 +244,16 @@ def _registry() -> dict[str, Callable[..., Mapper]]:
 
 
 def get_mapper(name: str, **kwargs) -> Mapper:
-    """Instantiate a registered mapper by name."""
+    """Instantiate a registered mapper; a bad name or keyword raises InputError."""
     registry = _registry()
+    if name not in registry:
+        raise InputError(f"unknown mapper {name!r}; available: {sorted(registry)}")
     try:
-        factory = registry[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown mapper {name!r}; available: {sorted(registry)}"
-        ) from None
-    return factory(**kwargs)
+        if kwargs:
+            inspect.signature(registry[name]).bind(**kwargs)
+    except TypeError as exc:
+        raise InputError(f"mapper {name!r}: {exc}") from None
+    return registry[name](**kwargs)
 
 
 def available_mappers() -> list[str]:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from .._validation import check_square_matrix, check_vector, freeze_matrix
+from .._validation import InputError, check_square_matrix, check_vector, freeze_matrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..cloud.topology import CloudTopology
@@ -71,7 +71,7 @@ def dense_materialize_limit() -> int:
     return value
 
 
-class InfeasibleProblemError(ValueError):
+class InfeasibleProblemError(InputError):
     """No assignment can satisfy the problem's capacity/constraint system.
 
     Raised with a message naming the concrete deficit (how many more
@@ -130,20 +130,20 @@ def _check_comm_matrix(mat, name: str, size: int | None):
                 mat.check_format(full_check=True)
                 # check_format skips this when indptr ends at 0.
                 if np.any(np.diff(mat.indptr) < 0):
-                    raise ValueError("indptr must be a non-decreasing sequence")
+                    raise InputError("indptr must be a non-decreasing sequence")
             except ValueError as exc:
-                raise ValueError(f"{name} is not a valid sparse matrix: {exc}") from exc
+                raise InputError(f"{name} is not a valid sparse matrix: {exc}") from exc
         m = mat.tocsr().astype(np.float64)
         if m.shape[0] != m.shape[1]:
-            raise ValueError(f"{name} must be square, got shape {m.shape}")
+            raise InputError(f"{name} must be square, got shape {m.shape}")
         if size is not None and m.shape[0] != size:
-            raise ValueError(f"{name} must be {size}x{size}, got {m.shape}")
+            raise InputError(f"{name} must be {size}x{size}, got {m.shape}")
         if not np.all(np.isfinite(m.data)):
-            raise ValueError(f"{name} contains non-finite entries")
+            raise InputError(f"{name} contains non-finite entries")
         if m.nnz and m.data.min() < 0:
-            raise ValueError(f"{name} contains negative entries")
+            raise InputError(f"{name} contains negative entries")
         if np.any(m.diagonal() != 0):
-            raise ValueError(f"{name} must have a zero diagonal")
+            raise InputError(f"{name} must have a zero diagonal")
         # Canonicalize once so the cached CSR view (and every kernel
         # reading it) sees sorted, duplicate-free arrays that can then be
         # frozen like the dense matrices are.
@@ -152,7 +152,7 @@ def _check_comm_matrix(mat, name: str, size: int | None):
         return m
     arr = check_square_matrix(mat, name, size=size, nonnegative=True)
     if np.any(np.diagonal(arr) != 0):
-        raise ValueError(f"{name} must have a zero diagonal")
+        raise InputError(f"{name} must have a zero diagonal")
     return arr
 
 
@@ -200,13 +200,13 @@ class MappingProblem:
         m = lt.shape[0]
         bt = check_square_matrix(self.BT, "BT", size=m, nonnegative=True)
         if np.any(bt <= 0):
-            raise ValueError("BT entries must be strictly positive")
+            raise InputError("BT entries must be strictly positive")
         object.__setattr__(self, "LT", lt)
         object.__setattr__(self, "BT", bt)
 
         caps = check_vector(self.capacities, "capacities", size=m)
         if np.any(caps <= 0):
-            raise ValueError("capacities must be positive")
+            raise InputError("capacities must be positive")
         object.__setattr__(self, "capacities", caps)
 
         if self.constraints is None:
@@ -215,7 +215,7 @@ class MappingProblem:
             cons = check_vector(self.constraints, "constraints", size=n)
         bad = (cons != UNCONSTRAINED) & ((cons < 0) | (cons >= m))
         if np.any(bad):
-            raise ValueError(
+            raise InputError(
                 f"constraints reference invalid sites at processes {np.flatnonzero(bad)[:10]}"
             )
         object.__setattr__(self, "constraints", cons)
@@ -223,7 +223,7 @@ class MappingProblem:
         if self.coordinates is not None:
             coords = np.asarray(self.coordinates, dtype=np.float64)
             if coords.shape != (m, 2):
-                raise ValueError(f"coordinates must be ({m}, 2), got {coords.shape}")
+                raise InputError(f"coordinates must be ({m}, 2), got {coords.shape}")
             object.__setattr__(self, "coordinates", coords)
 
         if caps.sum() < n:

@@ -45,7 +45,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from .._validation import check_nonnegative_int, check_vector
+from .._validation import InputError, check_nonnegative_int, check_vector
 from .constraints import ensure_feasible
 from .cost import CostEvaluator, total_cost
 from .geodist import _symmetric_traffic
@@ -279,14 +279,14 @@ class IncrementalRepairMapper:
 
         P = check_vector(partial, "partial", size=n).astype(np.int64)
         if np.any((P != UNPLACED) & ((P < 0) | (P >= m))):
-            raise ValueError("partial references sites outside 0..M-1")
+            raise InputError("partial references sites outside 0..M-1")
 
         pins = problem.constraints
         pinned = pins != UNCONSTRAINED
         kept = P != UNPLACED
         broken = pinned & kept & (P != pins)
         if np.any(broken):
-            raise ValueError(
+            raise InputError(
                 f"partial contradicts the constraint vector for processes "
                 f"{np.flatnonzero(broken)[:10].tolist()}"
             )

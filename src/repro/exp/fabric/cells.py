@@ -17,6 +17,7 @@ from typing import Any
 # Reading the mapper registry imports the baselines; import them here
 # so that happens before a fork, not in each worker's first cell.
 from ... import baselines  # noqa: F401
+from ..._validation import InputError
 from ...apps import make_paper_app
 from ...core import get_mapper
 from ...faults.suite import standard_fault_suite
@@ -87,9 +88,7 @@ def robustness_cell_task(params: dict[str, Any]) -> dict[str, Any]:
     suite = standard_fault_suite(scenario.problem.num_sites)
     fault = str(params["fault"])
     if fault not in suite:
-        raise KeyError(
-            f"unknown fault {fault!r}; available: {sorted(suite)}"
-        )
+        raise InputError(f"unknown fault {fault!r}; available: {sorted(suite)}")
     mapper = _mapper_from_params(params)
     cells = evaluate_robustness(
         scenario.problem,

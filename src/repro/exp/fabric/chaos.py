@@ -44,6 +44,8 @@ import hashlib
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
+from ..._validation import InputError
+
 __all__ = ["CHAOS_ACTIONS", "ChaosConfig", "ChaosInjector"]
 
 #: Action names in cumulative-probability order.
@@ -79,19 +81,19 @@ class ChaosConfig:
         for action in CHAOS_ACTIONS:
             frac = getattr(self, _ACTION_FIELDS[action])
             if not 0.0 <= frac <= 1.0:
-                raise ValueError(
+                raise InputError(
                     f"chaos fraction {action}={frac} outside [0, 1]"
                 )
             total += frac
         if total > 1.0 + 1e-9:
-            raise ValueError(
+            raise InputError(
                 f"chaos fractions sum to {total:.3f} > 1; leave room for "
                 "unharmed attempts"
             )
         if self.delay_s < 0:
-            raise ValueError(f"delay_s must be >= 0, got {self.delay_s}")
+            raise InputError(f"delay_s must be >= 0, got {self.delay_s}")
         if self.chaos_attempts < 1:
-            raise ValueError(
+            raise InputError(
                 f"chaos_attempts must be >= 1, got {self.chaos_attempts}"
             )
 
@@ -103,7 +105,7 @@ class ChaosConfig:
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
-            raise ValueError(f"unknown chaos config keys: {unknown}")
+            raise InputError(f"unknown chaos config keys: {unknown}")
         return cls(**{k: data[k] for k in data})
 
     @classmethod
@@ -116,15 +118,13 @@ class ChaosConfig:
         values: dict[str, Any] = {}
         for part in filter(None, (p.strip() for p in text.split(","))):
             if "=" not in part:
-                raise ValueError(
-                    f"chaos spec part {part!r} is not key=value"
-                )
+                raise InputError(f"chaos spec part {part!r} is not key=value")
             key, _, raw = part.partition("=")
             name = key.strip().replace("-", "_")
-            if name in ("seed", "chaos_attempts"):
-                values[name] = int(raw)
-            else:
-                values[name] = float(raw)
+            try:
+                values[name] = int(raw) if name in ("seed", "chaos_attempts") else float(raw)
+            except ValueError:
+                raise InputError(f"chaos spec part {part!r} needs a number") from None
         return cls.from_dict(values)
 
 

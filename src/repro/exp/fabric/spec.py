@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 from urllib.parse import quote
 
+from ..._validation import InputError
 from .io import FabricError, atomic_write_json, read_json
 
 __all__ = [
@@ -56,6 +57,10 @@ RESULT_FORMAT = "repro-fabric-result-v1"
 SHARD_STATUSES = ("ok", "failed", "timeout", "quarantined")
 
 
+class SpecError(FabricError, InputError):
+    """A malformed task spec or manifest: the caller's input, not sweep state."""
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One scenario: a registered task kind plus its JSON parameters.
@@ -73,9 +78,9 @@ class TaskSpec:
 
     def __post_init__(self) -> None:
         if not self.key:
-            raise ValueError("task key must be non-empty")
+            raise SpecError("task key must be non-empty")
         if not self.kind:
-            raise ValueError(f"task {self.key!r} needs a kind")
+            raise SpecError(f"task {self.key!r} needs a kind")
         object.__setattr__(self, "params", dict(self.params))
         if self.degraded_params is not None:
             object.__setattr__(
@@ -105,22 +110,22 @@ class TaskSpec:
     def from_dict(cls, data: Any, *, source: str = "spec") -> "TaskSpec":
         """Parse one manifest entry; ``source`` names it in errors.
 
-        A malformed entry raises :class:`FabricError` naming the field.
+        A malformed entry raises :class:`SpecError` naming the field.
         """
         if not isinstance(data, Mapping):
-            raise FabricError(
+            raise SpecError(
                 f"{source}: a spec must be a JSON object, "
                 f"got {type(data).__name__}"
             )
         for name in ("key", "kind"):
             if not isinstance(data.get(name), str):
-                raise FabricError(
+                raise SpecError(
                     f"{source}: field {name!r} must be a string, "
                     f"got {data.get(name)!r}"
                 )
         for name in ("params", "degraded_params"):
             if not isinstance(data.get(name), (Mapping, type(None))):
-                raise FabricError(
+                raise SpecError(
                     f"{source}: field {name!r} must be an object or null, "
                     f"got {data.get(name)!r}"
                 )
@@ -135,8 +140,8 @@ class TaskSpec:
                     else None
                 ),
             )
-        except ValueError as exc:  # an empty key or kind
-            raise FabricError(f"{source}: {exc}") from None
+        except SpecError as exc:  # an empty key or kind
+            raise SpecError(f"{source}: {exc}") from None
 
 
 def _key_filename(key: str) -> str:
@@ -193,7 +198,7 @@ def write_sweep(
     """
     layout = SweepLayout(root)
     if not specs:
-        raise FabricError("a sweep needs at least one task spec")
+        raise SpecError("a sweep needs at least one task spec")
     _check_unique([s.key for s in specs], "sweep")
     if layout.manifest_path.exists() and not overwrite:
         raise FabricError(
@@ -208,24 +213,24 @@ def write_sweep(
 
 
 def load_manifest(root: str | Path) -> list[TaskSpec]:
-    """The sweep's ordered task specs; raises FabricError when absent
+    """The sweep's ordered task specs; raises SpecError when absent
     or malformed."""
     path = SweepLayout(root).manifest_path
     data = read_json(path)
     if isinstance(data, dict) and data.get("format") == _V1_MANIFEST_FORMAT:
-        raise FabricError(
+        raise SpecError(
             f"{path} is a {_V1_MANIFEST_FORMAT} sweep, with one spec file "
             f"per task; this version reads only {MANIFEST_FORMAT} — create "
             "the sweep again in a fresh directory"
         )
     if not isinstance(data, dict) or data.get("format") != MANIFEST_FORMAT:
-        raise FabricError(
+        raise SpecError(
             f"{path} is missing or not a {MANIFEST_FORMAT} document — "
             "initialize the sweep first"
         )
     entries = data.get("tasks")
     if not isinstance(entries, list) or not entries:
-        raise FabricError(f"{path}: 'tasks' must be a non-empty list")
+        raise SpecError(f"{path}: 'tasks' must be a non-empty list")
     specs = [
         TaskSpec.from_dict(entry, source=f"{path}: tasks[{i}]")
         for i, entry in enumerate(entries)
@@ -237,7 +242,7 @@ def load_manifest(root: str | Path) -> list[TaskSpec]:
 def _check_unique(keys: list[str], where: str) -> None:
     if len(set(keys)) != len(keys):
         dupes = sorted({k for k in keys if keys.count(k) > 1})
-        raise FabricError(f"duplicate task keys in {where}: {dupes}")
+        raise SpecError(f"duplicate task keys in {where}: {dupes}")
 
 
 def load_shard(root: str | Path, key: str) -> dict[str, Any] | None:

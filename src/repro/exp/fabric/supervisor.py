@@ -69,6 +69,7 @@ from multiprocessing.process import BaseProcess
 from pathlib import Path
 from typing import Any, Sequence
 
+from ..._validation import InputError
 from ...obs import (
     NullSpan,
     Span,
@@ -125,24 +126,24 @@ class FabricConfig:
 
     def __post_init__(self) -> None:
         if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+            raise InputError(f"workers must be >= 1, got {self.workers}")
         if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
+            raise InputError(f"timeout_s must be positive, got {self.timeout_s}")
         if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+            raise InputError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be non-negative")
+            raise InputError("backoff_base_s must be non-negative")
         if self.quarantine_after < 1:
-            raise ValueError(
+            raise InputError(
                 f"quarantine_after must be >= 1, got {self.quarantine_after}"
             )
         if self.degrade_after_timeouts is not None and self.degrade_after_timeouts < 1:
-            raise ValueError("degrade_after_timeouts must be >= 1 when set")
+            raise InputError("degrade_after_timeouts must be >= 1 when set")
         for name in ("heartbeat_interval_s", "heartbeat_timeout_s"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise InputError(f"{name} must be positive")
         if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
-            raise ValueError(
+            raise InputError(
                 "heartbeat_timeout_s must exceed heartbeat_interval_s"
             )
 
@@ -803,7 +804,7 @@ def _resolve_kinds(specs: Sequence[TaskSpec]) -> None:
     for kind in sorted({spec.kind for spec in specs}):
         try:
             get_task(kind)
-        except KeyError:
+        except InputError:
             continue
 
 

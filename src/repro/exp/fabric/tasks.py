@@ -59,6 +59,7 @@ import os
 import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
+from ..._validation import InputError
 from .spec import TaskSpec
 
 if TYPE_CHECKING:
@@ -101,12 +102,9 @@ def get_task(kind: str) -> TaskFn:
     """The task function for ``kind``, importing a built-in's module first."""
     if kind not in _TASK_REGISTRY and kind in _CELL_KINDS:
         importlib.import_module(_CELL_KINDS[kind], __package__)
-    try:
-        return _TASK_REGISTRY[kind]
-    except KeyError:
-        raise KeyError(
-            f"unknown task kind {kind!r}; available: {available_tasks()}"
-        ) from None
+    if kind not in _TASK_REGISTRY:
+        raise InputError(f"unknown task kind {kind!r}; available: {available_tasks()}")
+    return _TASK_REGISTRY[kind]
 
 
 def available_tasks() -> list[str]:
@@ -176,7 +174,7 @@ def demo_specs(
 ) -> list[TaskSpec]:
     """``num_tasks`` deterministic demo tasks (CI/bench substrate)."""
     if num_tasks < 1:
-        raise ValueError(f"num_tasks must be >= 1, got {num_tasks}")
+        raise InputError(f"num_tasks must be >= 1, got {num_tasks}")
     return [
         TaskSpec(
             key=f"demo/{i:04d}",

@@ -28,7 +28,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
-from .._validation import check_fraction, check_nonnegative_int
+from .._validation import InputError, check_fraction, check_nonnegative_int
 
 __all__ = [
     "FaultEvent",
@@ -56,9 +56,9 @@ class FaultEvent:
 
     def __post_init__(self) -> None:
         if self.start_s < 0:
-            raise ValueError(f"start_s must be >= 0, got {self.start_s}")
+            raise InputError(f"start_s must be >= 0, got {self.start_s}")
         if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError(
+            raise InputError(
                 f"duration_s must be positive or None, got {self.duration_s}"
             )
 
@@ -112,7 +112,7 @@ class SiteCapacityLoss(FaultEvent):
         check_nonnegative_int(self.site, "site")
         check_fraction(self.fraction, "fraction")
         if self.fraction == 0.0:
-            raise ValueError("fraction must be > 0 (0 would be a no-op fault)")
+            raise InputError("fraction must be > 0 (0 would be a no-op fault)")
 
     def degraded_capacity(self, capacity: int) -> int:
         """Nodes left after the loss (never below zero)."""
@@ -155,11 +155,11 @@ class LinkDegradation(_LinkEvent):
         FaultEvent.__post_init__(self)
         self._check_pair()
         if not 0.0 < self.bandwidth_factor <= 1.0:
-            raise ValueError(
+            raise InputError(
                 f"bandwidth_factor must be in (0, 1], got {self.bandwidth_factor}"
             )
         if self.latency_factor < 1.0:
-            raise ValueError(
+            raise InputError(
                 f"latency_factor must be >= 1, got {self.latency_factor}"
             )
 
@@ -184,7 +184,7 @@ class LatencySpike(_LinkEvent):
         FaultEvent.__post_init__(self)
         self._check_pair()
         if self.extra_latency_s <= 0:
-            raise ValueError(
+            raise InputError(
                 f"extra_latency_s must be positive, got {self.extra_latency_s}"
             )
 
@@ -218,16 +218,16 @@ class FlappingLink(_LinkEvent):
         FaultEvent.__post_init__(self)
         self._check_pair()
         if self.period_s <= 0:
-            raise ValueError(f"period_s must be positive, got {self.period_s}")
+            raise InputError(f"period_s must be positive, got {self.period_s}")
         check_fraction(self.down_fraction, "down_fraction")
         if self.down_fraction == 0.0:
-            raise ValueError("down_fraction must be > 0 (0 would be a no-op)")
+            raise InputError("down_fraction must be > 0 (0 would be a no-op)")
         if not 0.0 < self.bandwidth_factor <= 1.0:
-            raise ValueError(
+            raise InputError(
                 f"bandwidth_factor must be in (0, 1], got {self.bandwidth_factor}"
             )
         if self.latency_factor < 1.0:
-            raise ValueError(
+            raise InputError(
                 f"latency_factor must be >= 1, got {self.latency_factor}"
             )
 
@@ -256,14 +256,14 @@ def event_from_dict(data: dict[str, Any]) -> FaultEvent:
     payload = dict(data)
     kind = payload.pop("kind", None)
     if kind not in EVENT_KINDS:
-        raise ValueError(
+        raise InputError(
             f"unknown fault kind {kind!r}; known: {sorted(EVENT_KINDS)}"
         )
     cls = EVENT_KINDS[kind]
     valid = {f.name for f in dataclasses.fields(cls)}
     unknown = set(payload) - valid
     if unknown:
-        raise ValueError(
+        raise InputError(
             f"unknown field(s) {sorted(unknown)} for fault kind {kind!r}"
         )
     return cls(**payload)

@@ -19,7 +19,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .._validation import as_rng, check_positive_int
+from .._validation import InputError, as_rng, check_positive_int
 from .events import (
     FaultEvent,
     FlappingLink,
@@ -44,7 +44,7 @@ class FaultSchedule:
         evs = tuple(self.events)
         for e in evs:
             if not isinstance(e, FaultEvent):
-                raise TypeError(f"events must be FaultEvent instances, got {e!r}")
+                raise InputError(f"events must be FaultEvent instances, got {e!r}")
         # Canonical order: by start time, then stable by construction order
         # — so two schedules with the same events compare equal regardless
         # of authoring order.
@@ -80,7 +80,7 @@ class FaultSchedule:
                 sites = ()
             for s in sites:
                 if not 0 <= s < num_sites:
-                    raise ValueError(
+                    raise InputError(
                         f"{e.kind} event references site {s}, but the "
                         f"topology has sites 0..{num_sites - 1}"
                     )
@@ -184,9 +184,12 @@ class FaultSchedule:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSchedule":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"fault schedule is not valid JSON: {exc}") from None
         if not isinstance(data, list):
-            raise ValueError("fault schedule JSON must be a list of events")
+            raise InputError("fault schedule JSON must be a list of events")
         return cls.from_dicts(data)
 
     def save(self, path: str | Path) -> Path:
@@ -224,7 +227,7 @@ def random_schedule(
     check_positive_int(num_sites, "num_sites")
     check_positive_int(num_events, "num_events")
     if horizon_s <= 0:
-        raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+        raise InputError(f"horizon_s must be positive, got {horizon_s}")
     rng = as_rng(seed)
     events: list[FaultEvent] = []
     for _ in range(num_events):
@@ -277,5 +280,5 @@ def random_schedule(
                     )
                 )
             else:
-                raise ValueError(f"unknown fault kind {kind!r} in kinds")
+                raise InputError(f"unknown fault kind {kind!r} in kinds")
     return FaultSchedule(events=tuple(events))

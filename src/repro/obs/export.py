@@ -48,6 +48,7 @@ import re
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from .._validation import InputError
 from .spans import Span, SpanEvent
 from .tracectx import ClockAnchor, shift_spans
 
@@ -78,7 +79,7 @@ _HEX16_RE = re.compile(r"^[0-9a-f]{16}$")
 _HEX32_RE = re.compile(r"^[0-9a-f]{32}$")
 
 
-class TraceSchemaError(ValueError):
+class TraceSchemaError(InputError):
     """A trace document does not conform to the span schema."""
 
 
@@ -458,7 +459,7 @@ def load_trace(path: str | Path) -> list[Span]:
     """Load and validate a trace document from ``path``."""
     try:
         obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise TraceSchemaError(f"trace: not valid JSON ({exc})") from exc
     return validate_trace(obj)
 

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
+from .._validation import InputError
 from .metrics import Histogram
 
 __all__ = [
@@ -65,7 +66,7 @@ STORE_ENV = "REPRO_STORE"
 _KNOWN_KINDS = ("bench", "serve", "sweep", "run")
 
 
-class StoreError(ValueError):
+class StoreError(InputError):
     """A record or store operation violated the store contract."""
 
 

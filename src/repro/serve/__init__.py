@@ -9,8 +9,8 @@ calls against warm state.  Layers, inside out:
   :func:`repro.core.get_mapper` and problem fingerprints;
 * :mod:`.engine` — the transport-independent broker: LRU result cache,
   request coalescing, one ``ProcessPoolExecutor`` task per solve,
-  bounded-queue backpressure, and the geodist→multilevel→Greedy
-  degradation ladder;
+  bounded-queue backpressure, and Greedy for geodist and multilevel
+  requests under load;
 * :mod:`.daemon` — unix-socket line-JSON and optional localhost HTTP
   front ends (``/health``, Prometheus ``/metrics``, ``/v1/*``);
 * :mod:`.client` — the synchronous client the CLI's ``--remote`` flag,

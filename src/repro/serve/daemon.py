@@ -30,7 +30,7 @@ import sys
 from typing import Any
 
 from .engine import EngineConfig, PlacementEngine
-from .protocol import error_response
+from .protocol import ProtocolError, decode_request, error_response
 
 __all__ = ["PlacementDaemon", "run"]
 
@@ -133,17 +133,9 @@ class PlacementDaemon:
                 if not text:
                     continue
                 try:
-                    request = json.loads(text)
-                except json.JSONDecodeError as exc:
-                    await self._write_line(
-                        writer, error_response(None, 400, f"bad JSON: {exc}")
-                    )
-                    continue
-                if not isinstance(request, dict):
-                    await self._write_line(
-                        writer,
-                        error_response(None, 400, "request must be a JSON object"),
-                    )
+                    request = decode_request(text)
+                except ProtocolError as exc:
+                    await self._write_line(writer, error_response(None, 400, str(exc)))
                     continue
                 if request.get("op") == "shutdown":
                     await self._write_line(
@@ -234,13 +226,9 @@ class PlacementDaemon:
             return 404, _json_headers(), _json_body({"error": f"no route {path}"})
         op = path[len("/v1/"):]
         try:
-            request = json.loads(raw.decode() or "{}")
-        except json.JSONDecodeError as exc:
-            return 400, _json_headers(), _json_body({"error": f"bad JSON: {exc}"})
-        if not isinstance(request, dict):
-            return 400, _json_headers(), _json_body(
-                {"error": "body must be a JSON object"}
-            )
+            request = decode_request(raw or b"{}")
+        except ProtocolError as exc:
+            return 400, _json_headers(), _json_body({"error": str(exc)})
         request["op"] = op
         response = await self.engine.handle(request)
         status = 200 if response.get("ok") else int(response.get("code", 500))

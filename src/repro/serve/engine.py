@@ -18,11 +18,15 @@ it returns.  The engine owns every serving policy:
   the next one is rejected with a 429-style response carrying a
   ``retry_after_s`` estimate from an EWMA of recent per-solve pool
   times.
-* **Degradation** — as the queue deepens past ``degrade_at`` the
-  requested geo-distributed mapper is swapped for multilevel, and past
-  ``degrade_hard_at`` any non-Greedy request is served by Greedy.
+* **Degradation** — once ``degrade_at`` solves are in flight, Greedy
+  serves geo-distributed and multilevel requests (multilevel is no
+  cheaper rung: below its coarsest size it runs geodist, then refines).
   Degraded results are cached under the mapper that *actually* ran, so
   they can never impersonate full-quality answers later.
+* **Errors** — an :class:`~repro._validation.InputError` (a malformed
+  field, an unknown name, an infeasible problem) is the caller's fault
+  and answers 400; any other exception is a program fault and answers
+  500 with a message that starts with its exception type.
 
 Concurrency model: everything above executes on the event loop (single-
 threaded), so the cache, in-flight table, and pending counter need no
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Hashable
 
 from .. import __version__
+from .._validation import InputError, coerce
 from ..core import MappingProblem, available_mappers
 from ..obs import (
     MetricsRegistry,
@@ -67,10 +72,9 @@ from .solver import solve_one
 
 __all__ = ["EngineConfig", "PlacementEngine", "OverloadedError"]
 
-#: The degradation ladder, cheapest last.  A request's mapper is moved
-#: *down* this list (never up) as queue depth crosses the thresholds.
-#: A request that names no mapper gets the head of the ladder.
-DEGRADATION_LADDER = ("geo-distributed", "multilevel", "greedy")
+#: Mappers that Greedy serves once ``degrade_at`` solves are in flight.
+#: A request that names no mapper gets the first.
+DEGRADABLE = ("geo-distributed", "multilevel")
 
 #: The row every unsettled request gets when the engine stops.
 _SHUTDOWN_ROW: dict[str, Any] = {
@@ -99,10 +103,9 @@ class EngineConfig:
     pool_workers: int = 2
     queue_limit: int = 64
     cache_size: int = 256
-    #: Queue depth at which geo-distributed requests degrade to multilevel.
+    #: Queue depth at which geo-distributed and multilevel requests
+    #: are served by Greedy.
     degrade_at: int | None = None
-    #: Queue depth at which any non-Greedy request degrades to Greedy.
-    degrade_hard_at: int | None = None
     #: Keep at most this many request span trees (oldest dropped); also
     #: bounds the by-trace-id document map behind ``GET /v1/trace/<id>``.
     span_keep: int = 256
@@ -111,9 +114,9 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         if self.pool_workers < 1:
-            raise ValueError(f"pool_workers must be >= 1, got {self.pool_workers}")
+            raise InputError(f"pool_workers must be >= 1, got {self.pool_workers}")
         if self.queue_limit < 1:
-            raise ValueError(f"queue_limit must be >= 1, got {self.queue_limit}")
+            raise InputError(f"queue_limit must be >= 1, got {self.queue_limit}")
 
 
 class PlacementEngine:
@@ -253,16 +256,11 @@ class PlacementEngine:
     # ----------------------------------------------------------- policies
 
     def _effective_mapper(self, requested: str) -> str:
-        """Apply the degradation ladder for the current queue depth."""
-        if requested not in DEGRADATION_LADDER:
-            return requested
-        level = DEGRADATION_LADDER.index(requested)
-        cfg = self.config
-        if cfg.degrade_hard_at is not None and self._pending >= cfg.degrade_hard_at:
-            level = len(DEGRADATION_LADDER) - 1
-        elif cfg.degrade_at is not None and self._pending >= cfg.degrade_at:
-            level = max(level, 1)
-        return DEGRADATION_LADDER[level]
+        """The mapper that serves ``requested`` at the current queue depth."""
+        degrade_at = self.config.degrade_at
+        if requested in DEGRADABLE and degrade_at is not None and self._pending >= degrade_at:
+            return "greedy"
+        return requested
 
     def _retry_after(self) -> float:
         """Rough time until a queue slot frees, from the per-solve EWMA."""
@@ -358,7 +356,7 @@ class PlacementEngine:
                 response = error_response(
                     request_id, 429, str(exc), retry_after_s=exc.retry_after_s
                 )
-            except (ProtocolError, KeyError, TypeError, ValueError) as exc:
+            except InputError as exc:
                 response = error_response(request_id, 400, str(exc))
             except Exception as exc:  # noqa: BLE001 - daemon must answer
                 response = error_response(
@@ -516,10 +514,10 @@ class PlacementEngine:
         request_id = request.get("id")
         problem = decode_problem(request.get("problem"))
         fingerprint = problem.fingerprint()
-        requested = str(request.get("mapper") or DEGRADATION_LADDER[0])
-        mapper_kwargs = dict(request.get("mapper_kwargs") or {})
-        seed = int(request.get("seed", 0))
-        sleep_s = float(request.get("sleep_s", 0.0))
+        requested = str(request.get("mapper") or DEGRADABLE[0])
+        mapper_kwargs = coerce("mapper_kwargs", dict, request.get("mapper_kwargs") or {})
+        seed = coerce("seed", int, request.get("seed", 0))
+        sleep_s = coerce("sleep_s", float, request.get("sleep_s", 0.0))
         # inf would overflow the worker's sleep; NaN would enter the
         # cache key and never match again.
         if not math.isfinite(sleep_s) or sleep_s < 0:
@@ -562,9 +560,9 @@ class PlacementEngine:
         partial = request.get("partial")
         if not isinstance(partial, (list, tuple)):
             raise ProtocolError("repair needs a 'partial' assignment list")
-        partial = [int(p) for p in partial]
-        refine_rounds = int(request.get("refine_rounds", 2))
-        extra_moves = int(request.get("extra_moves", 0))
+        partial = coerce("partial", lambda v: [int(p) for p in v], partial)
+        refine_rounds = coerce("refine_rounds", int, request.get("refine_rounds", 2))
+        extra_moves = coerce("extra_moves", int, request.get("extra_moves", 0))
         key = ("repair", fingerprint, tuple(partial), refine_rounds, extra_moves)
         params = {
             "partial": partial,
@@ -583,7 +581,7 @@ class PlacementEngine:
         if not isinstance(mappers, (list, tuple)) or not mappers:
             raise ProtocolError("compare needs a non-empty 'mappers' list")
         names = tuple(str(m) for m in mappers)
-        seed = int(request.get("seed", 0))
+        seed = coerce("seed", int, request.get("seed", 0))
         key = ("compare", fingerprint, names, seed)
         params = {"mappers": list(names), "seed": seed}
         return await self._serve(
@@ -601,7 +599,6 @@ class PlacementEngine:
             "queue_limit": self.config.queue_limit,
             "pool_workers": self.config.pool_workers,
             "degrade_at": self.config.degrade_at,
-            "degrade_hard_at": self.config.degrade_hard_at,
             "cache": self.cache.stats(),
         }
 

@@ -43,11 +43,13 @@ JSON) while the schema stays identical.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Mapping as MappingT
 
 import numpy as np
 import scipy.sparse as sp
 
+from .._validation import InputError, coerce
 from ..core import MappingProblem
 from ..core.mapping import Mapping
 
@@ -57,6 +59,7 @@ __all__ = [
     "ProtocolError",
     "encode_problem",
     "decode_problem",
+    "decode_request",
     "encode_mapping",
     "jsonify_meta",
     "error_response",
@@ -69,8 +72,25 @@ PROTOCOL_VERSION = 1
 OPS = ("map", "repair", "compare", "health", "metrics", "trace", "shutdown")
 
 
-class ProtocolError(ValueError):
+class ProtocolError(InputError):
     """A request or payload that does not follow the wire schema."""
+
+
+def decode_request(text: str | bytes) -> dict[str, Any]:
+    """One request object from a JSON line or HTTP body."""
+    try:
+        request = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ProtocolError(f"bad JSON: {exc}") from None
+    if not isinstance(request, dict):
+        raise ProtocolError("request must be a JSON object")
+    return request
+
+
+def _array(name: str, value: Any, dtype: Any = None) -> Any:
+    if value is None:
+        return None
+    return coerce(name, lambda v: np.asarray(v, dtype=dtype), value)
 
 
 def _matrix_to_wire(mat: "np.ndarray | sp.csr_matrix", *, arrays: bool) -> dict[str, Any]:
@@ -91,17 +111,15 @@ def _matrix_from_wire(obj: MappingT[str, Any], name: str) -> "np.ndarray | sp.cs
         raise ProtocolError(f"{name} must be an object, got {type(obj).__name__}")
     fmt = obj.get("format")
     if fmt == "dense":
-        return np.asarray(obj["rows"], dtype=np.float64)
+        return _array(f"{name}.rows", obj.get("rows"), np.float64)
     if fmt == "csr":
-        n = int(obj["shape"])
-        return sp.csr_matrix(
-            (
-                np.asarray(obj["data"], dtype=np.float64),
-                np.asarray(obj["indices"], dtype=np.int64),
-                np.asarray(obj["indptr"], dtype=np.int64),
-            ),
-            shape=(n, n),
+        n = coerce(f"{name}.shape", int, obj.get("shape"))
+        triplet = (
+            _array(f"{name}.data", obj.get("data"), np.float64),
+            _array(f"{name}.indices", obj.get("indices"), np.int64),
+            _array(f"{name}.indptr", obj.get("indptr"), np.int64),
         )
+        return coerce(name, lambda t: sp.csr_matrix(t, shape=(n, n)), triplet)
     raise ProtocolError(f"{name} has unknown matrix format {fmt!r}")
 
 
@@ -132,9 +150,9 @@ def encode_problem(problem: MappingProblem, *, arrays: bool = False) -> dict[str
 def decode_problem(obj: MappingT[str, Any]) -> MappingProblem:
     """Build (and fully validate) a :class:`MappingProblem` from the wire.
 
-    Validation is the problem's own ``__post_init__`` — a malformed
-    payload raises ``ValueError``/:class:`ProtocolError` naming the
-    field, which the daemon maps to a 400 response.
+    A field that does not convert, or that the problem's own
+    ``__post_init__`` rejects, raises an :class:`InputError` naming it,
+    which the daemon answers with 400.
     """
     if not isinstance(obj, MappingT):
         raise ProtocolError(f"problem must be an object, got {type(obj).__name__}")
@@ -144,16 +162,14 @@ def decode_problem(obj: MappingT[str, Any]) -> MappingProblem:
     for field in ("CG", "AG", "LT", "BT", "capacities"):
         if obj.get(field) is None:
             raise ProtocolError(f"problem is missing {field!r}")
-    constraints = obj.get("constraints")
-    coordinates = obj.get("coordinates")
     return MappingProblem(
         CG=_matrix_from_wire(obj["CG"], "CG"),
         AG=_matrix_from_wire(obj["AG"], "AG"),
-        LT=np.asarray(obj["LT"], dtype=np.float64),
-        BT=np.asarray(obj["BT"], dtype=np.float64),
-        capacities=np.asarray(obj["capacities"]),
-        constraints=None if constraints is None else np.asarray(constraints, dtype=np.int64),
-        coordinates=None if coordinates is None else np.asarray(coordinates, dtype=np.float64),
+        LT=_array("LT", obj["LT"], np.float64),
+        BT=_array("BT", obj["BT"], np.float64),
+        capacities=_array("capacities", obj["capacities"]),
+        constraints=_array("constraints", obj.get("constraints"), np.int64),
+        coordinates=_array("coordinates", obj.get("coordinates"), np.float64),
     )
 
 

@@ -33,17 +33,12 @@ from __future__ import annotations
 import time
 from typing import Any
 
+from .._validation import InputError
 from ..core import get_mapper, repair_mapping
 from ..exp.fabric.tasks import register_task
 from .protocol import decode_problem, encode_mapping
 
 __all__ = ["solve_one", "serve_map_task", "serve_repair_task", "serve_compare_task"]
-
-
-def _mapper_args(params: dict[str, Any]) -> tuple[str, dict[str, Any]]:
-    name = str(params.get("mapper", "geo-distributed"))
-    kwargs = dict(params.get("mapper_kwargs") or {})
-    return name, kwargs
 
 
 @register_task("serve-map")
@@ -53,8 +48,8 @@ def serve_map_task(params: dict[str, Any]) -> dict[str, Any]:
     if sleep_s > 0:
         time.sleep(sleep_s)
     problem = decode_problem(params["problem"])
-    name, kwargs = _mapper_args(params)
-    mapper = get_mapper(name, **kwargs)
+    kwargs = params.get("mapper_kwargs") or {}
+    mapper = get_mapper(str(params.get("mapper", "geo-distributed")), **kwargs)
     mapping = mapper.map(problem, seed=int(params.get("seed", 0)))
     return encode_mapping(mapping)
 
@@ -96,7 +91,8 @@ def solve_one(payload: dict[str, Any]) -> dict[str, Any]:
 
     Failures are captured, not raised — a worker must answer, not die —
     and reported as an ``{"ok": False, ...}`` row the engine turns into
-    a 400/500 response.
+    a response: 400 for an :class:`~repro._validation.InputError`, 500
+    (its text starting with the exception type) for anything else.
 
     A payload carrying a ``"traceparent"`` runs under a fresh
     :class:`~repro.obs.SpanRecorder` bound to that context, and its row
@@ -131,7 +127,7 @@ def solve_one(payload: dict[str, Any]) -> dict[str, Any]:
                 anchor=recorder.anchor,
             ),
         }
-    except (ValueError, KeyError, TypeError) as exc:
+    except InputError as exc:
         return {"ok": False, "code": 400, "error": str(exc)}
     except Exception as exc:  # noqa: BLE001 - worker must answer, not die
         return {"ok": False, "code": 500, "error": f"{type(exc).__name__}: {exc}"}

@@ -3,6 +3,7 @@
 import pytest
 import scipy.sparse as sp
 
+from repro._validation import InputError
 from repro.apps import RingApp, grid_shape, make_paper_app, PAPER_APPS
 
 
@@ -28,7 +29,7 @@ def test_make_paper_app_factory():
         app = make_paper_app(name, 16)
         assert app.num_ranks == 16
         assert app.name == name
-    with pytest.raises(KeyError, match="unknown paper app"):
+    with pytest.raises(InputError, match="unknown paper app"):
         make_paper_app("CG")
 
 

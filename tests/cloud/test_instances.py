@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro._validation import InputError
 from repro.cloud import PAPER_INSTANCE_TYPE, get_instance_type
 
 
@@ -46,7 +47,7 @@ def test_intra_bw_mean():
 
 
 def test_unknown_type_rejected():
-    with pytest.raises(KeyError, match="unknown instance type"):
+    with pytest.raises(InputError, match="unknown instance type"):
         get_instance_type("z9.mega")
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro._validation import InputError
 from repro.cloud import (
     AZURE_REGIONS,
     EC2_REGIONS,
@@ -35,16 +36,16 @@ def test_get_region_and_errors():
     r = get_region("us-east-1")
     assert r.provider == "ec2"
     assert "Virginia" in r.name
-    with pytest.raises(KeyError, match="unknown ec2 region"):
+    with pytest.raises(InputError, match="unknown ec2 region"):
         get_region("mars-north-1")
-    with pytest.raises(KeyError, match="unknown provider"):
+    with pytest.raises(InputError, match="unknown provider"):
         get_region("us-east-1", provider="gce")
 
 
 def test_list_regions():
     assert len(list_regions("ec2")) == 11
     assert len(list_regions("azure")) == len(AZURE_REGIONS)
-    with pytest.raises(KeyError):
+    with pytest.raises(InputError):
         list_regions("gce")
 
 

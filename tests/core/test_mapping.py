@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro._validation import InputError
 from repro.core import constraints
 from repro.core import (
     FeasibilityError,
@@ -110,8 +111,11 @@ def test_mapper_map_raises_on_infeasible_solution(problem64):
         def _solve(self, problem, rng):
             return np.zeros(problem.num_processes, dtype=np.int64)  # overfills site 0
 
-    with pytest.raises(FeasibilityError):
+    # The mapper's own output is at fault, not the caller's input.
+    with pytest.raises(RuntimeError, match="mapper 'broken-test' returned an infeasible") as info:
         Broken().map(problem64)
+    assert not isinstance(info.value, InputError)
+    assert isinstance(info.value.__cause__, FeasibilityError)
 
 
 def test_registry_contains_all_stock_mappers():
@@ -123,7 +127,7 @@ def test_registry_contains_all_stock_mappers():
 def test_get_mapper_constructs_and_rejects_unknown():
     mapper = get_mapper("geo-distributed", kappa=3)
     assert mapper.kappa == 3
-    with pytest.raises(KeyError, match="unknown mapper"):
+    with pytest.raises(InputError, match="unknown mapper"):
         get_mapper("nope")
 
 

@@ -204,6 +204,15 @@ class TestCrashIsolation:
         assert "RuntimeError" in shard["error"]
         assert shard["attempts"] == 2  # initial + one retry
 
+    def test_unknown_kind_fails_its_task_not_the_sweep(self, tmp_path):
+        specs = [TaskSpec(key="nope", kind="no-such-kind")] + demo_specs(1, work=2)
+        write_sweep(tmp_path, specs)
+        report = _fabric(tmp_path, workers=1, max_retries=0).run()
+        assert report.statuses["nope"] == "failed"
+        assert report.statuses["demo/0000"] == "ok"
+        shard = load_shard(tmp_path, "nope")
+        assert shard["error"].startswith("InputError: unknown task kind 'no-such-kind'")
+
 
 class TestDeadlines:
     def test_hung_task_times_out(self, tmp_path):

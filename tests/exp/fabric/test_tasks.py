@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro._validation import InputError
 from repro.exp.fabric import (
     available_tasks,
     demo_specs,
@@ -19,7 +20,7 @@ class TestRegistry:
         assert {"demo", "map-cell", "robustness-cell"} <= set(available_tasks())
 
     def test_unknown_kind_raises_with_catalog(self):
-        with pytest.raises(KeyError, match="available"):
+        with pytest.raises(InputError, match="available"):
             get_task("nope")
 
     def test_duplicate_registration_rejected(self):
@@ -81,7 +82,7 @@ class TestRobustnessCellTask:
         assert row["fault"] == "outage"
 
     def test_unknown_fault_rejected(self):
-        with pytest.raises(KeyError, match="available"):
+        with pytest.raises(InputError, match="available"):
             get_task("robustness-cell")(
                 {"app": "LU", "processes": 16, "fault": "asteroid",
                  "mapper": "greedy"}

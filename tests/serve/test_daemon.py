@@ -87,10 +87,7 @@ def test_acceptance_coalesce_cache_identity_backpressure(
 ):
     """The full acceptance flow over one daemon on the unix socket."""
 
-    config = EngineConfig(
-        pool_workers=1, queue_limit=2,
-        degrade_at=1, degrade_hard_at=1,
-    )
+    config = EngineConfig(pool_workers=1, queue_limit=2, degrade_at=1)
 
     def one_map(socket_path, p, mapper, sleep_s=0.0):
         with PlacementClient(socket_path) as client:
@@ -147,7 +144,7 @@ def test_acceptance_coalesce_cache_identity_backpressure(
     degraded = [r for r in storm if not r.get("rejected") and r.get("degraded")]
     assert rejected, "saturating the queue must trigger 429 backpressure"
     assert all(r["retry_after_s"] > 0 for r in rejected)
-    assert degraded, "load past degrade_hard_at must degrade requests"
+    assert degraded, "load past degrade_at must degrade requests"
     assert all(r["mapper"] == "greedy" for r in degraded)
 
 
@@ -239,7 +236,7 @@ def test_unknown_mapper_kwarg_gets_error_and_daemon_keeps_serving(tmp_path, prob
     error, after = run_daemon_scenario(
         tmp_path, EngineConfig(pool_workers=1), scenario
     )
-    assert error.code in (400, 500)
+    assert error.code == 400
     assert "swap_tolerance" in str(error)
     assert after["ok"]
     assert after["result"]["cost"] == get_mapper("greedy").map(problem, seed=0).cost
@@ -375,3 +372,27 @@ def test_http_transport(tmp_path, problem):
     direct = get_mapper("greedy").map(problem, seed=0)
     assert mapped["result"]["cost"] == direct.cost
     assert bad_code == 400
+
+
+def test_http_malformed_body_gets_400(tmp_path):
+    """Non-UTF-8, non-object and truncated JSON bodies are the caller's fault."""
+    port = 18432
+
+    def session(socket_path):
+        codes = []
+        for body in (b"\xff\xfe", b"[1, 2]", b"{"):
+            req = urllib.request.Request(f"http://127.0.0.1:{port}/v1/map", data=body)
+            try:
+                urllib.request.urlopen(req, timeout=10)
+                codes.append(200)
+            except urllib.error.HTTPError as exc:
+                codes.append(exc.code)
+        return codes
+
+    async def scenario(daemon, socket_path, loop):
+        return await loop.run_in_executor(None, session, socket_path)
+
+    codes = run_daemon_scenario(
+        tmp_path, EngineConfig(pool_workers=1), scenario, http_port=port
+    )
+    assert codes == [400, 400, 400]

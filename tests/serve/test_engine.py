@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro.core import UNPLACED, get_mapper, repair_mapping
+from repro.exp.fabric import register_task
 from repro.serve.engine import EngineConfig, PlacementEngine
+from repro.serve.solver import solve_one
 from repro.serve.protocol import encode_problem
 from tests.conftest import make_problem
 from tests.serve.test_daemon import _assert_all_dead
@@ -161,34 +163,32 @@ def test_degradation_ladder_under_load(problem, problem_b, problem_c):
             )
         )
         await asyncio.sleep(0.1)  # pending=1 >= degrade_at
-        soft = asyncio.create_task(
-            engine.handle(
-                map_request(
-                    problem_b, rid=2, mapper="geo-distributed", sleep_s=0.5
-                )
-            )
+        multilevel = asyncio.create_task(
+            engine.handle(map_request(problem_b, rid=2, mapper="multilevel"))
         )
-        await asyncio.sleep(0.1)  # pending=2 >= degrade_hard_at
-        hard = asyncio.create_task(
+        geodist = asyncio.create_task(
             engine.handle(map_request(problem_c, rid=3, mapper="geo-distributed"))
         )
-        r1, r2, r3 = await asyncio.gather(blocker, soft, hard)
+        r1, r2, r3 = await asyncio.gather(blocker, multilevel, geodist)
         # Calm again: the degraded answer must NOT satisfy a full-quality ask.
         calm = await engine.handle(
             map_request(problem_c, rid=4, mapper="geo-distributed")
         )
-        return r1, r2, r3, calm
+        degraded = engine.metrics.counter("serve_degraded_total")
+        counts = [
+            degraded.value(requested=name, effective="greedy")
+            for name in ("multilevel", "geo-distributed")
+        ]
+        return r1, r2, r3, calm, counts
 
-    r1, r2, r3, calm = run_with_engine(
-        EngineConfig(
-            pool_workers=1, queue_limit=16,
-            degrade_at=1, degrade_hard_at=2,
-        ),
-        scenario,
+    r1, r2, r3, calm, counts = run_with_engine(
+        EngineConfig(pool_workers=1, queue_limit=16, degrade_at=1), scenario
     )
     assert not r1["degraded"] and r1["mapper"] == "geo-distributed"
-    assert r2["degraded"] and r2["mapper"] == "multilevel"
+    # Past degrade_at, both geo-distributed and multilevel get Greedy.
+    assert r2["degraded"] and r2["mapper"] == "greedy"
     assert r3["degraded"] and r3["mapper"] == "greedy"
+    assert counts == [1, 1]
     assert not calm["cache_hit"]  # greedy result cached under greedy, not geodist
     assert not calm["degraded"] and calm["mapper"] == "geo-distributed"
 
@@ -197,11 +197,9 @@ def test_degraded_mapper_never_upgrades_greedy_requests(problem):
     async def scenario(engine):
         return await engine.handle(map_request(problem, mapper="greedy"))
 
-    response = run_with_engine(
-        EngineConfig(pool_workers=1, degrade_at=0, degrade_hard_at=0), scenario
-    )
-    # degrade thresholds of 0 degrade everything -- but greedy is already
-    # the ladder's floor, so the request is untouched.
+    response = run_with_engine(EngineConfig(pool_workers=1, degrade_at=0), scenario)
+    # degrade_at=0 degrades every degradable request -- but greedy is
+    # already what they degrade to, so the request is untouched.
     assert response["ok"]
     assert response["mapper"] == "greedy" and not response["degraded"]
 
@@ -309,6 +307,62 @@ def test_bad_sleep_s_is_400(problem, sleep_s):
     response = run_with_engine(EngineConfig(pool_workers=1), scenario)
     assert not response["ok"] and response["code"] == 400
     assert "sleep_s" in response["error"]
+
+
+@pytest.mark.parametrize(
+    "op, field, value",
+    [
+        ("map", "seed", "abc"),
+        ("map", "seed", float("inf")),
+        ("map", "mapper_kwargs", "abc"),
+        ("repair", "refine_rounds", "x"),
+        ("repair", "partial", ["a"]),
+        ("compare", "seed", [1]),
+    ],
+)
+def test_bad_wire_field_is_400_naming_it(problem, op, field, value):
+    request = {
+        "op": op,
+        "id": 1,
+        "problem": encode_problem(problem),
+        "partial": [0] * problem.num_processes,
+        "mappers": ["greedy"],
+        field: value,
+    }
+
+    async def scenario(engine):
+        return await engine.handle(request)
+
+    response = run_with_engine(EngineConfig(pool_workers=1), scenario)
+    assert not response["ok"] and response["code"] == 400, response
+    assert response["error"].startswith(f"{field} is malformed: ")
+
+
+@register_task("serve-test-key-bug")
+def _key_bug_task(params):
+    return {}["internal_bug"]
+
+
+@register_task("serve-test-reshape-bug")
+def _reshape_bug_task(params):
+    return np.zeros(3).reshape(2, 2)
+
+
+@pytest.mark.parametrize(
+    "kind, exc_type",
+    [("serve-test-key-bug", "KeyError"), ("serve-test-reshape-bug", "ValueError")],
+)
+def test_a_solver_bug_answers_500_naming_its_type(kind, exc_type):
+    """A builtin KeyError/ValueError inside a solve is a program fault, not bad input."""
+    row = solve_one({"kind": kind, "params": {}})
+    assert not row["ok"] and row["code"] == 500, row
+    assert row["error"].startswith(f"{exc_type}: ")
+
+
+def test_unknown_task_kind_is_400_without_repr_quotes():
+    row = solve_one({"kind": "nope", "params": {}})
+    assert not row["ok"] and row["code"] == 400
+    assert row["error"].startswith("unknown task kind 'nope'; available: [")
 
 
 def test_stop_fails_running_and_queued_requests_with_503(problem, problem_b):

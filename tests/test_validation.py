@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro._validation import (
+    InputError,
     as_rng,
     check_fraction,
     check_matrix_pair,
@@ -147,3 +148,25 @@ def test_as_rng():
     a = as_rng(7).integers(1000)
     b = as_rng(7).integers(1000)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "check, value",
+    [
+        (check_fraction, "half"),
+        (check_square_matrix, [["a", "b"], ["c", "d"]]),
+        (check_vector, [[1], [2, 3]]),
+        (check_vector, ["a", "b"]),
+        (check_probability_vector, ["x", 0.5]),
+    ],
+    ids=["fraction-str", "matrix-str", "vector-ragged", "vector-str", "probs-str"],
+)
+def test_unconvertible_input_is_an_input_error_naming_the_argument(check, value):
+    with pytest.raises(InputError, match="^arg (is malformed|must be numeric)"):
+        check(value, "arg")
+
+
+@pytest.mark.parametrize("seed", ["x", -1, 1.5])
+def test_as_rng_rejects_a_bad_seed_as_an_input_error(seed):
+    with pytest.raises(InputError, match="^seed is malformed"):
+        as_rng(seed)
