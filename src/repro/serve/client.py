@@ -50,8 +50,12 @@ class PlacementClient:
     def __init__(self, socket_path: str, *, timeout: float | None = 60.0) -> None:
         self.socket_path = str(socket_path)
         self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        self._sock.settimeout(timeout)
-        self._sock.connect(self.socket_path)
+        try:
+            self._sock.settimeout(timeout)
+            self._sock.connect(self.socket_path)
+        except BaseException:
+            self._sock.close()
+            raise
         self._rfile = self._sock.makefile("rb")
         self._next_id = 0
 

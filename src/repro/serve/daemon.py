@@ -29,6 +29,7 @@ import os
 import sys
 from typing import Any
 
+from .._validation import InputError, check_nonnegative_int, coerce
 from .engine import EngineConfig, PlacementEngine
 from .protocol import ProtocolError, decode_request, error_response
 
@@ -201,7 +202,13 @@ class PlacementDaemon:
                 break
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = check_nonnegative_int(
+                coerce("Content-Length", int, headers.get("content-length") or "0"),
+                "Content-Length",
+            )
+        except InputError as exc:
+            return 400, _json_headers(), _json_body({"error": str(exc)})
         if length > MAX_LINE_BYTES:
             return 413, _json_headers(), _json_body({"error": "body too large"})
         raw = await reader.readexactly(length) if length else b""

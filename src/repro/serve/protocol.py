@@ -3,8 +3,8 @@
 One request or response is one JSON object on one line — the same
 framing the sweep fabric's workers speak over stdin/stdout, reused here
 over a unix socket (and, re-wrapped in a minimal HTTP envelope, over
-localhost TCP).  Everything on the wire is plain JSON; numpy arrays are
-encoded explicitly so a client needs nothing beyond the stdlib.
+localhost TCP).  Everything on the wire is plain JSON; numpy arrays travel
+as base64 blocks inside it, so a client needs nothing beyond the stdlib.
 
 Requests
 --------
@@ -34,16 +34,38 @@ the request's trace, retrievable afterwards via the ``trace`` op or
 Problem encoding
 ----------------
 :func:`encode_problem` / :func:`decode_problem` round-trip a
-:class:`~repro.core.problem.MappingProblem`.  Dense comm matrices
-travel as nested lists, sparse ones as CSR triplets — and for the
+:class:`~repro.core.problem.MappingProblem`.  Every numeric array in
+it travels as a typed binary block (protocol v2)::
+
+    {"dtype": "<f8", "shape": [2, 2], "b64": "<base64 of the bytes>"}
+
+``dtype`` is one of :data:`BLOCK_DTYPES` (little-endian float64, int64
+or int32), ``shape`` a list of non-negative ints, and ``b64`` the
+standard base64 of the array's C-order little-endian bytes, so the
+decoded array is byte-for-byte the encoded one.  Dense comm matrices
+are ``{"format": "dense", "rows": <block>}``, sparse ones ``{"format":
+"csr", "shape": n, "indptr": <block>, "indices": <block>, "data":
+<block>}`` (index blocks must be integers); ``LT``, ``BT``,
+``capacities``, ``constraints`` and ``coordinates`` are blocks (the
+last two may be ``null``).  A client needs only the stdlib to build
+one::
+
+    {"dtype": "<f8", "shape": [len(xs)],
+     "b64": base64.b64encode(struct.pack("<%dd" % len(xs), *xs)).decode()}
+
+Protocol v1 sent arrays as JSON lists; a list where a block belongs is
+refused with 400, naming the field and the block format.  For the
 daemon's *internal* hop onto its process pool, ``arrays=True`` keeps
-numpy arrays in the dict (pickle ships them binary, far cheaper than
-JSON) while the schema stays identical.
+numpy arrays in the dict (pickle ships them binary) while the schema
+stays identical.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
+import reprlib
 from typing import Any, Mapping as MappingT
 
 import numpy as np
@@ -55,6 +77,7 @@ from ..core.mapping import Mapping
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "BLOCK_DTYPES",
     "OPS",
     "ProtocolError",
     "encode_problem",
@@ -66,7 +89,12 @@ __all__ = [
 ]
 
 #: Bumped when the wire schema changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+
+#: The dtypes a wire block may carry: little-endian float64, int64, int32.
+BLOCK_DTYPES = ("<f8", "<i8", "<i4")
+
+_BLOCK_FORMAT = '{"dtype": "<f8"|"<i8"|"<i4", "shape": [...], "b64": "..."}'
 
 #: Every operation the daemon understands.
 OPS = ("map", "repair", "compare", "health", "metrics", "trace", "shutdown")
@@ -87,10 +115,53 @@ def decode_request(text: str | bytes) -> dict[str, Any]:
     return request
 
 
-def _array(name: str, value: Any, dtype: Any = None) -> Any:
-    if value is None:
-        return None
-    return coerce(name, lambda v: np.asarray(v, dtype=dtype), value)
+def _to_wire(a: np.ndarray | None, arrays: bool) -> Any:
+    """``a`` as a wire block, or unchanged for the pool hop (or if None)."""
+    if a is None or arrays:
+        return a
+    if a.dtype.kind == "f":
+        dtype = "<f8"
+    else:
+        dtype = "<i4" if a.dtype.itemsize == 4 else "<i8"
+    raw = np.ascontiguousarray(a, dtype=dtype).tobytes()
+    return {"dtype": dtype, "shape": list(a.shape), "b64": base64.b64encode(raw).decode("ascii")}
+
+
+def _array(name: str, value: Any, ndim: int, *, integer: bool = False) -> Any:
+    """One array field: a numpy array (the pool hop) or a wire block.
+
+    The block is outside input, so every part is checked before anything
+    is allocated from it; the result owns its (writable) memory.
+    """
+    if value is None or isinstance(value, np.ndarray):
+        return value
+    if not isinstance(value, MappingT):
+        v1 = " (JSON lists are protocol v1)" if isinstance(value, list) else ""
+        raise ProtocolError(
+            f"{name} must be a binary block {_BLOCK_FORMAT}, got {type(value).__name__}{v1}"
+        )
+    dtypes = BLOCK_DTYPES[1:] if integer else BLOCK_DTYPES
+    dtype = value.get("dtype")
+    if not isinstance(dtype, str) or dtype not in dtypes:
+        raise ProtocolError(f"{name}.dtype must be one of {dtypes}, got {reprlib.repr(dtype)}")
+    shape = value.get("shape")
+    if not (
+        isinstance(shape, list)
+        and len(shape) == ndim
+        and all(type(d) is int and d >= 0 for d in shape)
+    ):
+        raise ProtocolError(
+            f"{name}.shape must be a list of {ndim} non-negative ints, got {reprlib.repr(shape)}"
+        )
+    raw = coerce(f"{name}.b64", lambda s: base64.b64decode(s, validate=True), value.get("b64"))
+    dt = np.dtype(dtype)
+    need = math.prod(shape) * dt.itemsize
+    if len(raw) != need:
+        raise ProtocolError(f"{name} holds {len(raw)} bytes; shape {shape} of {dtype} needs {need}")
+    # frombuffer's view is read-only (and foreign-endian on a big-endian
+    # host); astype copies it into a native array that owns its memory.
+    native = dt.newbyteorder("=")
+    return coerce(name, lambda b: np.frombuffer(b, dt).reshape(shape).astype(native), raw)
 
 
 def _matrix_to_wire(mat: "np.ndarray | sp.csr_matrix", *, arrays: bool) -> dict[str, Any]:
@@ -99,11 +170,11 @@ def _matrix_to_wire(mat: "np.ndarray | sp.csr_matrix", *, arrays: bool) -> dict[
         return {
             "format": "csr",
             "shape": int(csr.shape[0]),
-            "indptr": csr.indptr if arrays else csr.indptr.tolist(),
-            "indices": csr.indices if arrays else csr.indices.tolist(),
-            "data": csr.data if arrays else csr.data.tolist(),
+            "indptr": _to_wire(csr.indptr, arrays),
+            "indices": _to_wire(csr.indices, arrays),
+            "data": _to_wire(csr.data, arrays),
         }
-    return {"format": "dense", "rows": mat if arrays else mat.tolist()}
+    return {"format": "dense", "rows": _to_wire(mat, arrays)}
 
 
 def _matrix_from_wire(obj: MappingT[str, Any], name: str) -> "np.ndarray | sp.csr_matrix":
@@ -111,13 +182,15 @@ def _matrix_from_wire(obj: MappingT[str, Any], name: str) -> "np.ndarray | sp.cs
         raise ProtocolError(f"{name} must be an object, got {type(obj).__name__}")
     fmt = obj.get("format")
     if fmt == "dense":
-        return _array(f"{name}.rows", obj.get("rows"), np.float64)
+        return _array(f"{name}.rows", obj.get("rows"), 2)
     if fmt == "csr":
-        n = coerce(f"{name}.shape", int, obj.get("shape"))
+        n = obj.get("shape")
+        if type(n) is not int or n < 0:
+            raise ProtocolError(f"{name}.shape must be a non-negative int, got {reprlib.repr(n)}")
         triplet = (
-            _array(f"{name}.data", obj.get("data"), np.float64),
-            _array(f"{name}.indices", obj.get("indices"), np.int64),
-            _array(f"{name}.indptr", obj.get("indptr"), np.int64),
+            _array(f"{name}.data", obj.get("data"), 1),
+            _array(f"{name}.indices", obj.get("indices"), 1, integer=True),
+            _array(f"{name}.indptr", obj.get("indptr"), 1, integer=True),
         )
         return coerce(name, lambda t: sp.csr_matrix(t, shape=(n, n)), triplet)
     raise ProtocolError(f"{name} has unknown matrix format {fmt!r}")
@@ -127,50 +200,49 @@ def encode_problem(problem: MappingProblem, *, arrays: bool = False) -> dict[str
     """The wire dict for ``problem``.
 
     ``arrays=True`` keeps numpy arrays in place (for the pickle hop onto
-    the daemon's process pool); the default produces pure JSON types.
+    the daemon's process pool); the default produces pure JSON types,
+    every array a binary block.
     """
-
-    def vec(a: np.ndarray | None) -> Any:
-        if a is None:
-            return None
-        return a if arrays else a.tolist()
-
     return {
         "version": PROTOCOL_VERSION,
         "CG": _matrix_to_wire(problem.CG, arrays=arrays),
         "AG": _matrix_to_wire(problem.AG, arrays=arrays),
-        "LT": vec(problem.LT),
-        "BT": vec(problem.BT),
-        "capacities": vec(problem.capacities),
-        "constraints": vec(problem.constraints),
-        "coordinates": vec(problem.coordinates),
+        "LT": _to_wire(problem.LT, arrays),
+        "BT": _to_wire(problem.BT, arrays),
+        "capacities": _to_wire(problem.capacities, arrays),
+        "constraints": _to_wire(problem.constraints, arrays),
+        "coordinates": _to_wire(problem.coordinates, arrays),
     }
 
 
 def decode_problem(obj: MappingT[str, Any]) -> MappingProblem:
     """Build (and fully validate) a :class:`MappingProblem` from the wire.
 
-    A field that does not convert, or that the problem's own
+    Arrays must be binary blocks (or numpy arrays, on the pool hop).  A
+    field that does not convert, or that the problem's own
     ``__post_init__`` rejects, raises an :class:`InputError` naming it,
-    which the daemon answers with 400.
+    which the daemon answers with 400.  The arrays are decoded before
+    the version is checked, so a v1 payload is told which field to
+    re-encode and how.
     """
     if not isinstance(obj, MappingT):
         raise ProtocolError(f"problem must be an object, got {type(obj).__name__}")
-    version = obj.get("version", PROTOCOL_VERSION)
-    if version != PROTOCOL_VERSION:
-        raise ProtocolError(f"unsupported problem version {version!r}")
     for field in ("CG", "AG", "LT", "BT", "capacities"):
         if obj.get(field) is None:
             raise ProtocolError(f"problem is missing {field!r}")
-    return MappingProblem(
+    fields = dict(
         CG=_matrix_from_wire(obj["CG"], "CG"),
         AG=_matrix_from_wire(obj["AG"], "AG"),
-        LT=_array("LT", obj["LT"], np.float64),
-        BT=_array("BT", obj["BT"], np.float64),
-        capacities=_array("capacities", obj["capacities"]),
-        constraints=_array("constraints", obj.get("constraints"), np.int64),
-        coordinates=_array("coordinates", obj.get("coordinates"), np.float64),
+        LT=_array("LT", obj["LT"], 2),
+        BT=_array("BT", obj["BT"], 2),
+        capacities=_array("capacities", obj["capacities"], 1),
+        constraints=_array("constraints", obj.get("constraints"), 1),
+        coordinates=_array("coordinates", obj.get("coordinates"), 2),
     )
+    version = obj.get("version", PROTOCOL_VERSION)
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(f"unsupported problem version {version!r}")
+    return MappingProblem(**fields)
 
 
 def jsonify_meta(meta: MappingT[str, Any]) -> dict[str, Any]:

@@ -13,9 +13,13 @@ orphaned pool workers) is asserted on every teardown.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
+import socket
+import sys
 import urllib.request
+import warnings
 
 import pytest
 
@@ -396,3 +400,43 @@ def test_http_malformed_body_gets_400(tmp_path):
         tmp_path, EngineConfig(pool_workers=1), scenario, http_port=port
     )
     assert codes == [400, 400, 400]
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_http_bad_content_length_gets_400_and_daemon_keeps_serving(tmp_path, length):
+    port = 18433
+
+    def session(socket_path):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            conn.sendall(
+                f"POST /v1/map HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+            )
+            reply = b""
+            while chunk := conn.recv(65536):
+                reply += chunk
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=10) as r:
+            health = json.loads(r.read())
+        return reply, health
+
+    async def scenario(daemon, socket_path, loop):
+        return await loop.run_in_executor(None, session, socket_path)
+
+    reply, health = run_daemon_scenario(
+        tmp_path, EngineConfig(pool_workers=1), scenario, http_port=port
+    )
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), reply
+    assert "Content-Length" in json.loads(body)["error"]
+    assert health["status"] == "ok"
+
+
+def test_client_connect_failure_closes_its_socket(tmp_path, monkeypatch):
+    # A warning turned error inside a finalizer is "unraisable": catch it.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OSError):
+            PlacementClient(str(tmp_path / "missing.sock"))
+        gc.collect()  # an unclosed socket warns when it is collected
+    assert [u.exc_value for u in unraisable] == []

@@ -22,6 +22,7 @@ from repro.serve.engine import EngineConfig, PlacementEngine
 from repro.serve.solver import solve_one
 from repro.serve.protocol import encode_problem
 from tests.conftest import make_problem
+from tests.serve.blocks import block
 from tests.serve.test_daemon import _assert_all_dead
 
 
@@ -279,8 +280,8 @@ def test_malformed_csr_is_400_and_the_engine_keeps_solving(problem):
     bad = []
     for rid, index in enumerate((-1, 99)):
         request = map_request(problem, rid=rid)
-        csr = {"format": "csr", "shape": n, "indptr": [0] + [1] * n,
-               "indices": [index], "data": [1.0]}
+        csr = {"format": "csr", "shape": n, "indptr": block([0] + [1] * n, "<i8"),
+               "indices": block([index], "<i8"), "data": block([1.0])}
         request["problem"].update(CG=csr, AG=csr)
         bad.append(request)
 
@@ -294,6 +295,26 @@ def test_malformed_csr_is_400_and_the_engine_keeps_solving(problem):
         assert "CG is not a valid sparse matrix" in reply["error"]
     assert solved["ok"], solved
     assert solved["result"]["cost"] == get_mapper("greedy").map(problem, seed=0).cost
+
+
+def test_v1_list_problem_is_400_naming_the_field_and_the_block_format(problem):
+    v1 = {
+        "version": 1,
+        "CG": {"format": "dense", "rows": problem.dense_CG().tolist()},
+        "AG": {"format": "dense", "rows": problem.dense_AG().tolist()},
+        "LT": problem.LT.tolist(),
+        "BT": problem.BT.tolist(),
+        "capacities": problem.capacities.tolist(),
+    }
+
+    async def scenario(engine):
+        request = {"op": "map", "id": 1, "problem": v1, "mapper": "greedy"}
+        return await engine.handle(json.loads(json.dumps(request)))
+
+    response = run_with_engine(EngineConfig(pool_workers=1), scenario)
+    assert not response["ok"] and response["code"] == 400, response
+    assert response["error"].startswith("CG.rows must be a binary block")
+    assert '"dtype"' in response["error"] and '"b64"' in response["error"]
 
 
 @pytest.mark.parametrize("sleep_s", [float("inf"), float("nan"), -1.0])

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +13,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import InputError
 from repro.core import MappingProblem, get_mapper
 from repro.serve.protocol import (
+    BLOCK_DTYPES,
     ProtocolError,
+    _array,
     decode_problem,
     encode_mapping,
     encode_problem,
@@ -20,6 +26,7 @@ from repro.serve.protocol import (
     jsonify_meta,
 )
 from tests.conftest import make_problem
+from tests.serve.blocks import block
 
 
 @pytest.fixture()
@@ -84,21 +91,21 @@ class TestProblemRoundTrip:
 
     def test_invalid_content_raises_value_error(self, problem):
         wire = encode_problem(problem)
-        wire["capacities"] = [0] * problem.num_sites
+        wire["capacities"] = block([0] * problem.num_sites, "<i8")
         with pytest.raises(ValueError):
             decode_problem(wire)
 
 
 def _csr_wire(shape, indptr, indices, data):
     """A two-site problem whose CG and AG are the given CSR triplet."""
-    csr = {"format": "csr", "shape": shape, "indptr": indptr,
-           "indices": indices, "data": data}
+    csr = {"format": "csr", "shape": shape, "indptr": block(indptr, "<i8"),
+           "indices": block(indices, "<i8"), "data": block(data)}
     return {
         "CG": csr,
         "AG": csr,
-        "LT": [[1e-4, 0.05], [0.05, 1e-4]],
-        "BT": [[1e9, 1e7], [1e7, 1e9]],
-        "capacities": [8, 8],
+        "LT": block([[1e-4, 0.05], [0.05, 1e-4]]),
+        "BT": block([[1e9, 1e7], [1e7, 1e9]]),
+        "capacities": block([8, 8], "<i8"),
     }
 
 
@@ -168,18 +175,180 @@ class TestMalformedCsr:
         with pytest.raises(ValueError, match=f"CG is not a valid sparse matrix: .*{match}"):
             decode_problem(wire)
 
+    @pytest.mark.parametrize("shape", [2.9, "2", True, -1, None])
+    def test_matrix_shape_must_be_a_non_negative_int(self, shape):
+        wire = _csr_wire(shape, [0, 1, 2], [1, 0], [1.0, 2.0])
+        with pytest.raises(ProtocolError, match=r"^CG\.shape must be a non-negative int"):
+            decode_problem(wire)
+
     @settings(max_examples=300, deadline=None)
     @given(triplet=st.one_of(_csr_triplets(), _raw_triplets()))
     def test_fuzzed_triplets_decode_or_raise_a_request_error(self, triplet):
         shape, indptr, indices, data = triplet
         try:
             problem = decode_problem(_csr_wire(shape, indptr, indices, data))
-        except (ProtocolError, ValueError, TypeError, KeyError):
+        except InputError:
             return
         # Only a well-formed triplet decodes, and to the matrix it encodes.
         expected = _dense_or_none(shape, indptr, indices, data)
         assert expected is not None
         np.testing.assert_array_equal(problem.CG.toarray(), expected)
+
+
+def _greedy(problem: MappingProblem):
+    mapping = get_mapper("greedy").map(problem, seed=0)
+    return mapping.assignment.tolist(), mapping.cost
+
+
+def _as_int64(csr_wire: dict) -> dict:
+    """The same CSR matrix with its index blocks re-packed as int64."""
+    out = dict(csr_wire)
+    for key in ("indptr", "indices"):
+        raw = base64.b64decode(csr_wire[key]["b64"])
+        out[key] = block(np.frombuffer(raw, "<i4").tolist(), "<i8")
+    return out
+
+
+class TestBlockRoundTrip:
+    @pytest.mark.parametrize("coordinates", [True, False], ids=["coords", "no-coords"])
+    @pytest.mark.parametrize("pins", [0.0, 0.25], ids=["free", "pinned"])
+    @pytest.mark.parametrize("layout", ["dense", "csr-int32", "csr-int64"])
+    def test_json_round_trip_is_byte_exact(self, topo2, layout, pins, coordinates):
+        base = make_problem(8, topo2, seed=3, constraint_ratio=pins)
+        convert = (lambda m: m) if layout == "dense" else sp.csr_matrix
+        base = MappingProblem(
+            CG=convert(base.dense_CG()), AG=convert(base.dense_AG()),
+            LT=base.LT, BT=base.BT, capacities=base.capacities,
+            constraints=base.constraints,
+            coordinates=base.coordinates if coordinates else None,
+        )
+        wire = json.loads(json.dumps(encode_problem(base)))
+        if layout == "csr-int64":
+            wire["CG"], wire["AG"] = _as_int64(wire["CG"]), _as_int64(wire["AG"])
+            assert wire["CG"]["indices"]["dtype"] == "<i8"
+        elif layout == "csr-int32":
+            assert wire["CG"]["indices"]["dtype"] == "<i4"
+        back = decode_problem(wire)
+        assert back.fingerprint() == base.fingerprint()
+        assert (back.coordinates is None) == (not coordinates)
+        np.testing.assert_array_equal(back.constraints, base.constraints)
+        assert _greedy(back) == _greedy(base)  # exact cost, not approx
+
+    def test_stdlib_block_matches_the_encoder(self, problem):
+        wire = encode_problem(problem)
+        assert block(problem.LT.tolist()) == wire["LT"]
+        assert block(problem.capacities.tolist(), "<i8") == wire["capacities"]
+
+    def test_decoded_block_owns_writable_native_memory(self):
+        arr = _array("LT", block([[0.0, 1.5], [2.5, 0.0]]), 2)
+        assert arr.flags.owndata and arr.flags.writeable
+        assert arr.dtype == np.float64 and arr.dtype.isnative
+        np.testing.assert_array_equal(arr, [[0.0, 1.5], [2.5, 0.0]])
+
+
+class TestV1Refused:
+    @pytest.mark.parametrize("field", ["LT", "BT", "capacities", "constraints", "coordinates"])
+    def test_list_field_names_itself_and_the_block_format(self, problem, field):
+        wire = encode_problem(problem)
+        wire[field] = getattr(problem, field).tolist()
+        with pytest.raises(ProtocolError, match=f"^{field} must be a binary block .*dtype.*b64"):
+            decode_problem(wire)
+
+    def test_a_whole_v1_problem_names_its_first_list(self, problem):
+        v1 = {
+            "version": 1,
+            "CG": {"format": "dense", "rows": problem.dense_CG().tolist()},
+            "AG": {"format": "dense", "rows": problem.dense_AG().tolist()},
+            "LT": problem.LT.tolist(),
+            "BT": problem.BT.tolist(),
+            "capacities": problem.capacities.tolist(),
+        }
+        with pytest.raises(ProtocolError, match=r"^CG\.rows must be a binary block .*protocol v1"):
+            decode_problem(json.loads(json.dumps(v1)))
+
+
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode("ascii")
+
+
+@st.composite
+def _blocks(draw):
+    """A block with at most one part broken: its dtype, its shape, its
+    byte count, its base64 text, or a missing key."""
+    broken = draw(st.sampled_from([None, "dtype", "shape", "size", "b64", "key"]))
+    dtype = draw(st.sampled_from(BLOCK_DTYPES))
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+    if broken == "dtype":
+        dtype = draw(
+            st.sampled_from([">f8", ">i8", ">i4", "<f4", "<i2", "|u1", "f8", "float64", ""])
+            | st.none() | st.integers(-1, 8) | st.lists(st.just("<f8"), max_size=2)
+        )
+    if broken == "shape":
+        shape = draw(
+            st.lists(st.integers(-3, 2**70), max_size=3)
+            | st.lists(st.integers(0, 3) | st.lists(st.integers(0, 3), max_size=2),
+                       min_size=1, max_size=3)
+            | st.sampled_from(["3", 3, None, {"n": 3}, [True, 2], [2.0, 2.0], [0, 2**70]])
+        )
+    itemsize = int(dtype[2]) if dtype in BLOCK_DTYPES else 8
+    if isinstance(shape, list) and all(type(d) is int and 0 <= d <= 4 for d in shape):
+        nbytes = int(np.prod(shape)) * itemsize
+    else:
+        nbytes = draw(st.integers(0, 24))
+    if broken == "size":
+        nbytes = draw(st.sampled_from([nbytes + 1, abs(nbytes - 1), nbytes + itemsize]))
+    b64 = _b64(draw(st.binary(min_size=nbytes, max_size=nbytes)))
+    if broken == "b64":
+        b64 = draw(
+            st.sampled_from(["!!!!", "abc", "QQ=", "QUJD\n", "Q U J D", "\u00e9AAA", "===="])
+            | st.none() | st.integers() | st.lists(st.integers(0, 255), max_size=3)
+        )
+    blk = {"dtype": dtype, "shape": shape, "b64": b64}
+    if broken == "key":
+        del blk[draw(st.sampled_from(sorted(blk)))]
+    return blk
+
+
+_FUZZ_TARGETS = ("CG.rows", "CG.indptr", "CG.indices", "CG.data", "CG", "LT", "capacities",
+                 "coordinates")
+
+
+def _small_wire() -> dict:
+    return _csr_wire(2, [0, 1, 2], [1, 0], [1.0, 2.0])
+
+
+def _fuzz_wire(target: str, blk: dict) -> dict:
+    """A small valid problem with ``blk`` put where ``target`` names."""
+    wire = _small_wire()
+    if target == "CG.rows":
+        wire["CG"] = {"format": "dense", "rows": blk}
+    elif target.startswith("CG."):
+        wire["CG"] = dict(wire["CG"], **{target[3:]: blk})
+    else:
+        wire[target] = blk
+    return wire
+
+
+class TestBlockFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(target=st.sampled_from(_FUZZ_TARGETS), blk=_blocks())
+    def test_fuzzed_blocks_decode_or_raise_an_input_error(self, target, blk):
+        wire = _fuzz_wire(target, blk)
+        decode_problem(_small_wire())  # warm, outside the budget
+        payload = len(json.dumps(wire))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            decode_problem(wire)
+        except InputError:
+            pass
+        finally:
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # Nothing is allocated from a declared shape, only from the payload.
+        assert peak <= 4 * payload + 2**20, (peak, payload)
+        assert elapsed < 5.0
 
 
 class TestMappingEncoding:
