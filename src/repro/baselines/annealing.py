@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_positive_int
+from .._validation import InputError, check_positive_int, coerce
 from ..core.cost import CostEvaluator, total_cost
 from ..core.mapping import Mapper, register_mapper
 from ..core.problem import UNCONSTRAINED, MappingProblem
@@ -54,17 +54,21 @@ class SimulatedAnnealingMapper(Mapper):
         restarts: int = 1,
     ) -> None:
         self.steps = check_positive_int(steps, "steps")
-        if not 0.0 < initial_acceptance < 1.0:
-            raise ValueError(
+        self.initial_acceptance = coerce(
+            "initial_acceptance", float, initial_acceptance
+        )
+        if not 0.0 < self.initial_acceptance < 1.0:
+            raise InputError(
                 f"initial_acceptance must be in (0, 1), got {initial_acceptance}"
             )
-        self.initial_acceptance = float(initial_acceptance)
-        if not 0.0 < final_temperature_ratio < 1.0:
-            raise ValueError(
+        self.final_temperature_ratio = coerce(
+            "final_temperature_ratio", float, final_temperature_ratio
+        )
+        if not 0.0 < self.final_temperature_ratio < 1.0:
+            raise InputError(
                 "final_temperature_ratio must be in (0, 1), "
                 f"got {final_temperature_ratio}"
             )
-        self.final_temperature_ratio = float(final_temperature_ratio)
         self.restarts = check_positive_int(restarts, "restarts")
 
     # ------------------------------------------------------------ internals

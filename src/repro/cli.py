@@ -397,12 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="kill a worker whose heartbeat stalls this long",
     )
     p_sweep.add_argument(
-        "--degrade-after-timeouts",
-        type=int,
-        default=None,
-        help="after this many timeouts, retry with the spec's degraded params",
-    )
-    p_sweep.add_argument(
         "--chaos",
         default=None,
         metavar="SPEC",
@@ -1129,7 +1123,6 @@ def _cmd_sweep(args) -> int:
             max_retries=args.retries,
             quarantine_after=args.quarantine_after,
             heartbeat_timeout_s=args.heartbeat_timeout_s,
-            degrade_after_timeouts=args.degrade_after_timeouts,
             chaos=chaos,
         )
         report, merged = _run_sweep(

@@ -60,7 +60,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .._validation import check_nonnegative_int, check_positive_int, check_vector
+from .._validation import (
+    InputError,
+    check_nonnegative_int,
+    check_positive_int,
+    check_vector,
+    coerce,
+)
 from ..obs import get_recorder
 from .cost import CostEvaluator
 from .geodist import _symmetric_traffic
@@ -300,9 +306,9 @@ class MultilevelMapper(Mapper):
         self.kappa = check_positive_int(kappa, "kappa")
         self.coarsest_size = check_positive_int(coarsest_size, "coarsest_size")
         self.max_levels = check_positive_int(max_levels, "max_levels")
-        if not 0.0 <= min_shrink < 1.0:
-            raise ValueError(f"min_shrink must be in [0, 1), got {min_shrink}")
-        self.min_shrink = float(min_shrink)
+        self.min_shrink = coerce("min_shrink", float, min_shrink)
+        if not 0.0 <= self.min_shrink < 1.0:
+            raise InputError(f"min_shrink must be in [0, 1), got {min_shrink}")
         self.match_rounds = check_positive_int(match_rounds, "match_rounds")
         self.refine_rounds = check_nonnegative_int(refine_rounds, "refine_rounds")
         self.grouping_seed = grouping_seed

@@ -3,10 +3,10 @@
 Each scenario is a 1:1 map from a spec in the sweep's manifest to a
 result-shard file, executed by a supervised pool of worker *processes*.  The
 supervisor (:class:`SweepFabric`) owns deadlines, crash isolation,
-deterministic backoff, poison-task quarantine, heartbeat liveness,
-graceful degradation, and atomic shards; :func:`merge_shards` folds the
-shards into one input-ordered result table; :class:`ChaosInjector`
-deterministically kills, hangs, freezes, and delays workers for testing.
+deterministic backoff, poison-task quarantine, heartbeat liveness, and
+atomic shards; :func:`merge_shards` folds the shards into one
+input-ordered result table; :class:`ChaosInjector` deterministically
+kills, hangs, freezes, and delays workers for testing.
 
 Quick start::
 

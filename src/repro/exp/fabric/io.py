@@ -223,16 +223,18 @@ def atomic_write_text(
 def read_json(path: str | Path) -> Any | None:
     """Parse ``path`` as JSON; ``None`` for missing/unreadable/corrupt.
 
-    A shard that cannot be parsed is treated as never written, so the
-    task simply re-runs.
+    Corrupt covers bytes that are not text, malformed JSON, integers
+    past Python's digit limit (each a ``ValueError``) and nesting too
+    deep to parse (``RecursionError``).  A shard that cannot be parsed
+    is treated as never written, so the task simply re-runs.
     """
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError:
         return None
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return None
 
 

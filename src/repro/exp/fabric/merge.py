@@ -4,7 +4,7 @@ The merged table's row order is the *manifest* order, never the order
 tasks happened to finish in, so two sweeps over the same spec set are
 directly comparable.  Shards carry two kinds of data:
 
-* the **payload** — ``key``, ``status``, ``degraded``, and the task's
+* the **payload** — ``key``, ``status``, and the task's
   ``result`` minus its ``timing`` sub-dict; deterministic in the spec;
 * the **envelope** — ``attempts``, ``elapsed_s``, ``worker``, and any
   ``result["timing"]``; these depend on scheduling, load, and chaos.

@@ -24,6 +24,7 @@ different scenario.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -49,7 +50,10 @@ __all__ = [
 MANIFEST_FORMAT = "repro-fabric-manifest-v2"
 #: The format of sweep dirs that kept one spec file per task.
 _V1_MANIFEST_FORMAT = "repro-fabric-manifest-v1"
-SHARD_FORMAT = "repro-fabric-shard-v1"
+#: Bumped whenever a shard's fields change: a shard of another version
+#: reads as "no result yet", so resume re-runs its task instead of
+#: merging rows of two shapes.
+SHARD_FORMAT = "repro-fabric-shard-v2"
 RESULT_FORMAT = "repro-fabric-result-v1"
 
 #: Terminal states a shard may record.  ``ok`` is the only one a resumed
@@ -65,52 +69,36 @@ class SpecError(FabricError, InputError):
 class TaskSpec:
     """One scenario: a registered task kind plus its JSON parameters.
 
-    ``degraded_params`` is the graceful-degradation override: when the
-    supervisor decides a task should retry degraded (repeated timeouts),
-    it sends the worker ``params | degraded_params`` and the shard is
-    tagged ``degraded: true``.
+    Every attempt runs exactly these params, so a cell's result is
+    always the result of the task its key names.
     """
 
     key: str
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
-    degraded_params: Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
         if not self.key:
             raise SpecError("task key must be non-empty")
+        try:
+            self.key.encode()  # the shard filename is its quoted UTF-8
+        except UnicodeEncodeError:
+            raise SpecError(
+                f"task key {self.key!r} is not valid Unicode text"
+            ) from None
         if not self.kind:
             raise SpecError(f"task {self.key!r} needs a kind")
         object.__setattr__(self, "params", dict(self.params))
-        if self.degraded_params is not None:
-            object.__setattr__(
-                self, "degraded_params", dict(self.degraded_params)
-            )
-
-    def effective_params(self, *, degraded: bool = False) -> dict[str, Any]:
-        """The params the task function actually receives."""
-        merged = dict(self.params)
-        if degraded and self.degraded_params:
-            merged.update(self.degraded_params)
-        return merged
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "params": dict(self.params),
-            "degraded_params": (
-                dict(self.degraded_params)
-                if self.degraded_params is not None
-                else None
-            ),
-        }
+        return {"key": self.key, "kind": self.kind, "params": dict(self.params)}
 
     @classmethod
     def from_dict(cls, data: Any, *, source: str = "spec") -> "TaskSpec":
         """Parse one manifest entry; ``source`` names it in errors.
 
         A malformed entry raises :class:`SpecError` naming the field.
+        Keys it does not know are ignored.
         """
         if not isinstance(data, Mapping):
             raise SpecError(
@@ -123,22 +111,16 @@ class TaskSpec:
                     f"{source}: field {name!r} must be a string, "
                     f"got {data.get(name)!r}"
                 )
-        for name in ("params", "degraded_params"):
-            if not isinstance(data.get(name), (Mapping, type(None))):
-                raise SpecError(
-                    f"{source}: field {name!r} must be an object or null, "
-                    f"got {data.get(name)!r}"
-                )
+        if not isinstance(data.get("params"), (Mapping, type(None))):
+            raise SpecError(
+                f"{source}: field 'params' must be an object or null, "
+                f"got {data.get('params')!r}"
+            )
         try:
             return cls(
                 key=data["key"],
                 kind=data["kind"],
                 params=dict(data.get("params") or {}),
-                degraded_params=(
-                    dict(data["degraded_params"])
-                    if data.get("degraded_params")
-                    else None
-                ),
             )
         except SpecError as exc:  # an empty key or kind
             raise SpecError(f"{source}: {exc}") from None
@@ -241,7 +223,7 @@ def load_manifest(root: str | Path) -> list[TaskSpec]:
 
 def _check_unique(keys: list[str], where: str) -> None:
     if len(set(keys)) != len(keys):
-        dupes = sorted({k for k in keys if keys.count(k) > 1})
+        dupes = sorted(k for k, n in Counter(keys).items() if n > 1)
         raise SpecError(f"duplicate task keys in {where}: {dupes}")
 
 
@@ -272,7 +254,6 @@ def write_shard(
     attempts: int,
     elapsed_s: float,
     worker: str,
-    degraded: bool = False,
     before_replace: Any = None,
 ) -> Path:
     """Atomically write one result shard (the only shard writer)."""
@@ -287,7 +268,6 @@ def write_shard(
         "attempts": int(attempts),
         "elapsed_s": float(elapsed_s),
         "worker": worker,
-        "degraded": bool(degraded),
     }
     return atomic_write_json(
         SweepLayout(root).shard_path(key), row, before_replace=before_replace

@@ -15,13 +15,13 @@ The fabric owns real OS processes and therefore a real robustness loop:
 * **heartbeat liveness** — a worker whose heartbeat counter stops
   changing (frozen, swapped to death, SIGSTOPped) is killed and replaced
   even when no deadline is set;
-* **graceful degradation** — after ``degrade_after_timeouts`` timed-out
-  attempts, a task that declares ``degraded_params`` retries with them
-  (e.g. the cheap Greedy mapper) and its shard is tagged
-  ``degraded: true``;
 * **crash-proof results** — every result is an atomic shard file; the
   supervisor holds no result state that is not also on disk, so a
   killed sweep resumes from the shards alone.
+
+Every attempt runs the spec's own params: a task that keeps timing out
+ends as a ``timeout`` shard once its retries are spent, and a resumed
+sweep (perhaps with a larger deadline) re-runs exactly those tasks.
 
 The fabric follows the ambient recorder.  When tracing is on (a
 :class:`~repro.obs.SpanRecorder`, as under ``--trace`` or ``--store``),
@@ -119,7 +119,6 @@ class FabricConfig:
     max_retries: int = 2
     backoff_base_s: float = 0.05
     quarantine_after: int = 3
-    degrade_after_timeouts: int | None = None
     heartbeat_interval_s: float = 0.2
     heartbeat_timeout_s: float = 10.0
     chaos: ChaosConfig | None = None
@@ -137,8 +136,6 @@ class FabricConfig:
             raise InputError(
                 f"quarantine_after must be >= 1, got {self.quarantine_after}"
             )
-        if self.degrade_after_timeouts is not None and self.degrade_after_timeouts < 1:
-            raise InputError("degrade_after_timeouts must be >= 1 when set")
         for name in ("heartbeat_interval_s", "heartbeat_timeout_s"):
             if getattr(self, name) <= 0:
                 raise InputError(f"{name} must be positive")
@@ -154,9 +151,7 @@ class _Task:
 
     spec: TaskSpec
     attempts: int = 0          # attempts actually dispatched
-    timeouts: int = 0          # attempts that hit the deadline
     worker_deaths: int = 0     # consecutive attempts that killed a worker
-    degraded: bool = False
     not_before: float = 0.0    # monotonic backoff gate
     last_started: float = 0.0
     last_error: str | None = None
@@ -198,7 +193,6 @@ class FabricReport:
     adopted: int
     retries: int
     worker_restarts: int
-    degraded: int
     elapsed_s: float
 
     @property
@@ -219,7 +213,7 @@ class FabricReport:
             f"quarantined={self.count('quarantined')}, "
             f"adopted={self.adopted}, retries={self.retries}, "
             f"worker_restarts={self.worker_restarts}, "
-            f"degraded={self.degraded}, elapsed={self.elapsed_s:.2f}s"
+            f"elapsed={self.elapsed_s:.2f}s"
         )
 
 
@@ -298,7 +292,6 @@ class SweepFabric:
             self._adopted = 0
             self._retries = 0
             self._restarts = 0
-            self._degraded_done = 0
             self._boot_failures = 0
             pending: list[TaskSpec] = []
             for key in selected:
@@ -312,8 +305,6 @@ class SweepFabric:
                         )
                     self._statuses[key] = "ok"
                     self._adopted += 1
-                    if row.get("degraded"):
-                        self._degraded_done += 1
                     continue
                 if row is not None and not resume:
                     raise FabricError(
@@ -354,7 +345,6 @@ class SweepFabric:
             adopted=self._adopted,
             retries=self._retries,
             worker_restarts=self._restarts,
-            degraded=self._degraded_done,
             elapsed_s=time.monotonic() - start,
         )
         return report
@@ -504,9 +494,8 @@ class SweepFabric:
             "cmd": "task",
             "key": task.key,
             "kind": task.spec.kind,
-            "params": task.spec.effective_params(degraded=task.degraded),
+            "params": task.spec.params,
             "attempt": attempt,
-            "degraded": task.degraded,
             "chaos": chaos,
         }
         try:
@@ -581,7 +570,7 @@ class SweepFabric:
                 )
                 return
             task.worker_deaths = 0
-            self._settle(task.key, "ok", degraded=bool(row.get("degraded")))
+            self._settle(task.key, "ok")
         else:
             # The worker survived (in-process exception), so the
             # consecutive worker-death streak resets.
@@ -601,8 +590,6 @@ class SweepFabric:
             task = worker.task
             self._kill(worker)
             if task is not None:
-                task.timeouts += 1
-                self._maybe_degrade(task)
                 self._finish_interrupted_attempt(
                     worker, task, "timeout",
                     f"exceeded {self.config.timeout_s}s budget "
@@ -685,7 +672,7 @@ class SweepFabric:
         row = load_shard(self.layout.root, task.key)
         if row is not None and row["status"] == "ok":
             self._adopted += 1
-            self._settle(task.key, "ok", degraded=bool(row.get("degraded")))
+            self._settle(task.key, "ok")
             return
         if count_worker_death:
             task.worker_deaths += 1
@@ -729,17 +716,6 @@ class SweepFabric:
         self._retries += 1
         self._pending.append(task)
 
-    def _maybe_degrade(self, task: _Task) -> None:
-        limit = self.config.degrade_after_timeouts
-        if limit is None or task.degraded or task.timeouts < limit:
-            return
-        if not task.spec.degraded_params:
-            return
-        task.degraded = True
-        get_recorder().event(
-            "fabric.degraded", key=task.key, after_timeouts=task.timeouts
-        )
-
     def _quarantine(self, task: _Task, error: str) -> None:
         self._write_terminal_shard(
             task,
@@ -761,19 +737,14 @@ class SweepFabric:
             attempts=task.attempts,
             elapsed_s=elapsed,
             worker="supervisor",
-            degraded=task.degraded,
         )
         self._settle(task.key, load_shard(self.layout.root, task.key)["status"])
 
-    def _settle(
-        self, key: str, status: str, *, degraded: bool = False
-    ) -> None:
+    def _settle(self, key: str, status: str) -> None:
         if key not in self._unsettled:
             return
         self._unsettled.discard(key)
         self._statuses[key] = status
-        if degraded:
-            self._degraded_done += 1
         task = self._tasks.get(key)
         if task is not None and task in self._pending:
             self._pending.remove(task)

@@ -180,7 +180,6 @@ def demo_specs(
             key=f"demo/{i:04d}",
             kind="demo",
             params={"index": i, "seed": seed, "work": work},
-            degraded_params={"work": 1},
         )
         for i in range(num_tasks)
     ]
@@ -196,8 +195,7 @@ def fig7_specs(
 ) -> list[TaskSpec]:
     """The Fig. 7 scalability grid as fabric specs.
 
-    Keys read ``fig7/<app>/n<machines>/<mapper>/s<seed>``; every cell
-    degrades to the Greedy mapper under repeated timeouts.
+    Keys read ``fig7/<app>/n<machines>/<mapper>/s<seed>``.
     """
     return [
         TaskSpec(
@@ -210,7 +208,6 @@ def fig7_specs(
                 "mapper": mapper,
                 "seed": seed,
             },
-            degraded_params={"mapper": "greedy"},
         )
         for n in scales
         for mapper in mappers
@@ -250,7 +247,6 @@ def robustness_specs(
                 "mapper": mapper,
                 "seed": seed,
             },
-            degraded_params={"mapper": "greedy"},
         )
         for fault in faults
         for mapper in mappers

@@ -12,17 +12,16 @@ The protocol runs over one duplex :func:`multiprocessing.Pipe`; each
 message is one dict:
 
 * supervisor -> worker: ``{"cmd": "task", "key": ..., "kind": ...,
-  "params": {...}, "attempt": n, "degraded": bool, "chaos": {...}|None}``
+  "params": {...}, "attempt": n, "chaos": {...}|None}``
   or ``{"cmd": "shutdown"}``;
 * worker -> supervisor: ``{"event": "ready"}`` once at start, then
   ``{"event": "done", "key": ..., "status": "ok"|"failed", ...}`` after
   each task, with a ``"trace": {...}`` entry only when the sweep is
   traced.
 
-The task message carries the task's kind and its effective params (the
-supervisor has already merged ``degraded_params`` in when the attempt
-is degraded).  The worker runs the task function, writes the result
-shard atomically, and only then acks: results cross the process
+The task message carries the task's kind and its spec's params, the
+same on every attempt.  The worker runs the task function, writes the
+result shard atomically, and only then acks: results cross the process
 boundary only as files.  When the supervisor hands the worker a trace
 context (the sweep is traced), the worker records each task under a
 span recorder parented there, and the ack carries the task's spans as a
@@ -124,7 +123,6 @@ def _run_task(sweep_dir: Path, name: str, msg: dict[str, Any]) -> dict[str, Any]
     """Execute one task message; returns the ack event dict."""
     key, kind = str(msg["key"]), msg["kind"]
     attempt = int(msg.get("attempt", 0))
-    degraded = bool(msg.get("degraded", False))
     chaos = msg.get("chaos")
     _apply_pre_chaos(chaos)
     start = time.perf_counter()
@@ -134,7 +132,6 @@ def _run_task(sweep_dir: Path, name: str, msg: dict[str, Any]) -> dict[str, Any]
         key=key,
         attempt=attempt,
         worker=name,
-        degraded=degraded,
     ) as span:
         try:
             result = get_task(kind)(msg["params"])
@@ -161,7 +158,6 @@ def _run_task(sweep_dir: Path, name: str, msg: dict[str, Any]) -> dict[str, Any]
             attempts=attempt + 1,
             elapsed_s=elapsed,
             worker=name,
-            degraded=degraded,
             before_replace=_post_write_chaos_hook(chaos, mid_write=True),
         )
         after = _post_write_chaos_hook(chaos, mid_write=False)

@@ -211,7 +211,13 @@ class PlacementDaemon:
             return 400, _json_headers(), _json_body({"error": str(exc)})
         if length > MAX_LINE_BYTES:
             return 413, _json_headers(), _json_body({"error": "body too large"})
-        raw = await reader.readexactly(length) if length else b""
+        try:
+            raw = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            return 400, _json_headers(), _json_body({
+                "error": f"body ended after {len(exc.partial)} of "
+                f"Content-Length {length} bytes"
+            })
 
         if method == "GET" and path == "/health":
             return 200, _json_headers(), _json_body(self.engine.health())

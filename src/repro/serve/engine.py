@@ -117,6 +117,12 @@ class EngineConfig:
             raise InputError(f"pool_workers must be >= 1, got {self.pool_workers}")
         if self.queue_limit < 1:
             raise InputError(f"queue_limit must be >= 1, got {self.queue_limit}")
+        if self.cache_size < 0:
+            raise InputError(f"cache_size must be >= 0, got {self.cache_size}")
+        if self.degrade_at is not None and self.degrade_at < 0:
+            raise InputError(f"degrade_at must be >= 0, got {self.degrade_at}")
+        if self.span_keep < 0:
+            raise InputError(f"span_keep must be >= 0, got {self.span_keep}")
 
 
 class PlacementEngine:

@@ -24,8 +24,10 @@ from repro.exp.fabric import (
     SweepFabric,
     SweepLayout,
     TaskSpec,
+    atomic_write_json,
     comparable_rows,
     demo_specs,
+    load_manifest,
     load_shard,
     merge_shards,
     read_json,
@@ -34,6 +36,7 @@ from repro.exp.fabric import (
     write_sweep,
 )
 from repro.exp.fabric.io import PathLock
+from repro.exp.fabric.tasks import demo_task
 
 FAST = dict(backoff_base_s=0.01, heartbeat_interval_s=0.1)
 
@@ -228,23 +231,23 @@ class TestDeadlines:
         assert shard["status"] == "timeout"
         assert "budget" in shard["error"]
 
-    def test_degradation_after_timeouts(self, tmp_path):
+    def test_timed_out_cell_resumes_as_itself(self, tmp_path):
+        # A cell that keeps timing out ends as a timeout shard once its
+        # retries are spent; a resume with a longer deadline re-runs it
+        # with the same params, so its result is the task its key names.
         write_sweep(
             tmp_path,
-            [TaskSpec(
-                key="d", kind="demo",
-                params={"sleep_s": 60.0, "work": 2},
-                degraded_params={"sleep_s": 0.0},
-            )],
+            [TaskSpec(key="d", kind="demo", params={"sleep_s": 1.0, "work": 2})],
         )
         report = _fabric(
-            tmp_path, workers=1, timeout_s=0.4, max_retries=4,
-            degrade_after_timeouts=2,
+            tmp_path, workers=1, timeout_s=0.3, max_retries=1
         ).run()
+        assert report.statuses["d"] == "timeout"
+        assert load_shard(tmp_path, "d")["attempts"] == 2
+        report = _fabric(tmp_path, workers=1, timeout_s=30.0).run(resume=True)
         assert report.statuses["d"] == "ok"
-        assert report.degraded == 1
-        shard = load_shard(tmp_path, "d")
-        assert shard["degraded"] is True
+        assert report.adopted == 0
+        assert load_shard(tmp_path, "d")["result"] == demo_task({"work": 2})
 
 
 class TestHeartbeatLiveness:
@@ -302,6 +305,38 @@ class TestResume:
         report = _fabric(tmp_path, workers=1).run(resume=True)
         assert report.statuses["t"] == "ok"
         assert report.adopted == 0
+
+    def test_pre_v2_shard_is_rerun_on_resume(self, tmp_path):
+        # A sweep dir from before shards dropped their "degraded" key:
+        # its manifest entries carry a field this version does not read
+        # and one of its shards is repro-fabric-shard-v1.  Resume adopts
+        # the v2 shards, re-runs the v1 one, and merges rows of one shape.
+        specs = demo_specs(3, work=2)
+        layout = SweepLayout(tmp_path)
+        atomic_write_json(layout.manifest_path, {
+            "format": "repro-fabric-manifest-v2",
+            "tasks": [
+                {**s.to_dict(), "retired_field": {"work": 1}} for s in specs
+            ],
+        })
+        assert load_manifest(tmp_path) == specs
+        _fabric(tmp_path, workers=1).run()
+        old_key = specs[1].key
+        old = load_shard(tmp_path, old_key)
+        atomic_write_json(layout.shard_path(old_key), {
+            **old, "format": "repro-fabric-shard-v1", "degraded": False,
+        })
+        assert load_shard(tmp_path, old_key) is None
+        report = _fabric(tmp_path, workers=1).run(resume=True)
+        assert report.ok and report.adopted == 2
+        merged = merge_shards(tmp_path)
+        assert merged.complete and len(merged.rows) == 3
+        assert not any("degraded" in row for row in merged.rows)
+        assert {row["format"] for row in merged.rows} == {"repro-fabric-shard-v2"}
+        fresh = tmp_path / "fresh"
+        write_sweep(fresh, specs)
+        _fabric(fresh, workers=1).run()
+        assert results_equivalent(merged.rows, merge_shards(fresh).rows)
 
 
 class TestChaosEndToEnd:
@@ -364,17 +399,14 @@ class TestChaosEndToEnd:
     def test_comparable_rows_strip_envelope(self, tmp_path):
         rows = [
             {
-                "key": "k", "status": "ok", "degraded": False,
+                "key": "k", "status": "ok",
                 "attempts": 3, "elapsed_s": 1.5, "worker": "w0-0",
                 "result": {"v": 1, "timing": {"t": 0.2}},
             }
         ]
         clean = comparable_rows(rows)
         assert clean == [
-            {
-                "key": "k", "status": "ok", "degraded": False,
-                "result": {"v": 1},
-            }
+            {"key": "k", "status": "ok", "result": {"v": 1}}
         ]
 
     def test_kill_after_write_is_adopted(self, tmp_path):
@@ -406,7 +438,7 @@ class TestConfigValidation:
             {"timeout_s": 0},
             {"max_retries": -1},
             {"quarantine_after": 0},
-            {"degrade_after_timeouts": 0},
+            {"backoff_base_s": -1.0},
             {"heartbeat_timeout_s": 0.1, "heartbeat_interval_s": 0.2},
         ],
     )

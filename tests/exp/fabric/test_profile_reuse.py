@@ -34,8 +34,8 @@ from repro.obs import recording
 
 #: sha256 of the canonical payload (``comparable_rows``, timing
 #: stripped) of ``robustness_specs(processes=32)`` merged, as computed
-#: when every cell built and profiled its own app.
-ROBUSTNESS_32_SHA = "a94dbd3e710b56f837be8916639e064ac3cb2ba56c1fddfe0a59289cf8ff81a7"
+#: when every cell built and profiled its own app (v2 shard rows).
+ROBUSTNESS_32_SHA = "9aef1527e7aa908ae809562e4a3516896c337b0d71aba188a17878ec4be6b590"
 
 
 @pytest.fixture

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro._validation import InputError
 
 from repro.exp.fabric import (
     FabricError,
@@ -13,11 +19,12 @@ from repro.exp.fabric import (
     TaskSpec,
     load_manifest,
     load_shard,
+    merge_shards,
     write_shard,
     write_sweep,
 )
 from repro.exp.fabric.io import atomic_write_json, read_json, sweep_stale_tmp
-from repro.exp.fabric.spec import MANIFEST_FORMAT
+from repro.exp.fabric.spec import MANIFEST_FORMAT, SHARD_FORMAT, SpecError
 
 
 def _write_manifest(root, tasks):
@@ -30,24 +37,10 @@ def _write_manifest(root, tasks):
 
 class TestTaskSpec:
     def test_round_trip(self):
-        spec = TaskSpec(
-            key="a/b", kind="demo", params={"x": 1},
-            degraded_params={"x": 0},
-        )
+        spec = TaskSpec(key="a/b", kind="demo", params={"x": 1})
+        assert spec.to_dict() == {"key": "a/b", "kind": "demo", "params": {"x": 1}}
         again = TaskSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
-
-    def test_effective_params_merges_degraded(self):
-        spec = TaskSpec(
-            key="k", kind="demo", params={"x": 1, "y": 2},
-            degraded_params={"x": 0},
-        )
-        assert spec.effective_params() == {"x": 1, "y": 2}
-        assert spec.effective_params(degraded=True) == {"x": 0, "y": 2}
-
-    def test_no_degraded_params_is_identity(self):
-        spec = TaskSpec(key="k", kind="demo", params={"x": 1})
-        assert spec.effective_params(degraded=True) == {"x": 1}
 
     def test_rejects_empty_key_and_kind(self):
         with pytest.raises(ValueError):
@@ -158,7 +151,8 @@ class TestShards:
         assert shard["status"] == "ok"
         assert shard["result"] == {"v": 1}
         assert shard["attempts"] == 2
-        assert shard["degraded"] is False
+        assert shard["format"] == "repro-fabric-shard-v2"
+        assert "degraded" not in shard
 
     def test_invalid_status_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="status"):
@@ -235,3 +229,126 @@ class TestAtomicIO:
         assert removed == 1
         assert not (tmp_path / "orphan.json.tmp").exists()
         assert (tmp_path / "keep.json").exists()
+
+
+#: File bodies that once escaped the readers as a bare UnicodeDecodeError,
+#: RecursionError or int-conversion ValueError.
+_CORRUPT_BYTES = {
+    "non-utf8": b"\xff\xfe",
+    "non-utf8-object": b'{"format": "\xff"}',
+    "deep-nesting": b"[" * 100_000,
+    "huge-int": b"1" * 5000,
+}
+
+
+class TestCorruptBytes:
+    @pytest.mark.parametrize("raw", _CORRUPT_BYTES.values(), ids=_CORRUPT_BYTES)
+    def test_corrupt_shard_is_no_result(self, tmp_path, raw):
+        layout = write_sweep(tmp_path, [TaskSpec(key="k", kind="demo")])
+        layout.shards_dir.mkdir()
+        layout.shard_path("k").write_bytes(raw)
+        assert load_shard(tmp_path, "k") is None
+        merged = merge_shards(tmp_path, strict=False)
+        assert merged.corrupt == ["k"] and merged.rows == []
+        with pytest.raises(FabricError, match="1 unreadable"):
+            merge_shards(tmp_path)
+
+    @pytest.mark.parametrize("raw", _CORRUPT_BYTES.values(), ids=_CORRUPT_BYTES)
+    def test_corrupt_manifest_is_a_spec_error(self, tmp_path, raw):
+        SweepLayout(tmp_path).manifest_path.write_bytes(raw)
+        with pytest.raises(SpecError, match="initialize the sweep"):
+            load_manifest(tmp_path)
+
+    def test_key_without_a_utf8_form_is_a_spec_error(self, tmp_path):
+        _write_manifest(tmp_path, [{"key": "bad\ud800", "kind": "demo"}])
+        with pytest.raises(SpecError, match="tasks\\[0\\].*Unicode"):
+            load_manifest(tmp_path)
+
+    def test_many_duplicate_keys_are_named_quickly(self, tmp_path):
+        entry = {"key": "same", "kind": "demo"}
+        _write_manifest(tmp_path, [entry] * 50_000)
+        start = time.monotonic()
+        with pytest.raises(SpecError, match="'same'"):
+            load_manifest(tmp_path)
+        assert time.monotonic() - start < 5.0
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=20),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=10), inner, max_size=4),
+    max_leaves=20,
+)
+_fields = st.sampled_from(["key", "kind", "params", "tasks", "format", "status"])
+
+
+def _with_fields(values, fmt):
+    """JSON objects that get past a reader's first checks: the right
+    format marker plus fuzzed values for the fields it reads."""
+    return st.dictionaries(_fields, values, max_size=6).map(
+        lambda d: {"format": fmt, **d}
+    )
+
+
+#: Lone surrogates survive json.loads but have no UTF-8 form.
+_keys = st.text(max_size=8) | st.sampled_from(["\ud800", "a/\udfff"])
+_entries = st.one_of(
+    _json_values,
+    st.fixed_dictionaries(
+        {"key": _keys, "kind": st.text(max_size=8)},
+        optional={"params": _json_values, "retired_field": _json_values},
+    ),
+)
+_manifests = st.one_of(
+    st.binary(max_size=200),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    _with_fields(_json_values, MANIFEST_FORMAT).map(
+        lambda d: json.dumps(d).encode()
+    ),
+    st.lists(_entries, max_size=6).map(
+        lambda tasks: json.dumps(
+            {"format": MANIFEST_FORMAT, "tasks": tasks}
+        ).encode()
+    ),
+)
+_shards = st.one_of(
+    st.binary(max_size=200),
+    _json_values.map(lambda v: json.dumps(v).encode()),
+    _with_fields(_json_values, SHARD_FORMAT).map(
+        lambda d: json.dumps({"key": "k", **d}).encode()
+    ),
+)
+
+
+class TestFuzzedFiles:
+    """Whatever bytes sit in a sweep's files, the readers answer with
+    specs or an InputError (manifest) and a dict or None (shard)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_manifests)
+    def test_manifest_gives_specs_or_an_input_error(self, raw):
+        with tempfile.TemporaryDirectory() as root:
+            SweepLayout(root).manifest_path.write_bytes(raw)
+            start = time.monotonic()
+            try:
+                specs = load_manifest(root)
+            except InputError:
+                pass
+            else:
+                assert specs and all(isinstance(s, TaskSpec) for s in specs)
+                # Every loaded key names a shard file.
+                assert all(load_shard(root, s.key) is None for s in specs)
+            assert time.monotonic() - start < 5.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_shards)
+    def test_shard_gives_a_dict_or_none(self, raw):
+        with tempfile.TemporaryDirectory() as root:
+            path = SweepLayout(root).shard_path("k")
+            path.parent.mkdir()
+            path.write_bytes(raw)
+            start = time.monotonic()
+            shard = load_shard(root, "k")
+            assert shard is None or isinstance(shard, dict)
+            assert time.monotonic() - start < 5.0

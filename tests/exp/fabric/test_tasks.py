@@ -95,7 +95,6 @@ class TestSpecBuilders:
         assert len(specs) == 5
         assert len({s.key for s in specs}) == 5
         assert all(s.kind == "demo" for s in specs)
-        assert all(s.degraded_params for s in specs)
 
     def test_demo_specs_validates(self):
         with pytest.raises(ValueError):
@@ -107,7 +106,8 @@ class TestSpecBuilders:
         )
         assert len(specs) == 2 * 2 * 2
         assert all(s.kind == "map-cell" for s in specs)
-        assert all(s.degraded_params == {"mapper": "greedy"} for s in specs)
+        # Each cell runs the mapper its key names, on every attempt.
+        assert all(s.key.split("/")[3] == s.params["mapper"] for s in specs)
 
     def test_robustness_specs_cover_grid(self):
         specs = robustness_specs(

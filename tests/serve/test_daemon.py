@@ -430,6 +430,32 @@ def test_http_bad_content_length_gets_400_and_daemon_keeps_serving(tmp_path, len
     assert health["status"] == "ok"
 
 
+def test_http_body_shorter_than_content_length_gets_400(tmp_path):
+    port = 18434
+
+    def session(socket_path):
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as conn:
+            conn.sendall(b"POST /v1/map HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}\n")
+            conn.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := conn.recv(65536):
+                reply += chunk
+        with urllib.request.urlopen(f"http://127.0.0.1:{port}/health", timeout=10) as r:
+            health = json.loads(r.read())
+        return reply, health
+
+    async def scenario(daemon, socket_path, loop):
+        return await loop.run_in_executor(None, session, socket_path)
+
+    reply, health = run_daemon_scenario(
+        tmp_path, EngineConfig(pool_workers=1), scenario, http_port=port
+    )
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), reply
+    assert json.loads(body)["error"] == "body ended after 3 of Content-Length 10 bytes"
+    assert health["status"] == "ok"
+
+
 def test_client_connect_failure_closes_its_socket(tmp_path, monkeypatch):
     # A warning turned error inside a finalizer is "unraisable": catch it.
     unraisable = []

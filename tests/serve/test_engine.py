@@ -16,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+from repro._validation import InputError
 from repro.core import UNPLACED, get_mapper, repair_mapping
 from repro.exp.fabric import register_task
 from repro.serve.engine import EngineConfig, PlacementEngine
@@ -295,6 +296,45 @@ def test_malformed_csr_is_400_and_the_engine_keeps_solving(problem):
         assert "CG is not a valid sparse matrix" in reply["error"]
     assert solved["ok"], solved
     assert solved["result"]["cost"] == get_mapper("greedy").map(problem, seed=0).cost
+
+
+@pytest.mark.parametrize(
+    "mapper, kwargs, field",
+    [
+        ("multilevel", {"min_shrink": 2}, "min_shrink"),
+        ("multilevel", {"min_shrink": "x"}, "min_shrink"),
+        ("simulated-annealing", {"initial_acceptance": 1.5}, "initial_acceptance"),
+        ("simulated-annealing", {"initial_acceptance": "x"}, "initial_acceptance"),
+        ("simulated-annealing", {"final_temperature_ratio": 0}, "final_temperature_ratio"),
+        ("simulated-annealing", {"final_temperature_ratio": [1]}, "final_temperature_ratio"),
+    ],
+)
+def test_bad_mapper_kwarg_value_is_400_and_the_engine_keeps_solving(
+    problem, mapper, kwargs, field
+):
+    request = {**map_request(problem, mapper=mapper), "mapper_kwargs": kwargs}
+
+    async def scenario(engine):
+        return await engine.handle(request), await engine.handle(
+            map_request(problem, rid=2)
+        )
+
+    rejected, solved = run_with_engine(EngineConfig(pool_workers=1), scenario)
+    assert not rejected["ok"] and rejected["code"] == 400, rejected
+    assert rejected["error"].startswith(field), rejected
+    assert solved["ok"], solved
+    assert solved["result"]["cost"] == get_mapper("greedy").map(problem, seed=0).cost
+
+
+@pytest.mark.parametrize(
+    "kw", [{"cache_size": -1}, {"degrade_at": -1}, {"span_keep": -1}]
+)
+def test_engine_config_rejects_what_it_cannot_serve(kw):
+    with pytest.raises(InputError, match=f"{next(iter(kw))} must be >= 0"):
+        EngineConfig(**kw)
+    # Zero stays valid: no cache, degrade from the first pending solve,
+    # keep no traces.
+    EngineConfig(**{next(iter(kw)): 0})
 
 
 def test_v1_list_problem_is_400_naming_the_field_and_the_block_format(problem):
