@@ -240,14 +240,26 @@ class MappingProblem:
                 f"(deficit: {excess} nodes)"
             )
 
+        # Lazily filled by cg_csr()/ag_csr(); not a dataclass field, so
+        # equality/repr stay defined by the problem data alone.
+        object.__setattr__(self, "_csr_cache", {})
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Make every validated array read-only, cached CSR rows included."""
         for name in ("LT", "BT", "capacities", "constraints"):
             getattr(self, name).setflags(write=False)
         freeze_matrix(self.CG)
         freeze_matrix(self.AG)
+        for view in object.__getattribute__(self, "_csr_cache").values():
+            if isinstance(view, CSRArrays):
+                view.rows.setflags(write=False)
 
-        # Lazily filled by cg_csr()/ag_csr(); not a dataclass field, so
-        # equality/repr stay defined by the problem data alone.
-        object.__setattr__(self, "_csr_cache", {})
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # Pickle keeps the cached fingerprint and CSR views but not numpy's
+        # read-only flag, so an unpickled copy is frozen again here.
+        self.__dict__.update(state)
+        self._freeze()
 
     # ------------------------------------------------------------ properties
 

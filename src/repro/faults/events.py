@@ -25,8 +25,11 @@ no randomness, no wall clocks (the repro-lint RPR005 contract).
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
+import reprlib
 from dataclasses import dataclass
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Mapping
 
 from .._validation import InputError, check_fraction, check_nonnegative_int
 
@@ -42,6 +45,18 @@ __all__ = [
 ]
 
 
+def _check_real(value: Any, name: str) -> None:
+    """Raise unless ``value`` is a finite real number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a number, got {type(value).__name__}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise InputError(f"{name} must be finite, got {reprlib.repr(value)}")
+
+
 @dataclass(frozen=True, slots=True, kw_only=True)
 class FaultEvent:
     """Common fault-event machinery: the activation window and (de)serialization.
@@ -55,12 +70,15 @@ class FaultEvent:
     kind: ClassVar[str] = "abstract"
 
     def __post_init__(self) -> None:
+        _check_real(self.start_s, "start_s")
         if self.start_s < 0:
             raise InputError(f"start_s must be >= 0, got {self.start_s}")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise InputError(
-                f"duration_s must be positive or None, got {self.duration_s}"
-            )
+        if self.duration_s is not None:
+            _check_real(self.duration_s, "duration_s")
+            if self.duration_s <= 0:
+                raise InputError(
+                    f"duration_s must be positive or None, got {self.duration_s}"
+                )
 
     # ----------------------------------------------------------------- window
 
@@ -110,6 +128,7 @@ class SiteCapacityLoss(FaultEvent):
     def __post_init__(self) -> None:
         FaultEvent.__post_init__(self)
         check_nonnegative_int(self.site, "site")
+        _check_real(self.fraction, "fraction")
         check_fraction(self.fraction, "fraction")
         if self.fraction == 0.0:
             raise InputError("fraction must be > 0 (0 would be a no-op fault)")
@@ -124,9 +143,15 @@ class _LinkEvent(FaultEvent):
 
     __slots__ = ()
 
-    def _check_pair(self) -> None:
-        check_nonnegative_int(self.src, "src")  # type: ignore[attr-defined]
-        check_nonnegative_int(self.dst, "dst")  # type: ignore[attr-defined]
+    def _check_fields(self, *reals: str) -> None:
+        """Check the site pair, ``symmetric``, and the named real fields."""
+        for name in ("src", "dst"):
+            check_nonnegative_int(getattr(self, name), name)
+        symmetric = getattr(self, "symmetric")
+        if not isinstance(symmetric, bool):
+            raise InputError(f"symmetric must be a bool, got {type(symmetric).__name__}")
+        for name in reals:
+            _check_real(getattr(self, name), name)
 
     def affects(self, a: int, b: int) -> bool:
         """Whether the directed link a -> b is covered by this event."""
@@ -153,7 +178,7 @@ class LinkDegradation(_LinkEvent):
 
     def __post_init__(self) -> None:
         FaultEvent.__post_init__(self)
-        self._check_pair()
+        self._check_fields("bandwidth_factor", "latency_factor")
         if not 0.0 < self.bandwidth_factor <= 1.0:
             raise InputError(
                 f"bandwidth_factor must be in (0, 1], got {self.bandwidth_factor}"
@@ -182,7 +207,7 @@ class LatencySpike(_LinkEvent):
 
     def __post_init__(self) -> None:
         FaultEvent.__post_init__(self)
-        self._check_pair()
+        self._check_fields("extra_latency_s")
         if self.extra_latency_s <= 0:
             raise InputError(
                 f"extra_latency_s must be positive, got {self.extra_latency_s}"
@@ -216,7 +241,7 @@ class FlappingLink(_LinkEvent):
 
     def __post_init__(self) -> None:
         FaultEvent.__post_init__(self)
-        self._check_pair()
+        self._check_fields("period_s", "down_fraction", "bandwidth_factor", "latency_factor")
         if self.period_s <= 0:
             raise InputError(f"period_s must be positive, got {self.period_s}")
         check_fraction(self.down_fraction, "down_fraction")
@@ -251,19 +276,21 @@ EVENT_KINDS: dict[str, type[FaultEvent]] = {
 }
 
 
-def event_from_dict(data: dict[str, Any]) -> FaultEvent:
+def event_from_dict(data: Mapping[str, Any]) -> FaultEvent:
     """Rebuild an event from its :meth:`FaultEvent.to_dict` form."""
+    if not isinstance(data, Mapping):
+        raise InputError(f"a fault event must be an object, got {type(data).__name__}")
     payload = dict(data)
     kind = payload.pop("kind", None)
-    if kind not in EVENT_KINDS:
+    if not isinstance(kind, str) or kind not in EVENT_KINDS:
         raise InputError(
-            f"unknown fault kind {kind!r}; known: {sorted(EVENT_KINDS)}"
+            f"unknown fault kind {reprlib.repr(kind)}; known: {sorted(EVENT_KINDS)}"
         )
     cls = EVENT_KINDS[kind]
     valid = {f.name for f in dataclasses.fields(cls)}
     unknown = set(payload) - valid
     if unknown:
         raise InputError(
-            f"unknown field(s) {sorted(unknown)} for fault kind {kind!r}"
+            f"unknown field(s) {reprlib.repr(sorted(unknown, key=str))} for fault kind {kind!r}"
         )
     return cls(**payload)

@@ -183,10 +183,13 @@ class FaultSchedule:
         return json.dumps(self.to_dicts(), indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "FaultSchedule":
+    def from_json(cls, text: str | bytes) -> "FaultSchedule":
+        """Parse a schedule; bad text raises an :class:`InputError` saying what is wrong."""
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except RecursionError:
+            raise InputError("fault schedule JSON nests too deeply") from None
+        except ValueError as exc:  # bad JSON, or an int past Python's digit limit
             raise InputError(f"fault schedule is not valid JSON: {exc}") from None
         if not isinstance(data, list):
             raise InputError("fault schedule JSON must be a list of events")
@@ -199,7 +202,7 @@ class FaultSchedule:
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultSchedule":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(Path(path).read_bytes())
 
 
 def random_schedule(

@@ -9,6 +9,9 @@ requested one matters under degradation: a Greedy answer produced while
 shedding load must never be replayed to a client asking for
 geo-distributed placements in calm weather.
 
+The daemon's problem memo and the client's encoded-problem memo reuse
+the same LRU with other values (a decoded problem, a JSON text).
+
 Single-threaded by design: the daemon touches the cache only from the
 event loop, so there is no lock — just an ``OrderedDict`` with
 move-to-end recency and O(1) eviction.
@@ -23,7 +26,8 @@ __all__ = ["ResultCache"]
 
 
 class ResultCache:
-    """A bounded LRU mapping request keys to wire-ready result dicts.
+    """A bounded LRU mapping request keys to wire-ready result dicts
+    (or any other value: the problem memos store problems and texts).
 
     ``max_entries <= 0`` disables caching entirely (every lookup
     misses, nothing is stored) — the daemon's ``--cache-size 0``.
@@ -31,7 +35,7 @@ class ResultCache:
 
     def __init__(self, max_entries: int = 256) -> None:
         self.max_entries = int(max_entries)
-        self._entries: OrderedDict[Hashable, dict[str, Any]] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -39,7 +43,7 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Hashable) -> dict[str, Any] | None:
+    def get(self, key: Hashable) -> Any:
         """The cached result for ``key`` (refreshing recency), or None."""
         entry = self._entries.get(key)
         if entry is None:
@@ -49,7 +53,7 @@ class ResultCache:
         self.hits += 1
         return entry
 
-    def put(self, key: Hashable, result: dict[str, Any]) -> None:
+    def put(self, key: Hashable, result: Any) -> None:
         """Store ``result``, evicting the least-recently-used overflow."""
         if self.max_entries <= 0:
             return

@@ -7,6 +7,13 @@ errors.  It holds one connection open across calls (the daemon serves
 any number of sequential requests per connection), so a request's cost
 is one socket round trip, not a connect-per-call.
 
+A :class:`~repro.core.MappingProblem` is encoded once per client: the
+JSON text of its wire dict is kept in an LRU of
+:data:`ENCODED_PROBLEMS` entries keyed by
+:meth:`~repro.core.MappingProblem.fingerprint`, and each request line
+splices that text in rather than encoding and dumping the problem
+again.  A problem passed as a wire dict is dumped on every call.
+
 Deliberately synchronous: callers are batch scripts and CLIs, and the
 concurrency interesting to test (coalescing, backpressure) lives on the
 daemon side — tests drive it with one client per thread.
@@ -22,9 +29,13 @@ import numpy as np
 
 from ..core import MappingProblem
 from ..obs import current_trace_context
+from .cache import ResultCache
 from .protocol import encode_problem
 
 __all__ = ["PlacementClient", "RemoteError", "OverloadedRemoteError"]
+
+#: Encoded problems one client keeps, least recent dropped.
+ENCODED_PROBLEMS = 16
 
 
 class RemoteError(RuntimeError):
@@ -58,6 +69,7 @@ class PlacementClient:
             raise
         self._rfile = self._sock.makefile("rb")
         self._next_id = 0
+        self._encoded = ResultCache(ENCODED_PROBLEMS)
 
     # ------------------------------------------------------------ plumbing
 
@@ -89,7 +101,7 @@ class PlacementClient:
         ctx = current_trace_context()
         if ctx is not None:
             ctx.inject(payload)
-        self._sock.sendall(json.dumps(payload).encode() + b"\n")
+        self._sock.sendall(self._line(payload))
         line = self._rfile.readline()
         if not line:
             raise ConnectionError("daemon closed the connection")
@@ -104,11 +116,19 @@ class PlacementClient:
             raise RemoteError(code, message)
         return response
 
-    @staticmethod
-    def _problem_field(problem: "MappingProblem | dict[str, Any]") -> dict[str, Any]:
-        if isinstance(problem, MappingProblem):
-            return encode_problem(problem)
-        return dict(problem)
+    def _line(self, payload: dict[str, Any]) -> bytes:
+        """``payload`` as one request line, a problem's cached text spliced in."""
+        problem = payload.get("problem")
+        if not isinstance(problem, MappingProblem):
+            return json.dumps(payload).encode() + b"\n"
+        key = problem.fingerprint()
+        text = self._encoded.get(key)
+        if text is None:
+            text = json.dumps(encode_problem(problem)).encode()
+            self._encoded.put(key, text)
+        # The rest always holds "op" and "id", so its object is not empty.
+        head = json.dumps({k: v for k, v in payload.items() if k != "problem"}).encode()
+        return b"".join((head[:-1], b', "problem": ', text, b"}\n"))
 
     # ----------------------------------------------------------------- ops
 
@@ -125,7 +145,7 @@ class PlacementClient:
         ``assignment``/``cost``, the envelope has ``cache_hit`` /
         ``coalesced`` / ``degraded`` / ``mapper`` / ``fingerprint``)."""
         fields: dict[str, Any] = {
-            "problem": self._problem_field(problem),
+            "problem": problem,
             "seed": int(seed),
         }
         if mapper is not None:
@@ -147,7 +167,7 @@ class PlacementClient:
         """Repair a partial assignment (see :func:`repro.core.repair_mapping`)."""
         return self.request(
             "repair",
-            problem=self._problem_field(problem),
+            problem=problem,
             partial=[int(p) for p in np.asarray(partial).tolist()],
             refine_rounds=int(refine_rounds),
             extra_moves=int(extra_moves),
@@ -163,7 +183,7 @@ class PlacementClient:
         """Run several mappers on one problem in a single request."""
         return self.request(
             "compare",
-            problem=self._problem_field(problem),
+            problem=problem,
             mappers=[str(m) for m in mappers],
             seed=int(seed),
         )

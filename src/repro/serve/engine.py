@@ -5,12 +5,18 @@ daemon — both the unix-socket and HTTP front ends feed decoded request
 dicts into :meth:`PlacementEngine.handle` and write back whatever dict
 it returns.  The engine owns every serving policy:
 
+* **Problem memo** — each distinct ``problem`` field is decoded and
+  validated once: an LRU of :data:`PROBLEM_MEMO_SIZE` validated
+  problems keyed by :func:`.protocol.problem_digest` of the raw field.
+  Only a payload that decoded is stored, so bytes the daemon has not
+  seen always pass every check of :func:`.protocol.decode_problem`.
 * **Result cache** — a fingerprint-keyed LRU (:class:`.cache.ResultCache`);
   a repeat request never reaches the pool.
 * **Coalescing** — identical in-flight requests (same operation,
   problem fingerprint, effective mapper, seed) share one solve via a
   single future; only the first occupies a queue slot.
-* **One pool task per solve** — a leader request submits its payload
+* **One pool task per solve** — a leader request submits its payload,
+  the validated :class:`MappingProblem` itself (pickled, not re-encoded),
   straight to a warm ``ProcessPoolExecutor``; a done-callback caches
   the row and resolves the shared future.  The executor's own queue
   orders solves, so no dispatcher or batch sits in between.
@@ -65,8 +71,8 @@ from .protocol import (
     OPS,
     ProtocolError,
     decode_problem,
-    encode_problem,
     error_response,
+    problem_digest,
 )
 from .solver import solve_one
 
@@ -75,6 +81,11 @@ __all__ = ["EngineConfig", "PlacementEngine", "OverloadedError"]
 #: Mappers that Greedy serves once ``degrade_at`` solves are in flight.
 #: A request that names no mapper gets the first.
 DEGRADABLE = ("geo-distributed", "multilevel")
+
+#: Validated problems the engine keeps by wire digest, least recent
+#: dropped.  Clients re-send a handful of problems, and each entry holds
+#: a whole decoded problem, so the bound stays small.
+PROBLEM_MEMO_SIZE = 16
 
 #: The row every unsettled request gets when the engine stops.
 _SHUTDOWN_ROW: dict[str, Any] = {
@@ -131,6 +142,7 @@ class PlacementEngine:
     def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config or EngineConfig()
         self.cache = ResultCache(self.config.cache_size)
+        self.problems = ResultCache(PROBLEM_MEMO_SIZE)
         self.metrics = MetricsRegistry()
         self.recorder = SpanRecorder()
         self._pool: ProcessPoolExecutor | None = None
@@ -200,6 +212,14 @@ class PlacementEngine:
         m = self.metrics
         m.counter("serve_requests_total", "Requests handled, by op and status.")
         m.counter("serve_cache_hits_total", "Requests answered from the LRU cache.")
+        m.counter(
+            "serve_problem_memo_hits_total",
+            "Problem fields found already decoded in the problem memo.",
+        )
+        m.counter(
+            "serve_problem_memo_misses_total",
+            "Problem fields decoded and validated afresh.",
+        )
         m.counter("serve_coalesced_total", "Requests that joined an in-flight solve.")
         m.counter("serve_rejected_total", "Requests rejected with 429 backpressure.")
         m.counter(
@@ -496,7 +516,7 @@ class PlacementEngine:
         if cached is not None:
             self.metrics.inc("serve_cache_hits_total", op=op)
             return self._decorate(request_id, cached, cache_hit=True, **decor)
-        params = {"problem": encode_problem(problem, arrays=True), **params}
+        params = {"problem": problem, **params}
         row, coalesced = await self._submit(key, f"serve-{op}", params)
         if coalesced:
             self.metrics.inc("serve_coalesced_total", op=op)
@@ -516,9 +536,23 @@ class PlacementEngine:
             request_id, row["result"], coalesced=coalesced, **decor
         )
 
+    def _problem(self, request: dict[str, Any]) -> MappingProblem:
+        """The request's validated problem, decoded once per distinct field."""
+        raw = request.get("problem")
+        digest = problem_digest(raw)
+        problem = None if digest is None else self.problems.get(digest)
+        if problem is not None:
+            self.metrics.inc("serve_problem_memo_hits_total")
+            return problem
+        self.metrics.inc("serve_problem_memo_misses_total")
+        problem = decode_problem(raw)
+        if digest is not None:
+            self.problems.put(digest, problem)
+        return problem
+
     async def _handle_map(self, request: dict[str, Any]) -> dict[str, Any]:
         request_id = request.get("id")
-        problem = decode_problem(request.get("problem"))
+        problem = self._problem(request)
         fingerprint = problem.fingerprint()
         requested = str(request.get("mapper") or DEGRADABLE[0])
         mapper_kwargs = coerce("mapper_kwargs", dict, request.get("mapper_kwargs") or {})
@@ -561,7 +595,7 @@ class PlacementEngine:
         )
 
     async def _handle_repair(self, request: dict[str, Any]) -> dict[str, Any]:
-        problem = decode_problem(request.get("problem"))
+        problem = self._problem(request)
         fingerprint = problem.fingerprint()
         partial = request.get("partial")
         if not isinstance(partial, (list, tuple)):
@@ -581,7 +615,7 @@ class PlacementEngine:
         )
 
     async def _handle_compare(self, request: dict[str, Any]) -> dict[str, Any]:
-        problem = decode_problem(request.get("problem"))
+        problem = self._problem(request)
         fingerprint = problem.fingerprint()
         mappers = request.get("mappers")
         if not isinstance(mappers, (list, tuple)) or not mappers:
@@ -606,6 +640,7 @@ class PlacementEngine:
             "pool_workers": self.config.pool_workers,
             "degrade_at": self.config.degrade_at,
             "cache": self.cache.stats(),
+            "problem_memo": self.problems.stats(),
         }
 
 

@@ -54,18 +54,22 @@ one::
      "b64": base64.b64encode(struct.pack("<%dd" % len(xs), *xs)).decode()}
 
 Protocol v1 sent arrays as JSON lists; a list where a block belongs is
-refused with 400, naming the field and the block format.  For the
-daemon's *internal* hop onto its process pool, ``arrays=True`` keeps
-numpy arrays in the dict (pickle ships them binary) while the schema
-stays identical.
+refused with 400, naming the field and the block format.  The decoder
+takes blocks only.  The wire dict is decoded once per daemon: the
+engine memoizes the validated problem under :func:`problem_digest` of
+the raw field, and its hop onto the process pool pickles that
+:class:`MappingProblem` (which re-freezes on unpickling), so the pool
+decodes nothing.
 """
 
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 import math
 import reprlib
+import struct
 from typing import Any, Mapping as MappingT
 
 import numpy as np
@@ -82,6 +86,7 @@ __all__ = [
     "ProtocolError",
     "encode_problem",
     "decode_problem",
+    "problem_digest",
     "decode_request",
     "encode_mapping",
     "jsonify_meta",
@@ -115,10 +120,10 @@ def decode_request(text: str | bytes) -> dict[str, Any]:
     return request
 
 
-def _to_wire(a: np.ndarray | None, arrays: bool) -> Any:
-    """``a`` as a wire block, or unchanged for the pool hop (or if None)."""
-    if a is None or arrays:
-        return a
+def _to_wire(a: np.ndarray | None) -> Any:
+    """``a`` as a wire block (``None`` stays ``None``)."""
+    if a is None:
+        return None
     if a.dtype.kind == "f":
         dtype = "<f8"
     else:
@@ -128,13 +133,13 @@ def _to_wire(a: np.ndarray | None, arrays: bool) -> Any:
 
 
 def _array(name: str, value: Any, ndim: int, *, integer: bool = False) -> Any:
-    """One array field: a numpy array (the pool hop) or a wire block.
+    """One array field from its wire block (``None`` stays ``None``).
 
     The block is outside input, so every part is checked before anything
     is allocated from it; the result owns its (writable) memory.
     """
-    if value is None or isinstance(value, np.ndarray):
-        return value
+    if value is None:
+        return None
     if not isinstance(value, MappingT):
         v1 = " (JSON lists are protocol v1)" if isinstance(value, list) else ""
         raise ProtocolError(
@@ -164,17 +169,17 @@ def _array(name: str, value: Any, ndim: int, *, integer: bool = False) -> Any:
     return coerce(name, lambda b: np.frombuffer(b, dt).reshape(shape).astype(native), raw)
 
 
-def _matrix_to_wire(mat: "np.ndarray | sp.csr_matrix", *, arrays: bool) -> dict[str, Any]:
+def _matrix_to_wire(mat: "np.ndarray | sp.csr_matrix") -> dict[str, Any]:
     if sp.issparse(mat):
         csr = mat.tocsr()
         return {
             "format": "csr",
             "shape": int(csr.shape[0]),
-            "indptr": _to_wire(csr.indptr, arrays),
-            "indices": _to_wire(csr.indices, arrays),
-            "data": _to_wire(csr.data, arrays),
+            "indptr": _to_wire(csr.indptr),
+            "indices": _to_wire(csr.indices),
+            "data": _to_wire(csr.data),
         }
-    return {"format": "dense", "rows": _to_wire(mat, arrays)}
+    return {"format": "dense", "rows": _to_wire(mat)}
 
 
 def _matrix_from_wire(obj: MappingT[str, Any], name: str) -> "np.ndarray | sp.csr_matrix":
@@ -196,34 +201,28 @@ def _matrix_from_wire(obj: MappingT[str, Any], name: str) -> "np.ndarray | sp.cs
     raise ProtocolError(f"{name} has unknown matrix format {fmt!r}")
 
 
-def encode_problem(problem: MappingProblem, *, arrays: bool = False) -> dict[str, Any]:
-    """The wire dict for ``problem``.
-
-    ``arrays=True`` keeps numpy arrays in place (for the pickle hop onto
-    the daemon's process pool); the default produces pure JSON types,
-    every array a binary block.
-    """
+def encode_problem(problem: MappingProblem) -> dict[str, Any]:
+    """The wire dict for ``problem``: pure JSON types, every array a binary block."""
     return {
         "version": PROTOCOL_VERSION,
-        "CG": _matrix_to_wire(problem.CG, arrays=arrays),
-        "AG": _matrix_to_wire(problem.AG, arrays=arrays),
-        "LT": _to_wire(problem.LT, arrays),
-        "BT": _to_wire(problem.BT, arrays),
-        "capacities": _to_wire(problem.capacities, arrays),
-        "constraints": _to_wire(problem.constraints, arrays),
-        "coordinates": _to_wire(problem.coordinates, arrays),
+        "CG": _matrix_to_wire(problem.CG),
+        "AG": _matrix_to_wire(problem.AG),
+        "LT": _to_wire(problem.LT),
+        "BT": _to_wire(problem.BT),
+        "capacities": _to_wire(problem.capacities),
+        "constraints": _to_wire(problem.constraints),
+        "coordinates": _to_wire(problem.coordinates),
     }
 
 
 def decode_problem(obj: MappingT[str, Any]) -> MappingProblem:
     """Build (and fully validate) a :class:`MappingProblem` from the wire.
 
-    Arrays must be binary blocks (or numpy arrays, on the pool hop).  A
-    field that does not convert, or that the problem's own
-    ``__post_init__`` rejects, raises an :class:`InputError` naming it,
-    which the daemon answers with 400.  The arrays are decoded before
-    the version is checked, so a v1 payload is told which field to
-    re-encode and how.
+    Arrays must be binary blocks.  A field that does not convert, or
+    that the problem's own ``__post_init__`` rejects, raises an
+    :class:`InputError` naming it, which the daemon answers with 400.
+    The arrays are decoded before the version is checked, so a v1
+    payload is told which field to re-encode and how.
     """
     if not isinstance(obj, MappingT):
         raise ProtocolError(f"problem must be an object, got {type(obj).__name__}")
@@ -243,6 +242,42 @@ def decode_problem(obj: MappingT[str, Any]) -> MappingProblem:
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported problem version {version!r}")
     return MappingProblem(**fields)
+
+
+def problem_digest(obj: Any) -> bytes | None:
+    """SHA-256 of a parsed ``problem`` field; ``None`` if it holds a non-JSON value.
+
+    The walk feeds every dict key, type tag, length and scalar to the
+    hash, each container before its items (strings as UTF-8 bytes,
+    floats as their IEEE bits), so two fields share a digest only if
+    they hold the same JSON values in the same key order, and then they
+    decode to the same problem.  Cheaper than ``json.dumps`` of the
+    field: the base64 strings are hashed as they are.
+    """
+    h = hashlib.sha256(b"repro.serve.problem.v2")
+    stack = [obj]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            raw = value.encode("utf-8", "surrogatepass")
+            h.update(b"s%d:" % len(raw))
+            h.update(raw)
+        elif isinstance(value, dict):
+            h.update(b"d%d:" % len(value))
+            for key, item in value.items():
+                stack += (item, key)
+        elif isinstance(value, list):
+            h.update(b"l%d:" % len(value))
+            stack += value
+        elif isinstance(value, bool) or value is None:
+            h.update(b"%r" % value)
+        elif isinstance(value, int):
+            h.update(b"i%d:" % value)
+        elif isinstance(value, float):
+            h.update(b"f" + struct.pack("<d", value))
+        else:
+            return None
+    return h.digest()
 
 
 def jsonify_meta(meta: MappingT[str, Any]) -> dict[str, Any]:

@@ -6,13 +6,16 @@ as one task to a warm ``ProcessPoolExecutor`` whose workers run
 pair resolved through :mod:`repro.exp.fabric.tasks`'s registry, so the
 serve stack reuses the fabric's task contract instead of inventing a
 second task dispatch: importing this module (which the pool initializer
-does) registers the three serve kinds.  Fabric workers import nothing
-themselves: a worker runs the kinds registered in the supervisor's
-process when it forked, so a sweep of ``serve-*`` tasks needs this
-module imported in the supervisor first.
+does) registers the three serve kinds.
+
+Params carry the validated :class:`~repro.core.MappingProblem` itself:
+the daemon decoded it once and the pool hop pickles it, so no task
+decodes or re-validates anything.  A problem does not survive JSON, so
+these kinds run only where params travel by pickle, as on the daemon's
+pool, and not in a fabric sweep, whose params are JSON.
 
 ``serve-map``
-    One placement solve: params carry a wire-encoded problem, a mapper
+    One placement solve: params carry the problem, a mapper
     registry name (+ kwargs), and a seed.  Each request builds its
     mapper with :func:`repro.core.get_mapper`; construction holds only
     configuration and costs about a microsecond, far below any solve.
@@ -34,20 +37,27 @@ import time
 from typing import Any
 
 from .._validation import InputError
-from ..core import get_mapper, repair_mapping
+from ..core import MappingProblem, get_mapper, repair_mapping
 from ..exp.fabric.tasks import register_task
-from .protocol import decode_problem, encode_mapping
+from .protocol import encode_mapping
 
 __all__ = ["solve_one", "serve_map_task", "serve_repair_task", "serve_compare_task"]
 
 
+def _problem(params: dict[str, Any]) -> MappingProblem:
+    problem = params.get("problem")
+    if not isinstance(problem, MappingProblem):
+        raise InputError(f"problem must be a MappingProblem, got {type(problem).__name__}")
+    return problem
+
+
 @register_task("serve-map")
 def serve_map_task(params: dict[str, Any]) -> dict[str, Any]:
-    """Solve one wire-encoded problem with one mapper."""
+    """Solve one problem with one mapper."""
     sleep_s = float(params.get("sleep_s", 0.0))
     if sleep_s > 0:
         time.sleep(sleep_s)
-    problem = decode_problem(params["problem"])
+    problem = _problem(params)
     kwargs = params.get("mapper_kwargs") or {}
     mapper = get_mapper(str(params.get("mapper", "geo-distributed")), **kwargs)
     mapping = mapper.map(problem, seed=int(params.get("seed", 0)))
@@ -56,10 +66,10 @@ def serve_map_task(params: dict[str, Any]) -> dict[str, Any]:
 
 @register_task("serve-repair")
 def serve_repair_task(params: dict[str, Any]) -> dict[str, Any]:
-    """Repair a partial assignment against a wire-encoded problem."""
+    """Repair a partial assignment against the problem."""
     import numpy as np
 
-    problem = decode_problem(params["problem"])
+    problem = _problem(params)
     partial = np.asarray(params["partial"], dtype=np.int64)
     result = repair_mapping(
         problem,
@@ -77,7 +87,7 @@ def serve_repair_task(params: dict[str, Any]) -> dict[str, Any]:
 @register_task("serve-compare")
 def serve_compare_task(params: dict[str, Any]) -> dict[str, Any]:
     """One problem through several mappers; a mapping per registry name."""
-    problem = decode_problem(params["problem"])
+    problem = _problem(params)
     seed = int(params.get("seed", 0))
     results: dict[str, Any] = {}
     for name in params.get("mappers", ()):

@@ -161,6 +161,31 @@ def test_matrices_are_frozen():
         p.CG[0, 1] = 5.0
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_unpickled_problem_stays_frozen(sparse):
+    """Pickle drops numpy's read-only flag but keeps the cached fingerprint
+    and CSR views, so an unpickled copy must be frozen again."""
+    import pickle
+
+    cg, ag, lt, bt, caps = _matrices()
+    if sparse:
+        cg, ag = sp.csr_matrix(cg), sp.csr_matrix(ag)
+    p = MappingProblem(CG=cg, AG=ag, LT=lt, BT=bt, capacities=caps)
+    fingerprint = p.fingerprint()  # cached on the instance, views too
+    q = pickle.loads(pickle.dumps(p))
+    arrays = [q.LT, q.BT, q.capacities, q.constraints]
+    if sparse:
+        view = q.cg_csr()
+        assert view is q.cg_csr() and view.data is q.CG.data
+        arrays += [q.CG.data, q.CG.indices, q.CG.indptr, q.AG.data, view.rows]
+    else:
+        arrays += [q.CG, q.AG]
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        q.LT[0, 0] = 5.0
+    assert q.fingerprint() == fingerprint
+
+
 def test_dense_view_guard_blocks_large_materialization(monkeypatch):
     from repro.core import DenseMaterializationError, dense_materialize_limit
     from repro.core.problem import DENSE_LIMIT_ENV

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import json
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import InputError
 from repro.faults import (
+    EVENT_KINDS,
     FaultSchedule,
     FlappingLink,
     LatencySpike,
@@ -125,3 +132,83 @@ class TestSchedule:
         assert a == b
         c = random_schedule(6, seed=43, num_events=5)
         assert a != c
+
+
+class TestBadScheduleText:
+    """Bad schedule text is an ``InputError`` naming what is wrong, never a
+    builtin ``RecursionError``/``ValueError``/``TypeError``."""
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            pytest.param("[" * 100000, "nests too deeply", id="deep-nesting"),
+            pytest.param("[" + "7" * 5000 + "]", "not valid JSON", id="5000-digit-int"),
+            ("[5]", "fault event must be an object, got int"),
+            ('[{"kind": [1]}]', r"unknown fault kind \[1\]"),
+            ('[{"kind": "site-outage", "start_s": {}}]', "start_s must be a number, got dict"),
+            ('[{"kind": "site-outage", "start_s": NaN}]', "start_s must be finite, got nan"),
+            ('[{"kind": "site-outage", "start_s": 1e400}]', "start_s must be finite, got inf"),
+            ('[{"kind": "site-outage", "start_s": true}]', "start_s must be a number, got bool"),
+            ('[{"kind": "site-outage", "duration_s": -Infinity}]', "duration_s must be finite"),
+            ('[{"kind": "capacity-loss", "fraction": "0.5"}]', "fraction must be a number"),
+            ('[{"kind": "link-degradation", "symmetric": 1}]', "symmetric must be a bool"),
+            ('[{"kind": "latency-spike", "extra_latency_s": null}]', "extra_latency_s must be a number"),
+            ('[{"kind": "flapping-link", "period_s": 1e999}]', "period_s must be finite"),
+            ('[{"kind": "site-outage", "site": 1.5}]', "site must be an int"),
+        ],
+    )
+    def test_is_an_input_error_naming_the_field(self, text, match):
+        with pytest.raises(InputError, match=match):
+            FaultSchedule.from_json(text)
+
+    def test_non_utf8_file_is_an_input_error(self, tmp_path):
+        path = tmp_path / "sched.json"
+        path.write_bytes(b"\xff\xfe[")
+        with pytest.raises(InputError, match="not valid JSON"):
+            FaultSchedule.load(path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_FIELDS = sorted({f for cls in EVENT_KINDS.values() for f in cls.__dataclass_fields__})
+_EVENTS = st.lists(
+    st.builds(
+        lambda kind, fields: {"kind": kind, **fields},
+        st.sampled_from(sorted(EVENT_KINDS)),
+        st.dictionaries(st.sampled_from(_FIELDS), _JSON, max_size=4),
+    ),
+    max_size=3,
+)
+
+
+def _schedule_or_input_error(text):
+    """A schedule that round-trips, or ``None`` for an ``InputError``; fast either way."""
+    start = time.monotonic()
+    try:
+        sched = FaultSchedule.from_json(text)
+    except InputError:
+        sched = None
+    assert time.monotonic() - start < 5.0
+    if sched is not None:
+        assert FaultSchedule.from_json(sched.to_json()) == sched
+    return sched
+
+
+class TestFuzzedScheduleText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text() | st.binary())
+    def test_arbitrary_text(self, text):
+        _schedule_or_input_error(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON)
+    def test_arbitrary_json(self, doc):
+        _schedule_or_input_error(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_EVENTS)
+    def test_event_shaped_json(self, events):
+        _schedule_or_input_error(json.dumps(events))

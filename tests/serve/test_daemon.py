@@ -456,6 +456,60 @@ def test_http_body_shorter_than_content_length_gets_400(tmp_path):
     assert health["status"] == "ok"
 
 
+def test_client_splices_each_problem_encoded_once(tmp_path, problem):
+    """A request line parses to exactly the request it stands for, with the
+    caller's traceparent, while a problem is encoded once per client."""
+    import threading
+    from unittest import mock
+
+    import repro.serve.client as client_mod
+    from repro.obs import current_trace_context, recording
+    from repro.serve.protocol import encode_problem
+
+    path = str(tmp_path / "echo.sock")
+    lines = []
+    server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    server.bind(path)
+    server.listen(1)
+
+    def answer_each_line():
+        conn, _ = server.accept()
+        with conn, conn.makefile("rb") as rfile:
+            for line in rfile:
+                lines.append(line)
+                conn.sendall(b'{"ok": true}\n')
+
+    thread = threading.Thread(target=answer_each_line)
+    thread.start()
+    encode = mock.Mock(wraps=encode_problem)
+    partial = [0] * problem.num_processes
+    try:
+        with mock.patch.object(client_mod, "encode_problem", encode):
+            with recording() as rec, rec.span("caller"):
+                ctx = current_trace_context()
+                with PlacementClient(path) as client:
+                    client.map(problem, mapper="greedy", seed=1)
+                    client.repair(problem, partial)
+                    client.compare(problem, ["greedy"], seed=2)
+                    client.map(encode_problem(problem), seed=3)
+    finally:
+        thread.join(timeout=10)
+        server.close()
+
+    wire = encode_problem(problem)
+    expected = [
+        {"op": "map", "id": 1, "problem": wire, "seed": 1, "mapper": "greedy"},
+        {"op": "repair", "id": 2, "problem": wire, "partial": partial,
+         "refine_rounds": 2, "extra_moves": 0},
+        {"op": "compare", "id": 3, "problem": wire, "mappers": ["greedy"], "seed": 2},
+        {"op": "map", "id": 4, "problem": wire, "seed": 3},
+    ]
+    for request in expected:
+        ctx.inject(request)
+    assert [json.loads(line) for line in lines] == expected
+    assert encode.call_count == 1
+
+
 def test_client_connect_failure_closes_its_socket(tmp_path, monkeypatch):
     # A warning turned error inside a finalizer is "unraisable": catch it.
     unraisable = []

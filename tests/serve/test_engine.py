@@ -505,3 +505,144 @@ def test_span_forest_stays_bounded(problem):
         EngineConfig(pool_workers=1, span_keep=5), scenario
     )
     assert kept == 5
+
+
+def _outcome(response):
+    """What a response says about the problem, without its id or trace id."""
+    if response["ok"]:
+        result = response["result"]
+        return True, response["fingerprint"], (result["assignment"], result["cost"])
+    return False, response["code"], response["error"]
+
+
+def _memo_counts(engine):
+    counter = engine.metrics.counter
+    return (
+        counter("serve_problem_memo_hits_total").value(),
+        counter("serve_problem_memo_misses_total").value(),
+    )
+
+
+def test_same_problem_bytes_decode_once(problem):
+    """A repeat of the same problem field is a memo hit and solves as a
+    fresh decode would, bit for bit."""
+
+    async def scenario(engine):
+        first = await engine.handle(map_request(problem, rid=1, seed=0))
+        # A wire round trip builds new objects with the same bytes.
+        again = json.loads(json.dumps(map_request(problem, rid=2, seed=1)))
+        second = await engine.handle(again)
+        decoded = [engine._problem(json.loads(json.dumps(map_request(problem))))
+                   for _ in range(2)]
+        health = await engine.handle({"op": "health", "id": 3})
+        metrics = await engine.handle({"op": "metrics", "id": 4})
+        return first, second, decoded, _memo_counts(engine), health, metrics
+
+    first, second, decoded, counts, health, metrics = run_with_engine(
+        EngineConfig(pool_workers=1), scenario
+    )
+    for response, seed in ((first, 0), (second, 1)):
+        direct = get_mapper("greedy").map(problem, seed=seed)
+        assert response["result"]["cost"] == direct.cost
+        assert response["result"]["assignment"] == direct.assignment.tolist()
+    assert not second["cache_hit"]
+    assert decoded[0] is decoded[1]
+    assert decoded[0].fingerprint() == problem.fingerprint()
+    assert counts == (3, 1)
+    memo = health["result"]["problem_memo"]
+    assert memo["entries"] == 1 and memo["hits"] == 3
+    prom = metrics["result"]["prometheus"]
+    assert "serve_problem_memo_hits_total 3" in prom
+    assert "serve_problem_memo_misses_total 1" in prom
+
+
+def _variants(problem):
+    """Copies of the problem field, each with LT one b64 character, dtype or shape off."""
+
+    def edit(change):
+        wire = json.loads(json.dumps(encode_problem(problem)))
+        change(wire["LT"])
+        return wire
+
+    def first_char(char):
+        return lambda block: block.update(b64=char + block["b64"][1:])
+
+    assert encode_problem(problem)["LT"]["b64"][0] != "B"
+    return {
+        "b64-char": edit(first_char("B")),
+        "b64-invalid-char": edit(first_char("!")),
+        "dtype": edit(lambda block: block.update(dtype="<i4")),
+        "shape-rank": edit(lambda block: block.update(shape=[2, 2, 1])),
+        "shape-not-square": edit(lambda block: block.update(shape=[1, 4])),
+    }
+
+
+def test_changed_bytes_miss_the_memo_and_answer_as_a_fresh_engine(problem):
+    variants = _variants(problem)
+
+    async def scenario(warm):
+        fresh = PlacementEngine(EngineConfig(pool_workers=1))
+        await fresh.start()
+        try:
+            await warm.handle(map_request(problem))
+            out = {}
+            for name, wire in variants.items():
+                request = {"op": "map", "id": 1, "problem": wire, "mapper": "greedy"}
+                before = _memo_counts(warm)
+                got = await warm.handle(json.loads(json.dumps(request)))
+                assert _memo_counts(warm) == (before[0], before[1] + 1), name
+                want = await fresh.handle(json.loads(json.dumps(request)))
+                out[name] = (_outcome(got), _outcome(want))
+            return out
+        finally:
+            await fresh.stop()
+
+    outcomes = run_with_engine(EngineConfig(pool_workers=1), scenario)
+    for name, (got, want) in outcomes.items():
+        assert got == want, name
+    ok, fingerprint, _ = outcomes["b64-char"][0]
+    assert ok and fingerprint != problem.fingerprint()
+    errors = {
+        "b64-invalid-char": "LT.b64 is malformed",
+        "dtype": "LT holds 32 bytes; shape [2, 2] of <i4 needs 16",
+        "shape-rank": "LT.shape must be a list of 2 non-negative ints",
+        "shape-not-square": "LT must be a square 2-D matrix",
+    }
+    for name, message in errors.items():
+        ok, code, error = outcomes[name][0]
+        assert not ok and code == 400 and error.startswith(message), outcomes[name]
+
+
+def test_repair_and_compare_through_the_object_hop_match_in_process(problem, problem_b):
+    partial = get_mapper("greedy").map(problem_b, seed=0).assignment.copy()
+    partial[[1, 5]] = UNPLACED
+
+    async def scenario(engine):
+        compare = await engine.handle(
+            {"op": "compare", "id": 1, "problem": encode_problem(problem),
+             "mappers": ["greedy", "geo-distributed", "multilevel"], "seed": 2}
+        )
+        repair = await engine.handle(
+            {"op": "repair", "id": 2, "problem": encode_problem(problem_b),
+             "partial": partial.tolist(), "extra_moves": 1}
+        )
+        return json.loads(json.dumps(compare)), json.loads(json.dumps(repair))
+
+    compare, repair = run_with_engine(EngineConfig(pool_workers=1), scenario)
+    assert compare["ok"] and repair["ok"], (compare, repair)
+    for name, wire in compare["result"]["mappings"].items():
+        direct = get_mapper(name).map(problem, seed=2)
+        assert wire["cost"] == direct.cost, name
+        assert wire["assignment"] == direct.assignment.tolist(), name
+    direct = repair_mapping(problem_b, partial, extra_moves=1)
+    assert repair["result"]["mapping"]["cost"] == direct.mapping.cost
+    assert repair["result"]["mapping"]["assignment"] == direct.mapping.assignment.tolist()
+    assert repair["result"]["displaced"] == direct.displaced.tolist()
+    assert repair["result"]["migrated"] == direct.migrated.tolist()
+
+
+def test_serve_tasks_take_a_problem_not_a_wire_dict(problem):
+    row = solve_one({"kind": "serve-map",
+                     "params": {"problem": encode_problem(problem), "mapper": "greedy"}})
+    assert not row["ok"] and row["code"] == 400
+    assert row["error"] == "problem must be a MappingProblem, got dict"

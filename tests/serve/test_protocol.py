@@ -61,11 +61,13 @@ class TestProblemRoundTrip:
         assert sp.issparse(back.CG)
         assert back.fingerprint() == sparse.fingerprint()
 
-    def test_arrays_mode_skips_list_conversion(self, problem):
-        wire = encode_problem(problem, arrays=True)
-        assert isinstance(wire["LT"], np.ndarray)
-        back = decode_problem(wire)
-        assert back.fingerprint() == problem.fingerprint()
+    def test_numpy_array_field_is_refused(self, problem):
+        """The decoder takes blocks only; the daemon's pool hop pickles the
+        validated problem instead of passing arrays through the wire dict."""
+        wire = encode_problem(problem)
+        wire["LT"] = problem.LT.copy()
+        with pytest.raises(ProtocolError, match=r"^LT must be a binary block .*, got ndarray$"):
+            decode_problem(wire)
 
     def test_missing_field_raises(self, problem):
         wire = encode_problem(problem)

@@ -224,7 +224,6 @@ def test_serve_pool_workers_import_nothing_during_a_solve():
 
         from repro.core import MappingProblem
         from repro.serve.engine import EngineConfig, PlacementEngine
-        from repro.serve.protocol import encode_problem
         from repro.serve.solver import solve_one
 
         HEAVY = ("repro", "numpy", "scipy")
@@ -246,7 +245,7 @@ def test_serve_pool_workers_import_nothing_during_a_solve():
         )
         payloads = [
             {"kind": "serve-map",
-             "params": {"problem": encode_problem(problem, arrays=True),
+             "params": {"problem": problem,
                         "mapper": mapper, "seed": 0}}
             for mapper in ("greedy", "geo-distributed", "multilevel")
         ]
